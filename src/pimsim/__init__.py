@@ -13,7 +13,7 @@ from .cost import (CostMode, HardwareSpec, capacity_report, capacity_summary,
                    decode_token_time, gemm_time, rearrangement_overhead_table,
                    smc_time)
 from .dram import AddressMap, DramCoord, DramGeometry, default_field_order
-from .engine import GemvJob, GemvResult, IntegrityReport, PimGemvEngine, PimMode
+from .engine import GemvJob, GemvResult, IntegrityReport, PimGemvEngine
 from .errors import (AttributeViolation, CapacityError, ConfigError,
                      GeometryError, RegionError, SimulatorError, StagingError)
 from .layout import (PaddedSizeReport, PimImage, PimPlacement, WeightMatrix,
@@ -34,7 +34,7 @@ __all__ = [
     "CapacityError", "ConfigError", "CostMode", "DramCoord", "DramGeometry",
     "GemvJob", "GemvResult", "GeometryError", "HardwareSpec",
     "IntegrityReport", "MatrixShape", "MemoryRegion", "MemorySystem",
-    "ModelSpec", "PaddedSizeReport", "PimGemvEngine", "PimImage", "PimMode",
+    "ModelSpec", "PaddedSizeReport", "PimGemvEngine", "PimImage",
     "PimPlacement", "PrefillResult", "RegionError", "RegionKind", "Scenario",
     "Segment", "SimulatorError", "Source", "StagingError", "Timeline",
     "TraceRecord", "WeightMatrix", "bf16_decode", "bf16_encode",

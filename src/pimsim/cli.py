@@ -39,7 +39,7 @@ from .memsys import Attribute, CacheConfig, MemorySystem, RegionKind
 from .model import ModelSpec
 from .presets import (geometry_preset, hardware_preset, model_preset,
                       pim_weight_bytes)
-from .runtime import run_decode, run_end_to_end, run_prefill
+from .runtime import end_to_end_row, run_decode, run_prefill
 from .scenario import Scenario
 
 
@@ -50,11 +50,14 @@ from .scenario import Scenario
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
 
 
 def _resolve_model(spec) -> ModelSpec:
@@ -64,7 +67,10 @@ def _resolve_model(spec) -> ModelSpec:
         kwargs = dict(spec)
         if "kv_ratio" in kwargs:
             kwargs["kv_ratio"] = Fraction(str(kwargs["kv_ratio"]))
-        return ModelSpec(**kwargs)
+        try:
+            return ModelSpec(**kwargs)
+        except TypeError as exc:  # unknown or missing keys, mistyped values
+            raise ConfigError(f"invalid model object: {exc}") from None
     raise ConfigError("model must be a preset name or a parameter object")
 
 
@@ -76,7 +82,10 @@ def _resolve_hardware(spec) -> HardwareSpec:
     if isinstance(spec, dict):
         kwargs = dict(spec)
         base = hardware_preset(kwargs.pop("preset", "s24plus"))
-        return replace(base, **kwargs)
+        try:
+            return replace(base, **kwargs)
+        except TypeError as exc:  # unknown keys, mistyped values
+            raise ConfigError(f"invalid hardware object: {exc}") from None
     raise ConfigError("hardware must be a preset name or a parameter object")
 
 
@@ -120,6 +129,7 @@ def cmd_convert(args) -> int:
     manifest = {"model": args.model, "geometry": args.geometry,
                 "element_bytes": model.element_bytes, "matrices": []}
     offset = 0
+    image_offset = 0
     images = []
     for (name, p), mat in zip(placements, model.all_matrices()):
         n = mat.params()
@@ -132,8 +142,9 @@ def cmd_convert(args) -> int:
             "name": name, "out_dim": mat.out_dim, "in_dim": mat.in_dim,
             "m_pad": p.m_pad, "k_pad": p.k_pad, "base_row": p.base_row,
             "base_addr": img.base_addr, "span_bytes": img.span_bytes,
-            "blob_offset_elements": int(sum(i.size for i in images[:-1])),
+            "blob_offset_elements": image_offset,
         })
+        image_offset += img.data.size
     with open(args.output, "wb") as fh:
         for img in images:
             img.astype("<u2").tofile(fh)
@@ -158,8 +169,7 @@ def _point_report(cfg: dict) -> dict:
     pim_bytes = cfg.get("pim_bytes")
     if pim_bytes is None and cfg.get("compute_pim_bytes"):
         pim_bytes = pim_weight_bytes(model)
-    prefill = run_prefill(scenario, model, hw, in_len, mode=mode,
-                          pim_bytes=pim_bytes)
+    prefill = run_prefill(scenario, model, hw, in_len, mode=mode)
     report = {"resolved_config": _resolved_config(cfg, model, hw),
               "scenario": scenario.value, "in_len": in_len, "out_len": out_len}
     if mode is CostMode.ANALYTICAL:
@@ -167,12 +177,11 @@ def _point_report(cfg: dict) -> dict:
         report["breakdown"] = {k: (str(v) if isinstance(v, Fraction) else v)
                                for k, v in prefill.breakdown.items()}
         return report
-    report.update(run_end_to_end(scenario, model, hw, in_len, out_len,
-                                 pim_bytes=pim_bytes))
+    decode = run_decode(scenario, model, hw, out_len, pim_bytes=pim_bytes)
+    report.update(end_to_end_row(prefill, decode, model, hw))
     report["breakdown"] = prefill.breakdown
     if pim_bytes is not None:
         report["capacity"] = capacity_report(model, scenario, pim_bytes)
-    decode = run_decode(scenario, model, hw, out_len, pim_bytes=pim_bytes)
     report["decode_tps"] = decode.tps
     if prefill.timeline is not None and cfg.get("timeline"):
         report["timeline"] = json.loads(prefill.timeline.to_json())

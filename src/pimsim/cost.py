@@ -21,6 +21,7 @@ overestimates the achievable rate.  Both knobs are exposed.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -64,16 +65,22 @@ class HardwareSpec:
     smc_bw_override_gbps: float | None = None
 
     def __post_init__(self):
-        for name in ("peak_gflops", "dram_bw_gbps", "flop_per_byte",
-                     "pim_bw_multiplier", "gemm_effective_gflops",
-                     "smc_bw_2agents_gbps", "smc_bw_4agents_gbps",
-                     "nc_read_penalty", "nc_stream_bw_gbps"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be strictly positive")
+        positive = ["peak_gflops", "dram_bw_gbps", "flop_per_byte",
+                    "pim_bw_multiplier", "gemm_effective_gflops",
+                    "smc_bw_2agents_gbps", "smc_bw_4agents_gbps",
+                    "nc_read_penalty", "nc_stream_bw_gbps"]
+        if self.smc_bw_override_gbps is not None:
+            positive.append("smc_bw_override_gbps")
+        for name in positive:
+            value = getattr(self, name)
+            if not (value > 0) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite and strictly positive")
+        for name in ("host_overhead_per_token", "host_attn_seconds_per_layer"):
+            value = getattr(self, name)
+            if not (value >= 0) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite and non-negative")
         if self.gemm_effective_gflops > self.peak_gflops:
             raise ConfigError("gemm_effective_gflops exceeds peak_gflops")
-        if self.host_overhead_per_token < 0 or self.host_attn_seconds_per_layer < 0:
-            raise ConfigError("latency terms must be non-negative")
 
     def smc_bw_gbps(self, agents: int) -> float:
         if self.smc_bw_override_gbps is not None:

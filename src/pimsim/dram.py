@@ -127,10 +127,7 @@ def validate_map(amap: AddressMap) -> ValidationResult:
     Reports the first violated constraint; a well-formed map yields
     ``ValidationResult(ok=True)``.
     """
-    try:
-        geo = amap.geometry
-    except GeometryError as exc:  # pragma: no cover - constructed upstream
-        return ValidationResult(False, str(exc))
+    geo = amap.geometry
     names = [n for n, _ in amap.field_order]
     for name in names:
         if name not in FIELD_NAMES:

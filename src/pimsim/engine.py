@@ -17,39 +17,18 @@ applies the same (row, column) command in lockstep.
 
 from __future__ import annotations
 
-import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bf16
 from .errors import ConfigError, StagingError
-from .layout import INPUT_TILE_RF_ENTRIES, PimImage, burst_address_of_tile
+from .layout import PimImage, burst_address_of_tile
 from .memsys import Attribute, MemorySystem, RegionKind, TraceRecord
 
 PIPELINE_DRAIN_READS = 5
 RF_ENTRIES = 8
-
-
-class PimMode(enum.Enum):
-    STANDARD = "standard"
-    MULTI_BANK = "multi_bank"
-
-
-@dataclass
-class PimBlock:
-    """One per-bank SIMD unit: 8-entry input/output RFs and 16 accumulator
-    lanes (32-bit accumulation in BF16 mode)."""
-
-    input_rf: np.ndarray = field(default_factory=lambda: np.zeros((RF_ENTRIES, 16), dtype=np.uint16))
-    output_rf: np.ndarray = field(default_factory=lambda: np.zeros((RF_ENTRIES, 16), dtype=np.uint16))
-    acc: np.ndarray = field(default_factory=lambda: np.zeros(16, dtype=np.float64))
-
-    def dump(self) -> dict:
-        return {"input_rf": self.input_rf.tolist(),
-                "output_rf": self.output_rf.tolist(),
-                "acc": self.acc.tolist()}
 
 
 @dataclass
@@ -85,11 +64,6 @@ class GemvJob:
     @property
     def num_out_tiles(self) -> int:
         return self.placement.slots
-
-    @property
-    def num_tile_rows(self) -> int:
-        """Read groups per input tile (one group spans a DRAM row)."""
-        return -(-self.input_tile_elements // self.placement.geometry.columns_per_row)
 
     @property
     def expected_mac_reads(self) -> int:
@@ -142,12 +116,8 @@ class PimGemvEngine:
     oracle comparison.
     """
 
-    def __init__(self, mem: MemorySystem, mode: PimMode = PimMode.MULTI_BANK,
-                 corrupt_mac_order: bool = False):
-        if mode is not PimMode.MULTI_BANK:
-            raise ConfigError("only multi-bank lockstep mode is implemented")
+    def __init__(self, mem: MemorySystem, corrupt_mac_order: bool = False):
         self.mem = mem
-        self.mode = mode
         self.corrupt_mac_order = corrupt_mac_order
         staging = mem.allocate_region(RegionKind.GENERAL, Attribute.NON_CACHEABLE,
                                       1024, name="pim_staging")
@@ -155,7 +125,6 @@ class PimGemvEngine:
         self.out_buf_addr = staging.base + 256
         self.dummy_addr = staging.base + 512
         self._job = None
-        self._blocks: list[PimBlock] = []
         mem.dram_listeners.append(self._on_dram)
 
     # ------------------------------------------------------------------
@@ -215,8 +184,6 @@ class PimGemvEngine:
             self._x = bf16.decode(staged).astype(np.float64)
         else:
             self._x = bf16.decode(staged).astype(np.float32)
-        for block in self._blocks:
-            block.input_rf[:] = staged.reshape(RF_ENTRIES, -1)
 
     def pim_read_output(self, agent: str = "host") -> np.ndarray:
         """Write8 of the output RF: returns the accumulator lanes of every
@@ -229,17 +196,23 @@ class PimGemvEngine:
                         RF_ENTRIES * self._job.placement.geometry.burst_bytes,
                         agent)
         bits = bf16.encode(flat.astype(np.float32))
-        for i, block in enumerate(self._blocks):
-            block.acc[:] = self._acc[i]
-            block.output_rf[:] = 0
-            block.output_rf[0] = bits[i * 16:(i + 1) * 16]
+        self._readout = (self._acc.astype(np.float64),
+                         bits.reshape(self._acc.shape))
         return flat.copy(), bits
 
     def state_dump(self) -> str:
-        """JSON dump of RF and accumulator state, for debugging."""
-        return json.dumps({"mode": self.mode.value,
-                           "blocks": [b.dump() for b in self._blocks]},
-                          sort_keys=True)
+        """JSON dump of every active bank's input RF (the staged input tile),
+        output RF and accumulators (the last readback), for debugging."""
+        blocks = []
+        if self._job is not None:
+            input_rf = self._staged_bits.reshape(RF_ENTRIES, -1).tolist()
+            for bank_acc, bank_bits in zip(*self._readout):
+                output_rf = np.zeros((RF_ENTRIES, bank_bits.size), dtype=np.uint16)
+                output_rf[0] = bank_bits
+                blocks.append({"input_rf": input_rf,
+                               "output_rf": output_rf.tolist(),
+                               "acc": bank_acc.tolist()})
+        return json.dumps({"blocks": blocks}, sort_keys=True)
 
     # ------------------------------------------------------------------
     # Job execution
@@ -247,12 +220,14 @@ class PimGemvEngine:
     def _bind(self, job: GemvJob):
         p = job.placement
         self._job = job
-        self._blocks = [PimBlock() for _ in range(p.active_banks)]
         self._pending = []
         self._trigger_count = 0
         self._prefetch_triggers = 0
         acc_dtype = np.float64 if job.arithmetic == "exact" else np.float32
         self._acc = np.zeros((p.active_banks, 16), dtype=acc_dtype)
+        self._staged_bits = np.zeros(job.input_tile_elements, dtype=np.uint16)
+        self._readout = (np.zeros(self._acc.shape),
+                         np.zeros(self._acc.shape, dtype=np.uint16))
         self._x = np.zeros(job.input_tile_elements, dtype=acc_dtype)
         # Reconstruct the padded weight matrix from the image bytes.
         wp = np.zeros((p.m_pad, p.k_pad), dtype=np.uint16)

@@ -205,11 +205,6 @@ class PimImage:
     def padded_bytes(self) -> int:
         return self.placement.padded_bytes
 
-    def element_at(self, addr: int, lane: int) -> int:
-        geo = self.placement.geometry
-        idx = (addr - self.base_addr) // geo.element_bytes + lane
-        return int(self.data[idx])
-
 
 def _image_span(p: PimPlacement) -> tuple[int, int]:
     """(lowest, one-past-highest) physical address touched by the placement."""
@@ -254,7 +249,8 @@ def smc_copy(image: PimImage, rows: range, cols: range,
              dst: np.ndarray, mem=None, agent: str = "copy") -> int:
     """Swizzled memory copy: PIM-aware image tile -> host-friendly buffer.
 
-    ``dst`` receives the selected (rows x cols) tile in column-major
+    ``rows`` and ``cols`` are contiguous unit-step ranges.  ``dst``
+    receives the selected (rows x cols) tile in column-major
     (host-friendly) order and must be large enough.  One DRAM read is
     issued per source burst through ``mem`` when given; the source
     addresses must then fall in a non-cacheable region.  Returns the
@@ -262,10 +258,15 @@ def smc_copy(image: PimImage, rows: range, cols: range,
     """
     p = image.placement
     geo = p.geometry
+    for r in (rows, cols):
+        if not isinstance(r, range) or r.step != 1:
+            raise GeometryError(f"rows and cols must be contiguous unit-step "
+                                f"ranges, got {r!r}")
     nr, nc = len(rows), len(cols)
     if nr == 0 or nc == 0:
         return 0
-    if rows[-1] >= p.out_dim or cols[-1] >= p.in_dim:
+    if (rows.start < 0 or cols.start < 0 or rows[-1] >= p.out_dim
+            or cols[-1] >= p.in_dim):
         raise GeometryError("row/col range outside matrix bounds")
     if dst.size < nr * nc:
         raise CapacityError(f"destination holds {dst.size} elements, "
@@ -276,22 +277,21 @@ def smc_copy(image: PimImage, rows: range, cols: range,
             raise AttributeViolation(
                 f"SMC source region {region.name!r} is not non-cacheable")
     out = dst[:nr * nc].reshape(nc, nr)  # column-major: one row per column
-    col_lo, col_n = cols[0], nc
     first_tile = rows[0] // p.row_tile
     last_tile = rows[-1] // p.row_tile
     copied = 0
     for tile in range(first_tile, last_tile + 1):
-        addrs = burst_address_of_tile(p, tile)[col_lo:col_lo + col_n]
+        addrs = burst_address_of_tile(p, tile)[cols.start:cols.stop]
         if mem is not None:
             for a in addrs:
                 mem.access(int(a), "R", geo.burst_bytes, agent)
         elem0 = (addrs - image.base_addr) // geo.element_bytes
         t_lo = tile * p.row_tile
-        lanes = [m - t_lo for m in rows if t_lo <= m < t_lo + p.row_tile]
-        dst_rows = [m - rows[0] for m in rows if t_lo <= m < t_lo + p.row_tile]
-        block = image.data[elem0[None, :] + np.asarray(lanes)[:, None]]
-        out[:, dst_rows] = block.T
-        copied += len(lanes) * col_n * geo.element_bytes
+        lo, hi = max(rows.start, t_lo), min(rows.stop, t_lo + p.row_tile)
+        lanes = np.arange(lo - t_lo, hi - t_lo)
+        block = image.data[elem0[None, :] + lanes[:, None]]
+        out[:, lo - rows.start:hi - rows.start] = block.T
+        copied += (hi - lo) * nc * geo.element_bytes
     return copied
 
 

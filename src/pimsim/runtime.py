@@ -125,7 +125,6 @@ def layer_plan(model: ModelSpec, hw: HardwareSpec, sl: int,
     t = {name: _matrix_seconds(m.params(), sl, hw, eb)
          for name, m in mats.items()}
     nbytes = {name: m.params() * eb for name, m in mats.items()}
-    qkvo_bytes = sum(nbytes[n] for n in ("q", "k", "v", "o"))
     quarter = nbytes["ff0"] / FF0_COPY_QUARTERS
     last = layer == model.layers - 1
     prefix = f"layer{layer}."
@@ -140,7 +139,7 @@ def layer_plan(model: ModelSpec, hw: HardwareSpec, sl: int,
                              prefix + "ff1", True))
     segs.append(_PlanSegment(prefix + "ff1", t["ff1"], nbytes["ff2"],
                              prefix + "ff2", True))
-    next_copy = 0.0 if last else qkvo_bytes
+    next_copy = 0.0 if last else qkvo_bytes(model)
     next_tag = "" if last else f"layer{layer + 1}.qkvo"
     segs.append(_PlanSegment(prefix + "ff2", t["ff2"], next_copy,
                              next_tag, True))
@@ -160,19 +159,17 @@ def _head_seconds(model: ModelSpec, hw: HardwareSpec, sl: int) -> float:
 
 
 def compute_times(model: ModelSpec, hw: HardwareSpec, sl: int) -> list[float]:
-    """Every compute segment duration, in execution order (all layers + head)."""
-    times = []
-    for layer in range(model.layers):
-        times.extend(s.compute_seconds for s in layer_plan(model, hw, sl, layer))
+    """Every compute segment duration, in execution order (all layers + head).
+
+    Compute seconds do not depend on the layer (only the last layer's copy
+    pairing differs), so one layer's plan is repeated.
+    """
+    times = [s.compute_seconds
+             for s in layer_plan(model, hw, sl, 0)] * model.layers
     head = _head_seconds(model, hw, sl)
     if head:
         times.append(head)
     return times
-
-
-def copied_bytes(model: ModelSpec) -> int:
-    """Payload bytes a full swizzled rearrangement of the model moves."""
-    return model.host_bytes()
 
 
 # ----------------------------------------------------------------------
@@ -235,8 +232,8 @@ def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec, sl: int) -> Timeline:
 # Prefill / decode entry points
 # ----------------------------------------------------------------------
 
-def _analytical_ttft(scenario: Scenario, sl: int, hw: HardwareSpec) -> Fraction:
-    gemm = gemm_time(0, 0, sl, hw, CostMode.ANALYTICAL)
+def _analytical_ttft(scenario: Scenario, sl: int, gemm: Fraction,
+                     hw: HardwareSpec) -> Fraction:
     online = smc_time(0, 0, hw, CostMode.ANALYTICAL)
     if scenario in (Scenario.WD, Scenario.FACIL_O, Scenario.C_GEMM):
         return gemm
@@ -252,12 +249,16 @@ def _analytical_ttft(scenario: Scenario, sl: int, hw: HardwareSpec) -> Fraction:
 def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
                 sl: int, mode: CostMode = CostMode.CALIBRATED,
                 pim_bytes: int | None = None) -> PrefillResult:
-    """Time-to-first-token and per-agent timeline for one scenario."""
+    """Time-to-first-token and per-agent timeline for one scenario.
+
+    Prefill streams host-friendly weights, so ``pim_bytes`` has no effect;
+    the parameter is kept for interface compatibility.
+    """
     if sl < 1:
         raise ConfigError("sl must be >= 1")
     if mode is CostMode.ANALYTICAL:
-        ttft = _analytical_ttft(scenario, sl, hw)
         gemm = gemm_time(0, 0, sl, hw, CostMode.ANALYTICAL)
+        ttft = _analytical_ttft(scenario, sl, gemm, hw)
         return PrefillResult(scenario, sl, ttft, None, {
             "mode": "analytical",
             "gemm_t_units": gemm,
@@ -269,7 +270,7 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
     gemm_total = math.fsum(comp)
     eb = model.element_bytes
     if scenario in (Scenario.WD, Scenario.FACIL_O, Scenario.C_GEMM):
-        tl = _serial_timeline(model, hw, sl, copy_agents=None)
+        tl = _serial_timeline(model, hw, sl)
         return PrefillResult(scenario, sl, gemm_total, tl,
                              {"gemm_seconds": gemm_total, "smc_seconds": 0.0})
     if scenario is Scenario.S_DDB:
@@ -279,13 +280,12 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
                              {"gemm_seconds": gemm_total,
                               "smc_seconds": copy_busy})
     if scenario is Scenario.S_OWR:
-        copies = [smc_time(_layer_bytes(model), OWR_COPY_AGENTS, hw)
-                  for _ in range(model.layers)]
+        layer_copy = smc_time(model.layer_params() * eb, OWR_COPY_AGENTS, hw)
         head = model.head_matrix()
-        if head is not None:
-            copies.append(smc_time(head.params() * eb, OWR_COPY_AGENTS, hw))
-        smc_total = math.fsum(copies)
-        tl = _serial_timeline(model, hw, sl, copy_agents=OWR_COPY_AGENTS)
+        head_copy = (0.0 if head is None
+                     else smc_time(head.params() * eb, OWR_COPY_AGENTS, hw))
+        smc_total = math.fsum([layer_copy] * model.layers + [head_copy])
+        tl = _serial_timeline(model, hw, sl, layer_copy, head_copy)
         return PrefillResult(scenario, sl, gemm_total + smc_total, tl,
                              {"gemm_seconds": gemm_total,
                               "smc_seconds": smc_total})
@@ -304,31 +304,27 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
     raise ConfigError(f"unknown scenario {scenario}")
 
 
-def _layer_bytes(model: ModelSpec) -> int:
-    return model.layer_params() * model.element_bytes
-
-
 def _serial_timeline(model: ModelSpec, hw: HardwareSpec, sl: int,
-                     copy_agents: int | None) -> Timeline:
-    """Compute-only schedule, optionally with a serial per-layer copy first."""
+                     layer_copy: float | None = None,
+                     head_copy: float | None = None) -> Timeline:
+    """Compute-only schedule, optionally with a serial copy of the given
+    seconds before each layer and before the head."""
     tl = Timeline()
     t = 0.0
     for layer in range(model.layers):
-        if copy_agents is not None:
-            dt = smc_time(_layer_bytes(model), copy_agents, hw)
+        if layer_copy is not None:
             tl.segments.append(Segment("copy", "copy", f"layer{layer}.smc",
-                                       t, t + dt))
-            t += dt
+                                       t, t + layer_copy))
+            t += layer_copy
         for seg in layer_plan(model, hw, sl, layer):
             tl.segments.append(Segment("compute", "compute", seg.tag,
                                        t, t + seg.compute_seconds))
             t += seg.compute_seconds
-    head = model.head_matrix()
-    if head is not None:
-        if copy_agents is not None:
-            dt = smc_time(head.params() * model.element_bytes, copy_agents, hw)
-            tl.segments.append(Segment("copy", "copy", "lm_head.smc", t, t + dt))
-            t += dt
+    if model.head_matrix() is not None:
+        if head_copy is not None:
+            tl.segments.append(Segment("copy", "copy", "lm_head.smc",
+                                       t, t + head_copy))
+            t += head_copy
         dt = _head_seconds(model, hw, sl)
         tl.segments.append(Segment("compute", "compute", "lm_head", t, t + dt))
         t += dt
@@ -347,28 +343,36 @@ def run_decode(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
     return DecodeResult(scenario, out_len, token, tps, out_len * token)
 
 
-def run_end_to_end(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
-                   in_len: int, out_len: int,
-                   pim_bytes: int | None = None) -> dict:
-    """TTFT + decode for one grid point, with speedup over the C_GEMM baseline."""
-    prefill = run_prefill(scenario, model, hw, in_len, pim_bytes=pim_bytes)
-    decode = run_decode(scenario, model, hw, out_len, pim_bytes=pim_bytes)
+def end_to_end_row(prefill: PrefillResult, decode: DecodeResult,
+                   model: ModelSpec, hw: HardwareSpec) -> dict:
+    """Report row of one calibrated point, with speedup over C_GEMM.
+
+    The C_GEMM baseline is compute-only prefill (the ``gemm_seconds`` every
+    calibrated prefill reports) plus host-bandwidth decode, so no baseline
+    schedule is evaluated.
+    """
     total = prefill.ttft + decode.total_seconds
-    base_prefill = run_prefill(Scenario.C_GEMM, model, hw, in_len,
-                               pim_bytes=pim_bytes)
-    base_decode = run_decode(Scenario.C_GEMM, model, hw, out_len,
-                             pim_bytes=pim_bytes)
-    base_total = base_prefill.ttft + base_decode.total_seconds
+    base_total = (prefill.breakdown["gemm_seconds"]
+                  + decode.out_len * decode_token_time(model, hw, False))
     return {
-        "scenario": scenario.value,
-        "in_len": in_len,
-        "out_len": out_len,
+        "scenario": prefill.scenario.value,
+        "in_len": prefill.sl,
+        "out_len": decode.out_len,
         "ttft_seconds": prefill.ttft,
         "token_seconds": decode.token_seconds,
         "decode_seconds": decode.total_seconds,
         "total_seconds": total,
         "speedup_vs_c_gemm": base_total / total if total > 0 else 1.0,
     }
+
+
+def run_end_to_end(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
+                   in_len: int, out_len: int,
+                   pim_bytes: int | None = None) -> dict:
+    """TTFT + decode for one grid point, with speedup over the C_GEMM baseline."""
+    prefill = run_prefill(scenario, model, hw, in_len)
+    decode = run_decode(scenario, model, hw, out_len, pim_bytes=pim_bytes)
+    return end_to_end_row(prefill, decode, model, hw)
 
 
 def speedup_grid(model: ModelSpec, hw: HardwareSpec, in_lens, out_lens,

@@ -119,6 +119,28 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
     assert "scenario" in capsys.readouterr().err
 
 
+BAD_CONFIGS = {
+    "top_level_list": "[1, 2]",
+    "unknown_model_key": json.dumps({"model": {
+        "hidden": 64, "intermediate": 256, "layers": 1, "bogus": 1}}),
+    "unknown_hardware_key": json.dumps({"model": "toy-64",
+                                        "hardware": {"bogus": 1}}),
+    "nan_hardware": '{"model": "toy-64", "hardware": {"dram_bw_gbps": NaN}}',
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
+def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, command,
+                                                text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run_cli(command, "--config", str(cfg)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_sweep_covers_grid_and_matches_run(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"model": "toy-64",

@@ -1,5 +1,6 @@
 """Cost model: overhead table, calibrated latencies, capacity reports."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,13 @@ def test_hardware_validation():
         HardwareSpec(gemm_effective_gflops=1000.0)
     with pytest.raises(ConfigError):
         HardwareSpec(host_overhead_per_token=-1)
+    for bad in (math.nan, math.inf):
+        for name in ("dram_bw_gbps", "smc_bw_override_gbps",
+                     "host_overhead_per_token", "host_attn_seconds_per_layer"):
+            with pytest.raises(ConfigError):
+                HardwareSpec(**{name: bad})
+    with pytest.raises(ConfigError):
+        HardwareSpec(smc_bw_override_gbps=0.0)
 
 
 def test_capacity_report_structure():

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from pimsim import bf16
 from pimsim.dram import AddressMap, DramGeometry
-from pimsim.engine import (PIPELINE_DRAIN_READS, GemvJob, PimGemvEngine,
-                           PimMode)
+from pimsim.engine import PIPELINE_DRAIN_READS, GemvJob, PimGemvEngine
 from pimsim.errors import ConfigError, StagingError
 from pimsim.layout import PimPlacement, WeightMatrix, convert_to_pim_aware
 from pimsim.memsys import Attribute, CacheConfig, MemorySystem, RegionKind
@@ -34,7 +33,7 @@ def build(out_dim, in_dim, w_int, cacheable=False, rogue=False, **engine_kw):
     mem.allocate_region(RegionKind.CONTIGUOUS_POOL, attr,
                         image.base_addr + image.span_bytes, name="weights",
                         align=1)
-    engine = PimGemvEngine(mem, PimMode.MULTI_BANK, **engine_kw)
+    engine = PimGemvEngine(mem, **engine_kw)
     return engine, image
 
 
@@ -227,12 +226,6 @@ def test_output_readback_matches_state_dump():
     accs = np.concatenate([b["acc"] for b in state["blocks"]])
     # the final out-tile readback snapshot equals the accumulator dump
     assert np.array_equal(result.output[-64:], accs[:64])
-
-
-def test_standard_mode_not_implemented():
-    mem = MemorySystem(capacity=1 << 16)
-    with pytest.raises(ConfigError):
-        PimGemvEngine(mem, PimMode.STANDARD)
 
 
 def test_job_validates_input_length():

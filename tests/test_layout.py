@@ -160,6 +160,20 @@ def test_smc_destination_overflow():
                  np.zeros(16 * 128 - 1, dtype=np.uint16))
 
 
+@pytest.mark.parametrize("rows, cols", [
+    (range(0, 4), range(0, 10, 2)),
+    (range(0, 8, 2), range(0, 4)),
+    (range(-1, 4), range(0, 4)),
+    ([0, 1, 2], range(0, 4)),
+])
+def test_smc_rejects_non_contiguous_ranges(rows, cols):
+    p = make_placement(16, 128, banks=1, channels=1)
+    w = WeightMatrix(16, 128, np.zeros((16, 128), dtype=np.uint16))
+    image = convert_to_pim_aware(w, p)
+    with pytest.raises(GeometryError):
+        smc_copy(image, rows, cols, np.zeros(16 * 128, dtype=np.uint16))
+
+
 def test_conversion_rejects_shape_mismatch():
     p = make_placement(16, 128)
     with pytest.raises(GeometryError):

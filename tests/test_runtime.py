@@ -15,9 +15,10 @@ from pimsim.layout import (PimPlacement, WeightMatrix, convert_to_pim_aware,
                            model_placements, unswizzle)
 from pimsim.memsys import Attribute, MemorySystem, RegionKind
 from pimsim.model import ModelSpec
-from pimsim.presets import DESK_GEOMETRY, hardware_preset, model_preset
+from pimsim.presets import (DESK_GEOMETRY, hardware_preset, model_preset,
+                            pim_weight_bytes)
 from pimsim.runtime import (build_ddb_schedule, compute_times,
-                            ddb_hiding_crossover, layer_plan,
+                            ddb_hiding_crossover, end_to_end_row, layer_plan,
                             linear_stack_outputs, run_decode, run_end_to_end,
                             run_prefill, speedup_grid)
 from pimsim.scenario import Scenario
@@ -191,6 +192,28 @@ def test_end_to_end_report_fields():
     assert r["total_seconds"] == pytest.approx(
         r["ttft_seconds"] + r["decode_seconds"])
     assert r["speedup_vs_c_gemm"] > 1
+
+
+@pytest.mark.parametrize("name", ["llama3.2-1b", "llama3.2-3b"])
+def test_speedup_baseline_equals_evaluated_c_gemm(name):
+    """The report row takes C_GEMM from the scenario's own ``gemm_seconds``
+    and host decode; it must equal evaluating C_GEMM exactly."""
+    model = model_preset(name)
+    for pim_bytes in (None, pim_weight_bytes(model)):
+        for in_len, out_len in ((1, 0), (16, 1), (128, 32), (1024, 256)):
+            base_prefill = run_prefill(Scenario.C_GEMM, model, HW, in_len)
+            base_decode = run_decode(Scenario.C_GEMM, model, HW, out_len,
+                                     pim_bytes=pim_bytes)
+            base = base_prefill.ttft + base_decode.total_seconds
+            for scenario in Scenario:
+                r = run_end_to_end(scenario, model, HW, in_len, out_len,
+                                   pim_bytes=pim_bytes)
+                assert r["speedup_vs_c_gemm"] == base / r["total_seconds"]
+                row = end_to_end_row(
+                    run_prefill(scenario, model, HW, in_len),
+                    run_decode(scenario, model, HW, out_len,
+                               pim_bytes=pim_bytes), model, HW)
+                assert row == r
 
 
 def test_invalid_arguments():
