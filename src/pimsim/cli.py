@@ -66,7 +66,10 @@ def _resolve_model(spec) -> ModelSpec:
     if isinstance(spec, dict):
         kwargs = dict(spec)
         if "kv_ratio" in kwargs:
-            kwargs["kv_ratio"] = Fraction(str(kwargs["kv_ratio"]))
+            try:
+                kwargs["kv_ratio"] = Fraction(str(kwargs["kv_ratio"]))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(f"invalid kv_ratio: {exc}") from None
         try:
             return ModelSpec(**kwargs)
         except TypeError as exc:  # unknown or missing keys, mistyped values
@@ -81,7 +84,10 @@ def _resolve_hardware(spec) -> HardwareSpec:
         return hardware_preset(spec)
     if isinstance(spec, dict):
         kwargs = dict(spec)
-        base = hardware_preset(kwargs.pop("preset", "s24plus"))
+        preset = kwargs.pop("preset", "s24plus")
+        if not isinstance(preset, str):
+            raise ConfigError(f"hardware preset must be a name, got {preset!r}")
+        base = hardware_preset(preset)
         try:
             return replace(base, **kwargs)
         except TypeError as exc:  # unknown keys, mistyped values
@@ -95,6 +101,21 @@ def _resolve_scenario(name: str) -> Scenario:
     except ValueError:
         raise ConfigError(f"unknown scenario {name!r}; choose from "
                           f"{[s.value for s in Scenario]}") from None
+
+
+def _int_field(cfg: dict, key: str, default: int) -> int:
+    value = cfg.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _list_field(cfg: dict, key: str) -> list:
+    value = cfg.get(key) or []
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def _resolved_config(cfg: dict, model: ModelSpec, hw: HardwareSpec) -> dict:
@@ -163,10 +184,13 @@ def _point_report(cfg: dict) -> dict:
     model = _resolve_model(cfg.get("model", "llama3.2-1b"))
     hw = _resolve_hardware(cfg.get("hardware"))
     scenario = _resolve_scenario(cfg.get("scenario", "s_ddb"))
-    in_len = int(cfg.get("in_len", 32))
-    out_len = int(cfg.get("out_len", 0))
+    in_len = _int_field(cfg, "in_len", 32)
+    out_len = _int_field(cfg, "out_len", 0)
     mode = CostMode(cfg.get("mode", "calibrated"))
     pim_bytes = cfg.get("pim_bytes")
+    if pim_bytes is not None and (type(pim_bytes) is not int or pim_bytes <= 0):
+        raise ConfigError(f"pim_bytes must be a positive integer, "
+                          f"got {pim_bytes!r}")
     if pim_bytes is None and cfg.get("compute_pim_bytes"):
         pim_bytes = pim_weight_bytes(model)
     prefill = run_prefill(scenario, model, hw, in_len, mode=mode)
@@ -201,15 +225,15 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    in_lens = cfg.get("in_lens") or [int(cfg.get("in_len", 32))]
-    out_lens = cfg.get("out_lens") or [int(cfg.get("out_len", 0))]
-    scenarios = cfg.get("scenarios") or [cfg.get("scenario", "s_ddb")]
+    in_lens = _list_field(cfg, "in_lens") or [_int_field(cfg, "in_len", 32)]
+    out_lens = _list_field(cfg, "out_lens") or [_int_field(cfg, "out_len", 0)]
+    scenarios = _list_field(cfg, "scenarios") or [cfg.get("scenario", "s_ddb")]
     rows = []
     for name in scenarios:
         for in_len in in_lens:
             for out_len in out_lens:
-                point = dict(cfg, scenario=name, in_len=int(in_len),
-                             out_len=int(out_len))
+                point = dict(cfg, scenario=name, in_len=in_len,
+                             out_len=out_len)
                 point.pop("in_lens", None)
                 point.pop("out_lens", None)
                 point.pop("scenarios", None)

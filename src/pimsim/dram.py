@@ -147,19 +147,38 @@ def validate_map(amap: AddressMap) -> ValidationResult:
     return ValidationResult(True)
 
 
+def slice_fields(amap: AddressMap, addr) -> dict:
+    """Bit-slice ``addr`` into ``{field: value}`` plus ``burst_offset``.
+
+    ``addr`` is a Python int or a numpy integer array (sliced elementwise);
+    nothing is range-checked.
+    """
+    values = {"burst_offset": addr & (amap.geometry.burst_bytes - 1)}
+    shift = amap.offset_bits
+    for name, width in amap.field_order:
+        values[name] = (addr >> shift) & ((1 << width) - 1)
+        shift += width
+    return values
+
+
+def pack_fields(amap: AddressMap, values: dict):
+    """Inverse of :func:`slice_fields`; values may be ints or numpy integer
+    arrays that broadcast together, and a missing ``burst_offset`` is 0."""
+    addr = values.get("burst_offset", 0)
+    shift = amap.offset_bits
+    for name, width in amap.field_order:
+        addr = addr | (values[name] << shift)
+        shift += width
+    return addr
+
+
 def decode_address(amap: AddressMap, addr: int) -> DramCoord:
     """Split a flat physical address into its DRAM coordinate."""
     geo = amap.geometry
     if addr < 0 or addr >= geo.total_capacity:
         raise CapacityError(f"address {addr:#x} out of range "
                             f"(capacity {geo.total_capacity:#x})")
-    offset = addr & (geo.burst_bytes - 1)
-    bits = addr >> amap.offset_bits
-    values = {"burst_offset": offset}
-    for name, width in amap.field_order:
-        values[name] = bits & ((1 << width) - 1)
-        bits >>= width
-    return DramCoord(**values)
+    return DramCoord(**slice_fields(amap, addr))
 
 
 def encode_coord(amap: AddressMap, coord: DramCoord) -> int:
@@ -167,13 +186,10 @@ def encode_coord(amap: AddressMap, coord: DramCoord) -> int:
     geo = amap.geometry
     if not 0 <= coord.burst_offset < geo.burst_bytes:
         raise GeometryError(f"burst_offset {coord.burst_offset} out of range")
-    addr = 0
-    shift = amap.offset_bits
-    for name, width in amap.field_order:
-        value = coord.get(name)
+    values = {"burst_offset": coord.burst_offset}
+    for name, _ in amap.field_order:
+        value = values[name] = coord.get(name)
         if not 0 <= value < geo.count_of(name):
             raise GeometryError(f"{name} index {value} out of range "
                                 f"(bound {geo.count_of(name)})")
-        addr |= value << shift
-        shift += width
-    return addr | coord.burst_offset
+    return pack_fields(amap, values)

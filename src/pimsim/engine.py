@@ -24,7 +24,8 @@ import numpy as np
 
 from . import bf16
 from .errors import ConfigError, StagingError
-from .layout import PimImage, burst_address_of_tile
+from .layout import (PimImage, burst_address_of_tile, burst_of_address,
+                     element_index)
 from .memsys import Attribute, MemorySystem, RegionKind, TraceRecord
 
 PIPELINE_DRAIN_READS = 5
@@ -85,6 +86,7 @@ class GemvResult:
     output: np.ndarray            # float values, length out_dim
     output_bits: np.ndarray       # element-precision readback, length m_pad
     records: list
+    hits: list                    # cache hits during the job
     expected_mac_reads: int
     triggered_mac_reads: int
     prefetcher_triggers: int
@@ -131,28 +133,29 @@ class PimGemvEngine:
     # DRAM-side trigger path
     # ------------------------------------------------------------------
     def _on_dram(self, record: TraceRecord):
-        if self._job is None or record.op != "R":
-            return
-        burst = self._addr_to_burst.get(record.addr)
-        if burst is None:
-            return
-        self._pending.append(burst)
-        self._trigger_count += 1
-        if record.agent == "prefetcher":
-            self._prefetch_triggers += 1
+        if (self._job is not None and record.op == "R"
+                and self._span[0] <= record.addr < self._span[1]):
+            self._pending.append((record.addr, record.agent == "prefetcher"))
 
     def _flush_macs(self):
-        """Apply pending MACs: read j uses input element j (arrival order)."""
+        """Decode the pending reads; each one that reads a burst of the
+        weight slab triggers a MAC: read j uses input element j (arrival
+        order)."""
         if not self._pending:
             return
-        bursts = np.asarray(self._pending, dtype=np.int64)
+        pending = np.array(self._pending, dtype=np.int64)
         self._pending = []
+        p = self._job.placement
+        bursts = burst_of_address(p, pending[:, 0])
+        triggered = bursts >= 0
+        bursts = bursts[triggered]
+        self._trigger_count += len(bursts)
+        self._prefetch_triggers += int(pending[triggered, 1].sum())
         n = min(len(bursts), len(self._x))
         bursts = bursts[:n]  # RF pointer saturates past the staged tile
         x = self._x[:n]
         if self.corrupt_mac_order:
             x = x[::-1]
-        p = self._job.placement
         slots = bursts // p.k_pad
         cols = bursts % p.k_pad
         # weights_view: (slots, active_banks, 16 lanes, k_pad)
@@ -229,25 +232,12 @@ class PimGemvEngine:
         self._readout = (np.zeros(self._acc.shape),
                          np.zeros(self._acc.shape, dtype=np.uint16))
         self._x = np.zeros(job.input_tile_elements, dtype=acc_dtype)
-        # Reconstruct the padded weight matrix from the image bytes.
-        wp = np.zeros((p.m_pad, p.k_pad), dtype=np.uint16)
-        addr_to_burst = {}
-        eb = p.geometry.element_bytes
-        lanes = np.arange(p.row_tile)
-        for tile in range(p.m_pad // p.row_tile):
-            addrs = burst_address_of_tile(p, tile)
-            elem0 = (addrs - job.image.base_addr) // eb
-            wp[tile * p.row_tile:(tile + 1) * p.row_tile, :] = \
-                job.image.data[elem0[None, :] + lanes[:, None]]
-            # Lockstep decode: a read command anywhere in the weight span of
-            # any active bank carries the same (row, column) and triggers the
-            # same burst index, so every bank's addresses enter the map.
-            slot = p.tile_slot(tile)
-            for j, a in enumerate(addrs.tolist()):
-                addr_to_burst[a] = slot * p.k_pad + j
+        self._span = (job.image.base_addr,
+                      job.image.base_addr + job.image.span_bytes)
+        # The padded weight matrix, gathered from the image bytes.
+        wp = job.image.data[element_index(p, job.image.base_addr)]
         wf = bf16.decode(wp).astype(acc_dtype)
         self._weights_view = wf.reshape(p.slots, p.active_banks, p.row_tile, p.k_pad)
-        self._addr_to_burst = addr_to_burst
 
     def execute(self, job: GemvJob, agent: str = "host") -> GemvResult:
         """Run the full GEMV command protocol for ``job``."""
@@ -280,12 +270,12 @@ class PimGemvEngine:
             output=out_vals[:p.out_dim].copy(),
             output_bits=out_bits,
             records=records,
+            hits=self.mem.hits_since(mark),
             expected_mac_reads=job.expected_mac_reads,
             triggered_mac_reads=self._trigger_count,
             prefetcher_triggers=self._prefetch_triggers,
             weights_non_cacheable=weight_region.is_non_cacheable,
         )
-        self._last_mark = mark
         return result
 
     def verify_trigger_integrity(self, job: GemvJob,
@@ -303,7 +293,7 @@ class PimGemvEngine:
             base = job.image.base_addr
             end = base + job.image.span_bytes
             lines = sorted({h.line_addr
-                            for h in self.mem.hits_since(self._last_mark)
+                            for h in result.hits
                             if base <= h.line_addr < end})
             return IntegrityReport(expected, observed, "pim-blocked",
                                    absorbing_lines=tuple(lines),

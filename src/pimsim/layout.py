@@ -20,21 +20,15 @@ elements are zero.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dram import AddressMap, DramCoord
+from .dram import AddressMap, DramCoord, pack_fields, slice_fields
 from .errors import AttributeViolation, CapacityError, GeometryError
 from .model import ModelSpec
 
 INPUT_TILE_RF_ENTRIES = 8
-
-
-class LayoutKind(enum.Enum):
-    HOST_FRIENDLY = "host_friendly"
-    PIM_AWARE = "pim_aware"
 
 
 @dataclass
@@ -45,8 +39,6 @@ class WeightMatrix:
     out_dim: int
     in_dim: int
     data: np.ndarray
-    layout: LayoutKind = LayoutKind.HOST_FRIENDLY
-    element_bytes: int = 2
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.uint16)
@@ -150,34 +142,44 @@ def pim_coord_of_element(p: PimPlacement, m: int, k: int) -> DramCoord:
                      burst_offset=lane * geo.element_bytes)
 
 
-def _encode_rows_cols(amap: AddressMap, channel: int, bank: int,
-                      rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Vectorized encode for fixed (channel, rank=0, bank)."""
-    addr = np.zeros(len(rows), dtype=np.int64)
-    shift = amap.offset_bits
-    fixed = {"channel": channel, "rank": 0, "bank": bank}
-    for name, width in amap.field_order:
-        if name == "row":
-            addr |= rows.astype(np.int64) << shift
-        elif name == "column":
-            addr |= cols.astype(np.int64) << shift
-        else:
-            addr |= fixed[name] << shift
-        shift += width
-    return addr
-
-
-def burst_address_of_tile(p: PimPlacement, tile: int) -> np.ndarray:
-    """Physical address of every burst (one per padded input column) of a tile."""
+def burst_address_of_tile(p: PimPlacement, tile) -> np.ndarray:
+    """Physical address of every burst (one per padded input column) of a
+    tile; for an array of tiles, one row of addresses per tile."""
     geo = p.geometry
-    channel, bank = p.bank_assignment(tile)
-    burst = p.tile_slot(tile) * p.k_pad + np.arange(p.k_pad)
+    tile = np.asarray(tile, dtype=np.int64)
+    burst = p.tile_slot(tile)[..., None] * p.k_pad + np.arange(p.k_pad)
     rows = p.base_row + burst // geo.columns_per_row
-    if rows[-1] >= geo.rows_per_bank:
+    if rows.size and rows.max() >= geo.rows_per_bank:
         raise CapacityError(f"placement exceeds rows_per_bank "
-                            f"({rows[-1]} >= {geo.rows_per_bank})")
-    cols = burst % geo.columns_per_row
-    return _encode_rows_cols(p.address_map, channel, bank, rows, cols)
+                            f"({rows.max()} >= {geo.rows_per_bank})")
+    channel, bank = p.bank_assignment(tile)
+    return pack_fields(p.address_map, {
+        "channel": channel[..., None], "rank": 0, "bank": bank[..., None],
+        "row": rows, "column": burst % geo.columns_per_row})
+
+
+def element_index(p: PimPlacement, base_addr: int) -> np.ndarray:
+    """(m_pad, k_pad) index of every padded element into the image data of
+    an image starting at ``base_addr``."""
+    addrs = burst_address_of_tile(p, np.arange(p.m_pad // p.row_tile))
+    elem0 = (addrs - base_addr) // p.geometry.element_bytes
+    lanes = np.arange(p.row_tile)
+    return (elem0[:, None, :] + lanes[:, None]).reshape(p.m_pad, p.k_pad)
+
+
+def burst_of_address(p: PimPlacement, addrs: np.ndarray) -> np.ndarray:
+    """Inverse of the placement by bit slicing: the burst index
+    ``slot * k_pad + column`` each address reads, or -1 for an address that
+    is no burst of the placement.  Every active bank shares the index of the
+    same (row, column), as lockstep execution requires."""
+    geo = p.geometry
+    f = slice_fields(p.address_map, addrs)
+    burst = (f["row"] - p.base_row) * geo.columns_per_row + f["column"]
+    ours = ((f["burst_offset"] == 0) & (f["rank"] == 0)
+            & (f["channel"] < p.channels_used)
+            & (f["bank"] < p.banks_per_channel)
+            & (burst >= 0) & (burst < p.slots * p.k_pad))
+    return np.where(ours, burst, -1)
 
 
 @dataclass
@@ -190,59 +192,25 @@ class PimImage:
     data: np.ndarray  # uint16 elements covering the address span
 
     @property
-    def m_pad(self) -> int:
-        return self.placement.m_pad
-
-    @property
-    def k_pad(self) -> int:
-        return self.placement.k_pad
-
-    @property
     def span_bytes(self) -> int:
         return self.data.size * self.placement.geometry.element_bytes
-
-    @property
-    def padded_bytes(self) -> int:
-        return self.placement.padded_bytes
-
-
-def _image_span(p: PimPlacement) -> tuple[int, int]:
-    """(lowest, one-past-highest) physical address touched by the placement."""
-    geo = p.geometry
-    lo, hi = None, None
-    for tile in range(min(p.active_banks, p.m_pad // p.row_tile)):
-        addrs = burst_address_of_tile(p, tile)
-        # Highest slot lives at the end of the same bank's slab.
-        last = burst_address_of_tile(p, tile + (p.slots - 1) * p.active_banks)
-        t_lo = int(min(addrs.min(), last.min()))
-        t_hi = int(max(addrs.max(), last.max())) + geo.burst_bytes
-        lo = t_lo if lo is None else min(lo, t_lo)
-        hi = t_hi if hi is None else max(hi, t_hi)
-    return lo, hi
 
 
 def convert_to_pim_aware(w: WeightMatrix, p: PimPlacement) -> PimImage:
     """Offline model converter: host-friendly matrix -> PIM-aware image.
 
     The image satisfies ``image[encode(pim_coord_of_element(m, k))] ==
-    w[m, k]`` for all valid (m, k); padding elements are zero.
+    w[m, k]`` for all valid (m, k) and spans exactly the placed bursts;
+    padding elements are zero.
     """
-    if w.layout is not LayoutKind.HOST_FRIENDLY:
-        raise AttributeViolation("source matrix must be host-friendly")
     if (w.out_dim, w.in_dim) != (p.out_dim, p.in_dim):
         raise GeometryError("placement dims do not match matrix dims")
-    geo = p.geometry
-    base, end = _image_span(p)
-    img = np.zeros((end - base) // geo.element_bytes, dtype=np.uint16)
-    padded = np.zeros((p.m_pad, p.k_pad), dtype=np.uint16)
-    padded[:w.out_dim, :w.in_dim] = w.data
-    lanes = np.arange(p.row_tile)
-    for tile in range(p.m_pad // p.row_tile):
-        addrs = burst_address_of_tile(p, tile)
-        elem0 = (addrs - base) // geo.element_bytes
-        block = padded[tile * p.row_tile:(tile + 1) * p.row_tile, :]
-        img[elem0[None, :] + lanes[:, None]] = block
-    return PimImage(placement=p, base_addr=base, data=img)
+    idx = element_index(p, 0)
+    lo = int(idx.min())
+    img = np.zeros(int(idx.max()) + 1 - lo, dtype=np.uint16)
+    img[idx[:w.out_dim, :w.in_dim] - lo] = w.data
+    return PimImage(placement=p, base_addr=lo * p.geometry.element_bytes,
+                    data=img)
 
 
 def smc_copy(image: PimImage, rows: range, cols: range,
@@ -276,23 +244,16 @@ def smc_copy(image: PimImage, rows: range, cols: range,
         if not region.is_non_cacheable:
             raise AttributeViolation(
                 f"SMC source region {region.name!r} is not non-cacheable")
-    out = dst[:nr * nc].reshape(nc, nr)  # column-major: one row per column
-    first_tile = rows[0] // p.row_tile
-    last_tile = rows[-1] // p.row_tile
-    copied = 0
-    for tile in range(first_tile, last_tile + 1):
-        addrs = burst_address_of_tile(p, tile)[cols.start:cols.stop]
-        if mem is not None:
-            for a in addrs:
-                mem.access(int(a), "R", geo.burst_bytes, agent)
-        elem0 = (addrs - image.base_addr) // geo.element_bytes
-        t_lo = tile * p.row_tile
-        lo, hi = max(rows.start, t_lo), min(rows.stop, t_lo + p.row_tile)
-        lanes = np.arange(lo - t_lo, hi - t_lo)
-        block = image.data[elem0[None, :] + lanes[:, None]]
-        out[:, lo - rows.start:hi - rows.start] = block.T
-        copied += (hi - lo) * nc * geo.element_bytes
-    return copied
+    if mem is not None:
+        tiles = np.arange(rows[0] // p.row_tile, rows[-1] // p.row_tile + 1)
+        addrs = burst_address_of_tile(p, tiles)[:, cols.start:cols.stop]
+        for a in addrs.ravel().tolist():  # tile by tile, then column
+            mem.access(a, "R", geo.burst_bytes, agent)
+    idx = element_index(p, image.base_addr)[rows.start:rows.stop,
+                                            cols.start:cols.stop]
+    # column-major destination: one row per column
+    dst[:nr * nc].reshape(nc, nr)[:] = image.data[idx.T]
+    return nr * nc * geo.element_bytes
 
 
 def unswizzle(image: PimImage, mem=None) -> WeightMatrix:
@@ -301,8 +262,7 @@ def unswizzle(image: PimImage, mem=None) -> WeightMatrix:
     dst = np.zeros(p.out_dim * p.in_dim, dtype=np.uint16)
     smc_copy(image, range(p.out_dim), range(p.in_dim), dst, mem=mem)
     data = dst.reshape(p.in_dim, p.out_dim).T
-    return WeightMatrix(p.out_dim, p.in_dim, data.copy(),
-                        layout=LayoutKind.HOST_FRIENDLY)
+    return WeightMatrix(p.out_dim, p.in_dim, data.copy())
 
 
 @dataclass(frozen=True)

@@ -126,11 +126,26 @@ BAD_CONFIGS = {
     "unknown_hardware_key": json.dumps({"model": "toy-64",
                                         "hardware": {"bogus": 1}}),
     "nan_hardware": '{"model": "toy-64", "hardware": {"dram_bw_gbps": NaN}}',
+    "zero_denominator_kv_ratio": json.dumps({"model": {
+        "hidden": 64, "intermediate": 256, "layers": 1, "kv_ratio": "1/0"}}),
+    "overflowing_in_len": '{"model": "toy-64", "in_len": 1e400}',
+    "non_string_hardware_preset": json.dumps({"model": "toy-64",
+                                              "hardware": {"preset": ["x"]}}),
+    "string_pim_bytes": json.dumps({"model": "toy-64", "pim_bytes": "12"}),
+    "negative_pim_bytes": json.dumps({"model": "toy-64", "out_len": 4,
+                                      "pim_bytes": -100000}),
 }
+BAD_SWEEP_CONFIGS = {
+    "scalar_in_lens": json.dumps({"model": "toy-64", "in_lens": 5}),
+}
+BAD_CONFIG_CASES = (
+    [pytest.param(text, command, id=f"{name}-{command}")
+     for command in ("run", "sweep") for name, text in BAD_CONFIGS.items()]
+    + [pytest.param(text, "sweep", id=f"{name}-sweep")
+       for name, text in BAD_SWEEP_CONFIGS.items()])
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
+@pytest.mark.parametrize("text, command", BAD_CONFIG_CASES)
 def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, command,
                                                 text):
     cfg = tmp_path / "cfg.json"

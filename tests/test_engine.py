@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimsim import bf16
-from pimsim.dram import AddressMap, DramGeometry
+from pimsim.dram import FIELD_NAMES, AddressMap, DramGeometry
 from pimsim.engine import PIPELINE_DRAIN_READS, GemvJob, PimGemvEngine
 from pimsim.errors import ConfigError, StagingError
 from pimsim.layout import PimPlacement, WeightMatrix, convert_to_pim_aware
@@ -21,20 +21,31 @@ AMAP = AddressMap(GEO)
 ACTIVE_BANKS = 4
 
 
-def build(out_dim, in_dim, w_int, cacheable=False, rogue=False, **engine_kw):
-    p = PimPlacement(AMAP, out_dim, in_dim, banks_per_channel=ACTIVE_BANKS,
-                     channels_used=1)
-    w = WeightMatrix(out_dim, in_dim, bf16.encode(w_int.astype(np.float32)))
-    image = convert_to_pim_aware(w, p)
+def build(out_dim, in_dim, w_int, cacheable=False, rogue=False, amap=AMAP,
+          **engine_kw):
     mem = MemorySystem(capacity=GEO.total_capacity + (1 << 16),
                        cache=CacheConfig(capacity=1 << 18),
                        rogue_prefetcher=rogue)
-    attr = Attribute.CACHEABLE if cacheable else Attribute.NON_CACHEABLE
-    mem.allocate_region(RegionKind.CONTIGUOUS_POOL, attr,
-                        image.base_addr + image.span_bytes, name="weights",
-                        align=1)
+    image = add_image(mem, out_dim, in_dim, w_int, cacheable, amap)
     engine = PimGemvEngine(mem, **engine_kw)
     return engine, image
+
+
+def add_image(mem, out_dim, in_dim, w_int, cacheable=False, amap=AMAP,
+              base_row=0):
+    """Convert ``w_int`` and map the rest of ``mem`` up to the end of its
+    image as one weight region."""
+    p = PimPlacement(amap, out_dim, in_dim, banks_per_channel=ACTIVE_BANKS,
+                     channels_used=1, base_row=base_row)
+    w = WeightMatrix(out_dim, in_dim, bf16.encode(w_int.astype(np.float32)))
+    image = convert_to_pim_aware(w, p)
+    attr = Attribute.CACHEABLE if cacheable else Attribute.NON_CACHEABLE
+    end = mem.regions[-1].base + mem.regions[-1].size if mem.regions else 0
+    assert image.base_addr >= end
+    mem.allocate_region(RegionKind.CONTIGUOUS_POOL, attr,
+                        image.base_addr + image.span_bytes - end,
+                        name="weights", align=1)
+    return image
 
 
 def run_exact(engine, image, x_int):
@@ -60,15 +71,18 @@ def test_zero_weights_give_zero_output():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_exact_mode_matches_oracle_bit_exactly(otiles, itiles, seed):
+@given(st.integers(1, 6), st.integers(1, 4), st.permutations(FIELD_NAMES),
+       st.integers(0, 2**32 - 1))
+def test_exact_mode_matches_oracle_bit_exactly(otiles, itiles, order, seed):
     rng = np.random.default_rng(seed)
     out_dim = otiles * 16 * ACTIVE_BANKS - int(rng.integers(0, 16))
     in_dim = itiles * 128 - int(rng.integers(0, 100))
     out_dim, in_dim = max(out_dim, 1), max(in_dim, 1)
     w = rng.integers(-4, 5, size=(out_dim, in_dim)).astype(np.float64)
     x = rng.integers(-4, 5, size=in_dim).astype(np.float64)
-    engine, image = build(out_dim, in_dim, w)
+    amap = AddressMap(GEO, tuple((name, GEO.count_of(name).bit_length() - 1)
+                                 for name in order))
+    engine, image = build(out_dim, in_dim, w, amap=amap)
     job, result = run_exact(engine, image, x)
     assert np.array_equal(result.output, w @ x)
 
@@ -150,6 +164,21 @@ def test_cacheable_weights_block_second_run():
     assert report.absorbing_lines  # names the absorbing cache lines
     # functional corruption: the blocked run accumulates nothing
     assert not np.array_equal(r2.output, w @ x)
+
+
+def test_integrity_of_an_earlier_result_uses_its_own_hit_window():
+    rng = np.random.default_rng(5)
+    w = rng.integers(-3, 4, size=(64, 128)).astype(np.float64)
+    engine, image = build(64, 128, w, cacheable=True)
+    run_exact(engine, image, np.ones(128))
+    job, blocked = run_exact(engine, image, np.ones(128))
+    # rows past the first image and the engine's staging region
+    other = add_image(engine.mem, 64, 128, w,
+                      base_row=image.placement.rows_needed + 1)
+    run_exact(engine, other, np.ones(128))
+    report = engine.verify_trigger_integrity(job, blocked)
+    assert report.status == "pim-blocked"
+    assert len(report.absorbing_lines) == 128
 
 
 def test_attribute_removal_never_increases_dram_reads():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pimsim.dram import AddressMap, DramGeometry, decode_address
+from pimsim.dram import (FIELD_NAMES, AddressMap, DramGeometry,
+                         decode_address)
 from pimsim.errors import AttributeViolation, CapacityError, GeometryError
-from pimsim.layout import (LayoutKind, PimPlacement, WeightMatrix,
-                           convert_to_pim_aware, model_placements, padded_size,
-                           pim_coord_of_element, smc_copy, unswizzle)
+from pimsim.layout import (PimPlacement, WeightMatrix, burst_address_of_tile,
+                           burst_of_address, convert_to_pim_aware,
+                           model_placements, padded_size, pim_coord_of_element,
+                           smc_copy, unswizzle)
 from pimsim.memsys import Attribute, CacheConfig, MemorySystem, RegionKind
 from pimsim.model import ModelSpec
 from pimsim.presets import PHONE_GEOMETRY, model_preset
@@ -19,9 +21,34 @@ DESK = DramGeometry(channels=2, ranks_per_channel=1, banks_per_rank=8,
 AMAP = AddressMap(DESK)
 
 
-def make_placement(out_dim, in_dim, banks=4, channels=2, base_row=0):
-    return PimPlacement(AMAP, out_dim, in_dim, banks_per_channel=banks,
+def make_placement(out_dim, in_dim, banks=4, channels=2, base_row=0,
+                   amap=AMAP):
+    return PimPlacement(amap, out_dim, in_dim, banks_per_channel=banks,
                         channels_used=channels, base_row=base_row)
+
+
+def map_in_order(geo, order):
+    """Address map of ``geo`` with its fields in ``order``, low bits first."""
+    return AddressMap(geo, tuple((name, geo.count_of(name).bit_length() - 1)
+                                 for name in order))
+
+
+@st.composite
+def address_maps(draw):
+    """A desk-sized geometry with 2 ranks, short or long DRAM rows, and any
+    order of the address fields."""
+    geo = DramGeometry(channels=2, ranks_per_channel=2, banks_per_rank=8,
+                       rows_per_bank=256,
+                       columns_per_row=draw(st.sampled_from([32, 256])))
+    return map_in_order(geo, draw(st.permutations(FIELD_NAMES)))
+
+
+def assert_image_spans_every_burst(image):
+    p = image.placement
+    addrs = burst_address_of_tile(p, np.arange(p.m_pad // p.row_tile))
+    assert addrs.min() == image.base_addr
+    assert addrs.max() + p.geometry.burst_bytes == \
+        image.base_addr + image.span_bytes
 
 
 @st.composite
@@ -35,26 +62,26 @@ def shapes(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(shapes(), st.integers(0, 2**32 - 1))
-def test_round_trip_is_identity(shape, seed):
+@given(shapes(), address_maps(), st.integers(0, 2**32 - 1))
+def test_round_trip_is_identity(shape, amap, seed):
     out_dim, in_dim, banks, channels = shape
     rng = np.random.default_rng(seed)
-    p = make_placement(out_dim, in_dim, banks, channels)
+    p = make_placement(out_dim, in_dim, banks, channels, amap=amap)
     w = WeightMatrix(out_dim, in_dim,
                      rng.integers(0, 1 << 16, size=(out_dim, in_dim)))
     image = convert_to_pim_aware(w, p)
+    assert_image_spans_every_burst(image)
     back = unswizzle(image)
     assert np.array_equal(back.data, w.data)
-    assert back.layout is LayoutKind.HOST_FRIENDLY
 
 
 @settings(max_examples=60, deadline=None)
-@given(shapes())
-def test_row_locality_and_burst_column_major(shape):
+@given(shapes(), address_maps())
+def test_row_locality_and_burst_column_major(shape, amap):
     """Every matrix row lives in one bank; consecutive bursts of a tile walk
     consecutive input columns within the same (channel, bank)."""
     out_dim, in_dim, banks, channels = shape
-    p = make_placement(out_dim, in_dim, banks, channels)
+    p = make_placement(out_dim, in_dim, banks, channels, amap=amap)
     rng = np.random.default_rng(0)
     for m in rng.integers(0, p.m_pad, size=8):
         coords = [pim_coord_of_element(p, int(m), k)
@@ -68,6 +95,45 @@ def test_row_locality_and_burst_column_major(shape):
     c1 = pim_coord_of_element(p, 0, 1)
     assert (c1.row, c1.column) in (
         (c0.row, c0.column + 1), (c0.row + 1, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes(), address_maps(), st.integers(0, 2**32 - 1))
+def test_burst_decode_inverts_the_placement(shape, amap, seed):
+    """Bit-slice decode equals a table of the placed bursts: ``slot * k_pad
+    + column`` for each burst address, in every active bank, and no burst
+    anywhere else.  Checked on every burst address, the next element of
+    each, and random element addresses of the image span."""
+    out_dim, in_dim, banks, channels = shape
+    p = make_placement(out_dim, in_dim, banks, channels, amap=amap)
+    image = convert_to_pim_aware(
+        WeightMatrix(out_dim, in_dim, np.zeros((out_dim, in_dim))), p)
+    table = {}
+    for tile in range(p.m_pad // p.row_tile):
+        for j, addr in enumerate(burst_address_of_tile(p, tile).tolist()):
+            table[addr] = p.tile_slot(tile) * p.k_pad + j
+    eb = amap.geometry.element_bytes
+    rng = np.random.default_rng(seed)
+    sample = image.base_addr + eb * rng.integers(
+        0, image.span_bytes // eb, size=4096)
+    addrs = np.concatenate([list(table), np.add(list(table), eb), sample])
+    expected = [table.get(a, -1) for a in addrs.tolist()]
+    assert burst_of_address(p, addrs).tolist() == expected
+
+
+def test_span_covers_bursts_outside_the_first_and_last_slots():
+    """With the row field below the column field, a middle slot of a bank
+    can reach a higher DRAM column than the last slot; the image must still
+    cover it."""
+    geo = DramGeometry(channels=1, ranks_per_channel=1, banks_per_rank=16,
+                       rows_per_bank=256, columns_per_row=256)
+    amap = map_in_order(geo, ("channel", "bank", "rank", "row", "column"))
+    p = make_placement(48, 128, banks=1, channels=1, amap=amap)
+    rng = np.random.default_rng(5)
+    w = WeightMatrix(48, 128, rng.integers(0, 1 << 16, size=(48, 128)))
+    image = convert_to_pim_aware(w, p)
+    assert_image_spans_every_burst(image)
+    assert np.array_equal(unswizzle(image).data, w.data)
 
 
 def test_coordinates_match_declared_placement():
@@ -84,7 +150,6 @@ def test_image_addresses_decode_inside_the_slab():
     rng = np.random.default_rng(1)
     w = WeightMatrix(40, 130, rng.integers(0, 1 << 16, size=(40, 130)))
     image = convert_to_pim_aware(w, p)
-    from pimsim.layout import burst_address_of_tile
     for tile in range(p.m_pad // p.row_tile):
         for addr in burst_address_of_tile(p, tile)[::17]:
             coord = decode_address(AMAP, int(addr))
@@ -184,7 +249,6 @@ def test_conversion_rejects_shape_mismatch():
 def test_placement_rejects_overflow_of_rows():
     tiny = AddressMap(DramGeometry(rows_per_bank=4))
     p = PimPlacement(tiny, 16 * 64, 128)
-    from pimsim.layout import burst_address_of_tile
     with pytest.raises(CapacityError):
         burst_address_of_tile(p, p.m_pad // p.row_tile - 1)
 
