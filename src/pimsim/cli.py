@@ -105,10 +105,9 @@ def _resolve_scenario(name: str) -> Scenario:
 
 def _int_field(cfg: dict, key: str, default: int) -> int:
     value = cfg.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _list_field(cfg: dict, key: str) -> list:

@@ -3,13 +3,13 @@
 Two modes:
 
 * ``ANALYTICAL`` works in exact rational t-units, where ``t`` is the time
-  of one weight stream from DRAM.  GEMM costs ``max(1, SL/4) * t``
-  (arithmetic intensity ~4 FLOP/B on the target CPU) and an online
-  rearrangement costs three DRAM transactions: a read of the
-  non-cacheable source, a read of the destination into cache, and a
-  write back to DRAM.
+  of one weight stream from DRAM.  GEMM costs ``analytical_gemm_t(SL) =
+  max(1, SL/4) * t`` (arithmetic intensity ~4 FLOP/B on the target CPU)
+  and an online rearrangement costs ``ONLINE_T``, three DRAM
+  transactions: a read of the non-cacheable source, a read of the
+  destination into cache, and a write back to DRAM.
 * ``CALIBRATED`` uses measured-style parameters for a Galaxy S24+ class
-  device and returns seconds.
+  device; ``gemm_time`` and ``smc_time`` return seconds.
 
 The calibrated swizzled-copy bandwidths are fitted constants: observed
 copies out of a non-cacheable region run about twice as slow as
@@ -31,7 +31,7 @@ from .scenario import Scenario
 
 GB = 1e9
 ANALYTICAL_FLOP_PER_BYTE = 4
-ONLINE_REARRANGE_TRANSACTIONS = 3
+ONLINE_T = Fraction(3)  # online rearrangement: three DRAM transactions
 OVERHEAD_TABLE_SL = ("1-4", 8, 16, 32, 64, 128, 192)
 
 
@@ -100,17 +100,16 @@ def _round_half_up(x: Fraction) -> int:
     return int((x + Fraction(1, 2)).__floor__())
 
 
-def gemm_time(bytes_: int, params: int, sl: int, hw: HardwareSpec,
-              mode: CostMode = CostMode.CALIBRATED):
-    """GEMM latency: t-units (Fraction) in analytical mode, seconds otherwise.
+def analytical_gemm_t(sl: int) -> Fraction:
+    """GEMM latency in exact t-units: ``max(1, SL/4)`` weight streams."""
+    return max(Fraction(1), Fraction(sl, ANALYTICAL_FLOP_PER_BYTE))
 
-    Calibrated GEMM is the roofline max of streaming the weights once and
-    computing 2*SL*params FLOPs at the sustained rate.
-    """
+
+def gemm_time(bytes_: int, params: int, sl: int, hw: HardwareSpec) -> float:
+    """Calibrated GEMM seconds: the roofline max of streaming the weights
+    once and computing 2*SL*params FLOPs at the sustained rate."""
     if sl < 1:
         raise ConfigError("sl must be >= 1")
-    if mode is CostMode.ANALYTICAL:
-        return max(Fraction(1), Fraction(sl, ANALYTICAL_FLOP_PER_BYTE))
     if params == 0 or bytes_ == 0:
         return 0.0
     stream = bytes_ / (hw.dram_bw_gbps * GB)
@@ -118,12 +117,9 @@ def gemm_time(bytes_: int, params: int, sl: int, hw: HardwareSpec,
     return max(stream, compute)
 
 
-def smc_time(bytes_: int, agents: int, hw: HardwareSpec,
-             mode: CostMode = CostMode.CALIBRATED):
-    """Swizzled-copy latency: a constant 3 t-units analytically, or the
-    copied bytes over the calibrated per-agent-count bandwidth."""
-    if mode is CostMode.ANALYTICAL:
-        return Fraction(ONLINE_REARRANGE_TRANSACTIONS)
+def smc_time(bytes_: int, agents: int, hw: HardwareSpec) -> float:
+    """Swizzled-copy seconds: the copied bytes over the calibrated
+    bandwidth of ``agents`` copy agents."""
     return bytes_ / (hw.smc_bw_gbps(agents) * GB)
 
 
@@ -139,21 +135,19 @@ class OverheadRow:
     max_pct: int
 
 
-def rearrangement_overhead_table(hw: HardwareSpec | None = None) -> list[OverheadRow]:
+def rearrangement_overhead_table() -> list[OverheadRow]:
     """Online-rearrangement overhead versus GEMM across input lengths,
     in exact t-units, for serial (SUM) and overlapped (MAX) execution."""
     rows = []
     for sl in OVERHEAD_TABLE_SL:
-        sl_value = 4 if sl == "1-4" else sl
-        gemm = max(Fraction(1), Fraction(sl_value, ANALYTICAL_FLOP_PER_BYTE))
-        online = Fraction(ONLINE_REARRANGE_TRANSACTIONS)
-        total = gemm + online
-        peak = max(gemm, online)
+        gemm = analytical_gemm_t(4 if sl == "1-4" else sl)
+        total = gemm + ONLINE_T
+        peak = max(gemm, ONLINE_T)
         rows.append(OverheadRow(
             sl_label=str(sl),
             gemm_t=gemm,
             dram_t=Fraction(1),
-            online_t=online,
+            online_t=ONLINE_T,
             sum_t=total,
             sum_pct=_round_half_up(100 * total / gemm),
             max_t=peak,

@@ -20,6 +20,7 @@ elements are zero.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,7 +268,6 @@ def unswizzle(image: PimImage, mem=None) -> WeightMatrix:
 
 @dataclass(frozen=True)
 class PaddedSizeReport:
-    per_matrix: tuple  # (name, host_bytes, padded_bytes)
     host_bytes: int
     padded_total: int
 
@@ -281,11 +281,12 @@ class PaddedSizeReport:
 
 
 def model_placements(model: ModelSpec, amap: AddressMap,
-                     banks_per_channel: int, channels_used: int,
-                     base_row: int = 0) -> list[tuple[str, PimPlacement]]:
-    """Stack every matrix of the model along DRAM rows, slab after slab."""
+                     banks_per_channel: int,
+                     channels_used: int) -> list[tuple[str, PimPlacement]]:
+    """Stack every matrix of the model along DRAM rows from row 0, slab
+    after slab."""
     placements = []
-    row = base_row
+    row = 0
     for mat in model.all_matrices():
         p = PimPlacement(amap, mat.out_dim, mat.in_dim,
                          banks_per_channel=banks_per_channel,
@@ -297,13 +298,17 @@ def model_placements(model: ModelSpec, amap: AddressMap,
 
 def padded_size(model: ModelSpec, amap: AddressMap,
                 banks_per_channel: int, channels_used: int) -> PaddedSizeReport:
-    """Per-matrix and total padded DRAM bytes of the PIM-aware model."""
-    rows = []
-    total = 0
-    for name, p in model_placements(model, amap, banks_per_channel, channels_used):
-        host = p.out_dim * p.in_dim * model.element_bytes
-        rows.append((name, host, p.padded_bytes))
-        total += p.padded_bytes
-    return PaddedSizeReport(per_matrix=tuple(rows),
-                            host_bytes=model.host_bytes(),
-                            padded_total=total)
+    """Total padded DRAM bytes of the PIM-aware model.  A slab's padded size
+    does not depend on where it is stacked, so each distinct shape of one
+    layer and the head is placed once and counted as often as it occurs."""
+    count = Counter()
+    for mat in model.layer_matrices():
+        count[mat.out_dim, mat.in_dim] += model.layers
+    head = model.head_matrix()
+    if head is not None:
+        count[head.out_dim, head.in_dim] += 1
+    total = sum(n * PimPlacement(amap, out_dim, in_dim,
+                                 banks_per_channel=banks_per_channel,
+                                 channels_used=channels_used).padded_bytes
+                for (out_dim, in_dim), n in count.items())
+    return PaddedSizeReport(host_bytes=model.host_bytes(), padded_total=total)

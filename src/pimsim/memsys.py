@@ -18,6 +18,8 @@ from typing import Callable, NamedTuple
 
 from .errors import CapacityError, RegionError
 
+ALLOC_ALIGN = 64  # default region alignment in bytes
+
 
 class Attribute(enum.Enum):
     CACHEABLE = "cacheable"
@@ -136,14 +138,12 @@ class MemorySystem:
 
     def __init__(self, capacity: int, cache: CacheConfig | None = None,
                  contiguous_pool_cap: int | None = None,
-                 rogue_prefetcher: bool = False, rogue_period: int = 64,
-                 alloc_align: int = 64):
+                 rogue_prefetcher: bool = False, rogue_period: int = 64):
         self.capacity = capacity
         self.cache = _Cache(cache or CacheConfig())
         self.contiguous_pool_cap = contiguous_pool_cap
         self.rogue_prefetcher = rogue_prefetcher
         self.rogue_period = rogue_period
-        self.alloc_align = alloc_align
         self.regions: list[MemoryRegion] = []
         self.trace: list[TraceRecord] = []
         self.hit_log: list[HitRecord] = []
@@ -162,7 +162,7 @@ class MemorySystem:
                         align: int | None = None) -> MemoryRegion:
         if size <= 0:
             raise RegionError(f"region size must be positive, got {size}")
-        align = align or self.alloc_align
+        align = align or ALLOC_ALIGN
         base = -(-self._next_base // align) * align
         if base + size > self.capacity:
             raise CapacityError(

@@ -29,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cost import (CostMode, HardwareSpec, decode_token_time, gemm_time,
-                   smc_time)
+from .cost import (ONLINE_T, CostMode, HardwareSpec, analytical_gemm_t,
+                   decode_token_time, gemm_time, smc_time)
 from .errors import ConfigError
 from .model import ModelSpec
 from .scenario import Scenario
@@ -105,50 +105,41 @@ class DecodeResult:
 
 @dataclass(frozen=True)
 class _PlanSegment:
-    tag: str
+    tag: str               # the matrix: "attn" or "q" ... "ff2"
     compute_seconds: float
     copy_bytes: float      # paired copy load (0 for none)
-    copy_tag: str
+    copy_tag: str          # "ff0"-"ff2", or "qkvo": the next layer's projections
     is_copy_window: bool   # False for attention/normalization segments
 
 
 def _matrix_seconds(params: int, sl: int, hw: HardwareSpec,
                     eb: int) -> float:
-    return gemm_time(params * eb, params, sl, hw, CostMode.CALIBRATED)
+    return gemm_time(params * eb, params, sl, hw)
 
 
-def layer_plan(model: ModelSpec, hw: HardwareSpec, sl: int,
-               layer: int) -> list[_PlanSegment]:
-    """Compute segments of one decoder layer with their paired DDB copy loads."""
+def layer_plan(model: ModelSpec, hw: HardwareSpec,
+               sl: int) -> list[_PlanSegment]:
+    """Compute segments of one decoder layer with their paired DDB copy loads.
+
+    Every layer has the same plan; only the last layer issues no ``qkvo``
+    copy, which the schedule builder drops.
+    """
     eb = model.element_bytes
-    mats = {m.name: m for m in model.layer_matrices()}
-    t = {name: _matrix_seconds(m.params(), sl, hw, eb)
-         for name, m in mats.items()}
-    nbytes = {name: m.params() * eb for name, m in mats.items()}
+    mats = model.layer_matrices()
+    t = {m.name: _matrix_seconds(m.params(), sl, hw, eb) for m in mats}
+    nbytes = {m.name: m.params() * eb for m in mats}
     quarter = nbytes["ff0"] / FF0_COPY_QUARTERS
-    last = layer == model.layers - 1
-    prefix = f"layer{layer}."
     segs = []
     if hw.host_attn_seconds_per_layer > 0:
-        segs.append(_PlanSegment(prefix + "attn", hw.host_attn_seconds_per_layer,
+        segs.append(_PlanSegment("attn", hw.host_attn_seconds_per_layer,
                                  0.0, "", False))
     for name in ("q", "k", "v", "o"):
-        segs.append(_PlanSegment(prefix + name, t[name], quarter,
-                                 prefix + "ff0", True))
-    segs.append(_PlanSegment(prefix + "ff0", t["ff0"], nbytes["ff1"],
-                             prefix + "ff1", True))
-    segs.append(_PlanSegment(prefix + "ff1", t["ff1"], nbytes["ff2"],
-                             prefix + "ff2", True))
-    next_copy = 0.0 if last else qkvo_bytes(model)
-    next_tag = "" if last else f"layer{layer + 1}.qkvo"
-    segs.append(_PlanSegment(prefix + "ff2", t["ff2"], next_copy,
-                             next_tag, True))
+        segs.append(_PlanSegment(name, t[name], quarter, "ff0", True))
+    segs.append(_PlanSegment("ff0", t["ff0"], nbytes["ff1"], "ff1", True))
+    segs.append(_PlanSegment("ff1", t["ff1"], nbytes["ff2"], "ff2", True))
+    qkvo = sum(nbytes[name] for name in ("q", "k", "v", "o"))
+    segs.append(_PlanSegment("ff2", t["ff2"], qkvo, "qkvo", True))
     return segs
-
-
-def qkvo_bytes(model: ModelSpec) -> int:
-    return sum(m.params() for m in model.layer_matrices()
-               if m.name in ("q", "k", "v", "o")) * model.element_bytes
 
 
 def _head_seconds(model: ModelSpec, hw: HardwareSpec, sl: int) -> float:
@@ -156,20 +147,6 @@ def _head_seconds(model: ModelSpec, hw: HardwareSpec, sl: int) -> float:
     if head is None:
         return 0.0
     return _matrix_seconds(head.params(), sl, hw, model.element_bytes)
-
-
-def compute_times(model: ModelSpec, hw: HardwareSpec, sl: int) -> list[float]:
-    """Every compute segment duration, in execution order (all layers + head).
-
-    Compute seconds do not depend on the layer (only the last layer's copy
-    pairing differs), so one layer's plan is repeated.
-    """
-    times = [s.compute_seconds
-             for s in layer_plan(model, hw, sl, 0)] * model.layers
-    head = _head_seconds(model, hw, sl)
-    if head:
-        times.append(head)
-    return times
 
 
 # ----------------------------------------------------------------------
@@ -184,30 +161,38 @@ def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec, sl: int) -> Timeline:
     tl = Timeline()
 
     def copy_seconds(nbytes: float) -> float:
-        return smc_time(nbytes, DDB_COPY_AGENTS, hw, CostMode.CALIBRATED)
+        return smc_time(nbytes, DDB_COPY_AGENTS, hw)
 
-    preload = copy_seconds(qkvo_bytes(model))
+    plan = layer_plan(model, hw, sl)
+    copies = [copy_seconds(seg.copy_bytes) for seg in plan]
+    preload = copies[-1]  # ff2's copy: the projections
     tl.segments.append(Segment("copy", "copy", "preload", 0.0, preload, buffer=0))
     copy_t = preload
     comp_t = preload
     group = 0  # buffer group: even -> buffer 0, odd -> buffer 1
     for layer in range(model.layers):
         g = group
-        for seg in layer_plan(model, hw, sl, layer):
-            if seg.tag.endswith(("ff0", "ff1", "ff2")):
+        prefix = f"layer{layer}."
+        for seg, copy in zip(plan, copies):
+            if seg.tag in ("ff0", "ff1", "ff2"):
                 g += 1  # each feed-forward matrix occupies the next buffer
             buf = g % 2 if seg.is_copy_window else None
             start = comp_t
             comp_t += seg.compute_seconds
-            tl.segments.append(Segment("compute", "compute", seg.tag,
+            tl.segments.append(Segment("compute", "compute", prefix + seg.tag,
                                        start, comp_t, buffer=buf))
-            if seg.copy_bytes > 0:
-                c_start = max(copy_t, start)
-                c_end = c_start + copy_seconds(seg.copy_bytes)
-                tl.segments.append(Segment("copy", "copy", seg.copy_tag,
-                                           c_start, c_end,
-                                           buffer=(g + 1) % 2))
-                copy_t = c_end
+            if seg.copy_tag == "qkvo":
+                if layer == model.layers - 1:
+                    continue  # no next layer to preload
+                copy_tag = f"layer{layer + 1}.qkvo"
+            elif seg.copy_bytes > 0:
+                copy_tag = prefix + seg.copy_tag
+            else:
+                continue
+            c_start = max(copy_t, start)
+            copy_t = c_start + copy
+            tl.segments.append(Segment("copy", "copy", copy_tag,
+                                       c_start, copy_t, buffer=(g + 1) % 2))
         # one synchronization barrier per layer
         comp_t = copy_t = max(comp_t, copy_t)
         group = g + 1  # next layer's projections use the buffer after ff2's
@@ -234,13 +219,12 @@ def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec, sl: int) -> Timeline:
 
 def _analytical_ttft(scenario: Scenario, sl: int, gemm: Fraction,
                      hw: HardwareSpec) -> Fraction:
-    online = smc_time(0, 0, hw, CostMode.ANALYTICAL)
     if scenario in (Scenario.WD, Scenario.FACIL_O, Scenario.C_GEMM):
         return gemm
     if scenario is Scenario.S_OWR:
-        return gemm + online
+        return gemm + ONLINE_T
     if scenario is Scenario.S_DDB:
-        return max(gemm, online)
+        return max(gemm, ONLINE_T)
     # non-cacheable host GEMM: one weight stream per input token, at the
     # non-cacheable read penalty
     return Fraction(sl) * Fraction(hw.nc_read_penalty).limit_denominator(1000)
@@ -257,20 +241,23 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
     if sl < 1:
         raise ConfigError("sl must be >= 1")
     if mode is CostMode.ANALYTICAL:
-        gemm = gemm_time(0, 0, sl, hw, CostMode.ANALYTICAL)
+        gemm = analytical_gemm_t(sl)
         ttft = _analytical_ttft(scenario, sl, gemm, hw)
         return PrefillResult(scenario, sl, ttft, None, {
             "mode": "analytical",
             "gemm_t_units": gemm,
-            "overhead_sum_pct": float(100 * (gemm + 3) / gemm),
-            "overhead_max_pct": float(100 * max(gemm, Fraction(3)) / gemm),
+            "overhead_sum_pct": float(100 * (gemm + ONLINE_T) / gemm),
+            "overhead_max_pct": float(100 * max(gemm, ONLINE_T) / gemm),
         })
 
-    comp = compute_times(model, hw, sl)
-    gemm_total = math.fsum(comp)
+    plan = layer_plan(model, hw, sl)
+    head_seconds = _head_seconds(model, hw, sl)
+    # fsum is correctly rounded, so the order of the terms does not matter
+    gemm_total = math.fsum([s.compute_seconds for s in plan] * model.layers
+                           + [head_seconds])
     eb = model.element_bytes
     if scenario in (Scenario.WD, Scenario.FACIL_O, Scenario.C_GEMM):
-        tl = _serial_timeline(model, hw, sl)
+        tl = _serial_timeline(model, plan, head_seconds)
         return PrefillResult(scenario, sl, gemm_total, tl,
                              {"gemm_seconds": gemm_total, "smc_seconds": 0.0})
     if scenario is Scenario.S_DDB:
@@ -285,18 +272,22 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
         head_copy = (0.0 if head is None
                      else smc_time(head.params() * eb, OWR_COPY_AGENTS, hw))
         smc_total = math.fsum([layer_copy] * model.layers + [head_copy])
-        tl = _serial_timeline(model, hw, sl, layer_copy, head_copy)
+        tl = _serial_timeline(model, plan, head_seconds, layer_copy,
+                              head_copy)
         return PrefillResult(scenario, sl, gemm_total + smc_total, tl,
                              {"gemm_seconds": gemm_total,
                               "smc_seconds": smc_total})
     if scenario is Scenario.NC_GEMM:
         nc_bw = hw.nc_stream_bw_gbps * 1e9
-        times = []
-        for mat in model.all_matrices():
-            nbytes = mat.params() * eb
-            stream = sl * nbytes / nc_bw
-            times.append(max(stream, _matrix_seconds(mat.params(), sl, hw, eb)))
-        times.extend([hw.host_attn_seconds_per_layer] * model.layers)
+
+        def nc_seconds(mat) -> float:
+            stream = sl * mat.params() * eb / nc_bw
+            return max(stream, _matrix_seconds(mat.params(), sl, hw, eb))
+
+        head = model.head_matrix()
+        times = ([nc_seconds(m) for m in model.layer_matrices()] * model.layers
+                 + [0.0 if head is None else nc_seconds(head)]
+                 + [hw.host_attn_seconds_per_layer] * model.layers)
         total = math.fsum(times)
         return PrefillResult(scenario, sl, total, None,
                              {"gemm_seconds": gemm_total,
@@ -304,11 +295,12 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
     raise ConfigError(f"unknown scenario {scenario}")
 
 
-def _serial_timeline(model: ModelSpec, hw: HardwareSpec, sl: int,
-                     layer_copy: float | None = None,
+def _serial_timeline(model: ModelSpec, plan: list[_PlanSegment],
+                     head_seconds: float, layer_copy: float | None = None,
                      head_copy: float | None = None) -> Timeline:
-    """Compute-only schedule, optionally with a serial copy of the given
-    seconds before each layer and before the head."""
+    """Compute-only schedule of ``plan`` repeated per layer plus the head,
+    optionally with a serial copy of the given seconds before each layer
+    and before the head."""
     tl = Timeline()
     t = 0.0
     for layer in range(model.layers):
@@ -316,8 +308,9 @@ def _serial_timeline(model: ModelSpec, hw: HardwareSpec, sl: int,
             tl.segments.append(Segment("copy", "copy", f"layer{layer}.smc",
                                        t, t + layer_copy))
             t += layer_copy
-        for seg in layer_plan(model, hw, sl, layer):
-            tl.segments.append(Segment("compute", "compute", seg.tag,
+        for seg in plan:
+            tl.segments.append(Segment("compute", "compute",
+                                       f"layer{layer}.{seg.tag}",
                                        t, t + seg.compute_seconds))
             t += seg.compute_seconds
     if model.head_matrix() is not None:
@@ -325,9 +318,9 @@ def _serial_timeline(model: ModelSpec, hw: HardwareSpec, sl: int,
             tl.segments.append(Segment("copy", "copy", "lm_head.smc",
                                        t, t + head_copy))
             t += head_copy
-        dt = _head_seconds(model, hw, sl)
-        tl.segments.append(Segment("compute", "compute", "lm_head", t, t + dt))
-        t += dt
+        tl.segments.append(Segment("compute", "compute", "lm_head",
+                                   t, t + head_seconds))
+        t += head_seconds
     tl.validate()
     return tl
 
@@ -397,14 +390,10 @@ def ddb_hiding_crossover(model: ModelSpec, hw: HardwareSpec,
     """Smallest input length at which every DDB copy chunk fits inside its
     paired compute segment (full latency hiding, preload aside)."""
     for sl in range(1, max_sl + 1):
-        hidden = True
-        for seg in layer_plan(model, hw, sl, 0):
-            if seg.copy_bytes > 0:
-                copy = smc_time(seg.copy_bytes, DDB_COPY_AGENTS, hw)
-                if copy > seg.compute_seconds:
-                    hidden = False
-                    break
-        if hidden:
+        if all(smc_time(seg.copy_bytes, DDB_COPY_AGENTS, hw)
+               <= seg.compute_seconds for seg in layer_plan(model, hw, sl)
+               if seg.copy_bytes > 0
+               and (seg.copy_tag != "qkvo" or model.layers > 1)):
             return sl
     raise ConfigError(f"no crossover at or below sl={max_sl}")
 

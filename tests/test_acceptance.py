@@ -53,7 +53,7 @@ def test_acceptance_1_overhead_table():
         ("128", 32, 3, 35, 109, 32, 100),
         ("192", 48, 3, 51, 106, 48, 100),
     ]
-    rows = rearrangement_overhead_table(HW)
+    rows = rearrangement_overhead_table()
     got = [(r.sl_label, r.gemm_t, r.online_t, r.sum_t, r.sum_pct,
             r.max_t, r.max_pct) for r in rows]
     want = [(label, Fraction(g), Fraction(o), Fraction(s), sp,

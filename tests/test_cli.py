@@ -134,9 +134,13 @@ BAD_CONFIGS = {
     "string_pim_bytes": json.dumps({"model": "toy-64", "pim_bytes": "12"}),
     "negative_pim_bytes": json.dumps({"model": "toy-64", "out_len": 4,
                                       "pim_bytes": -100000}),
+    "fractional_in_len": json.dumps({"model": "toy-64", "in_len": 1.5,
+                                     "out_len": 2}),
+    "bool_out_len": json.dumps({"model": "toy-64", "out_len": True}),
 }
 BAD_SWEEP_CONFIGS = {
     "scalar_in_lens": json.dumps({"model": "toy-64", "in_lens": 5}),
+    "fractional_in_lens": json.dumps({"model": "toy-64", "in_lens": [1.5, 2]}),
 }
 BAD_CONFIG_CASES = (
     [pytest.param(text, command, id=f"{name}-{command}")

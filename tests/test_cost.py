@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from pimsim.cost import (CostMode, HardwareSpec, capacity_report,
-                         capacity_summary, decode_token_time, gemm_time,
-                         rearrangement_overhead_table, smc_time)
+from pimsim.cost import (ONLINE_T, HardwareSpec, analytical_gemm_t,
+                         capacity_report, capacity_summary, decode_token_time,
+                         gemm_time, rearrangement_overhead_table, smc_time)
 from pimsim.errors import ConfigError
 from pimsim.model import ModelSpec
 from pimsim.presets import hardware_preset, model_preset
@@ -28,7 +28,7 @@ def test_overhead_table_rows():
         "128": (Fraction(32), Fraction(35), 109, Fraction(32), 100),
         "192": (Fraction(48), Fraction(51), 106, Fraction(48), 100),
     }
-    rows = rearrangement_overhead_table(HW)
+    rows = rearrangement_overhead_table()
     assert [r.sl_label for r in rows] == list(expected)
     for row in rows:
         gemm, total, sum_pct, peak, max_pct = expected[row.sl_label]
@@ -39,8 +39,9 @@ def test_overhead_table_rows():
 
 
 def test_analytical_gemm_is_exact_rational():
-    assert gemm_time(0, 0, 2, HW, CostMode.ANALYTICAL) == Fraction(1)
-    assert gemm_time(0, 0, 30, HW, CostMode.ANALYTICAL) == Fraction(30, 4)
+    assert analytical_gemm_t(2) == Fraction(1)
+    assert analytical_gemm_t(30) == Fraction(30, 4)
+    assert ONLINE_T == Fraction(3)
 
 
 def test_calibrated_gemm_roofline():

@@ -22,20 +22,21 @@ ACTIVE_BANKS = 4
 
 
 def build(out_dim, in_dim, w_int, cacheable=False, rogue=False, amap=AMAP,
-          **engine_kw):
-    mem = MemorySystem(capacity=GEO.total_capacity + (1 << 16),
+          banks=ACTIVE_BANKS, **engine_kw):
+    mem = MemorySystem(capacity=amap.geometry.total_capacity + (1 << 16),
                        cache=CacheConfig(capacity=1 << 18),
                        rogue_prefetcher=rogue)
-    image = add_image(mem, out_dim, in_dim, w_int, cacheable, amap)
+    image = add_image(mem, out_dim, in_dim, w_int, cacheable, amap,
+                      banks=banks)
     engine = PimGemvEngine(mem, **engine_kw)
     return engine, image
 
 
 def add_image(mem, out_dim, in_dim, w_int, cacheable=False, amap=AMAP,
-              base_row=0):
+              base_row=0, banks=ACTIVE_BANKS):
     """Convert ``w_int`` and map the rest of ``mem`` up to the end of its
     image as one weight region."""
-    p = PimPlacement(amap, out_dim, in_dim, banks_per_channel=ACTIVE_BANKS,
+    p = PimPlacement(amap, out_dim, in_dim, banks_per_channel=banks,
                      channels_used=1, base_row=base_row)
     w = WeightMatrix(out_dim, in_dim, bf16.encode(w_int.astype(np.float32)))
     image = convert_to_pim_aware(w, p)
@@ -71,18 +72,23 @@ def test_zero_weights_give_zero_output():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 4), st.permutations(FIELD_NAMES),
-       st.integers(0, 2**32 - 1))
-def test_exact_mode_matches_oracle_bit_exactly(otiles, itiles, order, seed):
+@given(st.integers(1, 6), st.integers(1, 4), st.sampled_from([2, 4, 8, 16]),
+       st.data(), st.permutations(FIELD_NAMES), st.integers(0, 2**32 - 1))
+def test_exact_mode_matches_oracle_bit_exactly(otiles, itiles, geo_banks,
+                                               data, order, seed):
+    banks = data.draw(st.integers(1, geo_banks), label="active banks")
     rng = np.random.default_rng(seed)
-    out_dim = otiles * 16 * ACTIVE_BANKS - int(rng.integers(0, 16))
+    out_dim = otiles * 16 * banks - int(rng.integers(0, 16))
     in_dim = itiles * 128 - int(rng.integers(0, 100))
     out_dim, in_dim = max(out_dim, 1), max(in_dim, 1)
     w = rng.integers(-4, 5, size=(out_dim, in_dim)).astype(np.float64)
     x = rng.integers(-4, 5, size=in_dim).astype(np.float64)
-    amap = AddressMap(GEO, tuple((name, GEO.count_of(name).bit_length() - 1)
+    geo = DramGeometry(channels=1, ranks_per_channel=1,
+                       banks_per_rank=geo_banks, rows_per_bank=256,
+                       columns_per_row=32)
+    amap = AddressMap(geo, tuple((name, geo.count_of(name).bit_length() - 1)
                                  for name in order))
-    engine, image = build(out_dim, in_dim, w, amap=amap)
+    engine, image = build(out_dim, in_dim, w, amap=amap, banks=banks)
     job, result = run_exact(engine, image, x)
     assert np.array_equal(result.output, w @ x)
 

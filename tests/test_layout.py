@@ -33,13 +33,25 @@ def map_in_order(geo, order):
                                  for name in order))
 
 
+# largest drawn geometry: images span up to its whole capacity
+MAX_DRAWN_CAPACITY = 1 << 26
+
+
 @st.composite
 def address_maps(draw):
-    """A desk-sized geometry with 2 ranks, short or long DRAM rows, and any
-    order of the address fields."""
-    geo = DramGeometry(channels=2, ranks_per_channel=2, banks_per_rank=8,
-                       rows_per_bank=256,
-                       columns_per_row=draw(st.sampled_from([32, 256])))
+    """A geometry of 1-4 channels, 1-2 ranks, 2-16 banks, 64-1024 DRAM rows
+    and short or long rows (at most 64 MiB in all), with any order of the
+    address fields."""
+    channels = draw(st.sampled_from([1, 2, 4]))
+    ranks = draw(st.sampled_from([1, 2]))
+    banks = draw(st.sampled_from([2, 4, 8, 16]))
+    rows = draw(st.sampled_from([64, 128, 256, 512, 1024]))
+    long_rows = channels * ranks * banks * rows * 256 * 32
+    columns = draw(st.sampled_from(
+        [32, 256] if long_rows <= MAX_DRAWN_CAPACITY else [32]))
+    geo = DramGeometry(channels=channels, ranks_per_channel=ranks,
+                       banks_per_rank=banks, rows_per_bank=rows,
+                       columns_per_row=columns)
     return map_in_order(geo, draw(st.permutations(FIELD_NAMES)))
 
 
@@ -52,21 +64,28 @@ def assert_image_spans_every_burst(image):
 
 
 @st.composite
-def shapes(draw):
-    # ragged tails on both axes are the interesting cases
-    out_dim = draw(st.integers(1, 200))
+def placements(draw):
+    """A placement on a drawn address map that fits its geometry: any
+    active banks and channels, a shape with ragged tails on both axes (the
+    interesting cases) and a slab anywhere in the rows left."""
+    amap = draw(address_maps())
+    geo = amap.geometry
+    banks = draw(st.integers(1, geo.banks_per_rank))
+    channels = draw(st.integers(1, geo.channels))
     in_dim = draw(st.integers(1, 300))
-    banks = draw(st.sampled_from([1, 2, 4, 8]))
-    channels = draw(st.sampled_from([1, 2]))
-    return out_dim, in_dim, banks, channels
+    k_pad = -(-in_dim // 128) * 128
+    max_slots = geo.rows_per_bank * geo.columns_per_row // k_pad
+    out_dim = draw(st.integers(1, min(200, max_slots * 16 * banks * channels)))
+    p = make_placement(out_dim, in_dim, banks, channels, amap=amap)
+    base_row = draw(st.integers(0, geo.rows_per_bank - p.rows_needed))
+    return make_placement(out_dim, in_dim, banks, channels, base_row, amap)
 
 
 @settings(max_examples=120, deadline=None)
-@given(shapes(), address_maps(), st.integers(0, 2**32 - 1))
-def test_round_trip_is_identity(shape, amap, seed):
-    out_dim, in_dim, banks, channels = shape
+@given(placements(), st.integers(0, 2**32 - 1))
+def test_round_trip_is_identity(p, seed):
+    out_dim, in_dim = p.out_dim, p.in_dim
     rng = np.random.default_rng(seed)
-    p = make_placement(out_dim, in_dim, banks, channels, amap=amap)
     w = WeightMatrix(out_dim, in_dim,
                      rng.integers(0, 1 << 16, size=(out_dim, in_dim)))
     image = convert_to_pim_aware(w, p)
@@ -76,12 +95,10 @@ def test_round_trip_is_identity(shape, amap, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(shapes(), address_maps())
-def test_row_locality_and_burst_column_major(shape, amap):
+@given(placements())
+def test_row_locality_and_burst_column_major(p):
     """Every matrix row lives in one bank; consecutive bursts of a tile walk
     consecutive input columns within the same (channel, bank)."""
-    out_dim, in_dim, banks, channels = shape
-    p = make_placement(out_dim, in_dim, banks, channels, amap=amap)
     rng = np.random.default_rng(0)
     for m in rng.integers(0, p.m_pad, size=8):
         coords = [pim_coord_of_element(p, int(m), k)
@@ -98,14 +115,13 @@ def test_row_locality_and_burst_column_major(shape, amap):
 
 
 @settings(max_examples=40, deadline=None)
-@given(shapes(), address_maps(), st.integers(0, 2**32 - 1))
-def test_burst_decode_inverts_the_placement(shape, amap, seed):
+@given(placements(), st.integers(0, 2**32 - 1))
+def test_burst_decode_inverts_the_placement(p, seed):
     """Bit-slice decode equals a table of the placed bursts: ``slot * k_pad
     + column`` for each burst address, in every active bank, and no burst
     anywhere else.  Checked on every burst address, the next element of
     each, and random element addresses of the image span."""
-    out_dim, in_dim, banks, channels = shape
-    p = make_placement(out_dim, in_dim, banks, channels, amap=amap)
+    out_dim, in_dim, amap = p.out_dim, p.in_dim, p.address_map
     image = convert_to_pim_aware(
         WeightMatrix(out_dim, in_dim, np.zeros((out_dim, in_dim))), p)
     table = {}
@@ -264,11 +280,24 @@ def test_model_placements_stack_without_overlap():
 
 
 def test_padded_size_accounting():
-    model = ModelSpec(hidden=64, intermediate=256, layers=2, vocab=128)
-    report = padded_size(model, AMAP, banks_per_channel=8, channels_used=2)
-    assert report.host_bytes == model.host_bytes()
-    assert report.padded_total == sum(b for _, _, b in report.per_matrix)
-    assert report.padding_bytes >= 0
+    """The per-shape total equals placing and summing every matrix."""
+    phone = AddressMap(PHONE_GEOMETRY)
+    cases = [
+        (ModelSpec(hidden=64, intermediate=256, layers=2, vocab=128), AMAP, 8, 2),
+        (ModelSpec(hidden=64, intermediate=256, layers=0, vocab=128), AMAP, 8, 2),
+        (ModelSpec(hidden=64, intermediate=256, layers=3), AMAP, 4, 1),
+        (model_preset("toy-64"), AMAP, 8, 2),
+        (model_preset("llama3.2-1b"), phone, 16, 4),
+        (model_preset("llama3.2-3b"), phone, 16, 4),
+    ]
+    for model, amap, banks, channels in cases:
+        report = padded_size(model, amap, banks_per_channel=banks,
+                             channels_used=channels)
+        reference = sum(p.padded_bytes for _, p in model_placements(
+            model, amap, banks_per_channel=banks, channels_used=channels))
+        assert report.padded_total == reference
+        assert report.host_bytes == model.host_bytes()
+        assert report.padding_bytes >= 0
 
 
 def test_phone_scale_padding_fraction_is_small():

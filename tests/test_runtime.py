@@ -17,8 +17,8 @@ from pimsim.memsys import Attribute, MemorySystem, RegionKind
 from pimsim.model import ModelSpec
 from pimsim.presets import (DESK_GEOMETRY, hardware_preset, model_preset,
                             pim_weight_bytes)
-from pimsim.runtime import (build_ddb_schedule, compute_times,
-                            ddb_hiding_crossover, end_to_end_row, layer_plan,
+from pimsim.runtime import (build_ddb_schedule, ddb_hiding_crossover,
+                            end_to_end_row, layer_plan,
                             linear_stack_outputs, run_decode, run_end_to_end,
                             run_prefill, speedup_grid)
 from pimsim.scenario import Scenario
@@ -39,23 +39,32 @@ def test_timeline_agents_never_overlap():
 
 
 def test_layer_plan_copy_pairing():
-    segs = layer_plan(M1B, HW, 32, layer=0)
+    segs = layer_plan(M1B, HW, 32)
     tags = [s.tag for s in segs]
-    assert tags == [f"layer0.{n}"
-                    for n in ("q", "k", "v", "o", "ff0", "ff1", "ff2")]
+    assert tags == ["q", "k", "v", "o", "ff0", "ff1", "ff2"]
     # FF0 arrives in four equal quarters during Q, K, V, O
     quarters = [s.copy_bytes for s in segs[:4]]
     assert len(set(quarters)) == 1
     assert sum(quarters) == M1B.ff_bytes
+    assert {s.copy_tag for s in segs[:4]} == {"ff0"}
     # FF0 covers FF1's copy, FF1 covers FF2's, FF2 preloads the next layer
-    assert segs[4].copy_tag == "layer0.ff1"
-    assert segs[5].copy_tag == "layer0.ff2"
-    assert segs[6].copy_tag == "layer1.qkvo"
+    assert segs[4].copy_tag == "ff1"
+    assert segs[5].copy_tag == "ff2"
+    assert segs[6].copy_tag == "qkvo"
+    assert segs[6].copy_bytes == sum(m.params() for m in M1B.layer_matrices()
+                                     if m.name in ("q", "k", "v", "o")) * 2
+    # a host attention segment leads the plan and pairs no copy
+    attn = layer_plan(M1B, HW.with_(host_attn_seconds_per_layer=1e-3), 32)
+    assert [s.tag for s in attn] == ["attn"] + tags
+    assert (attn[0].copy_bytes, attn[0].copy_tag) == (0.0, "")
 
 
 def test_last_layer_has_no_next_preload():
-    segs = layer_plan(M1B, HW, 32, layer=M1B.layers - 1)
-    assert segs[-1].copy_bytes == 0
+    tl = build_ddb_schedule(M1B, HW, 32)
+    qkvo = [s.tag for s in tl.agent_segments("copy") if s.tag.endswith(".qkvo")]
+    # the preload stands for layer 0's projections; the last layer has no
+    # next layer to preload
+    assert qkvo == [f"layer{layer}.qkvo" for layer in range(1, M1B.layers)]
 
 
 def test_copy_conservation_per_layer():
@@ -162,7 +171,7 @@ def test_crossover_is_in_the_expected_band():
     sl = ddb_hiding_crossover(M1B, HW)
     assert 96 <= sl <= 192
     # below the crossover some chunk exceeds its window
-    segs = layer_plan(M1B, HW, sl - 1, 0)
+    segs = layer_plan(M1B, HW, sl - 1)
     assert any(s.copy_bytes > 0 and
                smc_time(s.copy_bytes, 2, HW) > s.compute_seconds
                for s in segs)
