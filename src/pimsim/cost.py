@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -38,6 +39,11 @@ OVERHEAD_TABLE_SL = ("1-4", 8, 16, 32, 64, 128, 192)
 class CostMode(enum.Enum):
     ANALYTICAL = "analytical"
     CALIBRATED = "calibrated"
+
+
+def _is_number(value) -> bool:
+    """A real number, and not a ``bool`` (which Python counts as one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -73,11 +79,11 @@ class HardwareSpec:
             positive.append("smc_bw_override_gbps")
         for name in positive:
             value = getattr(self, name)
-            if not (value > 0) or not math.isfinite(value):
+            if not _is_number(value) or not (value > 0) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite and strictly positive")
         for name in ("host_overhead_per_token", "host_attn_seconds_per_layer"):
             value = getattr(self, name)
-            if not (value >= 0) or not math.isfinite(value):
+            if not _is_number(value) or not (value >= 0) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite and non-negative")
         if self.gemm_effective_gflops > self.peak_gflops:
             raise ConfigError("gemm_effective_gflops exceeds peak_gflops")

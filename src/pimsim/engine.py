@@ -18,6 +18,7 @@ applies the same (row, column) command in lockstep.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from . import bf16
 from .errors import ConfigError, StagingError
 from .layout import (PimImage, burst_address_of_tile, burst_of_address,
                      element_index)
-from .memsys import Attribute, MemorySystem, RegionKind, TraceRecord
+from .memsys import Attribute, MemorySystem, RegionKind, TraceChunk, TraceView
 
 PIPELINE_DRAIN_READS = 5
 RF_ENTRIES = 8
@@ -85,7 +86,7 @@ class GemvJob:
 class GemvResult:
     output: np.ndarray            # float values, length out_dim
     output_bits: np.ndarray       # element-precision readback, length m_pad
-    records: list
+    records: TraceView            # DRAM commands during the job
     hits: list                    # cache hits during the job
     expected_mac_reads: int
     triggered_mac_reads: int
@@ -127,15 +128,24 @@ class PimGemvEngine:
         self.out_buf_addr = staging.base + 256
         self.dummy_addr = staging.base + 512
         self._job = None
-        mem.dram_listeners.append(self._on_dram)
+        # The memory system holds the engine weakly, so that dropping both
+        # frees them without the cyclic garbage collector.
+        engine = weakref.ref(self)
+
+        def listener(chunk: TraceChunk):
+            live = engine()
+            if live is not None:
+                live._on_dram(chunk)
+        mem.dram_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # DRAM-side trigger path
     # ------------------------------------------------------------------
-    def _on_dram(self, record: TraceRecord):
-        if (self._job is not None and record.op == "R"
-                and self._span[0] <= record.addr < self._span[1]):
-            self._pending.append((record.addr, record.agent == "prefetcher"))
+    def _on_dram(self, chunk: TraceChunk):
+        """Keep each read chunk until the next MAC flush, which selects the
+        reads of the weight image with one mask over all of them."""
+        if self._job is not None and chunk.op == "R":
+            self._pending.append(chunk)
 
     def _flush_macs(self):
         """Decode the pending reads; each one that reads a burst of the
@@ -143,14 +153,18 @@ class PimGemvEngine:
         order)."""
         if not self._pending:
             return
-        pending = np.array(self._pending, dtype=np.int64)
+        addrs = np.concatenate([c.addrs for c in self._pending])
+        prefetched = np.repeat([c.agent == "prefetcher" for c in self._pending],
+                               [len(c.addrs) for c in self._pending])
         self._pending = []
+        inside = (addrs >= self._span[0]) & (addrs < self._span[1])
+        addrs, prefetched = addrs[inside], prefetched[inside]
         p = self._job.placement
-        bursts = burst_of_address(p, pending[:, 0])
+        bursts = burst_of_address(p, addrs)
         triggered = bursts >= 0
         bursts = bursts[triggered]
         self._trigger_count += len(bursts)
-        self._prefetch_triggers += int(pending[triggered, 1].sum())
+        self._prefetch_triggers += int(prefetched[triggered].sum())
         n = min(len(bursts), len(self._x))
         bursts = bursts[:n]  # RF pointer saturates past the staged tile
         x = self._x[:n]
@@ -257,10 +271,10 @@ class PimGemvEngine:
             for i in range(job.num_input_tiles):
                 self.pim_write_input(x_padded[i * tile_elems:(i + 1) * tile_elems],
                                      agent)
-                for a in addrs[i * tile_elems:(i + 1) * tile_elems].tolist():
-                    self.mem.access(a, "R", geo.burst_bytes, agent)
-            for _ in range(PIPELINE_DRAIN_READS):
-                self.mem.access(self.dummy_addr, "R", geo.burst_bytes, agent)
+                self.mem.access_many(addrs[i * tile_elems:(i + 1) * tile_elems],
+                                     "R", geo.burst_bytes, agent)
+            self.mem.access_many([self.dummy_addr] * PIPELINE_DRAIN_READS,
+                                 "R", geo.burst_bytes, agent)
             vals, bits = self.pim_read_output(agent)
             span = slice(o * 16 * p.active_banks, (o + 1) * 16 * p.active_banks)
             out_vals[span] = vals

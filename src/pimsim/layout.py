@@ -245,11 +245,10 @@ def smc_copy(image: PimImage, rows: range, cols: range,
         if not region.is_non_cacheable:
             raise AttributeViolation(
                 f"SMC source region {region.name!r} is not non-cacheable")
-    if mem is not None:
         tiles = np.arange(rows[0] // p.row_tile, rows[-1] // p.row_tile + 1)
         addrs = burst_address_of_tile(p, tiles)[:, cols.start:cols.stop]
-        for a in addrs.ravel().tolist():  # tile by tile, then column
-            mem.access(a, "R", geo.burst_bytes, agent)
+        # tile by tile, then column
+        mem.access_many(addrs.ravel(), "R", geo.burst_bytes, agent)
     idx = element_index(p, image.base_addr)[rows.start:rows.stop,
                                             cols.start:cols.stop]
     # column-major destination: one row per column

@@ -6,15 +6,22 @@ access to a non-cacheable region, cache line fills, and dirty-line
 write-backs.  Cache hits never appear in the trace, which is precisely
 what makes cacheable placement of PIM weights hazardous: reads absorbed
 by the cache cannot trigger PIM execution.
+
+The trace is columnar: a batch of non-cacheable requests is stored, and
+handed to the DRAM listeners, as one chunk of consecutive ticks with an
+address array.  ``TraceRecord``s are built only when the trace is iterated.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict, defaultdict
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import CapacityError, RegionError
 
@@ -60,6 +67,74 @@ class TraceRecord(NamedTuple):
     nbytes: int
 
 
+class TraceChunk(NamedTuple):
+    """Requests of one agent and op at consecutive ticks from ``tick``."""
+
+    tick: int
+    agent: str
+    op: str
+    addrs: np.ndarray  # int64, one address per request
+    nbytes: int
+
+
+class TraceView:
+    """Records ``start`` up to ``stop`` of a trace, built as they are
+    iterated.  The view holds only the chunks it covers, so it does not
+    change, or keep the rest of the trace alive, when the trace grows or
+    is cleared."""
+
+    def __init__(self, chunks: list[TraceChunk], ends: list[int], start: int, stop: int):
+        start = min(start, stop)
+        first = bisect_right(ends, start)
+        last = bisect_left(ends, stop) + 1 if start < stop else first
+        self._chunks, self._ends = chunks[first:last], ends[first:last]
+        self._base = ends[first - 1] if first else 0  # position of the first chunk
+        self._start, self._stop = start, stop
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def __iter__(self):
+        pos = self._base
+        for c, end in zip(self._chunks, self._ends):
+            lo = max(self._start - pos, 0)
+            for tick, addr in enumerate(c.addrs[lo:self._stop - pos].tolist(), c.tick + lo):
+                yield TraceRecord(tick, c.agent, c.op, addr, c.nbytes)
+            pos = end
+
+    def __eq__(self, other):
+        if isinstance(other, (TraceView, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+class CommandTrace:
+    """The DRAM command trace, as chunks with a cumulative-end index."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self._chunks: list[TraceChunk] = []
+        self._ends: list[int] = []  # records up to the end of each chunk
+        self._len = 0
+
+    def append(self, chunk: TraceChunk):
+        self._len += len(chunk.addrs)
+        self._chunks.append(chunk)
+        self._ends.append(self._len)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def view(self, start: int = 0) -> TraceView:
+        """Records from position ``start`` to the current end."""
+        return TraceView(self._chunks, self._ends, start, self._len)
+
+    def __iter__(self):
+        return iter(self.view())
+
+
 class HitRecord(NamedTuple):
     tick: int
     agent: str
@@ -94,15 +169,18 @@ class _Cache:
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self.sets = [OrderedDict() for _ in range(config.sets)]
+        self.sets = defaultdict(OrderedDict)  # set index -> set, made on first use
         self.stats = CacheStats()
+        self._line_bytes, self._n_sets = config.line_bytes, config.sets
 
     def line_of(self, addr: int) -> int:
-        return addr - (addr % self.config.line_bytes)
+        return addr - (addr % self._line_bytes)
+
+    def _set_of(self, line_addr: int) -> OrderedDict:
+        return self.sets[(line_addr // self._line_bytes) % self._n_sets]
 
     def lookup(self, line_addr: int) -> bool:
-        idx = (line_addr // self.config.line_bytes) % self.config.sets
-        s = self.sets[idx]
+        s = self._set_of(line_addr)
         if line_addr in s:
             s.move_to_end(line_addr)
             return True
@@ -110,8 +188,7 @@ class _Cache:
 
     def fill(self, line_addr: int) -> int | None:
         """Insert a line; returns the address of an evicted dirty line, if any."""
-        idx = (line_addr // self.config.line_bytes) % self.config.sets
-        s = self.sets[idx]
+        s = self._set_of(line_addr)
         victim = None
         if len(s) >= self.config.ways:
             evicted, dirty = s.popitem(last=False)
@@ -122,9 +199,14 @@ class _Cache:
         return victim
 
     def mark_dirty(self, line_addr: int):
-        idx = (line_addr // self.config.line_bytes) % self.config.sets
-        self.sets[idx][line_addr] = True
-        self.sets[idx].move_to_end(line_addr)
+        s = self._set_of(line_addr)
+        s[line_addr] = True
+        s.move_to_end(line_addr)
+
+
+def _check_op(op: str):
+    if op not in ("R", "W"):
+        raise RegionError(f"op must be 'R' or 'W', got {op!r}")
 
 
 class MemorySystem:
@@ -132,8 +214,9 @@ class MemorySystem:
 
     Accesses are serialized into one total order; determinism for a fixed
     access sequence is guaranteed.  An optional "rogue prefetcher" mode
-    injects one extra sequential read every ``rogue_period`` reads to
-    model a prefetcher that disrupts PIM command synchronization.
+    injects one extra sequential read every ``rogue_period`` reads, of the
+    next block when it lies in the same region, to model a prefetcher
+    that disrupts PIM command synchronization.
     """
 
     def __init__(self, capacity: int, cache: CacheConfig | None = None,
@@ -145,9 +228,10 @@ class MemorySystem:
         self.rogue_prefetcher = rogue_prefetcher
         self.rogue_period = rogue_period
         self.regions: list[MemoryRegion] = []
-        self.trace: list[TraceRecord] = []
+        self._bases: list[int] = []  # region bases, ascending
+        self.trace = CommandTrace()
         self.hit_log: list[HitRecord] = []
-        self.dram_listeners: list[Callable[[TraceRecord], None]] = []
+        self.dram_listeners: list[Callable[[TraceChunk], None]] = []
         self._next_base = 0
         self._pool_used = 0
         self._tick = 0
@@ -176,26 +260,35 @@ class MemorySystem:
         region = MemoryRegion(name or f"region{len(self.regions)}",
                               base, size, attribute, kind)
         self.regions.append(region)
+        self._bases.append(base)
         self._next_base = base + size
         if kind is RegionKind.CONTIGUOUS_POOL:
             self._pool_used += size
         return region
 
     def region_at(self, addr: int) -> MemoryRegion:
-        for region in self.regions:
-            if region.contains(addr):
-                return region
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0 and self.regions[i].contains(addr):
+            return self.regions[i]
         raise RegionError(f"unmapped address {addr:#x}")
 
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
-    def _emit(self, agent: str, op: str, addr: int, nbytes: int):
-        record = TraceRecord(self._tick, agent, op, addr, nbytes)
-        self._tick += 1
-        self.trace.append(record)
+    def _emit(self, agent: str, op: str, addrs: np.ndarray, nbytes: int):
+        chunk = TraceChunk(self._tick, agent, op, addrs, nbytes)
+        self._tick += len(addrs)
+        self.trace.append(chunk)
         for listener in self.dram_listeners:
-            listener(record)
+            listener(chunk)
+
+    def _region_of(self, op: str, lo: int, hi: int, nbytes: int) -> MemoryRegion:
+        """The region holding requests from ``lo`` to ``hi`` inclusive."""
+        _check_op(op)
+        region = self.region_at(lo)
+        if hi + nbytes > region.base + region.size:
+            raise RegionError(f"access [{hi:#x}, +{nbytes}) crosses region end")
+        return region
 
     def access(self, addr: int, op: str, nbytes: int, agent: str = "host") -> Source:
         """Issue one request; returns which level serviced it.
@@ -205,23 +298,55 @@ class MemorySystem:
         line-granularity DRAM read, plus a write-back when evicting a
         dirty victim); a hit produces no DRAM traffic.
         """
-        if op not in ("R", "W"):
-            raise RegionError(f"op must be 'R' or 'W', got {op!r}")
-        region = self.region_at(addr)
-        if addr + nbytes > region.base + region.size:
-            raise RegionError(f"access [{addr:#x}, +{nbytes}) crosses region end")
+        region = self._region_of(op, addr, addr, nbytes)
         if region.is_non_cacheable:
-            self._emit(agent, op, addr, nbytes)
-            source = Source.DRAM
-        else:
-            source = self._cached_access(addr, op, nbytes, agent)
-        if op == "R" and self.rogue_prefetcher and agent != "prefetcher":
-            self._reads_seen += 1
-            if self._reads_seen % self.rogue_period == 0:
-                nxt = addr + nbytes
-                if region.contains(nxt):
-                    self.access(nxt, "R", nbytes, agent="prefetcher")
+            self._dram_batch(region, np.array([addr], dtype=np.int64), op, nbytes, agent)
+            return Source.DRAM
+        source = self._cached_access(addr, op, nbytes, agent)
+        if (self._rogue_positions(op, agent, 1)
+                and addr + 2 * nbytes <= region.base + region.size):
+            self.access(addr + nbytes, "R", nbytes, agent="prefetcher")
         return source
+
+    def access_many(self, addrs, op: str, nbytes: int, agent: str = "host"):
+        """Issue ``access(a, op, nbytes, agent)`` for each ``a`` in order,
+        with the same trace, ticks and cache state.  The batch must lie in
+        one region and is validated before any request is issued; in a
+        non-cacheable region it reaches DRAM as one chunk."""
+        addrs = np.array(addrs, dtype=np.int64).reshape(-1)
+        if not addrs.size:
+            _check_op(op)
+            return
+        region = self._region_of(op, int(addrs.min()), int(addrs.max()), nbytes)
+        if region.is_non_cacheable:
+            self._dram_batch(region, addrs, op, nbytes, agent)
+        else:
+            for addr in addrs.tolist():
+                self.access(addr, op, nbytes, agent)
+
+    def _dram_batch(self, region: MemoryRegion, addrs: np.ndarray, op: str,
+                    nbytes: int, agent: str):
+        """Non-cacheable requests: one chunk, split where the rogue
+        prefetcher injects a read."""
+        start = 0
+        for j in self._rogue_positions(op, agent, len(addrs)):
+            nxt = int(addrs[j]) + nbytes
+            if nxt + nbytes <= region.base + region.size:
+                self._emit(agent, op, addrs[start:j + 1], nbytes)
+                start = j + 1
+                self.access(nxt, "R", nbytes, agent="prefetcher")
+        if start < len(addrs):
+            self._emit(agent, op, addrs[start:], nbytes)
+
+    def _rogue_positions(self, op: str, agent: str, n: int) -> range:
+        """Positions in a batch of ``n`` requests after which the rogue
+        prefetcher injects a read: every ``rogue_period``-th read of an
+        agent other than the prefetcher itself."""
+        if op != "R" or not self.rogue_prefetcher or agent == "prefetcher":
+            return range(0)
+        seen = self._reads_seen
+        self._reads_seen += n
+        return range(-(seen + 1) % self.rogue_period, n, self.rogue_period)
 
     def _cached_access(self, addr: int, op: str, nbytes: int, agent: str) -> Source:
         line_bytes = self.cache.config.line_bytes
@@ -238,8 +363,9 @@ class MemorySystem:
                 victim = self.cache.fill(line)
                 if victim is not None:
                     self.cache.stats.writebacks += 1
-                    self._emit(agent, "W", victim, line_bytes)
-                self._emit(agent, "R", line, line_bytes)
+                    self._emit(agent, "W", np.array([victim], dtype=np.int64),
+                               line_bytes)
+                self._emit(agent, "R", np.array([line], dtype=np.int64), line_bytes)
                 filled = True
             if op == "W":
                 self.cache.mark_dirty(line)
@@ -252,15 +378,15 @@ class MemorySystem:
     def mark(self) -> tuple[int, int]:
         return len(self.trace), len(self.hit_log)
 
-    def records_since(self, mark: tuple[int, int]) -> list[TraceRecord]:
-        return self.trace[mark[0]:]
+    def records_since(self, mark: tuple[int, int]) -> TraceView:
+        return self.trace.view(mark[0])
 
     def hits_since(self, mark: tuple[int, int]) -> list[HitRecord]:
         return self.hit_log[mark[1]:]
 
-    def drain_trace(self) -> list[TraceRecord]:
+    def drain_trace(self) -> TraceView:
         """Snapshot of records accumulated since the previous drain."""
-        snapshot = self.trace[self._drain_mark:]
+        snapshot = self.trace.view(self._drain_mark)
         self._drain_mark = len(self.trace)
         return snapshot
 

@@ -8,6 +8,7 @@ not counted separately.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,10 +37,17 @@ class ModelSpec:
     element_bytes: int = 2
 
     def __post_init__(self):
-        if self.hidden < 1 or self.intermediate < 1 or self.layers < 0:
+        for name in ("hidden", "intermediate", "layers", "vocab", "element_bytes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"model {name} must be an integer, got {value!r}")
+        if (self.hidden < 1 or self.intermediate < 1 or self.layers < 0
+                or self.element_bytes < 1):
             raise ConfigError("model dimensions must be positive")
         kv = Fraction(self.kv_ratio)
         object.__setattr__(self, "kv_ratio", kv)
+        if kv <= 0:
+            raise ConfigError(f"kv_ratio must be positive, got {kv}")
         if (self.hidden * kv).denominator != 1:
             raise ConfigError("hidden * kv_ratio must be an integer")
 

@@ -137,6 +137,16 @@ BAD_CONFIGS = {
     "fractional_in_len": json.dumps({"model": "toy-64", "in_len": 1.5,
                                      "out_len": 2}),
     "bool_out_len": json.dumps({"model": "toy-64", "out_len": True}),
+    "fractional_model_layers": json.dumps({"model": {
+        "hidden": 64, "intermediate": 256, "layers": 1.5}}),
+    "fractional_model_hidden": json.dumps({"model": {
+        "hidden": 64.5, "intermediate": 256, "layers": 1}}),
+    "bool_hardware_bandwidth": json.dumps({"model": "toy-64",
+                                           "hardware": {"dram_bw_gbps": True}}),
+    "zero_element_bytes": json.dumps({"model": {
+        "hidden": 64, "intermediate": 256, "layers": 1, "element_bytes": 0}}),
+    "negative_kv_ratio": json.dumps({"model": {
+        "hidden": 64, "intermediate": 256, "layers": 1, "kv_ratio": "-1/4"}}),
 }
 BAD_SWEEP_CONFIGS = {
     "scalar_in_lens": json.dumps({"model": "toy-64", "in_lens": 5}),

@@ -83,6 +83,10 @@ def test_hardware_validation():
                 HardwareSpec(**{name: bad})
     with pytest.raises(ConfigError):
         HardwareSpec(smc_bw_override_gbps=0.0)
+    for name in ("dram_bw_gbps", "smc_bw_override_gbps", "host_overhead_per_token"):
+        for bad in (True, "1"):
+            with pytest.raises(ConfigError):
+                HardwareSpec(**{name: bad})
 
 
 def test_capacity_report_structure():

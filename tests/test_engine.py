@@ -1,7 +1,9 @@
 """PIM GEMV engine against a host oracle, plus command-count and
 trigger-integrity behavior."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -267,3 +269,19 @@ def test_job_validates_input_length():
     engine, image = build(64, 128, np.zeros((64, 128)))
     with pytest.raises(ConfigError):
         GemvJob(image, np.zeros(64, dtype=np.uint16))
+
+
+def test_dropped_engine_and_memory_system_are_freed_without_gc():
+    """Nothing links the engine and its memory system in a cycle, so they
+    are freed as soon as they are dropped, even with the cyclic garbage
+    collector off."""
+    gc.disable()
+    try:
+        engine, image = build(64, 128, np.ones((64, 128)))
+        job, result = run_exact(engine, image, np.arange(128))
+        assert result.triggered_mac_reads == job.expected_mac_reads
+        refs = (weakref.ref(engine), weakref.ref(engine.mem))
+        del engine, job, result
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

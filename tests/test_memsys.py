@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pimsim.errors import CapacityError, RegionError
 from pimsim.memsys import (Attribute, CacheConfig, MemorySystem, RegionKind,
-                           Source)
+                           Source, TraceRecord)
 
 
 def make_mem(**kwargs):
@@ -187,3 +187,81 @@ def test_fixed_sequence_is_deterministic():
         return mem.export_trace_ndjson()
 
     assert run() == run()
+
+
+BATCH_REGION = 1024  # bytes in each region of the batch property
+
+
+def _batches(nbytes):
+    """Batches of offsets into a region of BATCH_REGION bytes, biased to
+    its ends, where the rogue prefetcher's next block no longer fits."""
+    last = BATCH_REGION - nbytes
+    offset = st.one_of(st.integers(0, last),
+                       st.sampled_from([0, last, last - nbytes, last - nbytes + 1]))
+    return st.lists(st.tuples(st.booleans(),           # cacheable region
+                              st.sampled_from("RW"),
+                              st.sampled_from(["host", "copy"]),
+                              st.lists(offset, max_size=12),
+                              st.sampled_from(["", "drain", "clear"])),
+                    max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.integers(1, 7), st.sampled_from([4, 32, 64]), st.data())
+def test_access_many_equals_a_sequence_of_access(rogue, period, nbytes, data):
+    batches = data.draw(_batches(nbytes), label="batches")
+
+    def run(batched):
+        mem = make_mem(rogue_prefetcher=rogue, rogue_period=period)
+        regions = [mem.allocate_region(RegionKind.GENERAL, attr, BATCH_REGION)
+                   for attr in (Attribute.NON_CACHEABLE, Attribute.CACHEABLE)]
+        seen = []  # every record, as the DRAM listeners receive it
+        mem.dram_listeners.append(lambda c: seen.extend(
+            TraceRecord(c.tick + i, c.agent, c.op, a, c.nbytes)
+            for i, a in enumerate(c.addrs.tolist())))
+        windows = []
+        for cacheable, op, agent, offsets, then in batches:
+            addrs = [regions[cacheable].base + o for o in offsets]
+            mark = mem.mark()
+            if batched:
+                mem.access_many(addrs, op, nbytes, agent)
+            else:
+                for addr in addrs:
+                    mem.access(addr, op, nbytes, agent)
+            views = [mem.records_since(mark)]
+            if then == "drain":
+                views.append(mem.drain_trace())
+            windows += [(view, list(view)) for view in views]
+            if then == "clear":
+                mem.trace.clear()
+        # a view keeps its records while the trace grows and is cleared
+        assert all(list(view) == records for view, records in windows)
+        windows = [records for _, records in windows]
+        trace = list(mem.trace)
+        # every start position, inside chunks and past the end
+        tails = [list(mem.records_since((k, 0))) for k in range(len(trace) + 2)]
+        assert tails == [trace[k:] for k in range(len(trace) + 2)]
+        return (trace, mem.export_trace_ndjson(), seen, windows, mem.hit_log,
+                mem.cache.stats.as_dict(), list(mem.drain_trace()))
+
+    assert run(batched=True) == run(batched=False)
+
+
+def test_batch_outside_its_region_raises_before_any_record():
+    mem = make_mem()
+    a = mem.allocate_region(RegionKind.GENERAL, Attribute.NON_CACHEABLE, 256)
+    b = mem.allocate_region(RegionKind.GENERAL, Attribute.NON_CACHEABLE, 256)
+    c = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, 256)
+    seen = []
+    mem.dram_listeners.append(seen.append)
+    for addrs in ([a.base, a.base + 64, b.base],        # into the next region
+                  [a.base, a.base + 252],              # crosses the region end
+                  [c.base, c.base + 64, c.base + 256],  # cacheable, past the end
+                  [a.base, mem.capacity - 8]):         # unmapped
+        with pytest.raises(RegionError):
+            mem.access_many(addrs, "R", 8)
+    with pytest.raises(RegionError):
+        mem.access_many([a.base], "X", 8)
+    assert len(mem.trace) == 0 and seen == [] and mem.hit_log == []
+    assert mem.cache.stats.as_dict() == {"hits": 0, "misses": 0,
+                                         "evictions": 0, "writebacks": 0}
