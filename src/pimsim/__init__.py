@@ -23,8 +23,8 @@ from .memsys import (Attribute, CacheConfig, MemoryRegion, MemorySystem,
                      RegionKind, Source, TraceRecord)
 from .model import MatrixShape, ModelSpec
 from .runtime import (PrefillResult, Segment, Timeline, build_ddb_schedule,
-                      ddb_hiding_crossover, linear_stack_outputs, run_decode,
-                      run_end_to_end, run_prefill, speedup_grid)
+                      ddb_hiding_crossover, run_decode, run_end_to_end,
+                      run_prefill, speedup_grid)
 from .scenario import Scenario
 
 __version__ = "0.1.0"
@@ -40,8 +40,7 @@ __all__ = [
     "TraceRecord", "WeightMatrix", "bf16_decode", "bf16_encode",
     "build_ddb_schedule", "capacity_report", "capacity_summary",
     "convert_to_pim_aware", "ddb_hiding_crossover", "decode_token_time",
-    "default_field_order", "gemm_time", "linear_stack_outputs",
-    "model_placements", "padded_size", "rearrangement_overhead_table",
-    "run_decode", "run_end_to_end", "run_prefill", "smc_copy", "smc_time",
-    "speedup_grid", "unswizzle",
+    "default_field_order", "gemm_time", "model_placements", "padded_size",
+    "rearrangement_overhead_table", "run_decode", "run_end_to_end",
+    "run_prefill", "smc_copy", "smc_time", "speedup_grid", "unswizzle",
 ]

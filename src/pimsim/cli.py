@@ -5,7 +5,8 @@ Subcommands
 ``convert``
     Offline model conversion: a raw host-friendly weight blob (every
     matrix concatenated in model order, column-major, little-endian
-    elements) becomes a PIM-aware image blob plus a JSON manifest.
+    elements) becomes a JSON manifest plus a PIM-aware image blob that
+    holds each matrix in address order from its ``base_addr``.
 ``run``
     One scenario at one (in_len, out_len) point; JSON report with the
     fully resolved configuration embedded.
@@ -34,7 +35,8 @@ from .cost import CostMode, HardwareSpec, capacity_report
 from .dram import AddressMap
 from .engine import GemvJob, PimGemvEngine
 from .errors import ConfigError, SimulatorError
-from .layout import WeightMatrix, convert_to_pim_aware, model_placements
+from .layout import (PimPlacement, WeightMatrix, address_order,
+                     convert_to_pim_aware, model_placements)
 from .memsys import Attribute, CacheConfig, MemorySystem, RegionKind
 from .model import ModelSpec
 from .presets import (geometry_preset, hardware_preset, model_preset,
@@ -157,14 +159,14 @@ def cmd_convert(args) -> int:
         offset += n
         w = WeightMatrix(mat.out_dim, mat.in_dim, np.ascontiguousarray(data))
         img = convert_to_pim_aware(w, p)
-        images.append(img.data)
+        images.append(address_order(img))
         manifest["matrices"].append({
             "name": name, "out_dim": mat.out_dim, "in_dim": mat.in_dim,
             "m_pad": p.m_pad, "k_pad": p.k_pad, "base_row": p.base_row,
             "base_addr": img.base_addr, "span_bytes": img.span_bytes,
             "blob_offset_elements": image_offset,
         })
-        image_offset += img.data.size
+        image_offset += images[-1].size
     with open(args.output, "wb") as fh:
         for img in images:
             img.astype("<u2").tofile(fh)
@@ -266,7 +268,6 @@ def _random_gemv_trial(rng: np.random.Generator, engine_kwargs: dict,
     amap = AddressMap(geometry)
     out_dim = int(rng.integers(1, 3)) * 16 * 4  # multiples of one tile group
     in_dim = int(rng.integers(1, 3)) * 128
-    from .layout import PimPlacement
     p = PimPlacement(amap, out_dim, in_dim, banks_per_channel=4,
                      channels_used=1)
     w_int = rng.integers(-3, 4, size=(out_dim, in_dim))

@@ -10,9 +10,10 @@ host cache silently skips its MAC - the memory-attribute hazard this
 simulator exists to demonstrate.
 
 MAC micro-order: the j-th triggering read since the last input staging
-consumes input element j; the fetched burst supplies 16 weights (one
-column of a 16-row output tile), and in multi-bank mode every active bank
-applies the same (row, column) command in lockstep.
+consumes input element j; the fetched burst supplies one weight per lane
+(one column of an output tile, 16 rows for 32-byte bursts of 2-byte
+elements), and in multi-bank mode every active bank applies the same (row,
+column) command in lockstep.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ import numpy as np
 
 from . import bf16
 from .errors import ConfigError, StagingError
-from .layout import (PimImage, burst_address_of_tile, burst_of_address,
-                     element_index)
+from .layout import (RF_ENTRIES, PimImage, burst_address_of_tile,
+                     burst_of_address)
 from .memsys import Attribute, MemorySystem, RegionKind, TraceChunk, TraceView
 
 PIPELINE_DRAIN_READS = 5
-RF_ENTRIES = 8
 
 
 @dataclass
@@ -48,8 +48,6 @@ class GemvJob:
             raise ConfigError(f"input length {self.input_bits.size} != K {p.in_dim}")
         if self.arithmetic not in ("bf16", "exact"):
             raise ConfigError(f"unknown arithmetic mode {self.arithmetic!r}")
-        if self.input_tile_elements > RF_ENTRIES * p.geometry.elements_per_burst:
-            raise StagingError("input tile exceeds register file capacity")
 
     @property
     def placement(self):
@@ -170,11 +168,10 @@ class PimGemvEngine:
         x = self._x[:n]
         if self.corrupt_mac_order:
             x = x[::-1]
-        slots = bursts // p.k_pad
-        cols = bursts % p.k_pad
-        # weights_view: (slots, active_banks, 16 lanes, k_pad)
-        gathered = self._weights_view[slots, :, :, cols]  # (n, banks, 16)
-        self._acc += np.einsum("nab,n->ab", gathered, x)
+        slots, cols = np.divmod(bursts, p.k_pad)
+        # (n, active banks, lanes): each read's burst in every active bank
+        w = bf16.decode(self._job.image.data[slots, :, :, cols])
+        self._acc += np.einsum("nab,n->ab", w.astype(self._acc.dtype), x)
 
     # ------------------------------------------------------------------
     # Staging primitives
@@ -241,17 +238,13 @@ class PimGemvEngine:
         self._trigger_count = 0
         self._prefetch_triggers = 0
         acc_dtype = np.float64 if job.arithmetic == "exact" else np.float32
-        self._acc = np.zeros((p.active_banks, 16), dtype=acc_dtype)
+        self._acc = np.zeros((p.active_banks, p.row_tile), dtype=acc_dtype)
         self._staged_bits = np.zeros(job.input_tile_elements, dtype=np.uint16)
         self._readout = (np.zeros(self._acc.shape),
                          np.zeros(self._acc.shape, dtype=np.uint16))
         self._x = np.zeros(job.input_tile_elements, dtype=acc_dtype)
         self._span = (job.image.base_addr,
                       job.image.base_addr + job.image.span_bytes)
-        # The padded weight matrix, gathered from the image bytes.
-        wp = job.image.data[element_index(p, job.image.base_addr)]
-        wf = bf16.decode(wp).astype(acc_dtype)
-        self._weights_view = wf.reshape(p.slots, p.active_banks, p.row_tile, p.k_pad)
 
     def execute(self, job: GemvJob, agent: str = "host") -> GemvResult:
         """Run the full GEMV command protocol for ``job``."""
@@ -260,37 +253,31 @@ class PimGemvEngine:
         self._bind(job)
         weight_region = self.mem.region_at(job.image.base_addr)
         mark = self.mem.mark()
-        tile_elems = job.input_tile_elements
         x_padded = np.zeros(p.k_pad, dtype=np.uint16)
         x_padded[:p.in_dim] = job.input_bits
-        out_bits = np.zeros(p.m_pad, dtype=np.uint16)
-        out_vals = np.zeros(p.m_pad, dtype=np.float64)
+        x_tiles = x_padded.reshape(job.num_input_tiles, -1)
+        out_bits = np.zeros((job.num_out_tiles, p.active_banks * p.row_tile),
+                            dtype=np.uint16)
+        out_vals = np.zeros(out_bits.shape)
         for o in range(job.num_out_tiles):
             self._acc[:] = 0
             addrs = burst_address_of_tile(p, o * p.active_banks)
-            for i in range(job.num_input_tiles):
-                self.pim_write_input(x_padded[i * tile_elems:(i + 1) * tile_elems],
-                                     agent)
-                self.mem.access_many(addrs[i * tile_elems:(i + 1) * tile_elems],
-                                     "R", geo.burst_bytes, agent)
+            for x_tile, reads in zip(x_tiles, addrs.reshape(x_tiles.shape)):
+                self.pim_write_input(x_tile, agent)
+                self.mem.access_many(reads, "R", geo.burst_bytes, agent)
             self.mem.access_many([self.dummy_addr] * PIPELINE_DRAIN_READS,
                                  "R", geo.burst_bytes, agent)
-            vals, bits = self.pim_read_output(agent)
-            span = slice(o * 16 * p.active_banks, (o + 1) * 16 * p.active_banks)
-            out_vals[span] = vals
-            out_bits[span] = bits
-        records = self.mem.records_since(mark)
-        result = GemvResult(
-            output=out_vals[:p.out_dim].copy(),
-            output_bits=out_bits,
-            records=records,
+            out_vals[o], out_bits[o] = self.pim_read_output(agent)
+        return GemvResult(
+            output=out_vals.reshape(-1)[:p.out_dim].copy(),
+            output_bits=out_bits.reshape(-1),
+            records=self.mem.records_since(mark),
             hits=self.mem.hits_since(mark),
             expected_mac_reads=job.expected_mac_reads,
             triggered_mac_reads=self._trigger_count,
             prefetcher_triggers=self._prefetch_triggers,
             weights_non_cacheable=weight_region.is_non_cacheable,
         )
-        return result
 
     def verify_trigger_integrity(self, job: GemvJob,
                                  result: GemvResult) -> IntegrityReport:

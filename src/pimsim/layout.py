@@ -16,6 +16,12 @@ Padding: the output dimension is padded to a multiple of
 DRAM-row boundary; the input dimension is padded to a whole number of
 128-element input tiles (8 register-file entries of 16 lanes).  Padding
 elements are zero.
+
+A :class:`PimImage` stores the padded matrix in burst order.  Physical
+addresses are computed only at the DRAM boundary: the requests
+(:func:`burst_address_of_tile`), the trigger decode
+(:func:`burst_of_address`) and the ``pimsim convert`` export
+(:func:`address_order`).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .dram import AddressMap, DramCoord, pack_fields, slice_fields
 from .errors import AttributeViolation, CapacityError, GeometryError
 from .model import ModelSpec
 
-INPUT_TILE_RF_ENTRIES = 8
+RF_ENTRIES = 8  # entries of each PIM block's input and output register file
 
 
 @dataclass
@@ -82,7 +88,7 @@ class PimPlacement:
 
     @property
     def input_tile_elements(self) -> int:
-        return INPUT_TILE_RF_ENTRIES * self.geometry.elements_per_burst
+        return RF_ENTRIES * self.geometry.elements_per_burst
 
     @property
     def active_banks(self) -> int:
@@ -159,15 +165,6 @@ def burst_address_of_tile(p: PimPlacement, tile) -> np.ndarray:
         "row": rows, "column": burst % geo.columns_per_row})
 
 
-def element_index(p: PimPlacement, base_addr: int) -> np.ndarray:
-    """(m_pad, k_pad) index of every padded element into the image data of
-    an image starting at ``base_addr``."""
-    addrs = burst_address_of_tile(p, np.arange(p.m_pad // p.row_tile))
-    elem0 = (addrs - base_addr) // p.geometry.element_bytes
-    lanes = np.arange(p.row_tile)
-    return (elem0[:, None, :] + lanes[:, None]).reshape(p.m_pad, p.k_pad)
-
-
 def burst_of_address(p: PimPlacement, addrs: np.ndarray) -> np.ndarray:
     """Inverse of the placement by bit slicing: the burst index
     ``slot * k_pad + column`` each address reads, or -1 for an address that
@@ -185,33 +182,45 @@ def burst_of_address(p: PimPlacement, addrs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PimImage:
-    """PIM-aware weight image: a byte buffer indexed by physical address
-    relative to ``base_addr``, plus padded dimensions."""
+    """PIM-aware weight image: the padded matrix in burst order, ``data[s,
+    b, lane, k] == w[(s * active_banks + b) * lanes + lane, k]``.
+    ``base_addr`` and ``span_bytes`` bound the placed bursts' addresses
+    exactly."""
 
     placement: PimPlacement
     base_addr: int
-    data: np.ndarray  # uint16 elements covering the address span
-
-    @property
-    def span_bytes(self) -> int:
-        return self.data.size * self.placement.geometry.element_bytes
+    span_bytes: int
+    data: np.ndarray  # uint16, (slots, active_banks, lanes, k_pad)
 
 
 def convert_to_pim_aware(w: WeightMatrix, p: PimPlacement) -> PimImage:
     """Offline model converter: host-friendly matrix -> PIM-aware image.
 
-    The image satisfies ``image[encode(pim_coord_of_element(m, k))] ==
-    w[m, k]`` for all valid (m, k) and spans exactly the placed bursts;
-    padding elements are zero.
+    Element (m, k) lands at ``encode(pim_coord_of_element(m, k))`` in the
+    image's :func:`address_order`; padding elements are zero.
     """
     if (w.out_dim, w.in_dim) != (p.out_dim, p.in_dim):
         raise GeometryError("placement dims do not match matrix dims")
-    idx = element_index(p, 0)
-    lo = int(idx.min())
-    img = np.zeros(int(idx.max()) + 1 - lo, dtype=np.uint16)
-    img[idx[:w.out_dim, :w.in_dim] - lo] = w.data
-    return PimImage(placement=p, base_addr=lo * p.geometry.element_bytes,
-                    data=img)
+    padded = np.pad(w.data, ((0, p.m_pad - p.out_dim), (0, p.k_pad - p.in_dim)))
+    # Each active bank holds the same (row, column) bursts at disjoint bank and
+    # channel bits: the first bank has the lowest address, the last the highest.
+    first = np.arange(p.slots) * p.active_banks
+    lo = int(burst_address_of_tile(p, first).min())
+    hi = int(burst_address_of_tile(p, first + p.active_banks - 1).max())
+    return PimImage(p, lo, hi + p.geometry.burst_bytes - lo, padded.reshape(
+        p.slots, p.active_banks, p.row_tile, p.k_pad))
+
+
+def address_order(image: PimImage) -> np.ndarray:
+    """The image as stored in DRAM: one element per element address from
+    ``base_addr`` over ``span_bytes``, zero where no burst is placed."""
+    p = image.placement
+    eb = p.geometry.element_bytes
+    tiles = np.arange(p.m_pad // p.row_tile).reshape(p.slots, -1, 1)
+    first = (burst_address_of_tile(p, tiles) - image.base_addr) // eb
+    out = np.zeros(image.span_bytes // eb, dtype=np.uint16)
+    out[first + np.arange(p.row_tile)[:, None]] = image.data
+    return out
 
 
 def smc_copy(image: PimImage, rows: range, cols: range,
@@ -249,10 +258,10 @@ def smc_copy(image: PimImage, rows: range, cols: range,
         addrs = burst_address_of_tile(p, tiles)[:, cols.start:cols.stop]
         # tile by tile, then column
         mem.access_many(addrs.ravel(), "R", geo.burst_bytes, agent)
-    idx = element_index(p, image.base_addr)[rows.start:rows.stop,
-                                            cols.start:cols.stop]
+    w = image.data.reshape(p.m_pad, p.k_pad)
     # column-major destination: one row per column
-    dst[:nr * nc].reshape(nc, nr)[:] = image.data[idx.T]
+    dst[:nr * nc].reshape(nc, nr)[:] = w[rows.start:rows.stop,
+                                         cols.start:cols.stop].T
     return nr * nc * geo.element_bytes
 
 

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .cost import (ONLINE_T, CostMode, HardwareSpec, analytical_gemm_t,
                    decode_token_time, gemm_time, smc_time)
 from .errors import ConfigError
@@ -396,39 +394,3 @@ def ddb_hiding_crossover(model: ModelSpec, hw: HardwareSpec,
                and (seg.copy_tag != "qkvo" or model.layers > 1)):
             return sl
     raise ConfigError(f"no crossover at or below sl={max_sl}")
-
-
-# ----------------------------------------------------------------------
-# Functional prefill path (exact arithmetic)
-# ----------------------------------------------------------------------
-
-def linear_stack_outputs(model: ModelSpec,
-                         weights: dict[str, np.ndarray],
-                         x: np.ndarray) -> dict[str, np.ndarray]:
-    """Run the linear stack on host-side float64 values.
-
-    ``weights`` maps matrix names (see :meth:`ModelSpec.all_matrices`) to
-    (out_dim, in_dim) float arrays.  The glue between layers is a
-    deterministic bounded remainder standing in for normalization, which
-    keeps integer-valued activations exactly representable.  Returns every
-    projection output plus the final logits.
-    """
-    outs = {}
-    x = np.asarray(x, dtype=np.float64)
-    for layer in range(model.layers):
-        p = f"layer{layer}."
-        q = weights[p + "q"] @ x
-        outs[p + "k"] = weights[p + "k"] @ x
-        outs[p + "v"] = weights[p + "v"] @ x
-        outs[p + "q"] = q
-        t = weights[p + "o"] @ q
-        outs[p + "o"] = t
-        g = weights[p + "ff0"] @ t
-        u = weights[p + "ff1"] @ t
-        outs[p + "ff0"], outs[p + "ff1"] = g, u
-        x = weights[p + "ff2"] @ (g + u)
-        outs[p + "ff2"] = x
-        x = np.mod(x, 251.0) - 125.0  # bounded stand-in for normalization
-    if model.head_matrix() is not None:
-        outs["logits"] = weights["lm_head"] @ x
-    return outs

@@ -8,7 +8,8 @@ import pytest
 
 from pimsim.cli import main
 from pimsim.dram import AddressMap
-from pimsim.layout import model_placements, pim_coord_of_element
+from pimsim.layout import (WeightMatrix, address_order, convert_to_pim_aware,
+                           model_placements)
 from pimsim.presets import DESK_GEOMETRY, model_preset
 
 
@@ -44,19 +45,20 @@ def test_convert_round_trip_and_idempotence(tmp_path):
     manifest = json.loads(man1.read_text())
     names = [m["name"] for m in manifest["matrices"]]
     assert names[0] == "layer0.q" and names[-1] == "lm_head"
-    # spot-check the image against the placement function
-    amap = AddressMap(DESK_GEOMETRY)
-    placements = dict(model_placements(model, amap, 16, 1))
-    image = np.fromfile(out1, dtype="<u2")
-    entry = manifest["matrices"][0]
-    p = placements["layer0.q"]
-    w0 = parts[0].reshape(model.hidden, model.hidden, order="F")
-    from pimsim.dram import encode_coord
-    for (m, k) in ((0, 0), (3, 17), (60, 63)):
-        # the encoded address already carries the intra-burst lane offset
-        addr = encode_coord(amap, pim_coord_of_element(p, m, k))
-        idx = entry["blob_offset_elements"] + (addr - entry["base_addr"]) // 2
-        assert image[idx] == w0[m, k]
+    # each matrix of the blob is the address-order export of its image,
+    # whose addresses tests/test_layout.py checks element by element
+    placements = model_placements(model, AddressMap(DESK_GEOMETRY), 16, 1)
+    blob_out = np.fromfile(out1, dtype="<u2")
+    for entry, (name, p), part in zip(manifest["matrices"], placements, parts):
+        w = WeightMatrix(p.out_dim, p.in_dim,
+                         part.reshape(p.out_dim, p.in_dim, order="F"))
+        image = convert_to_pim_aware(w, p)
+        assert (entry["name"], entry["base_addr"], entry["span_bytes"]) == \
+            (name, image.base_addr, image.span_bytes)
+        start = entry["blob_offset_elements"]
+        assert np.array_equal(blob_out[start:start + image.span_bytes // 2],
+                              address_order(image))
+    assert start + image.span_bytes // 2 == blob_out.size
 
 
 def test_convert_rejects_truncated_blob(tmp_path, capsys):

@@ -142,15 +142,24 @@ def test_single_tile_trace_shape():
     assert ops[-1] == ("W", False)
 
 
+WIDE_BURST = AddressMap(DramGeometry(channels=1, ranks_per_channel=1,
+                                     banks_per_rank=16, rows_per_bank=256,
+                                     columns_per_row=32, burst_bytes=64))
+
+
 def test_back_to_back_non_cacheable_runs_are_ok():
+    """Also on 64-byte bursts: 32 lanes per tile, 256-element input tiles."""
     rng = np.random.default_rng(3)
     w = rng.integers(-3, 4, size=(64, 256)).astype(np.float64)
-    engine, image = build(64, 256, w)
-    for _ in range(2):
-        job, result = run_exact(engine, image, np.ones(256))
-        report = engine.verify_trigger_integrity(job, result)
-        assert report.ok
-        assert result.triggered_mac_reads == job.expected_mac_reads
+    x = rng.integers(-3, 4, size=256).astype(np.float64)
+    for amap in (AMAP, WIDE_BURST):
+        engine, image = build(64, 256, w, amap=amap)
+        for _ in range(2):
+            job, result = run_exact(engine, image, x)
+            report = engine.verify_trigger_integrity(job, result)
+            assert report.ok
+            assert result.triggered_mac_reads == job.expected_mac_reads
+            assert np.array_equal(result.output, w @ x)
 
 
 def test_cacheable_weights_block_second_run():

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimsim.dram import (FIELD_NAMES, AddressMap, DramGeometry,
-                         decode_address)
+                         decode_address, encode_coord)
 from pimsim.errors import AttributeViolation, CapacityError, GeometryError
-from pimsim.layout import (PimPlacement, WeightMatrix, burst_address_of_tile,
-                           burst_of_address, convert_to_pim_aware,
-                           model_placements, padded_size, pim_coord_of_element,
-                           smc_copy, unswizzle)
+from pimsim.layout import (PimPlacement, WeightMatrix, address_order,
+                           burst_address_of_tile, burst_of_address,
+                           convert_to_pim_aware, model_placements, padded_size,
+                           pim_coord_of_element, smc_copy, unswizzle)
 from pimsim.memsys import Attribute, CacheConfig, MemorySystem, RegionKind
 from pimsim.model import ModelSpec
 from pimsim.presets import PHONE_GEOMETRY, model_preset
@@ -63,6 +63,26 @@ def assert_image_spans_every_burst(image):
         image.base_addr + image.span_bytes
 
 
+def assert_addresses_hold_the_matrix(image, w):
+    """In the address-order export, every element (m, k) of ``w`` sits at
+    the physical address of its DRAM coordinate, and every other element of
+    the span is zero."""
+    p = image.placement
+    eb = p.geometry.element_bytes
+    flat = address_order(image)
+    assert flat.size * eb == image.span_bytes
+    rest = np.ones(flat.size, dtype=bool)
+    for m in range(p.out_dim):  # row by row, to fail (and shrink) fast
+        offsets = np.array([encode_coord(p.address_map,
+                                         pim_coord_of_element(p, m, k))
+                            for k in range(p.in_dim)]) - image.base_addr
+        assert offsets.min() >= 0 and offsets.max() < image.span_bytes
+        assert not (offsets % eb).any()
+        assert np.array_equal(flat[offsets // eb], w.data[m]), m
+        rest[offsets // eb] = False
+    assert not flat[rest].any()
+
+
 @st.composite
 def placements(draw):
     """A placement on a drawn address map that fits its geometry: any
@@ -89,7 +109,9 @@ def test_round_trip_is_identity(p, seed):
     w = WeightMatrix(out_dim, in_dim,
                      rng.integers(0, 1 << 16, size=(out_dim, in_dim)))
     image = convert_to_pim_aware(w, p)
+    assert image.data.size == p.m_pad * p.k_pad
     assert_image_spans_every_burst(image)
+    assert_addresses_hold_the_matrix(image, w)
     back = unswizzle(image)
     assert np.array_equal(back.data, w.data)
 
@@ -149,6 +171,7 @@ def test_span_covers_bursts_outside_the_first_and_last_slots():
     w = WeightMatrix(48, 128, rng.integers(0, 1 << 16, size=(48, 128)))
     image = convert_to_pim_aware(w, p)
     assert_image_spans_every_burst(image)
+    assert_addresses_hold_the_matrix(image, w)
     assert np.array_equal(unswizzle(image).data, w.data)
 
 

@@ -18,9 +18,8 @@ from pimsim.model import ModelSpec
 from pimsim.presets import (DESK_GEOMETRY, hardware_preset, model_preset,
                             pim_weight_bytes)
 from pimsim.runtime import (build_ddb_schedule, ddb_hiding_crossover,
-                            end_to_end_row, layer_plan,
-                            linear_stack_outputs, run_decode, run_end_to_end,
-                            run_prefill, speedup_grid)
+                            end_to_end_row, layer_plan, run_decode,
+                            run_end_to_end, run_prefill, speedup_grid)
 from pimsim.scenario import Scenario
 
 HW = hardware_preset("s24plus")
@@ -237,6 +236,38 @@ def test_invalid_arguments():
 # ----------------------------------------------------------------------
 # Functional prefill equivalence
 # ----------------------------------------------------------------------
+
+def linear_stack_outputs(model: ModelSpec,
+                         weights: dict[str, np.ndarray],
+                         x: np.ndarray) -> dict[str, np.ndarray]:
+    """Run the linear stack on host-side float64 values.
+
+    ``weights`` maps matrix names (see :meth:`ModelSpec.all_matrices`) to
+    (out_dim, in_dim) float arrays.  The glue between layers is a
+    deterministic bounded remainder standing in for normalization, which
+    keeps integer-valued activations exactly representable.  Returns every
+    projection output plus the final logits.
+    """
+    outs = {}
+    x = np.asarray(x, dtype=np.float64)
+    for layer in range(model.layers):
+        p = f"layer{layer}."
+        q = weights[p + "q"] @ x
+        outs[p + "k"] = weights[p + "k"] @ x
+        outs[p + "v"] = weights[p + "v"] @ x
+        outs[p + "q"] = q
+        t = weights[p + "o"] @ q
+        outs[p + "o"] = t
+        g = weights[p + "ff0"] @ t
+        u = weights[p + "ff1"] @ t
+        outs[p + "ff0"], outs[p + "ff1"] = g, u
+        x = weights[p + "ff2"] @ (g + u)
+        outs[p + "ff2"] = x
+        x = np.mod(x, 251.0) - 125.0  # bounded stand-in for normalization
+    if model.head_matrix() is not None:
+        outs["logits"] = weights["lm_head"] @ x
+    return outs
+
 
 def _random_weights(model, rng):
     return {m.name: rng.integers(-2, 3, size=(m.out_dim, m.in_dim))
