@@ -12,7 +12,7 @@ from .bf16 import encode as bf16_encode
 from .cost import (CostMode, HardwareSpec, capacity_report, capacity_summary,
                    decode_token_time, gemm_time, rearrangement_overhead_table,
                    smc_time)
-from .dram import AddressMap, DramCoord, DramGeometry, default_field_order
+from .dram import AddressMap, DramCoord, DramGeometry
 from .engine import GemvJob, GemvResult, IntegrityReport, PimGemvEngine
 from .errors import (AttributeViolation, CapacityError, ConfigError,
                      GeometryError, RegionError, SimulatorError, StagingError)
@@ -40,7 +40,7 @@ __all__ = [
     "TraceRecord", "WeightMatrix", "bf16_decode", "bf16_encode",
     "build_ddb_schedule", "capacity_report", "capacity_summary",
     "convert_to_pim_aware", "ddb_hiding_crossover", "decode_token_time",
-    "default_field_order", "gemm_time", "model_placements", "padded_size",
+    "gemm_time", "model_placements", "padded_size",
     "rearrangement_overhead_table", "run_decode", "run_end_to_end",
     "run_prefill", "smc_copy", "smc_time", "speedup_grid", "unswizzle",
 ]

@@ -49,7 +49,12 @@ from .scenario import Scenario
 # Config resolution
 # ----------------------------------------------------------------------
 
-def _load_config(path: str) -> dict:
+RUN_KEYS = frozenset({"model", "hardware", "scenario", "in_len", "out_len",
+                      "mode", "pim_bytes", "compute_pim_bytes", "timeline"})
+SWEEP_KEYS = RUN_KEYS | {"in_lens", "out_lens", "scenarios"}
+
+
+def _load_config(path: str, keys: frozenset) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -59,6 +64,10 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    unknown = sorted(set(cfg) - keys)
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; accepted: "
+                          f"{sorted(keys)}")
     return cfg
 
 
@@ -112,6 +121,13 @@ def _int_field(cfg: dict, key: str, default: int) -> int:
     return value
 
 
+def _bool_field(cfg: dict, key: str) -> bool:
+    value = cfg.get(key, False)
+    if type(value) is not bool:
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _list_field(cfg: dict, key: str) -> list:
     value = cfg.get(key) or []
     if not isinstance(value, list):
@@ -127,8 +143,6 @@ def _resolved_config(cfg: dict, model: ModelSpec, hw: HardwareSpec) -> dict:
                     "vocab": model.vocab, "element_bytes": model.element_bytes}
     out["hardware"] = {k: v for k, v in vars(hw).items()}
     out.setdefault("mode", "calibrated")
-    # accepted for interface stability; the schedule model is deterministic
-    out.setdefault("parallelism", 1)
     return out
 
 
@@ -188,11 +202,13 @@ def _point_report(cfg: dict) -> dict:
     in_len = _int_field(cfg, "in_len", 32)
     out_len = _int_field(cfg, "out_len", 0)
     mode = CostMode(cfg.get("mode", "calibrated"))
+    timeline = _bool_field(cfg, "timeline")
+    compute_pim_bytes = _bool_field(cfg, "compute_pim_bytes")
     pim_bytes = cfg.get("pim_bytes")
     if pim_bytes is not None and (type(pim_bytes) is not int or pim_bytes <= 0):
         raise ConfigError(f"pim_bytes must be a positive integer, "
                           f"got {pim_bytes!r}")
-    if pim_bytes is None and cfg.get("compute_pim_bytes"):
+    if pim_bytes is None and compute_pim_bytes:
         pim_bytes = pim_weight_bytes(model)
     prefill = run_prefill(scenario, model, hw, in_len, mode=mode)
     report = {"resolved_config": _resolved_config(cfg, model, hw),
@@ -208,13 +224,13 @@ def _point_report(cfg: dict) -> dict:
     if pim_bytes is not None:
         report["capacity"] = capacity_report(model, scenario, pim_bytes)
     report["decode_tps"] = decode.tps
-    if prefill.timeline is not None and cfg.get("timeline"):
+    if prefill.timeline is not None and timeline:
         report["timeline"] = json.loads(prefill.timeline.to_json())
     return report
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, RUN_KEYS)
     report = _point_report(cfg)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.output:
@@ -225,7 +241,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, SWEEP_KEYS)
     in_lens = _list_field(cfg, "in_lens") or [_int_field(cfg, "in_len", 32)]
     out_lens = _list_field(cfg, "out_lens") or [_int_field(cfg, "out_len", 0)]
     scenarios = _list_field(cfg, "scenarios") or [cfg.get("scenario", "s_ddb")]

@@ -59,7 +59,6 @@ class HardwareSpec:
 
     peak_gflops: float = 321.0
     dram_bw_gbps: float = 68.264
-    flop_per_byte: float = 4.7
     pim_bw_multiplier: float = 8.0
     gemm_effective_gflops: float = 107.0
     smc_bw_2agents_gbps: float = 2.87
@@ -71,10 +70,10 @@ class HardwareSpec:
     smc_bw_override_gbps: float | None = None
 
     def __post_init__(self):
-        positive = ["peak_gflops", "dram_bw_gbps", "flop_per_byte",
-                    "pim_bw_multiplier", "gemm_effective_gflops",
-                    "smc_bw_2agents_gbps", "smc_bw_4agents_gbps",
-                    "nc_read_penalty", "nc_stream_bw_gbps"]
+        positive = ["peak_gflops", "dram_bw_gbps", "pim_bw_multiplier",
+                    "gemm_effective_gflops", "smc_bw_2agents_gbps",
+                    "smc_bw_4agents_gbps", "nc_read_penalty",
+                    "nc_stream_bw_gbps"]
         if self.smc_bw_override_gbps is not None:
             positive.append("smc_bw_override_gbps")
         for name in positive:

@@ -2,9 +2,10 @@
 
 The address map is pure bit slicing: the low bits address bytes inside one
 burst, and the remaining bits are carved into channel / rank / bank / row /
-column fields in a configurable order (least significant first).  All
-geometry counts are restricted to powers of two so that encode and decode
-are exact inverses over the full capacity.
+column fields in a configurable order (least significant first).  A map is
+that order of field names alone: every width is log2 of a geometry count,
+so all counts are restricted to powers of two, and encode and decode are
+exact inverses over the full capacity.
 """
 
 from __future__ import annotations
@@ -61,15 +62,6 @@ class DramGeometry:
         return (self.channels * self.ranks_per_channel * self.banks_per_rank
                 * self.rows_per_bank * self.columns_per_row * self.burst_bytes)
 
-    def count_of(self, field_name: str) -> int:
-        return {
-            "channel": self.channels,
-            "rank": self.ranks_per_channel,
-            "bank": self.banks_per_rank,
-            "row": self.rows_per_bank,
-            "column": self.columns_per_row,
-        }[field_name]
-
 
 @dataclass(frozen=True)
 class DramCoord:
@@ -80,71 +72,43 @@ class DramCoord:
     column: int = 0
     burst_offset: int = 0
 
-    def get(self, field_name: str) -> int:
-        return getattr(self, field_name)
-
 
 @dataclass(frozen=True)
 class AddressMap:
     """Bit layout of a physical address above the intra-burst offset.
 
-    ``field_order`` lists (field-name, bit-width) pairs from least to most
-    significant.  Widths must equal log2 of the corresponding geometry
-    counts; use :func:`validate_map` to check a hand-built map.
+    ``field_order`` names each of the five fields once, least significant
+    first.  Each field's width is log2 of its geometry count, derived here
+    as ``widths``; an unknown, duplicate or missing name raises
+    :class:`GeometryError`.
     """
 
     geometry: DramGeometry
-    field_order: tuple = field(default=None)
+    # channel and bank in the low bits (interleaving-friendly), row on top
+    field_order: tuple = ("channel", "bank", "column", "rank", "row")
+    widths: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.field_order is None:
-            object.__setattr__(self, "field_order",
-                               default_field_order(self.geometry))
-        else:
-            object.__setattr__(self, "field_order",
-                               tuple((str(n), int(w)) for n, w in self.field_order))
+        order = tuple(self.field_order)
+        for name in order:
+            if name not in FIELD_NAMES:
+                raise GeometryError(f"unknown address field {name!r}")
+            if order.count(name) > 1:
+                raise GeometryError(f"duplicate address field {name!r}")
+        missing = [name for name in FIELD_NAMES if name not in order]
+        if missing:
+            raise GeometryError(f"address fields missing: {missing}")
+        geo = self.geometry
+        counts = {"channel": geo.channels, "rank": geo.ranks_per_channel,
+                  "bank": geo.banks_per_rank, "row": geo.rows_per_bank,
+                  "column": geo.columns_per_row}
+        object.__setattr__(self, "field_order", order)
+        object.__setattr__(self, "widths", tuple(
+            counts[name].bit_length() - 1 for name in order))
 
     @property
     def offset_bits(self) -> int:
         return self.geometry.burst_bytes.bit_length() - 1
-
-
-def default_field_order(geometry: DramGeometry) -> tuple:
-    """Channel and bank in the low bits (interleaving-friendly), row on top."""
-    order = ("channel", "bank", "column", "rank", "row")
-    return tuple((name, (geometry.count_of(name).bit_length() - 1)) for name in order)
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    violation: str | None = None
-
-
-def validate_map(amap: AddressMap) -> ValidationResult:
-    """Check field coverage, width consistency, and geometry constraints.
-
-    Reports the first violated constraint; a well-formed map yields
-    ``ValidationResult(ok=True)``.
-    """
-    geo = amap.geometry
-    names = [n for n, _ in amap.field_order]
-    for name in names:
-        if name not in FIELD_NAMES:
-            return ValidationResult(False, f"unknown field {name!r}")
-        if names.count(name) > 1:
-            return ValidationResult(False, f"duplicate field {name!r}")
-    for name in FIELD_NAMES:
-        if name not in names:
-            return ValidationResult(False, f"field coverage: missing {name!r}")
-    for name, width in amap.field_order:
-        count = geo.count_of(name)
-        if width != count.bit_length() - 1:
-            return ValidationResult(
-                False,
-                f"width mismatch: field {name!r} has width {width}, "
-                f"geometry count {count} needs {count.bit_length() - 1}")
-    return ValidationResult(True)
 
 
 def slice_fields(amap: AddressMap, addr) -> dict:
@@ -155,7 +119,7 @@ def slice_fields(amap: AddressMap, addr) -> dict:
     """
     values = {"burst_offset": addr & (amap.geometry.burst_bytes - 1)}
     shift = amap.offset_bits
-    for name, width in amap.field_order:
+    for name, width in zip(amap.field_order, amap.widths):
         values[name] = (addr >> shift) & ((1 << width) - 1)
         shift += width
     return values
@@ -166,7 +130,7 @@ def pack_fields(amap: AddressMap, values: dict):
     arrays that broadcast together, and a missing ``burst_offset`` is 0."""
     addr = values.get("burst_offset", 0)
     shift = amap.offset_bits
-    for name, width in amap.field_order:
+    for name, width in zip(amap.field_order, amap.widths):
         addr = addr | (values[name] << shift)
         shift += width
     return addr
@@ -183,13 +147,12 @@ def decode_address(amap: AddressMap, addr: int) -> DramCoord:
 
 def encode_coord(amap: AddressMap, coord: DramCoord) -> int:
     """Inverse of :func:`decode_address`."""
-    geo = amap.geometry
-    if not 0 <= coord.burst_offset < geo.burst_bytes:
+    if not 0 <= coord.burst_offset < amap.geometry.burst_bytes:
         raise GeometryError(f"burst_offset {coord.burst_offset} out of range")
     values = {"burst_offset": coord.burst_offset}
-    for name, _ in amap.field_order:
-        value = values[name] = coord.get(name)
-        if not 0 <= value < geo.count_of(name):
+    for name, width in zip(amap.field_order, amap.widths):
+        value = values[name] = getattr(coord, name)
+        if not 0 <= value < 1 << width:
             raise GeometryError(f"{name} index {value} out of range "
-                                f"(bound {geo.count_of(name)})")
+                                f"(bound {1 << width})")
     return pack_fields(amap, values)

@@ -1,11 +1,11 @@
-"""Address map: bijection, validation, and geometry constraints."""
+"""Address map: bijection, construction checks, and geometry constraints."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pimsim.dram import (AddressMap, DramCoord, DramGeometry, decode_address,
-                         default_field_order, encode_coord, validate_map)
+from pimsim.dram import (FIELD_NAMES, AddressMap, DramCoord, DramGeometry,
+                         decode_address, encode_coord)
 from pimsim.errors import CapacityError, GeometryError
 
 POW2 = st.sampled_from([1, 2, 4, 8, 16])
@@ -25,10 +25,7 @@ def geometries(draw):
 
 @st.composite
 def maps(draw):
-    geo = draw(geometries())
-    order = list(default_field_order(geo))
-    order = draw(st.permutations(order))
-    return AddressMap(geo, tuple(order))
+    return AddressMap(draw(geometries()), draw(st.permutations(FIELD_NAMES)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -67,40 +64,24 @@ def test_decode_is_injective_over_a_sample(amap):
 
 def test_default_map_is_valid():
     amap = AddressMap(DramGeometry())
-    assert validate_map(amap).ok
+    assert amap.field_order == ("channel", "bank", "column", "rank", "row")
+    assert amap.widths == (0, 4, 5, 0, 6)
 
 
 def test_validate_rejects_missing_field():
-    geo = DramGeometry()
-    order = tuple((n, w) for n, w in default_field_order(geo) if n != "row")
-    result = validate_map(AddressMap(geo, order))
-    assert not result.ok
-    assert "missing" in result.violation
+    order = tuple(n for n in FIELD_NAMES if n != "row")
+    with pytest.raises(GeometryError, match="missing"):
+        AddressMap(DramGeometry(), order)
 
 
 def test_validate_rejects_duplicate_field():
-    geo = DramGeometry()
-    order = default_field_order(geo) + (("bank", 4),)
-    result = validate_map(AddressMap(geo, order))
-    assert not result.ok
-    assert "duplicate" in result.violation
-
-
-def test_validate_rejects_width_mismatch():
-    geo = DramGeometry()
-    order = tuple((n, w + 1 if n == "bank" else w)
-                  for n, w in default_field_order(geo))
-    result = validate_map(AddressMap(geo, order))
-    assert not result.ok
-    assert "width" in result.violation
+    with pytest.raises(GeometryError, match="duplicate"):
+        AddressMap(DramGeometry(), FIELD_NAMES + ("bank",))
 
 
 def test_validate_rejects_unknown_field():
-    geo = DramGeometry()
-    order = default_field_order(geo) + (("subarray", 1),)
-    result = validate_map(AddressMap(geo, order))
-    assert not result.ok
-    assert "unknown" in result.violation
+    with pytest.raises(GeometryError, match="unknown"):
+        AddressMap(DramGeometry(), FIELD_NAMES + ("subarray",))
 
 
 def test_non_power_of_two_geometry_rejected():
@@ -127,6 +108,6 @@ def test_out_of_range_coord_rejected():
 def test_field_order_changes_the_mapping():
     geo = DramGeometry(channels=2)
     a = AddressMap(geo)
-    b = AddressMap(geo, tuple(reversed(default_field_order(geo))))
+    b = AddressMap(geo, tuple(reversed(a.field_order)))
     addr = geo.burst_bytes  # first burst above offset zero
     assert decode_address(a, addr) != decode_address(b, addr)

@@ -80,15 +80,9 @@ def test_run_report_is_deterministic(tmp_path, capsys):
                                "in_len": 64, "out_len": 8,
                                "timeline": True}))
     outputs = []
-    for parallelism in (1, 4):
-        config = json.loads(cfg.read_text())
-        config["parallelism"] = parallelism
-        cfg.write_text(json.dumps(config))
+    for _ in range(2):
         assert run_cli("run", "--config", str(cfg)) == 0
-        report = capsys.readouterr().out
-        parsed = json.loads(report)
-        parsed["resolved_config"].pop("parallelism")
-        outputs.append(json.dumps(parsed, sort_keys=True))
+        outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
 
 
@@ -101,7 +95,8 @@ def test_run_embeds_resolved_config(tmp_path, capsys):
     rc = report["resolved_config"]
     assert rc["model"]["hidden"] == 2048
     assert rc["hardware"]["dram_bw_gbps"] == 68.264
-    assert rc["parallelism"] == 1
+    assert "parallelism" not in rc
+    assert "flop_per_byte" not in rc["hardware"]
 
 
 def test_run_analytical_overhead_percent(tmp_path, capsys):
@@ -149,6 +144,13 @@ BAD_CONFIGS = {
         "hidden": 64, "intermediate": 256, "layers": 1, "element_bytes": 0}}),
     "negative_kv_ratio": json.dumps({"model": {
         "hidden": 64, "intermediate": 256, "layers": 1, "kv_ratio": "-1/4"}}),
+    "unknown_top_level_key": json.dumps({"model": "toy-64", "inlen": 128}),
+    "string_timeline": json.dumps({"model": "toy-64", "timeline": "no"}),
+    "string_compute_pim_bytes": json.dumps({"model": "toy-64",
+                                            "compute_pim_bytes": "yes"}),
+}
+BAD_RUN_CONFIGS = {
+    "sweep_key_on_run": json.dumps({"model": "toy-64", "in_lens": [32, 64]}),
 }
 BAD_SWEEP_CONFIGS = {
     "scalar_in_lens": json.dumps({"model": "toy-64", "in_lens": 5}),
@@ -157,6 +159,8 @@ BAD_SWEEP_CONFIGS = {
 BAD_CONFIG_CASES = (
     [pytest.param(text, command, id=f"{name}-{command}")
      for command in ("run", "sweep") for name, text in BAD_CONFIGS.items()]
+    + [pytest.param(text, "run", id=f"{name}-run")
+       for name, text in BAD_RUN_CONFIGS.items()]
     + [pytest.param(text, "sweep", id=f"{name}-sweep")
        for name, text in BAD_SWEEP_CONFIGS.items()])
 

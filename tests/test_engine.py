@@ -88,9 +88,8 @@ def test_exact_mode_matches_oracle_bit_exactly(otiles, itiles, geo_banks,
     geo = DramGeometry(channels=1, ranks_per_channel=1,
                        banks_per_rank=geo_banks, rows_per_bank=256,
                        columns_per_row=32)
-    amap = AddressMap(geo, tuple((name, geo.count_of(name).bit_length() - 1)
-                                 for name in order))
-    engine, image = build(out_dim, in_dim, w, amap=amap, banks=banks)
+    engine, image = build(out_dim, in_dim, w, amap=AddressMap(geo, order),
+                          banks=banks)
     job, result = run_exact(engine, image, x)
     assert np.array_equal(result.output, w @ x)
 

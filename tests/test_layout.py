@@ -27,32 +27,28 @@ def make_placement(out_dim, in_dim, banks=4, channels=2, base_row=0,
                         channels_used=channels, base_row=base_row)
 
 
-def map_in_order(geo, order):
-    """Address map of ``geo`` with its fields in ``order``, low bits first."""
-    return AddressMap(geo, tuple((name, geo.count_of(name).bit_length() - 1)
-                                 for name in order))
-
-
 # largest drawn geometry: images span up to its whole capacity
 MAX_DRAWN_CAPACITY = 1 << 26
+# largest drawn matrix: the address oracle encodes each weight's coordinate
+MAX_DRAWN_WEIGHTS = 40_000
 
 
 @st.composite
 def address_maps(draw):
-    """A geometry of 1-4 channels, 1-2 ranks, 2-16 banks, 64-1024 DRAM rows
-    and short or long rows (at most 64 MiB in all), with any order of the
+    """A geometry of 1-4 channels, 1-2 ranks, 2-16 banks, 32-1024 columns
+    and 16-1024 DRAM rows (at most 64 MiB in all), with any order of the
     address fields."""
     channels = draw(st.sampled_from([1, 2, 4]))
     ranks = draw(st.sampled_from([1, 2]))
     banks = draw(st.sampled_from([2, 4, 8, 16]))
-    rows = draw(st.sampled_from([64, 128, 256, 512, 1024]))
-    long_rows = channels * ranks * banks * rows * 256 * 32
-    columns = draw(st.sampled_from(
-        [32, 256] if long_rows <= MAX_DRAWN_CAPACITY else [32]))
+    columns = draw(st.sampled_from([32, 256, 512, 1024]))
+    rows = draw(st.sampled_from(
+        [r for r in (16, 64, 128, 256, 512, 1024) if channels * ranks * banks
+         * r * columns * 32 <= MAX_DRAWN_CAPACITY]))
     geo = DramGeometry(channels=channels, ranks_per_channel=ranks,
                        banks_per_rank=banks, rows_per_bank=rows,
                        columns_per_row=columns)
-    return map_in_order(geo, draw(st.permutations(FIELD_NAMES)))
+    return AddressMap(geo, draw(st.permutations(FIELD_NAMES)))
 
 
 def assert_image_spans_every_burst(image):
@@ -86,16 +82,26 @@ def assert_addresses_hold_the_matrix(image, w):
 @st.composite
 def placements(draw):
     """A placement on a drawn address map that fits its geometry: any
-    active banks and channels, a shape with ragged tails on both axes (the
-    interesting cases) and a slab anywhere in the rows left."""
+    active banks and channels, one or more slots per bank, a shape with
+    ragged tails on both axes (the interesting cases) and a slab anywhere in
+    the rows left.
+
+    One active bank and channel, hence many slots, is drawn often: slots
+    that share long DRAM rows, with the row field below the column field,
+    give a middle slot a higher address than the last one."""
     amap = draw(address_maps())
     geo = amap.geometry
-    banks = draw(st.integers(1, geo.banks_per_rank))
-    channels = draw(st.integers(1, geo.channels))
+    banks = draw(st.just(1) | st.integers(1, geo.banks_per_rank))
+    channels = draw(st.just(1) | st.integers(1, geo.channels))
     in_dim = draw(st.integers(1, 300))
     k_pad = -(-in_dim // 128) * 128
+    group = 16 * banks * channels  # output rows per slot
     max_slots = geo.rows_per_bank * geo.columns_per_row // k_pad
-    out_dim = draw(st.integers(1, min(200, max_slots * 16 * banks * channels)))
+    max_out = MAX_DRAWN_WEIGHTS // in_dim
+    slots = draw(st.sampled_from(
+        range(1, min(max_slots, -(-max_out // group)) + 1)))
+    out_dim = draw(st.integers((slots - 1) * group + 1,
+                               min(max_out, slots * group)))
     p = make_placement(out_dim, in_dim, banks, channels, amap=amap)
     base_row = draw(st.integers(0, geo.rows_per_bank - p.rows_needed))
     return make_placement(out_dim, in_dim, banks, channels, base_row, amap)
@@ -165,7 +171,7 @@ def test_span_covers_bursts_outside_the_first_and_last_slots():
     cover it."""
     geo = DramGeometry(channels=1, ranks_per_channel=1, banks_per_rank=16,
                        rows_per_bank=256, columns_per_row=256)
-    amap = map_in_order(geo, ("channel", "bank", "rank", "row", "column"))
+    amap = AddressMap(geo, ("channel", "bank", "rank", "row", "column"))
     p = make_placement(48, 128, banks=1, channels=1, amap=amap)
     rng = np.random.default_rng(5)
     w = WeightMatrix(48, 128, rng.integers(0, 1 << 16, size=(48, 128)))
