@@ -195,14 +195,13 @@ def capacity_summary(model: ModelSpec, pim_bytes: int,
 
 
 def decode_token_time(model: ModelSpec, hw: HardwareSpec, use_pim: bool,
-                      pim_bytes: int | None = None,
-                      host_bytes: int | None = None) -> float:
+                      pim_bytes: int | None = None) -> float:
     """Seconds per generated token: the decode GEMVs stream every linear
     weight once per token, at PIM-boosted bandwidth when enabled."""
     if use_pim:
         bytes_ = model.host_bytes() if pim_bytes is None else pim_bytes
         bw = hw.dram_bw_gbps * GB * hw.pim_bw_multiplier
     else:
-        bytes_ = model.host_bytes() if host_bytes is None else host_bytes
+        bytes_ = model.host_bytes()
         bw = hw.dram_bw_gbps * GB
     return bytes_ / bw + hw.host_overhead_per_token

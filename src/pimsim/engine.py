@@ -5,9 +5,9 @@ The host drives GEMV with ordinary DRAM requests: inputs are staged into
 the 8-entry input register file with a burst write, weight reads trigger
 one MAC per read, five dummy reads drain the SIMD pipeline, and a final
 burst write moves the output register file back to memory.  The engine
-observes the DRAM side of the memory system, so any read absorbed by the
-host cache silently skips its MAC - the memory-attribute hazard this
-simulator exists to demonstrate.
+reads its MAC triggers from the memory system's DRAM command trace, so any
+read absorbed by the host cache silently skips its MAC - the
+memory-attribute hazard this simulator exists to demonstrate.
 
 MAC micro-order: the j-th triggering read since the last input staging
 consumes input element j; the fetched burst supplies one weight per lane
@@ -19,7 +19,6 @@ column) command in lockstep.
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from . import bf16
 from .errors import ConfigError, StagingError
 from .layout import (RF_ENTRIES, PimImage, burst_address_of_tile,
                      burst_of_address)
-from .memsys import Attribute, MemorySystem, RegionKind, TraceChunk, TraceView
+from .memsys import Attribute, MemorySystem, RegionKind, TraceView
 
 PIPELINE_DRAIN_READS = 5
 
@@ -89,7 +88,6 @@ class GemvResult:
     expected_mac_reads: int
     triggered_mac_reads: int
     prefetcher_triggers: int
-    weights_non_cacheable: bool
 
 
 @dataclass
@@ -126,35 +124,22 @@ class PimGemvEngine:
         self.out_buf_addr = staging.base + 256
         self.dummy_addr = staging.base + 512
         self._job = None
-        # The memory system holds the engine weakly, so that dropping both
-        # frees them without the cyclic garbage collector.
-        engine = weakref.ref(self)
-
-        def listener(chunk: TraceChunk):
-            live = engine()
-            if live is not None:
-                live._on_dram(chunk)
-        mem.dram_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # DRAM-side trigger path
     # ------------------------------------------------------------------
-    def _on_dram(self, chunk: TraceChunk):
-        """Keep each read chunk until the next MAC flush, which selects the
-        reads of the weight image with one mask over all of them."""
-        if self._job is not None and chunk.op == "R":
-            self._pending.append(chunk)
-
-    def _flush_macs(self):
-        """Decode the pending reads; each one that reads a burst of the
-        weight slab triggers a MAC: read j uses input element j (arrival
-        order)."""
-        if not self._pending:
+    def _on_dram(self):
+        """MAC flush: decode the reads traced since the previous flush; each
+        one that reads a burst of the weight slab triggers a MAC: read j
+        uses input element j (arrival order)."""
+        chunks = self.mem.trace.chunks
+        reads = [c for c in chunks[self._traced:] if c.op == "R"]
+        self._traced = len(chunks)
+        if not reads:
             return
-        addrs = np.concatenate([c.addrs for c in self._pending])
-        prefetched = np.repeat([c.agent == "prefetcher" for c in self._pending],
-                               [len(c.addrs) for c in self._pending])
-        self._pending = []
+        addrs = np.concatenate([c.addrs for c in reads])
+        prefetched = np.repeat([c.agent == "prefetcher" for c in reads],
+                               [len(c.addrs) for c in reads])
         inside = (addrs >= self._span[0]) & (addrs < self._span[1])
         addrs, prefetched = addrs[inside], prefetched[inside]
         p = self._job.placement
@@ -176,7 +161,7 @@ class PimGemvEngine:
     # ------------------------------------------------------------------
     # Staging primitives
     # ------------------------------------------------------------------
-    def pim_write_input(self, values_bits: np.ndarray, agent: str = "host"):
+    def pim_write_input(self, values_bits: np.ndarray):
         """Write8: stage up to one 128-element input tile into the input RF.
 
         Unused lanes of a partial final tile are zero-filled.
@@ -187,28 +172,26 @@ class PimGemvEngine:
         if values_bits.size > tile_elems:
             raise StagingError(f"input tile of {values_bits.size} elements "
                                f"exceeds RF capacity {tile_elems}")
-        self._flush_macs()
+        self._on_dram()
         staged = np.zeros(tile_elems, dtype=np.uint16)
         staged[:values_bits.size] = values_bits
         self.mem.access(self.in_buf_addr, "W",
-                        tile_elems * self._job.placement.geometry.element_bytes,
-                        agent)
+                        tile_elems * self._job.placement.geometry.element_bytes)
         self._staged_bits = staged
         if self._job.arithmetic == "exact":
             self._x = bf16.decode(staged).astype(np.float64)
         else:
             self._x = bf16.decode(staged).astype(np.float32)
 
-    def pim_read_output(self, agent: str = "host") -> np.ndarray:
+    def pim_read_output(self) -> np.ndarray:
         """Write8 of the output RF: returns the accumulator lanes of every
         active bank, rounded to element precision in BF16 mode."""
         if self._job is None:
             raise ConfigError("no active job")
-        self._flush_macs()
+        self._on_dram()
         flat = self._acc.reshape(-1)
         self.mem.access(self.out_buf_addr, "W",
-                        RF_ENTRIES * self._job.placement.geometry.burst_bytes,
-                        agent)
+                        RF_ENTRIES * self._job.placement.geometry.burst_bytes)
         bits = bf16.encode(flat.astype(np.float32))
         self._readout = (self._acc.astype(np.float64),
                          bits.reshape(self._acc.shape))
@@ -234,7 +217,8 @@ class PimGemvEngine:
     def _bind(self, job: GemvJob):
         p = job.placement
         self._job = job
-        self._pending = []
+        # reads traced before the job trigger nothing
+        self._traced = len(self.mem.trace.chunks)
         self._trigger_count = 0
         self._prefetch_triggers = 0
         acc_dtype = np.float64 if job.arithmetic == "exact" else np.float32
@@ -246,12 +230,11 @@ class PimGemvEngine:
         self._span = (job.image.base_addr,
                       job.image.base_addr + job.image.span_bytes)
 
-    def execute(self, job: GemvJob, agent: str = "host") -> GemvResult:
+    def execute(self, job: GemvJob) -> GemvResult:
         """Run the full GEMV command protocol for ``job``."""
         p = job.placement
         geo = p.geometry
         self._bind(job)
-        weight_region = self.mem.region_at(job.image.base_addr)
         mark = self.mem.mark()
         x_padded = np.zeros(p.k_pad, dtype=np.uint16)
         x_padded[:p.in_dim] = job.input_bits
@@ -263,11 +246,11 @@ class PimGemvEngine:
             self._acc[:] = 0
             addrs = burst_address_of_tile(p, o * p.active_banks)
             for x_tile, reads in zip(x_tiles, addrs.reshape(x_tiles.shape)):
-                self.pim_write_input(x_tile, agent)
-                self.mem.access_many(reads, "R", geo.burst_bytes, agent)
+                self.pim_write_input(x_tile)
+                self.mem.access_many(reads, "R", geo.burst_bytes)
             self.mem.access_many([self.dummy_addr] * PIPELINE_DRAIN_READS,
-                                 "R", geo.burst_bytes, agent)
-            out_vals[o], out_bits[o] = self.pim_read_output(agent)
+                                 "R", geo.burst_bytes)
+            out_vals[o], out_bits[o] = self.pim_read_output()
         return GemvResult(
             output=out_vals.reshape(-1)[:p.out_dim].copy(),
             output_bits=out_bits.reshape(-1),
@@ -276,7 +259,6 @@ class PimGemvEngine:
             expected_mac_reads=job.expected_mac_reads,
             triggered_mac_reads=self._trigger_count,
             prefetcher_triggers=self._prefetch_triggers,
-            weights_non_cacheable=weight_region.is_non_cacheable,
         )
 
     def verify_trigger_integrity(self, job: GemvJob,

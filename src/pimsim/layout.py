@@ -224,14 +224,14 @@ def address_order(image: PimImage) -> np.ndarray:
 
 
 def smc_copy(image: PimImage, rows: range, cols: range,
-             dst: np.ndarray, mem=None, agent: str = "copy") -> int:
+             dst: np.ndarray, mem=None) -> int:
     """Swizzled memory copy: PIM-aware image tile -> host-friendly buffer.
 
     ``rows`` and ``cols`` are contiguous unit-step ranges.  ``dst``
     receives the selected (rows x cols) tile in column-major
-    (host-friendly) order and must be large enough.  One DRAM read is
-    issued per source burst through ``mem`` when given; the source
-    addresses must then fall in a non-cacheable region.  Returns the
+    (host-friendly) order and must be large enough.  The ``"copy"`` agent
+    issues one DRAM read per source burst through ``mem`` when given; the
+    source addresses must then fall in a non-cacheable region.  Returns the
     number of payload bytes copied.
     """
     p = image.placement
@@ -257,7 +257,7 @@ def smc_copy(image: PimImage, rows: range, cols: range,
         tiles = np.arange(rows[0] // p.row_tile, rows[-1] // p.row_tile + 1)
         addrs = burst_address_of_tile(p, tiles)[:, cols.start:cols.stop]
         # tile by tile, then column
-        mem.access_many(addrs.ravel(), "R", geo.burst_bytes, agent)
+        mem.access_many(addrs.ravel(), "R", geo.burst_bytes, "copy")
     w = image.data.reshape(p.m_pad, p.k_pad)
     # column-major destination: one row per column
     dst[:nr * nc].reshape(nc, nr)[:] = w[rows.start:rows.stop,

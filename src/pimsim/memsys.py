@@ -7,9 +7,11 @@ write-backs.  Cache hits never appear in the trace, which is precisely
 what makes cacheable placement of PIM weights hazardous: reads absorbed
 by the cache cannot trigger PIM execution.
 
-The trace is columnar: a batch of non-cacheable requests is stored, and
-handed to the DRAM listeners, as one chunk of consecutive ticks with an
-address array.  ``TraceRecord``s are built only when the trace is iterated.
+The trace is columnar: a batch of non-cacheable requests is stored as one
+chunk of consecutive ticks with an address array.  ``TraceRecord``s are
+built only when the trace is iterated.  The trace is the only record of
+what reached DRAM: the PIM engine decodes its MAC triggers from the chunks
+appended to it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,13 +117,15 @@ class CommandTrace:
         self.clear()
 
     def clear(self):
-        self._chunks: list[TraceChunk] = []
+        """Drop every record.  Not to be called inside a GEMV job: the
+        engine finds the job's reads by their position in ``chunks``."""
+        self.chunks: list[TraceChunk] = []
         self._ends: list[int] = []  # records up to the end of each chunk
         self._len = 0
 
     def append(self, chunk: TraceChunk):
         self._len += len(chunk.addrs)
-        self._chunks.append(chunk)
+        self.chunks.append(chunk)
         self._ends.append(self._len)
 
     def __len__(self) -> int:
@@ -129,7 +133,7 @@ class CommandTrace:
 
     def view(self, start: int = 0) -> TraceView:
         """Records from position ``start`` to the current end."""
-        return TraceView(self._chunks, self._ends, start, self._len)
+        return TraceView(self.chunks, self._ends, start, self._len)
 
     def __iter__(self):
         return iter(self.view())
@@ -231,7 +235,6 @@ class MemorySystem:
         self._bases: list[int] = []  # region bases, ascending
         self.trace = CommandTrace()
         self.hit_log: list[HitRecord] = []
-        self.dram_listeners: list[Callable[[TraceChunk], None]] = []
         self._next_base = 0
         self._pool_used = 0
         self._tick = 0
@@ -276,11 +279,8 @@ class MemorySystem:
     # Accesses
     # ------------------------------------------------------------------
     def _emit(self, agent: str, op: str, addrs: np.ndarray, nbytes: int):
-        chunk = TraceChunk(self._tick, agent, op, addrs, nbytes)
+        self.trace.append(TraceChunk(self._tick, agent, op, addrs, nbytes))
         self._tick += len(addrs)
-        self.trace.append(chunk)
-        for listener in self.dram_listeners:
-            listener(chunk)
 
     def _region_of(self, op: str, lo: int, hi: int, nbytes: int) -> MemoryRegion:
         """The region holding requests from ``lo`` to ``hi`` inclusive."""

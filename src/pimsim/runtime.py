@@ -36,6 +36,7 @@ from .scenario import Scenario
 DDB_COPY_AGENTS = 2
 OWR_COPY_AGENTS = 4
 FF0_COPY_QUARTERS = 4
+CROSSOVER_MAX_SL = 1024  # longest input ddb_hiding_crossover searches
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class _PlanSegment:
     compute_seconds: float
     copy_bytes: float      # paired copy load (0 for none)
     copy_tag: str          # "ff0"-"ff2", or "qkvo": the next layer's projections
-    is_copy_window: bool   # False for attention/normalization segments
+    buffer: int | None     # DDB buffer the GEMM reads; its copy fills the other
 
 
 def _matrix_seconds(params: int, sl: int, hw: HardwareSpec,
@@ -120,7 +121,9 @@ def layer_plan(model: ModelSpec, hw: HardwareSpec,
     """Compute segments of one decoder layer with their paired DDB copy loads.
 
     Every layer has the same plan; only the last layer issues no ``qkvo``
-    copy, which the schedule builder drops.
+    copy, which the schedule builder drops.  The projections read buffer 0
+    and the feed-forward matrices alternate from buffer 1, so each matrix
+    has the same buffer in every layer.
     """
     eb = model.element_bytes
     mats = model.layer_matrices()
@@ -130,13 +133,13 @@ def layer_plan(model: ModelSpec, hw: HardwareSpec,
     segs = []
     if hw.host_attn_seconds_per_layer > 0:
         segs.append(_PlanSegment("attn", hw.host_attn_seconds_per_layer,
-                                 0.0, "", False))
+                                 0.0, "", None))
     for name in ("q", "k", "v", "o"):
-        segs.append(_PlanSegment(name, t[name], quarter, "ff0", True))
-    segs.append(_PlanSegment("ff0", t["ff0"], nbytes["ff1"], "ff1", True))
-    segs.append(_PlanSegment("ff1", t["ff1"], nbytes["ff2"], "ff2", True))
+        segs.append(_PlanSegment(name, t[name], quarter, "ff0", 0))
+    segs.append(_PlanSegment("ff0", t["ff0"], nbytes["ff1"], "ff1", 1))
+    segs.append(_PlanSegment("ff1", t["ff1"], nbytes["ff2"], "ff2", 0))
     qkvo = sum(nbytes[name] for name in ("q", "k", "v", "o"))
-    segs.append(_PlanSegment("ff2", t["ff2"], qkvo, "qkvo", True))
+    segs.append(_PlanSegment("ff2", t["ff2"], qkvo, "qkvo", 1))
     return segs
 
 
@@ -167,18 +170,13 @@ def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec, sl: int) -> Timeline:
     tl.segments.append(Segment("copy", "copy", "preload", 0.0, preload, buffer=0))
     copy_t = preload
     comp_t = preload
-    group = 0  # buffer group: even -> buffer 0, odd -> buffer 1
     for layer in range(model.layers):
-        g = group
         prefix = f"layer{layer}."
         for seg, copy in zip(plan, copies):
-            if seg.tag in ("ff0", "ff1", "ff2"):
-                g += 1  # each feed-forward matrix occupies the next buffer
-            buf = g % 2 if seg.is_copy_window else None
             start = comp_t
             comp_t += seg.compute_seconds
             tl.segments.append(Segment("compute", "compute", prefix + seg.tag,
-                                       start, comp_t, buffer=buf))
+                                       start, comp_t, buffer=seg.buffer))
             if seg.copy_tag == "qkvo":
                 if layer == model.layers - 1:
                     continue  # no next layer to preload
@@ -190,10 +188,9 @@ def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec, sl: int) -> Timeline:
             c_start = max(copy_t, start)
             copy_t = c_start + copy
             tl.segments.append(Segment("copy", "copy", copy_tag,
-                                       c_start, copy_t, buffer=(g + 1) % 2))
+                                       c_start, copy_t, buffer=1 - seg.buffer))
         # one synchronization barrier per layer
         comp_t = copy_t = max(comp_t, copy_t)
-        group = g + 1  # next layer's projections use the buffer after ff2's
     head = model.head_matrix()
     if head is not None:
         head_bytes = head.params() * eb
@@ -383,14 +380,13 @@ def speedup_grid(model: ModelSpec, hw: HardwareSpec, in_lens, out_lens,
     return grid
 
 
-def ddb_hiding_crossover(model: ModelSpec, hw: HardwareSpec,
-                         max_sl: int = 1024) -> int:
+def ddb_hiding_crossover(model: ModelSpec, hw: HardwareSpec) -> int:
     """Smallest input length at which every DDB copy chunk fits inside its
     paired compute segment (full latency hiding, preload aside)."""
-    for sl in range(1, max_sl + 1):
+    for sl in range(1, CROSSOVER_MAX_SL + 1):
         if all(smc_time(seg.copy_bytes, DDB_COPY_AGENTS, hw)
                <= seg.compute_seconds for seg in layer_plan(model, hw, sl)
                if seg.copy_bytes > 0
                and (seg.copy_tag != "qkvo" or model.layers > 1)):
             return sl
-    raise ConfigError(f"no crossover at or below sl={max_sl}")
+    raise ConfigError(f"no crossover at or below sl={CROSSOVER_MAX_SL}")

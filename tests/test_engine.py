@@ -14,7 +14,8 @@ from pimsim import bf16
 from pimsim.dram import FIELD_NAMES, AddressMap, DramGeometry
 from pimsim.engine import PIPELINE_DRAIN_READS, GemvJob, PimGemvEngine
 from pimsim.errors import ConfigError, StagingError
-from pimsim.layout import PimPlacement, WeightMatrix, convert_to_pim_aware
+from pimsim.layout import (PimPlacement, WeightMatrix, burst_address_of_tile,
+                           convert_to_pim_aware)
 from pimsim.memsys import Attribute, CacheConfig, MemorySystem, RegionKind
 
 GEO = DramGeometry(channels=1, ranks_per_channel=1, banks_per_rank=16,
@@ -195,6 +196,27 @@ def test_integrity_of_an_earlier_result_uses_its_own_hit_window():
     report = engine.verify_trigger_integrity(job, blocked)
     assert report.status == "pim-blocked"
     assert len(report.absorbing_lines) == 128
+
+
+def test_a_job_triggers_on_the_weight_reads_traced_inside_it():
+    """Weight reads traced between two jobs trigger nothing in the second;
+    another agent's weight read inside a job triggers its MAC."""
+    rng = np.random.default_rng(12)
+    w = rng.integers(-3, 4, size=(16, 256)).astype(np.float64)
+    x = rng.integers(-3, 4, size=256).astype(np.float64)
+    engine, image = build(16, 256, w, banks=1)
+    burst_bytes = image.placement.geometry.burst_bytes
+    reads = burst_address_of_tile(image.placement, 0)[:128]
+    run_exact(engine, image, x)
+    engine.mem.access_many(reads, "R", burst_bytes, "copy")
+    job, result = run_exact(engine, image, x)
+    assert np.array_equal(result.output, w @ x)
+    assert engine.verify_trigger_integrity(job, result).ok
+    engine._bind(job)
+    engine.pim_write_input(job.input_bits[:128])
+    engine.mem.access_many(reads, "R", burst_bytes, "copy")
+    values, _ = engine.pim_read_output()
+    assert np.array_equal(values, w[:16, :128] @ x[:128])
 
 
 def test_attribute_removal_never_increases_dram_reads():

@@ -215,10 +215,12 @@ def test_access_many_equals_a_sequence_of_access(rogue, period, nbytes, data):
         mem = make_mem(rogue_prefetcher=rogue, rogue_period=period)
         regions = [mem.allocate_region(RegionKind.GENERAL, attr, BATCH_REGION)
                    for attr in (Attribute.NON_CACHEABLE, Attribute.CACHEABLE)]
-        seen = []  # every record, as the DRAM listeners receive it
-        mem.dram_listeners.append(lambda c: seen.extend(
-            TraceRecord(c.tick + i, c.agent, c.op, a, c.nbytes)
-            for i, a in enumerate(c.addrs.tolist())))
+        seen = []  # every record, rebuilt from the trace's chunks
+
+        def collect():
+            seen.extend(TraceRecord(c.tick + i, c.agent, c.op, a, c.nbytes)
+                        for c in mem.trace.chunks
+                        for i, a in enumerate(c.addrs.tolist()))
         windows = []
         for cacheable, op, agent, offsets, then in batches:
             addrs = [regions[cacheable].base + o for o in offsets]
@@ -233,6 +235,7 @@ def test_access_many_equals_a_sequence_of_access(rogue, period, nbytes, data):
                 views.append(mem.drain_trace())
             windows += [(view, list(view)) for view in views]
             if then == "clear":
+                collect()
                 mem.trace.clear()
         # a view keeps its records while the trace grows and is cleared
         assert all(list(view) == records for view, records in windows)
@@ -241,6 +244,7 @@ def test_access_many_equals_a_sequence_of_access(rogue, period, nbytes, data):
         # every start position, inside chunks and past the end
         tails = [list(mem.records_since((k, 0))) for k in range(len(trace) + 2)]
         assert tails == [trace[k:] for k in range(len(trace) + 2)]
+        collect()
         return (trace, mem.export_trace_ndjson(), seen, windows, mem.hit_log,
                 mem.cache.stats.as_dict(), list(mem.drain_trace()))
 
@@ -252,8 +256,6 @@ def test_batch_outside_its_region_raises_before_any_record():
     a = mem.allocate_region(RegionKind.GENERAL, Attribute.NON_CACHEABLE, 256)
     b = mem.allocate_region(RegionKind.GENERAL, Attribute.NON_CACHEABLE, 256)
     c = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, 256)
-    seen = []
-    mem.dram_listeners.append(seen.append)
     for addrs in ([a.base, a.base + 64, b.base],        # into the next region
                   [a.base, a.base + 252],              # crosses the region end
                   [c.base, c.base + 64, c.base + 256],  # cacheable, past the end
@@ -262,6 +264,6 @@ def test_batch_outside_its_region_raises_before_any_record():
             mem.access_many(addrs, "R", 8)
     with pytest.raises(RegionError):
         mem.access_many([a.base], "X", 8)
-    assert len(mem.trace) == 0 and seen == [] and mem.hit_log == []
+    assert len(mem.trace) == 0 and mem.trace.chunks == [] and mem.hit_log == []
     assert mem.cache.stats.as_dict() == {"hits": 0, "misses": 0,
                                          "evictions": 0, "writebacks": 0}
