@@ -9,16 +9,14 @@ prefill/decode scheduling strategies.
 
 from .bf16 import decode as bf16_decode
 from .bf16 import encode as bf16_encode
-from .cost import (CostMode, HardwareSpec, capacity_report, capacity_summary,
-                   decode_token_time, gemm_time, rearrangement_overhead_table,
-                   smc_time)
+from .cost import (CostMode, HardwareSpec, capacity_report, decode_token_time,
+                   gemm_time, rearrangement_overhead_table, smc_time)
 from .dram import AddressMap, DramCoord, DramGeometry
 from .engine import GemvJob, GemvResult, IntegrityReport, PimGemvEngine
 from .errors import (AttributeViolation, CapacityError, ConfigError,
                      GeometryError, RegionError, SimulatorError, StagingError)
-from .layout import (PaddedSizeReport, PimImage, PimPlacement, WeightMatrix,
-                     convert_to_pim_aware, model_placements, padded_size,
-                     smc_copy, unswizzle)
+from .layout import (PimImage, PimPlacement, WeightMatrix, convert_to_pim_aware,
+                     model_placements, padded_size, smc_copy, unswizzle)
 from .memsys import (Attribute, CacheConfig, MemoryRegion, MemorySystem,
                      RegionKind, Source, TraceRecord)
 from .model import MatrixShape, ModelSpec
@@ -34,11 +32,10 @@ __all__ = [
     "CapacityError", "ConfigError", "CostMode", "DramCoord", "DramGeometry",
     "GemvJob", "GemvResult", "GeometryError", "HardwareSpec",
     "IntegrityReport", "MatrixShape", "MemoryRegion", "MemorySystem",
-    "ModelSpec", "PaddedSizeReport", "PimGemvEngine", "PimImage",
-    "PimPlacement", "PrefillResult", "RegionError", "RegionKind", "Scenario",
-    "Segment", "SimulatorError", "Source", "StagingError", "Timeline",
-    "TraceRecord", "WeightMatrix", "bf16_decode", "bf16_encode",
-    "build_ddb_schedule", "capacity_report", "capacity_summary",
+    "ModelSpec", "PimGemvEngine", "PimImage", "PimPlacement", "PrefillResult",
+    "RegionError", "RegionKind", "Scenario", "Segment", "SimulatorError",
+    "Source", "StagingError", "Timeline", "TraceRecord", "WeightMatrix",
+    "bf16_decode", "bf16_encode", "build_ddb_schedule", "capacity_report",
     "convert_to_pim_aware", "ddb_hiding_crossover", "decode_token_time",
     "gemm_time", "model_placements", "padded_size",
     "rearrangement_overhead_table", "run_decode", "run_end_to_end",

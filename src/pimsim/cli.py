@@ -11,7 +11,8 @@ Subcommands
     One scenario at one (in_len, out_len) point; JSON report with the
     fully resolved configuration embedded.
 ``sweep``
-    A CSV grid over input/output lengths and scenarios.
+    A CSV grid of calibrated seconds over input/output lengths and
+    scenarios.
 ``gemv-check``
     Seeded battery of functional GEMVs through the command-trace engine,
     checked against a host oracle and the trigger-count formula.
@@ -51,7 +52,8 @@ from .scenario import Scenario
 
 RUN_KEYS = frozenset({"model", "hardware", "scenario", "in_len", "out_len",
                       "mode", "pim_bytes", "compute_pim_bytes", "timeline"})
-SWEEP_KEYS = RUN_KEYS | {"in_lens", "out_lens", "scenarios"}
+# a sweep reports calibrated seconds per point, and no timeline
+SWEEP_KEYS = (RUN_KEYS - {"timeline"}) | {"in_lens", "out_lens", "scenarios"}
 
 
 def _load_config(path: str, keys: frozenset) -> dict:
@@ -242,6 +244,13 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, SWEEP_KEYS)
+    if cfg.get("mode", "calibrated") != "calibrated":
+        raise ConfigError("sweep reports calibrated seconds only; "
+                          f"got mode {cfg['mode']!r}")
+    for one, many in (("in_len", "in_lens"), ("out_len", "out_lens"),
+                      ("scenario", "scenarios")):
+        if one in cfg and many in cfg:
+            raise ConfigError(f"give {one} or {many}, not both")
     in_lens = _list_field(cfg, "in_lens") or [_int_field(cfg, "in_len", 32)]
     out_lens = _list_field(cfg, "out_lens") or [_int_field(cfg, "out_len", 0)]
     scenarios = _list_field(cfg, "scenarios") or [cfg.get("scenario", "s_ddb")]
@@ -312,6 +321,8 @@ def _random_gemv_trial(rng: np.random.Generator, engine_kwargs: dict,
 
 
 def cmd_gemv_check(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     failures = 0
     for trial in range(args.trials):
@@ -376,7 +387,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SimulatorError, ValueError) as exc:
+    except (SimulatorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -96,9 +96,6 @@ class HardwareSpec:
             return self.smc_bw_4agents_gbps
         raise ConfigError(f"no calibrated copy bandwidth for {agents} agents; "
                           "set smc_bw_override_gbps")
-
-    def with_(self, **kwargs) -> "HardwareSpec":
-        return replace(self, **kwargs)
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -186,12 +183,6 @@ def capacity_report(model: ModelSpec, scenario: Scenario, pim_bytes: int,
         "total_bytes": total,
         "savings_vs_wd_pct": 100.0 * (1.0 - total / wd_total) if wd_total else 0.0,
     }
-
-
-def capacity_summary(model: ModelSpec, pim_bytes: int,
-                     host_bytes: int | None = None) -> dict:
-    return {s.value: capacity_report(model, s, pim_bytes, host_bytes)
-            for s in Scenario}
 
 
 def decode_token_time(model: ModelSpec, hw: HardwareSpec, use_pim: bool,

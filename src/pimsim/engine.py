@@ -53,30 +53,19 @@ class GemvJob:
         return self.image.placement
 
     @property
-    def input_tile_elements(self) -> int:
-        return self.placement.input_tile_elements
-
-    @property
-    def num_input_tiles(self) -> int:
-        return self.placement.k_pad // self.input_tile_elements
-
-    @property
-    def num_out_tiles(self) -> int:
-        return self.placement.slots
-
-    @property
     def expected_mac_reads(self) -> int:
-        return self.num_out_tiles * self.num_input_tiles * self.input_tile_elements
+        """One MAC read per burst of the slab: ``slots * k_pad``."""
+        return self.placement.slots * self.placement.k_pad
 
     @property
     def expected_total_commands(self) -> dict:
         """Per the command protocol: per out tile, NumInputTile x (1 input
         Write8 + 128 MAC reads) + 5 dummy reads + 1 output Write8."""
-        o, i = self.num_out_tiles, self.num_input_tiles
-        return {"input_writes": o * i,
-                "mac_reads": o * i * self.input_tile_elements,
-                "dummy_reads": o * PIPELINE_DRAIN_READS,
-                "output_writes": o}
+        p = self.placement
+        return {"input_writes": p.slots * (p.k_pad // p.input_tile_elements),
+                "mac_reads": self.expected_mac_reads,
+                "dummy_reads": p.slots * PIPELINE_DRAIN_READS,
+                "output_writes": p.slots}
 
 
 @dataclass
@@ -85,7 +74,6 @@ class GemvResult:
     output_bits: np.ndarray       # element-precision readback, length m_pad
     records: TraceView            # DRAM commands during the job
     hits: list                    # cache hits during the job
-    expected_mac_reads: int
     triggered_mac_reads: int
     prefetcher_triggers: int
 
@@ -140,8 +128,6 @@ class PimGemvEngine:
         addrs = np.concatenate([c.addrs for c in reads])
         prefetched = np.repeat([c.agent == "prefetcher" for c in reads],
                                [len(c.addrs) for c in reads])
-        inside = (addrs >= self._span[0]) & (addrs < self._span[1])
-        addrs, prefetched = addrs[inside], prefetched[inside]
         p = self._job.placement
         bursts = burst_of_address(p, addrs)
         triggered = bursts >= 0
@@ -168,7 +154,7 @@ class PimGemvEngine:
         """
         if self._job is None:
             raise ConfigError("no active job")
-        tile_elems = self._job.input_tile_elements
+        tile_elems = self._job.placement.input_tile_elements
         if values_bits.size > tile_elems:
             raise StagingError(f"input tile of {values_bits.size} elements "
                                f"exceeds RF capacity {tile_elems}")
@@ -223,12 +209,10 @@ class PimGemvEngine:
         self._prefetch_triggers = 0
         acc_dtype = np.float64 if job.arithmetic == "exact" else np.float32
         self._acc = np.zeros((p.active_banks, p.row_tile), dtype=acc_dtype)
-        self._staged_bits = np.zeros(job.input_tile_elements, dtype=np.uint16)
+        self._staged_bits = np.zeros(p.input_tile_elements, dtype=np.uint16)
         self._readout = (np.zeros(self._acc.shape),
                          np.zeros(self._acc.shape, dtype=np.uint16))
-        self._x = np.zeros(job.input_tile_elements, dtype=acc_dtype)
-        self._span = (job.image.base_addr,
-                      job.image.base_addr + job.image.span_bytes)
+        self._x = np.zeros(p.input_tile_elements, dtype=acc_dtype)
 
     def execute(self, job: GemvJob) -> GemvResult:
         """Run the full GEMV command protocol for ``job``."""
@@ -238,11 +222,11 @@ class PimGemvEngine:
         mark = self.mem.mark()
         x_padded = np.zeros(p.k_pad, dtype=np.uint16)
         x_padded[:p.in_dim] = job.input_bits
-        x_tiles = x_padded.reshape(job.num_input_tiles, -1)
-        out_bits = np.zeros((job.num_out_tiles, p.active_banks * p.row_tile),
+        x_tiles = x_padded.reshape(-1, p.input_tile_elements)
+        out_bits = np.zeros((p.slots, p.active_banks * p.row_tile),
                             dtype=np.uint16)
         out_vals = np.zeros(out_bits.shape)
-        for o in range(job.num_out_tiles):
+        for o in range(p.slots):
             self._acc[:] = 0
             addrs = burst_address_of_tile(p, o * p.active_banks)
             for x_tile, reads in zip(x_tiles, addrs.reshape(x_tiles.shape)):
@@ -256,7 +240,6 @@ class PimGemvEngine:
             output_bits=out_bits.reshape(-1),
             records=self.mem.records_since(mark),
             hits=self.mem.hits_since(mark),
-            expected_mac_reads=job.expected_mac_reads,
             triggered_mac_reads=self._trigger_count,
             prefetcher_triggers=self._prefetch_triggers,
         )

@@ -168,12 +168,15 @@ def burst_address_of_tile(p: PimPlacement, tile) -> np.ndarray:
 def burst_of_address(p: PimPlacement, addrs: np.ndarray) -> np.ndarray:
     """Inverse of the placement by bit slicing: the burst index
     ``slot * k_pad + column`` each address reads, or -1 for an address that
-    is no burst of the placement.  Every active bank shares the index of the
-    same (row, column), as lockstep execution requires."""
+    is no burst of the placement.  An address outside the device is none,
+    though slicing drops its bits above the top field.  Every active bank
+    shares the index of the same (row, column), as lockstep execution
+    requires."""
     geo = p.geometry
     f = slice_fields(p.address_map, addrs)
     burst = (f["row"] - p.base_row) * geo.columns_per_row + f["column"]
-    ours = ((f["burst_offset"] == 0) & (f["rank"] == 0)
+    ours = ((addrs >= 0) & (addrs < geo.total_capacity)
+            & (f["burst_offset"] == 0) & (f["rank"] == 0)
             & (f["channel"] < p.channels_used)
             & (f["bank"] < p.banks_per_channel)
             & (burst >= 0) & (burst < p.slots * p.k_pad))
@@ -274,20 +277,6 @@ def unswizzle(image: PimImage, mem=None) -> WeightMatrix:
     return WeightMatrix(p.out_dim, p.in_dim, data.copy())
 
 
-@dataclass(frozen=True)
-class PaddedSizeReport:
-    host_bytes: int
-    padded_total: int
-
-    @property
-    def padding_bytes(self) -> int:
-        return self.padded_total - self.host_bytes
-
-    @property
-    def padding_fraction(self) -> float:
-        return self.padding_bytes / self.host_bytes if self.host_bytes else 0.0
-
-
 def model_placements(model: ModelSpec, amap: AddressMap,
                      banks_per_channel: int,
                      channels_used: int) -> list[tuple[str, PimPlacement]]:
@@ -305,7 +294,7 @@ def model_placements(model: ModelSpec, amap: AddressMap,
 
 
 def padded_size(model: ModelSpec, amap: AddressMap,
-                banks_per_channel: int, channels_used: int) -> PaddedSizeReport:
+                banks_per_channel: int, channels_used: int) -> int:
     """Total padded DRAM bytes of the PIM-aware model.  A slab's padded size
     does not depend on where it is stacked, so each distinct shape of one
     layer and the head is placed once and counted as often as it occurs."""
@@ -315,8 +304,7 @@ def padded_size(model: ModelSpec, amap: AddressMap,
     head = model.head_matrix()
     if head is not None:
         count[head.out_dim, head.in_dim] += 1
-    total = sum(n * PimPlacement(amap, out_dim, in_dim,
-                                 banks_per_channel=banks_per_channel,
-                                 channels_used=channels_used).padded_bytes
-                for (out_dim, in_dim), n in count.items())
-    return PaddedSizeReport(host_bytes=model.host_bytes(), padded_total=total)
+    return sum(n * PimPlacement(amap, out_dim, in_dim,
+                                banks_per_channel=banks_per_channel,
+                                channels_used=channels_used).padded_bytes
+               for (out_dim, in_dim), n in count.items())

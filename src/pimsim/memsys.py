@@ -238,7 +238,6 @@ class MemorySystem:
         self._next_base = 0
         self._pool_used = 0
         self._tick = 0
-        self._drain_mark = 0
         self._reads_seen = 0
 
     # ------------------------------------------------------------------
@@ -383,16 +382,6 @@ class MemorySystem:
 
     def hits_since(self, mark: tuple[int, int]) -> list[HitRecord]:
         return self.hit_log[mark[1]:]
-
-    def drain_trace(self) -> TraceView:
-        """Snapshot of records accumulated since the previous drain."""
-        snapshot = self.trace.view(self._drain_mark)
-        self._drain_mark = len(self.trace)
-        return snapshot
-
-    def reset_stats(self):
-        """Zero the cache counters; regions and cache contents are kept."""
-        self.cache.stats = CacheStats()
 
     def export_trace_ndjson(self, records=None) -> str:
         """Line-delimited JSON export of trace records."""

@@ -42,7 +42,7 @@ class ModelSpec:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"model {name} must be an integer, got {value!r}")
         if (self.hidden < 1 or self.intermediate < 1 or self.layers < 0
-                or self.element_bytes < 1):
+                or self.vocab < 0 or self.element_bytes < 1):
             raise ConfigError("model dimensions must be positive")
         kv = Fraction(self.kv_ratio)
         object.__setattr__(self, "kv_ratio", kv)

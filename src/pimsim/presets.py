@@ -76,6 +76,5 @@ def pim_weight_bytes(model: ModelSpec,
                      geometry: DramGeometry = PHONE_GEOMETRY) -> int:
     """Padded size of the PIM-aware image of every linear weight."""
     amap = AddressMap(geometry)
-    report = padded_size(model, amap, banks_per_channel=geometry.banks_per_rank,
-                         channels_used=geometry.channels)
-    return report.padded_total
+    return padded_size(model, amap, banks_per_channel=geometry.banks_per_rank,
+                       channels_used=geometry.channels)

@@ -41,8 +41,7 @@ CROSSOVER_MAX_SL = 1024  # longest input ddb_hiding_crossover searches
 
 @dataclass(frozen=True)
 class Segment:
-    agent: str
-    role: str  # "copy" or "compute"
+    agent: str  # "copy" or "compute"
     tag: str   # e.g. "layer3.ff1"
     start: float
     end: float
@@ -74,7 +73,8 @@ class Timeline:
                                       f"{a.tag} and {b.tag}")
 
     def to_json(self) -> str:
-        rows = [{"agent": s.agent, "role": s.role, "layer": s.tag,
+        # "role" repeats the agent; it stays so timeline reports keep their keys
+        rows = [{"agent": s.agent, "role": s.agent, "layer": s.tag,
                  "start": s.start, "end": s.end, "buffer": s.buffer}
                 for s in sorted(self.segments, key=lambda s: (s.start, s.agent))]
         return json.dumps(rows, sort_keys=True)
@@ -167,7 +167,7 @@ def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec, sl: int) -> Timeline:
     plan = layer_plan(model, hw, sl)
     copies = [copy_seconds(seg.copy_bytes) for seg in plan]
     preload = copies[-1]  # ff2's copy: the projections
-    tl.segments.append(Segment("copy", "copy", "preload", 0.0, preload, buffer=0))
+    tl.segments.append(Segment("copy", "preload", 0.0, preload, buffer=0))
     copy_t = preload
     comp_t = preload
     for layer in range(model.layers):
@@ -175,7 +175,7 @@ def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec, sl: int) -> Timeline:
         for seg, copy in zip(plan, copies):
             start = comp_t
             comp_t += seg.compute_seconds
-            tl.segments.append(Segment("compute", "compute", prefix + seg.tag,
+            tl.segments.append(Segment("compute", prefix + seg.tag,
                                        start, comp_t, buffer=seg.buffer))
             if seg.copy_tag == "qkvo":
                 if layer == model.layers - 1:
@@ -187,7 +187,7 @@ def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec, sl: int) -> Timeline:
                 continue
             c_start = max(copy_t, start)
             copy_t = c_start + copy
-            tl.segments.append(Segment("copy", "copy", copy_tag,
+            tl.segments.append(Segment("copy", copy_tag,
                                        c_start, copy_t, buffer=1 - seg.buffer))
         # one synchronization barrier per layer
         comp_t = copy_t = max(comp_t, copy_t)
@@ -200,9 +200,9 @@ def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec, sl: int) -> Timeline:
         start = comp_t
         # pipelined at buffer-half granularity: first tile copy exposed
         end = start + max(comp, copy_total) + copy_seconds(tile)
-        tl.segments.append(Segment("compute", "compute", "lm_head",
+        tl.segments.append(Segment("compute", "lm_head",
                                    start, end, buffer=None))
-        tl.segments.append(Segment("copy", "copy", "lm_head",
+        tl.segments.append(Segment("copy", "lm_head",
                                    start, start + copy_total, buffer=None))
     tl.validate()
     return tl
@@ -300,20 +300,19 @@ def _serial_timeline(model: ModelSpec, plan: list[_PlanSegment],
     t = 0.0
     for layer in range(model.layers):
         if layer_copy is not None:
-            tl.segments.append(Segment("copy", "copy", f"layer{layer}.smc",
+            tl.segments.append(Segment("copy", f"layer{layer}.smc",
                                        t, t + layer_copy))
             t += layer_copy
         for seg in plan:
-            tl.segments.append(Segment("compute", "compute",
-                                       f"layer{layer}.{seg.tag}",
+            tl.segments.append(Segment("compute", f"layer{layer}.{seg.tag}",
                                        t, t + seg.compute_seconds))
             t += seg.compute_seconds
     if model.head_matrix() is not None:
         if head_copy is not None:
-            tl.segments.append(Segment("copy", "copy", "lm_head.smc",
+            tl.segments.append(Segment("copy", "lm_head.smc",
                                        t, t + head_copy))
             t += head_copy
-        tl.segments.append(Segment("compute", "compute", "lm_head",
+        tl.segments.append(Segment("compute", "lm_head",
                                    t, t + head_seconds))
         t += head_seconds
     tl.validate()

@@ -6,6 +6,7 @@ Each test prints exactly one summary line of the form
 
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -190,7 +191,7 @@ class _LruOracle:
 
 def _protocol_weight_reads(job):
     p = job.placement
-    for o in range(job.num_out_tiles):
+    for o in range(p.slots):
         for a in burst_address_of_tile(p, o * p.active_banks).tolist():
             yield a
 
@@ -285,8 +286,8 @@ def test_acceptance_7_ddb_hiding():
 def test_acceptance_8_decode_speedup():
     model = model_preset("llama3.2-1b")
     pim = pim_weight_bytes(model)
-    variants = [HW, HW.with_(pim_bw_multiplier=4.0),
-                HW.with_(host_overhead_per_token=0.002)]
+    variants = [HW, replace(HW, pim_bw_multiplier=4.0),
+                replace(HW, host_overhead_per_token=0.002)]
     for hw in variants:
         for pim_bytes in (None, pim):
             ratio = (decode_token_time(model, hw, use_pim=False)

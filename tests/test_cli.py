@@ -140,6 +140,8 @@ BAD_CONFIGS = {
         "hidden": 64.5, "intermediate": 256, "layers": 1}}),
     "bool_hardware_bandwidth": json.dumps({"model": "toy-64",
                                            "hardware": {"dram_bw_gbps": True}}),
+    "negative_model_vocab": json.dumps({"model": {
+        "hidden": 64, "intermediate": 256, "layers": 1, "vocab": -5}}),
     "zero_element_bytes": json.dumps({"model": {
         "hidden": 64, "intermediate": 256, "layers": 1, "element_bytes": 0}}),
     "negative_kv_ratio": json.dumps({"model": {
@@ -155,6 +157,15 @@ BAD_RUN_CONFIGS = {
 BAD_SWEEP_CONFIGS = {
     "scalar_in_lens": json.dumps({"model": "toy-64", "in_lens": 5}),
     "fractional_in_lens": json.dumps({"model": "toy-64", "in_lens": [1.5, 2]}),
+    "analytical_mode": json.dumps({"model": "toy-64", "mode": "analytical"}),
+    "timeline_on_sweep": json.dumps({"model": "toy-64", "timeline": True}),
+    "in_len_with_in_lens": json.dumps({"model": "toy-64", "in_len": 64,
+                                       "in_lens": [32]}),
+    "out_len_with_out_lens": json.dumps({"model": "toy-64", "out_len": 4,
+                                         "out_lens": [8]}),
+    "scenario_with_scenarios": json.dumps({"model": "toy-64",
+                                           "scenario": "wd",
+                                           "scenarios": ["s_ddb"]}),
 }
 BAD_CONFIG_CASES = (
     [pytest.param(text, command, id=f"{name}-{command}")
@@ -174,6 +185,21 @@ def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "--model", "toy-64", "--input", "{missing}/w.bin",
+     "--output", "{tmp}/o.bin", "--manifest", "{tmp}/m.json"],
+    ["run", "--config", "{cfg}", "--output", "{missing}/x.json"],
+    ["sweep", "--config", "{cfg}", "--output", "{missing}/x.csv"],
+], ids=["convert-input", "run-output", "sweep-output"])
+def test_file_error_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "toy-64"}))
+    argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing", cfg=cfg)
+            for a in argv]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_sweep_covers_grid_and_matches_run(tmp_path, capsys):
@@ -211,3 +237,11 @@ def test_gemv_check_cacheable_reports_integrity_failure(capsys):
     assert run_cli("gemv-check", "--seed", "3", "--trials", "2",
                    "--cacheable") == 2
     assert "pim-blocked" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_gemv_check_rejects_fewer_than_one_trial(capsys, trials):
+    assert run_cli("gemv-check", "--trials", trials) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""

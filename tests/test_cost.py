@@ -1,13 +1,14 @@
 """Cost model: overhead table, calibrated latencies, capacity reports."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from pimsim.cost import (ONLINE_T, HardwareSpec, analytical_gemm_t,
-                         capacity_report, capacity_summary, decode_token_time,
-                         gemm_time, rearrangement_overhead_table, smc_time)
+                         capacity_report, decode_token_time, gemm_time,
+                         rearrangement_overhead_table, smc_time)
 from pimsim.errors import ConfigError
 from pimsim.model import ModelSpec
 from pimsim.presets import hardware_preset, model_preset
@@ -65,7 +66,7 @@ def test_smc_time_uses_per_agent_bandwidth():
     assert smc_time(4.25e9, 4, HW) == pytest.approx(1.0)
     with pytest.raises(ConfigError):
         smc_time(1, 3, HW)
-    override = HW.with_(smc_bw_override_gbps=10.0)
+    override = replace(HW, smc_bw_override_gbps=10.0)
     assert smc_time(10e9, 3, override) == pytest.approx(1.0)
 
 
@@ -93,7 +94,7 @@ def test_capacity_report_structure():
     model = model_preset("llama3.2-1b")
     host = model.host_bytes()
     pim = host + 80_000_000
-    summary = capacity_summary(model, pim)
+    summary = {s.value: capacity_report(model, s, pim) for s in Scenario}
     wd = summary["wd"]["total_bytes"]
     assert wd == host + pim
     # single-copy scenarios strictly beat duplication

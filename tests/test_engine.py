@@ -219,6 +219,28 @@ def test_a_job_triggers_on_the_weight_reads_traced_inside_it():
     assert np.array_equal(values, w[:16, :128] @ x[:128])
 
 
+def test_staging_beyond_the_device_triggers_no_mac():
+    """A weight region that fills the device puts the engine's staging
+    buffers above it.  Their addresses differ from the slab's bursts only in
+    bits above the top address field, so they must trigger nothing."""
+    geo = DramGeometry(channels=1, ranks_per_channel=1, banks_per_rank=4,
+                       rows_per_bank=16, columns_per_row=32)
+    rng = np.random.default_rng(13)
+    w = rng.integers(-3, 4, size=(64, 128)).astype(np.float64)
+    x = rng.integers(-3, 4, size=128).astype(np.float64)
+    mem = MemorySystem(capacity=geo.total_capacity + (1 << 16))
+    mem.allocate_region(RegionKind.CONTIGUOUS_POOL, Attribute.NON_CACHEABLE,
+                        geo.total_capacity, name="weights")
+    p = PimPlacement(AddressMap(geo), 64, 128, banks_per_channel=4)
+    image = convert_to_pim_aware(
+        WeightMatrix(64, 128, bf16.encode(w.astype(np.float32))), p)
+    engine = PimGemvEngine(mem)
+    assert engine.dummy_addr >= geo.total_capacity
+    job, result = run_exact(engine, image, x)
+    assert np.array_equal(result.output, w @ x)
+    assert engine.verify_trigger_integrity(job, result).ok
+
+
 def test_attribute_removal_never_increases_dram_reads():
     rng = np.random.default_rng(6)
     w = rng.integers(-2, 3, size=(64, 128)).astype(np.float64)

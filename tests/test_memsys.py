@@ -131,28 +131,6 @@ def test_capacity_exhaustion():
         mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, 1024)
 
 
-def test_drain_trace_has_delta_semantics():
-    mem = make_mem()
-    region = mem.allocate_region(RegionKind.GENERAL,
-                                 Attribute.NON_CACHEABLE, 4096)
-    mem.access(region.base, "R", 4)
-    first = mem.drain_trace()
-    assert len(first) == 1
-    mem.access(region.base + 4, "R", 4)
-    second = mem.drain_trace()
-    assert [r.addr for r in second] == [region.base + 4]
-    assert mem.drain_trace() == []
-
-
-def test_reset_stats_keeps_cache_contents():
-    mem = make_mem()
-    region = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, 4096)
-    mem.access(region.base, "R", 8)
-    mem.reset_stats()
-    assert mem.cache.stats.misses == 0
-    assert mem.access(region.base, "R", 8) is Source.CACHE
-
-
 def test_rogue_prefetcher_injects_next_line_reads():
     mem = make_mem(rogue_prefetcher=True, rogue_period=4)
     region = mem.allocate_region(RegionKind.GENERAL,
@@ -202,7 +180,7 @@ def _batches(nbytes):
                               st.sampled_from("RW"),
                               st.sampled_from(["host", "copy"]),
                               st.lists(offset, max_size=12),
-                              st.sampled_from(["", "drain", "clear"])),
+                              st.sampled_from(["", "clear"])),
                     max_size=12)
 
 
@@ -230,10 +208,8 @@ def test_access_many_equals_a_sequence_of_access(rogue, period, nbytes, data):
             else:
                 for addr in addrs:
                     mem.access(addr, op, nbytes, agent)
-            views = [mem.records_since(mark)]
-            if then == "drain":
-                views.append(mem.drain_trace())
-            windows += [(view, list(view)) for view in views]
+            view = mem.records_since(mark)
+            windows.append((view, list(view)))
             if then == "clear":
                 collect()
                 mem.trace.clear()
@@ -246,7 +222,7 @@ def test_access_many_equals_a_sequence_of_access(rogue, period, nbytes, data):
         assert tails == [trace[k:] for k in range(len(trace) + 2)]
         collect()
         return (trace, mem.export_trace_ndjson(), seen, windows, mem.hit_log,
-                mem.cache.stats.as_dict(), list(mem.drain_trace()))
+                mem.cache.stats.as_dict())
 
     assert run(batched=True) == run(batched=False)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -53,7 +54,7 @@ def test_layer_plan_copy_pairing():
     assert segs[6].copy_bytes == sum(m.params() for m in M1B.layer_matrices()
                                      if m.name in ("q", "k", "v", "o")) * 2
     # a host attention segment leads the plan and pairs no copy
-    attn = layer_plan(M1B, HW.with_(host_attn_seconds_per_layer=1e-3), 32)
+    attn = layer_plan(M1B, replace(HW, host_attn_seconds_per_layer=1e-3), 32)
     assert [s.tag for s in attn] == ["attn"] + tags
     assert (attn[0].copy_bytes, attn[0].copy_tag) == (0.0, "")
 
