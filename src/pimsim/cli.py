@@ -347,8 +347,15 @@ def cmd_gemv_check(args) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1), not argparse's 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pimsim",
         description="PIM-enabled LPDDR inference simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -383,9 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (SimulatorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -98,9 +98,9 @@ class IntegrityReport:
 class PimGemvEngine:
     """Engine for one memory system; executes one GEMV job at a time.
 
-    ``corrupt_mac_order`` is a test hook that reverses the input-element
-    order inside each MAC flush; it must make every nontrivial job fail
-    oracle comparison.
+    ``corrupt_mac_order`` is a test hook that reverses the order of the
+    input elements each staged tile applies; it must make every nontrivial
+    job fail oracle comparison.
     """
 
     def __init__(self, mem: MemorySystem, corrupt_mac_order: bool = False):
@@ -117,32 +117,43 @@ class PimGemvEngine:
     # DRAM-side trigger path
     # ------------------------------------------------------------------
     def _on_dram(self):
-        """MAC flush: decode the reads traced since the previous flush; each
-        one that reads a burst of the weight slab triggers a MAC: read j
-        uses input element j (arrival order)."""
+        """MAC flush at the output readback: every read traced since the last
+        flush that reads a burst of the weight slab triggers a MAC, decoded in
+        one batch.  The staging writes split them into tiles: the j-th trigger
+        after a staging uses element j of its tile, and triggers before the
+        first staging use the tile staged earlier."""
         chunks = self.mem.trace.chunks
-        reads = [c for c in chunks[self._traced:] if c.op == "R"]
-        self._traced = len(chunks)
-        if not reads:
+        first, self._traced = self._traced, len(chunks)
+        marks, tiles = self._marks, self._tiles
+        self._marks, self._tiles = [], tiles[-1:]
+        idx = [i for i in range(first, len(chunks)) if chunks[i].op == "R"]
+        if not idx:
             return
+        reads = [chunks[i] for i in idx]
+        sizes = [len(c.addrs) for c in reads]
         addrs = np.concatenate([c.addrs for c in reads])
-        prefetched = np.repeat([c.agent == "prefetcher" for c in reads],
-                               [len(c.addrs) for c in reads])
+        prefetched = np.repeat([c.agent == "prefetcher" for c in reads], sizes)
+        tile_of = np.repeat(np.searchsorted(marks, idx, side="right"), sizes)
         p = self._job.placement
         bursts = burst_of_address(p, addrs)
         triggered = bursts >= 0
-        bursts = bursts[triggered]
+        bursts, tile_of = bursts[triggered], tile_of[triggered]
         self._trigger_count += len(bursts)
         self._prefetch_triggers += int(prefetched[triggered].sum())
-        n = min(len(bursts), len(self._x))
-        bursts = bursts[:n]  # RF pointer saturates past the staged tile
-        x = self._x[:n]
-        if self.corrupt_mac_order:
-            x = x[::-1]
-        slots, cols = np.divmod(bursts, p.k_pad)
+        # the RF pointer of each tile saturates past its last element
+        rf = len(tiles[0])
+        bounds = np.searchsorted(tile_of, np.arange(len(tiles) + 1))
+        used = np.arange(len(bursts)) - bounds[tile_of] < rf
+        slots, cols = np.divmod(bursts[used], p.k_pad)
         # (n, active banks, lanes): each read's burst in every active bank
         w = bf16.decode(self._job.image.data[slots, :, :, cols])
-        self._acc += np.einsum("nab,n->ab", w.astype(self._acc.dtype), x)
+        w = w.astype(self._acc.dtype)
+        lo = 0
+        for x, n in zip(tiles, np.minimum(np.diff(bounds), rf).tolist()):
+            if n:
+                x = x[:n][::-1] if self.corrupt_mac_order else x[:n]
+                self._acc += np.einsum("nab,n->ab", w[lo:lo + n], x)
+                lo += n
 
     # ------------------------------------------------------------------
     # Staging primitives
@@ -150,7 +161,9 @@ class PimGemvEngine:
     def pim_write_input(self, values_bits: np.ndarray):
         """Write8: stage up to one 128-element input tile into the input RF.
 
-        Unused lanes of a partial final tile are zero-filled.
+        Unused lanes of a partial final tile are zero-filled.  The write's
+        position in the trace marks where the tile's MACs begin; they are
+        applied at the next output readback.
         """
         if self._job is None:
             raise ConfigError("no active job")
@@ -158,20 +171,18 @@ class PimGemvEngine:
         if values_bits.size > tile_elems:
             raise StagingError(f"input tile of {values_bits.size} elements "
                                f"exceeds RF capacity {tile_elems}")
-        self._on_dram()
         staged = np.zeros(tile_elems, dtype=np.uint16)
         staged[:values_bits.size] = values_bits
+        self._marks.append(len(self.mem.trace.chunks))
+        self._tiles.append(bf16.decode(staged).astype(self._acc.dtype))
         self.mem.access(self.in_buf_addr, "W",
                         tile_elems * self._job.placement.geometry.element_bytes)
         self._staged_bits = staged
-        if self._job.arithmetic == "exact":
-            self._x = bf16.decode(staged).astype(np.float64)
-        else:
-            self._x = bf16.decode(staged).astype(np.float32)
 
-    def pim_read_output(self) -> np.ndarray:
-        """Write8 of the output RF: returns the accumulator lanes of every
-        active bank, rounded to element precision in BF16 mode."""
+    def pim_read_output(self) -> tuple[np.ndarray, np.ndarray]:
+        """Write8 of the output RF after the MAC flush: returns ``(values,
+        bits)``, the accumulator lanes of every active bank and their bits
+        rounded to element precision."""
         if self._job is None:
             raise ConfigError("no active job")
         self._on_dram()
@@ -212,7 +223,10 @@ class PimGemvEngine:
         self._staged_bits = np.zeros(p.input_tile_elements, dtype=np.uint16)
         self._readout = (np.zeros(self._acc.shape),
                          np.zeros(self._acc.shape, dtype=np.uint16))
-        self._x = np.zeros(p.input_tile_elements, dtype=acc_dtype)
+        # the stagings since the last flush: their trace positions, and the
+        # tile in the RF before them (zeros after the bind) followed by theirs
+        self._marks = []
+        self._tiles = [np.zeros(p.input_tile_elements, dtype=acc_dtype)]
 
     def execute(self, job: GemvJob) -> GemvResult:
         """Run the full GEMV command protocol for ``job``."""
@@ -226,10 +240,10 @@ class PimGemvEngine:
         out_bits = np.zeros((p.slots, p.active_banks * p.row_tile),
                             dtype=np.uint16)
         out_vals = np.zeros(out_bits.shape)
+        addrs = burst_address_of_tile(p, np.arange(p.slots) * p.active_banks)
         for o in range(p.slots):
             self._acc[:] = 0
-            addrs = burst_address_of_tile(p, o * p.active_banks)
-            for x_tile, reads in zip(x_tiles, addrs.reshape(x_tiles.shape)):
+            for x_tile, reads in zip(x_tiles, addrs[o].reshape(x_tiles.shape)):
                 self.pim_write_input(x_tile)
                 self.mem.access_many(reads, "R", geo.burst_bytes)
             self.mem.access_many([self.dummy_addr] * PIPELINE_DRAIN_READS,

@@ -245,3 +245,22 @@ def test_gemv_check_rejects_fewer_than_one_trial(capsys, trials):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"], ["bogus"], ["gemv-check", "--trials", "x"],
+], ids=["run-without-config", "unknown-command", "non-integer-trials"])
+def test_usage_error_exits_1_with_an_error_line(capsys, argv):
+    """Exit code 2 is kept for a failed check."""
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pimsim")

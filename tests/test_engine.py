@@ -219,6 +219,143 @@ def test_a_job_triggers_on_the_weight_reads_traced_inside_it():
     assert np.array_equal(values, w[:16, :128] @ x[:128])
 
 
+def test_rf_pointer_saturates_but_every_trigger_counts():
+    """One staged tile followed by 256 weight reads before the readout: the
+    first 128 consume the tile, the rest trigger without a MAC."""
+    rng = np.random.default_rng(14)
+    w = rng.integers(-3, 4, size=(16, 256)).astype(np.float64)
+    x = rng.integers(-3, 4, size=256).astype(np.float64)
+    engine, image = build(16, 256, w, banks=1)
+    job = GemvJob(image, bf16.encode(x.astype(np.float32)), arithmetic="exact")
+    engine._bind(job)
+    engine.pim_write_input(job.input_bits[:128])
+    engine.mem.access_many(burst_address_of_tile(image.placement, 0), "R",
+                           image.placement.geometry.burst_bytes)
+    values, _ = engine.pim_read_output()
+    assert np.array_equal(values, w[:, :128] @ x[:128])
+    assert engine._trigger_count == 256
+
+
+def test_stagings_split_one_flush_window_into_tiles():
+    """Weight reads after the bind, between two stagings and after the
+    second, all flushed by one readback, each use their own tile; reads
+    after the readback use the last tile again."""
+    rng = np.random.default_rng(15)
+    w = rng.integers(-3, 4, size=(16, 256)).astype(np.float64)
+    x = rng.integers(-3, 4, size=256).astype(np.float64)
+    engine, image = build(16, 256, w, banks=1)
+    job = GemvJob(image, bf16.encode(x.astype(np.float32)), arithmetic="exact")
+    burst_bytes = image.placement.geometry.burst_bytes
+    bursts = burst_address_of_tile(image.placement, 0)
+    engine._bind(job)
+    engine.mem.access_many(bursts[:10], "R", burst_bytes)  # the zero tile
+    engine.pim_write_input(job.input_bits[:128])
+    engine.mem.access_many(bursts[200:], "R", burst_bytes)
+    engine.pim_write_input(job.input_bits[128:])
+    engine.mem.access_many(bursts[:100], "R", burst_bytes)
+    values, _ = engine.pim_read_output()
+    assert np.array_equal(values,
+                          w[:, 200:] @ x[:56] + w[:, :100] @ x[128:228])
+    assert engine._trigger_count == 10 + 56 + 100
+    # the next window starts on the tile staged last, from its element 0
+    engine.mem.access_many(bursts[:20], "R", burst_bytes)
+    later, _ = engine.pim_read_output()
+    assert np.array_equal(later - values, w[:, :20] @ x[128:148])
+
+
+def test_a_job_flushes_macs_once_per_output_tile():
+    engine, image = build(16 * ACTIVE_BANKS * 3, 300,
+                          np.ones((16 * ACTIVE_BANKS * 3, 300)))
+    flush, flushes = engine._on_dram, []
+    engine._on_dram = lambda: flushes.append(flush())
+    job, result = run_exact(engine, image, np.ones(300))
+    assert len(flushes) == image.placement.slots == 3
+    assert engine.verify_trigger_integrity(job, result).ok
+
+
+def replay_mac_rule(result, engine, w_int, x_int, p, corrupt):
+    """Independent, record-by-record model of the MAC rule over a job's
+    trace: a staging write resets the RF pointer to the next input tile,
+    the j-th read of a slab burst after it MACs input j if j is inside the
+    tile, and an output write snapshots (then clears) the accumulators.
+    Returns the readback bits, values, triggers and prefetcher triggers."""
+    lanes, banks = p.row_tile, p.active_banks
+    w_pad = np.zeros((p.m_pad, p.k_pad))
+    w_pad[:p.out_dim, :p.in_dim] = w_int
+    x_pad = np.zeros(p.k_pad)
+    x_pad[:p.in_dim] = x_int
+    x_tiles = x_pad.reshape(-1, p.input_tile_elements)
+    slab = {}  # burst address in any active bank -> (slot, column)
+    for tile in range(p.slots * banks):
+        for col, addr in enumerate(burst_address_of_tile(p, tile).tolist()):
+            slab[addr] = (tile // banks, col)
+    x_cur = np.zeros(p.input_tile_elements)
+    acc, pending, stagings = np.zeros((banks, lanes)), [], 0
+    out, triggers, prefetched = [], 0, 0
+
+    def apply():
+        xs = x_cur[:len(pending)]
+        for (slot, col), xj in zip(pending, xs[::-1] if corrupt else xs):
+            rows = slot * banks * lanes + np.arange(banks * lanes)
+            acc[:] += w_pad[rows, col].reshape(banks, lanes) * xj
+        pending.clear()
+
+    for r in result.records:
+        if r.op == "W" and r.addr == engine.in_buf_addr:
+            apply()
+            x_cur = x_tiles[stagings % len(x_tiles)]
+            stagings += 1
+        elif r.op == "W" and r.addr == engine.out_buf_addr:
+            apply()
+            out.append(acc.reshape(-1).copy())
+            acc[:] = 0
+        elif r.op == "R" and r.addr in slab:
+            triggers += 1
+            prefetched += r.agent == "prefetcher"
+            if len(pending) < len(x_cur):
+                pending.append(slab[r.addr])
+    values = np.concatenate(out)
+    return bf16.encode(values.astype(np.float32)), values, triggers, prefetched
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 8, 16]), st.sampled_from([32, 64]),
+       st.sampled_from([32, 64]), st.permutations(FIELD_NAMES), st.data(),
+       st.sampled_from(["exact", "bf16"]), st.booleans(), st.booleans(),
+       st.none() | st.integers(2, 300), st.integers(0, 2**32 - 1))
+def test_trace_replay_oracle_matches_the_engine(geo_banks, columns,
+                                                burst_bytes, order, data,
+                                                arithmetic, cacheable,
+                                                corrupt, rogue_period, seed):
+    """Integer-valued operands keep every partial sum exact, so the oracle's
+    summation order cannot matter, in either arithmetic."""
+    geo = DramGeometry(channels=1, ranks_per_channel=1,
+                       banks_per_rank=geo_banks, rows_per_bank=256,
+                       columns_per_row=columns, burst_bytes=burst_bytes)
+    amap = AddressMap(geo, order)
+    banks = data.draw(st.integers(1, geo_banks), label="active banks")
+    rng = np.random.default_rng(seed)
+    out_dim = int(rng.integers(1, 3 * geo.elements_per_burst * banks + 1))
+    in_dim = int(rng.integers(1, 3 * 8 * geo.elements_per_burst + 1))
+    w = rng.integers(-4, 5, size=(out_dim, in_dim)).astype(np.float64)
+    x = rng.integers(-4, 5, size=in_dim).astype(np.float64)
+    mem = MemorySystem(capacity=geo.total_capacity + (1 << 16),
+                       cache=CacheConfig(capacity=1 << 14),
+                       rogue_prefetcher=rogue_period is not None,
+                       rogue_period=rogue_period or 64)
+    image = add_image(mem, out_dim, in_dim, w, cacheable, amap, banks=banks)
+    engine = PimGemvEngine(mem, corrupt_mac_order=corrupt)
+    job = GemvJob(image, bf16.encode(x.astype(np.float32)), arithmetic)
+    for _ in range(2):  # the second run meets a warm cache
+        result = engine.execute(job)
+        bits, values, triggers, prefetched = replay_mac_rule(
+            result, engine, w, x, image.placement, corrupt)
+        assert np.array_equal(result.output_bits, bits)
+        assert np.array_equal(result.output, values[:out_dim])
+        assert result.triggered_mac_reads == triggers
+        assert result.prefetcher_triggers == prefetched
+
+
 def test_staging_beyond_the_device_triggers_no_mac():
     """A weight region that fills the device puts the engine's staging
     buffers above it.  Their addresses differ from the slab's bursts only in
