@@ -21,8 +21,8 @@ from .memsys import (Attribute, CacheConfig, MemoryRegion, MemorySystem,
                      RegionKind, Source, TraceRecord)
 from .model import MatrixShape, ModelSpec
 from .runtime import (PrefillResult, Segment, Timeline, build_ddb_schedule,
-                      ddb_hiding_crossover, run_decode, run_end_to_end,
-                      run_prefill, speedup_grid)
+                      ddb_hiding_crossover, end_to_end_grid, run_decode,
+                      run_prefill)
 from .scenario import Scenario
 
 __version__ = "0.1.0"
@@ -37,7 +37,7 @@ __all__ = [
     "Source", "StagingError", "Timeline", "TraceRecord", "WeightMatrix",
     "bf16_decode", "bf16_encode", "build_ddb_schedule", "capacity_report",
     "convert_to_pim_aware", "ddb_hiding_crossover", "decode_token_time",
-    "gemm_time", "model_placements", "padded_size",
-    "rearrangement_overhead_table", "run_decode", "run_end_to_end",
-    "run_prefill", "smc_copy", "smc_time", "speedup_grid", "unswizzle",
+    "end_to_end_grid", "gemm_time", "model_placements", "padded_size",
+    "rearrangement_overhead_table", "run_decode", "run_prefill", "smc_copy",
+    "smc_time", "unswizzle",
 ]

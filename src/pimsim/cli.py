@@ -42,7 +42,8 @@ from .memsys import Attribute, CacheConfig, MemorySystem, RegionKind
 from .model import ModelSpec
 from .presets import (geometry_preset, hardware_preset, model_preset,
                       pim_weight_bytes)
-from .runtime import end_to_end_row, run_decode, run_prefill
+from .runtime import (end_to_end_grid, end_to_end_row, run_decode,
+                      run_prefill)
 from .scenario import Scenario
 
 
@@ -116,8 +117,7 @@ def _resolve_scenario(name: str) -> Scenario:
                           f"{[s.value for s in Scenario]}") from None
 
 
-def _int_field(cfg: dict, key: str, default: int) -> int:
-    value = cfg.get(key, default)
+def _int_value(key: str, value) -> int:
     if type(value) is not int:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
@@ -130,11 +130,39 @@ def _bool_field(cfg: dict, key: str) -> bool:
     return value
 
 
-def _list_field(cfg: dict, key: str) -> list:
-    value = cfg.get(key) or []
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return value
+def _axis(cfg: dict, key: str, default) -> list:
+    """Values of one grid axis: the non-empty list under ``key + "s"`` if
+    the config has it, else the scalar ``key``."""
+    many = key + "s"
+    if many not in cfg:
+        return [cfg.get(key, default)]
+    if key in cfg:
+        raise ConfigError(f"give {key} or {many}, not both")
+    values = cfg[many]
+    if not isinstance(values, list):
+        raise ConfigError(f"{many} must be a list, got {values!r}")
+    if not values:
+        raise ConfigError(f"{many} must not be empty")
+    return values
+
+
+def _resolve(cfg: dict):
+    """Model, hardware, cost mode, PIM bytes and the (scenarios, in_lens,
+    out_lens) axes of a run or sweep config; a run's axes hold one value."""
+    model = _resolve_model(cfg.get("model", "llama3.2-1b"))
+    hw = _resolve_hardware(cfg.get("hardware"))
+    axes = ([_resolve_scenario(s) for s in _axis(cfg, "scenario", "s_ddb")],
+            [_int_value("in_len", n) for n in _axis(cfg, "in_len", 32)],
+            [_int_value("out_len", n) for n in _axis(cfg, "out_len", 0)])
+    mode = CostMode(cfg.get("mode", "calibrated"))
+    compute_pim_bytes = _bool_field(cfg, "compute_pim_bytes")
+    pim_bytes = cfg.get("pim_bytes")
+    if pim_bytes is not None and (type(pim_bytes) is not int or pim_bytes <= 0):
+        raise ConfigError(f"pim_bytes must be a positive integer, "
+                          f"got {pim_bytes!r}")
+    if pim_bytes is None and compute_pim_bytes:
+        pim_bytes = pim_weight_bytes(model)
+    return model, hw, mode, pim_bytes, axes
 
 
 def _resolved_config(cfg: dict, model: ModelSpec, hw: HardwareSpec) -> dict:
@@ -198,20 +226,9 @@ def cmd_convert(args) -> int:
 # ----------------------------------------------------------------------
 
 def _point_report(cfg: dict) -> dict:
-    model = _resolve_model(cfg.get("model", "llama3.2-1b"))
-    hw = _resolve_hardware(cfg.get("hardware"))
-    scenario = _resolve_scenario(cfg.get("scenario", "s_ddb"))
-    in_len = _int_field(cfg, "in_len", 32)
-    out_len = _int_field(cfg, "out_len", 0)
-    mode = CostMode(cfg.get("mode", "calibrated"))
+    model, hw, mode, pim_bytes, axes = _resolve(cfg)
+    [scenario], [in_len], [out_len] = axes
     timeline = _bool_field(cfg, "timeline")
-    compute_pim_bytes = _bool_field(cfg, "compute_pim_bytes")
-    pim_bytes = cfg.get("pim_bytes")
-    if pim_bytes is not None and (type(pim_bytes) is not int or pim_bytes <= 0):
-        raise ConfigError(f"pim_bytes must be a positive integer, "
-                          f"got {pim_bytes!r}")
-    if pim_bytes is None and compute_pim_bytes:
-        pim_bytes = pim_weight_bytes(model)
     prefill = run_prefill(scenario, model, hw, in_len, mode=mode)
     report = {"resolved_config": _resolved_config(cfg, model, hw),
               "scenario": scenario.value, "in_len": in_len, "out_len": out_len}
@@ -227,7 +244,7 @@ def _point_report(cfg: dict) -> dict:
         report["capacity"] = capacity_report(model, scenario, pim_bytes)
     report["decode_tps"] = decode.tps
     if prefill.timeline is not None and timeline:
-        report["timeline"] = json.loads(prefill.timeline.to_json())
+        report["timeline"] = prefill.timeline.rows()
     return report
 
 
@@ -247,34 +264,14 @@ def cmd_sweep(args) -> int:
     if cfg.get("mode", "calibrated") != "calibrated":
         raise ConfigError("sweep reports calibrated seconds only; "
                           f"got mode {cfg['mode']!r}")
-    for one, many in (("in_len", "in_lens"), ("out_len", "out_lens"),
-                      ("scenario", "scenarios")):
-        if one in cfg and many in cfg:
-            raise ConfigError(f"give {one} or {many}, not both")
-    in_lens = _list_field(cfg, "in_lens") or [_int_field(cfg, "in_len", 32)]
-    out_lens = _list_field(cfg, "out_lens") or [_int_field(cfg, "out_len", 0)]
-    scenarios = _list_field(cfg, "scenarios") or [cfg.get("scenario", "s_ddb")]
-    rows = []
-    for name in scenarios:
-        for in_len in in_lens:
-            for out_len in out_lens:
-                point = dict(cfg, scenario=name, in_len=in_len,
-                             out_len=out_len)
-                point.pop("in_lens", None)
-                point.pop("out_lens", None)
-                point.pop("scenarios", None)
-                r = _point_report(point)
-                rows.append({"scenario": r["scenario"], "in_len": r["in_len"],
-                             "out_len": r["out_len"],
-                             "ttft_seconds": r["ttft_seconds"],
-                             "token_seconds": r["token_seconds"],
-                             "total_seconds": r["total_seconds"],
-                             "speedup_vs_c_gemm": r["speedup_vs_c_gemm"]})
+    model, hw, _, pim_bytes, axes = _resolve(cfg)
+    rows = end_to_end_grid(model, hw, *axes, pim_bytes=pim_bytes)
     fieldnames = ["scenario", "in_len", "out_len", "ttft_seconds",
                   "token_seconds", "total_seconds", "speedup_vs_c_gemm"]
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames)
+        writer = csv.DictWriter(out, fieldnames=fieldnames,
+                                extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     finally:

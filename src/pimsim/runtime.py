@@ -22,7 +22,6 @@ the compute-only schedule plus the total copy time, exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,12 +71,12 @@ class Timeline:
                     raise ConfigError(f"overlapping segments for {agent}: "
                                       f"{a.tag} and {b.tag}")
 
-    def to_json(self) -> str:
+    def rows(self) -> list[dict]:
+        """One JSON-ready dict per segment, in (start, agent) order."""
         # "role" repeats the agent; it stays so timeline reports keep their keys
-        rows = [{"agent": s.agent, "role": s.agent, "layer": s.tag,
+        return [{"agent": s.agent, "role": s.agent, "layer": s.tag,
                  "start": s.start, "end": s.end, "buffer": s.buffer}
                 for s in sorted(self.segments, key=lambda s: (s.start, s.agent))]
-        return json.dumps(rows, sort_keys=True)
 
 
 @dataclass
@@ -154,22 +153,23 @@ def _head_seconds(model: ModelSpec, hw: HardwareSpec, sl: int) -> float:
 # DDB schedule
 # ----------------------------------------------------------------------
 
-def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec, sl: int) -> Timeline:
-    """Double-buffered prefill timeline for the whole decoder stack."""
-    if sl < 1:
-        raise ConfigError("sl must be >= 1")
+def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec,
+                       plan: list[_PlanSegment],
+                       head_seconds: float) -> Timeline:
+    """Double-buffered prefill timeline for the whole decoder stack, from
+    one layer's ``plan`` and the output head's compute seconds."""
     eb = model.element_bytes
     tl = Timeline()
 
     def copy_seconds(nbytes: float) -> float:
         return smc_time(nbytes, DDB_COPY_AGENTS, hw)
 
-    plan = layer_plan(model, hw, sl)
     copies = [copy_seconds(seg.copy_bytes) for seg in plan]
-    preload = copies[-1]  # ff2's copy: the projections
-    tl.segments.append(Segment("copy", "preload", 0.0, preload, buffer=0))
-    copy_t = preload
-    comp_t = preload
+    comp_t = copy_t = 0.0
+    if model.layers:
+        preload = copies[-1]  # ff2's copy: layer 0's projections
+        tl.segments.append(Segment("copy", "preload", 0.0, preload, buffer=0))
+        comp_t = copy_t = preload
     for layer in range(model.layers):
         prefix = f"layer{layer}."
         for seg, copy in zip(plan, copies):
@@ -196,10 +196,9 @@ def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec, sl: int) -> Timeline:
         head_bytes = head.params() * eb
         copy_total = copy_seconds(head_bytes)
         tile = min(model.ff_bytes, head_bytes)
-        comp = _head_seconds(model, hw, sl)
         start = comp_t
         # pipelined at buffer-half granularity: first tile copy exposed
-        end = start + max(comp, copy_total) + copy_seconds(tile)
+        end = start + max(head_seconds, copy_total) + copy_seconds(tile)
         tl.segments.append(Segment("compute", "lm_head",
                                    start, end, buffer=None))
         tl.segments.append(Segment("copy", "lm_head",
@@ -256,7 +255,7 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
         return PrefillResult(scenario, sl, gemm_total, tl,
                              {"gemm_seconds": gemm_total, "smc_seconds": 0.0})
     if scenario is Scenario.S_DDB:
-        tl = build_ddb_schedule(model, hw, sl)
+        tl = build_ddb_schedule(model, hw, plan, head_seconds)
         copy_busy = math.fsum(s.duration for s in tl.agent_segments("copy"))
         return PrefillResult(scenario, sl, tl.end, tl,
                              {"gemm_seconds": gemm_total,
@@ -353,30 +352,24 @@ def end_to_end_row(prefill: PrefillResult, decode: DecodeResult,
     }
 
 
-def run_end_to_end(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
-                   in_len: int, out_len: int,
-                   pim_bytes: int | None = None) -> dict:
-    """TTFT + decode for one grid point, with speedup over the C_GEMM baseline."""
-    prefill = run_prefill(scenario, model, hw, in_len)
-    decode = run_decode(scenario, model, hw, out_len, pim_bytes=pim_bytes)
-    return end_to_end_row(prefill, decode, model, hw)
+def end_to_end_grid(model: ModelSpec, hw: HardwareSpec, scenarios, in_lens,
+                    out_lens, pim_bytes: int | None = None) -> list[dict]:
+    """Report rows of a calibrated grid in (scenario, in_len, out_len) order.
 
-
-def speedup_grid(model: ModelSpec, hw: HardwareSpec, in_lens, out_lens,
-                 scenarios=None, pim_bytes: int | None = None) -> dict:
-    """speedup[scenario][i][j] over the C_GEMM baseline at (in_lens[i], out_lens[j])."""
-    if not in_lens or not out_lens:
-        raise ConfigError("in_lens and out_lens must be non-empty")
-    scenarios = list(scenarios or Scenario)
-    grid = {}
+    Each prefill is evaluated once per (scenario, in_len) and each decode
+    once per (scenario, out_len); every row pairs them by ``end_to_end_row``.
+    """
+    if not (scenarios and in_lens and out_lens):
+        raise ConfigError("scenarios, in_lens and out_lens must be non-empty")
+    rows = []
     for scenario in scenarios:
-        rows = []
+        decodes = [run_decode(scenario, model, hw, out_len, pim_bytes=pim_bytes)
+                   for out_len in out_lens]
         for in_len in in_lens:
-            rows.append([run_end_to_end(scenario, model, hw, in_len, out_len,
-                                        pim_bytes=pim_bytes)["speedup_vs_c_gemm"]
-                         for out_len in out_lens])
-        grid[scenario.value] = rows
-    return grid
+            prefill = run_prefill(scenario, model, hw, in_len)
+            rows += [end_to_end_row(prefill, decode, model, hw)
+                     for decode in decodes]
+    return rows
 
 
 def ddb_hiding_crossover(model: ModelSpec, hw: HardwareSpec) -> int:

@@ -24,7 +24,7 @@ from pimsim.layout import (PimPlacement, WeightMatrix, burst_address_of_tile,
                            unswizzle)
 from pimsim.memsys import Attribute, CacheConfig, MemorySystem, RegionKind
 from pimsim.presets import hardware_preset, model_preset, pim_weight_bytes
-from pimsim.runtime import run_decode, run_prefill, speedup_grid
+from pimsim.runtime import end_to_end_grid, run_decode, run_prefill
 from pimsim.scenario import Scenario
 
 HW = hardware_preset("s24plus")
@@ -295,8 +295,10 @@ def test_acceptance_8_decode_speedup():
                                          pim_bytes=pim_bytes))
             assert ratio <= hw.pim_bw_multiplier + 1e-12
     lens = [64, 96, 128, 160, 192]
-    grid = speedup_grid(model, HW, lens, lens, scenarios=[Scenario.S_OWR],
-                        pim_bytes=pim)["s_owr"]
+    speedups = [r["speedup_vs_c_gemm"] for r in end_to_end_grid(
+        model, HW, [Scenario.S_OWR], lens, lens, pim_bytes=pim)]
+    grid = [speedups[n:n + len(lens)] for n in range(0, len(speedups),
+                                                      len(lens))]
     peak = max(max(row) for row in grid)
     assert 2.5 <= peak <= 8.0, peak
     for row in grid:

@@ -1,11 +1,14 @@
 """CLI surface: convert round trip, deterministic reports, sweeps, and the
 GEMV check battery with its negative controls."""
 
+import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from pimsim import cli, runtime
 from pimsim.cli import main
 from pimsim.dram import AddressMap
 from pimsim.layout import (WeightMatrix, address_order, convert_to_pim_aware,
@@ -166,6 +169,11 @@ BAD_SWEEP_CONFIGS = {
     "scenario_with_scenarios": json.dumps({"model": "toy-64",
                                            "scenario": "wd",
                                            "scenarios": ["s_ddb"]}),
+    # a present list key is a non-empty list, never a fallback to the scalar
+    **{f"{name}_{key}": json.dumps({"model": "toy-64", key: value})
+       for key in ("in_lens", "out_lens", "scenarios")
+       for name, value in (("zero", 0), ("false", False), ("empty_string", ""),
+                           ("empty_list", []), ("null", None))},
 }
 BAD_CONFIG_CASES = (
     [pytest.param(text, command, id=f"{name}-{command}")
@@ -203,23 +211,61 @@ def test_file_error_is_an_error_not_a_traceback(tmp_path, capsys, argv):
 
 
 def test_sweep_covers_grid_and_matches_run(tmp_path, capsys):
+    """Every cell of a sweep is the value the matching ``run`` reports."""
+    scenarios = ["wd", "facil_o", "s_ddb", "s_owr", "c_gemm", "nc_gemm"]
+    common = {"model": "llama3.2-1b", "compute_pim_bytes": True}
     cfg = tmp_path / "sweep.json"
-    cfg.write_text(json.dumps({"model": "toy-64",
-                               "scenarios": ["s_ddb", "s_owr", "c_gemm"],
-                               "in_lens": [32, 64], "out_lens": [4]}))
+    cfg.write_text(json.dumps(dict(common, scenarios=scenarios,
+                                   in_lens=[1, 96], out_lens=[0, 16])))
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--config", str(cfg), "--output", str(out)) == 0
-    lines = out.read_text().strip().splitlines()
+    lines = out.read_text().splitlines()
     assert lines[0].startswith("scenario,in_len,out_len,ttft_seconds")
-    assert len(lines) == 1 + 3 * 2
-    # single-point sweep row equals the cmd_run numbers
+    rows = list(csv.DictReader(lines))
+    assert [(r["scenario"], r["in_len"], r["out_len"]) for r in rows] == [
+        (s, str(i), str(o)) for s in scenarios for i in (1, 96)
+        for o in (0, 16)]
     run_cfg = tmp_path / "run.json"
-    run_cfg.write_text(json.dumps({"model": "toy-64", "scenario": "s_ddb",
-                                   "in_len": 32, "out_len": 4}))
-    assert run_cli("run", "--config", str(run_cfg)) == 0
-    report = json.loads(capsys.readouterr().out)
-    row = next(l for l in lines[1:] if l.startswith("s_ddb,32,"))
-    assert f"{report['ttft_seconds']}" in row
+    for row in rows:
+        run_cfg.write_text(json.dumps(dict(
+            common, scenario=row["scenario"], in_len=int(row["in_len"]),
+            out_len=int(row["out_len"]))))
+        assert run_cli("run", "--config", str(run_cfg)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert row == {key: str(report[key]) for key in row}
+
+
+def test_each_prefill_and_decode_is_evaluated_once(tmp_path, monkeypatch,
+                                                   capsys):
+    calls = Counter()
+
+    def count(name):
+        original = getattr(runtime, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("run_prefill", "run_decode", "layer_plan"):
+        counted = count(name)
+        for module in (runtime, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "model": "llama3.2-1b", "compute_pim_bytes": True,
+        "scenarios": ["wd", "facil_o", "s_ddb", "s_owr", "c_gemm", "nc_gemm"],
+        "in_lens": [1, 16, 64, 128, 192], "out_lens": [0, 1, 32, 256]}))
+    assert run_cli("sweep", "--config", str(cfg)) == 0
+    assert calls == {"run_prefill": 6 * 5, "run_decode": 6 * 4,
+                     "layer_plan": 6 * 5}
+    calls.clear()
+    cfg.write_text(json.dumps({"model": "llama3.2-1b", "scenario": "s_ddb",
+                               "in_len": 64, "out_len": 8}))
+    assert run_cli("run", "--config", str(cfg)) == 0
+    assert calls == {"run_prefill": 1, "run_decode": 1, "layer_plan": 1}
+    capsys.readouterr()
 
 
 def test_gemv_check_passes_by_default(capsys):

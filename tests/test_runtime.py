@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimsim import bf16
 from pimsim.cost import CostMode, smc_time
@@ -18,13 +20,17 @@ from pimsim.memsys import Attribute, MemorySystem, RegionKind
 from pimsim.model import ModelSpec
 from pimsim.presets import (DESK_GEOMETRY, hardware_preset, model_preset,
                             pim_weight_bytes)
-from pimsim.runtime import (build_ddb_schedule, ddb_hiding_crossover,
+from pimsim.runtime import (ddb_hiding_crossover, end_to_end_grid,
                             end_to_end_row, layer_plan, run_decode,
-                            run_end_to_end, run_prefill, speedup_grid)
+                            run_prefill)
 from pimsim.scenario import Scenario
 
 HW = hardware_preset("s24plus")
 M1B = model_preset("llama3.2-1b")
+
+
+def ddb_timeline(sl, model=M1B, hw=HW):
+    return run_prefill(Scenario.S_DDB, model, hw, sl).timeline
 
 
 # ----------------------------------------------------------------------
@@ -32,7 +38,7 @@ M1B = model_preset("llama3.2-1b")
 # ----------------------------------------------------------------------
 
 def test_timeline_agents_never_overlap():
-    tl = build_ddb_schedule(M1B, HW, 64)
+    tl = ddb_timeline(64)
     tl.validate()  # raises on overlap
     for agent in ("compute", "copy"):
         assert tl.agent_segments(agent)
@@ -60,7 +66,7 @@ def test_layer_plan_copy_pairing():
 
 
 def test_last_layer_has_no_next_preload():
-    tl = build_ddb_schedule(M1B, HW, 32)
+    tl = ddb_timeline(32)
     qkvo = [s.tag for s in tl.agent_segments("copy") if s.tag.endswith(".qkvo")]
     # the preload stands for layer 0's projections; the last layer has no
     # next layer to preload
@@ -70,7 +76,7 @@ def test_last_layer_has_no_next_preload():
 def test_copy_conservation_per_layer():
     """Bytes copied while layer l computes equal the weights consumed by the
     segments they feed (FF0..FF2 of layer l plus the next layer's QKVO)."""
-    tl = build_ddb_schedule(M1B, HW, 96)
+    tl = ddb_timeline(96)
     eb = M1B.element_bytes
     nbytes = {m.name: m.params() * eb for m in M1B.layer_matrices()}
     qkvo = sum(nbytes[n] for n in ("q", "k", "v", "o"))
@@ -86,15 +92,38 @@ def test_copy_conservation_per_layer():
 
 
 def test_copy_agent_moves_exactly_the_model_once():
-    tl = build_ddb_schedule(M1B, HW, 32)
+    tl = ddb_timeline(32)
     busy = math.fsum(s.duration for s in tl.agent_segments("copy"))
     assert busy * HW.smc_bw_2agents_gbps * 1e9 \
         == pytest.approx(M1B.host_bytes())
     assert tl.end >= busy  # hiding law: TTFT bounded below by total copy
 
 
+@settings(max_examples=60, deadline=None)
+@given(layers=st.integers(0, 4), hidden=st.sampled_from([64, 96, 2048]),
+       intermediate=st.sampled_from([128, 256, 8192]),
+       vocab=st.sampled_from([0, 96, 128256]), sl=st.integers(1, 512),
+       copy_bw=st.floats(0.5, 20.0), dram_bw=st.floats(5.0, 200.0),
+       gflops=st.floats(10.0, 321.0),
+       attn=st.sampled_from([0.0, 1e-4, 1e-2]))
+def test_ddb_copies_every_weight_exactly_once(layers, hidden, intermediate,
+                                              vocab, sl, copy_bw, dram_bw,
+                                              gflops, attn):
+    """Whatever the model shape, including a stack of zero layers, the copy
+    agent moves each weight once: no preload of a layer that is not there."""
+    model = ModelSpec(hidden=hidden, intermediate=intermediate,
+                      layers=layers, vocab=vocab)
+    hw = replace(HW, smc_bw_2agents_gbps=copy_bw, dram_bw_gbps=dram_bw,
+                 gemm_effective_gflops=gflops,
+                 host_attn_seconds_per_layer=attn)
+    ddb = run_prefill(Scenario.S_DDB, model, hw, sl)
+    copied = ddb.breakdown["smc_seconds"] * hw.smc_bw_gbps(2) * 1e9
+    assert copied == pytest.approx(model.host_bytes(), rel=1e-9, abs=1e-6)
+    assert ddb.ttft >= ddb.breakdown["gemm_seconds"]
+
+
 def test_buffers_alternate_between_compute_and_copy():
-    tl = build_ddb_schedule(M1B, HW, 64)
+    tl = ddb_timeline(64)
     comp = {s.tag: s.buffer for s in tl.agent_segments("compute")}
     copy = {s.tag: s.buffer for s in tl.agent_segments("copy")}
     # projections of layer 0 compute from the preloaded buffer 0 while FF0
@@ -112,8 +141,9 @@ def test_buffers_alternate_between_compute_and_copy():
 
 
 def test_timeline_json_export():
-    tl = build_ddb_schedule(M1B, HW, 32)
-    rows = json.loads(tl.to_json())
+    tl = ddb_timeline(32)
+    rows = tl.rows()
+    assert json.loads(json.dumps(rows)) == rows
     assert len(rows) == len(tl.segments)
     assert {"agent", "role", "layer", "start", "end", "buffer"} \
         <= set(rows[0])
@@ -187,17 +217,18 @@ def test_decode_identical_across_pim_scenarios():
 
 def test_speedup_grid_shape_and_monotonicity():
     lens = [64, 128, 192]
-    grid = speedup_grid(M1B, HW, lens, lens,
-                        scenarios=[Scenario.S_OWR, Scenario.S_DDB])
-    for rows in grid.values():
-        assert len(rows) == 3 and all(len(r) == 3 for r in rows)
-        for row in rows:
-            assert row == sorted(row)  # monotone in out_len
-            assert all(s > 1 for s in row)
+    scenarios = [Scenario.S_OWR, Scenario.S_DDB]
+    rows = end_to_end_grid(M1B, HW, scenarios, lens, lens)
+    assert [(r["scenario"], r["in_len"], r["out_len"]) for r in rows] == [
+        (s.value, i, o) for s in scenarios for i in lens for o in lens]
+    for n in range(0, len(rows), len(lens)):
+        speedups = [r["speedup_vs_c_gemm"] for r in rows[n:n + len(lens)]]
+        assert speedups == sorted(speedups)  # monotone in out_len
+        assert all(s > 1 for s in speedups)
 
 
 def test_end_to_end_report_fields():
-    r = run_end_to_end(Scenario.S_DDB, M1B, HW, 64, 32)
+    [r] = end_to_end_grid(M1B, HW, [Scenario.S_DDB], [64], [32])
     assert r["total_seconds"] == pytest.approx(
         r["ttft_seconds"] + r["decode_seconds"])
     assert r["speedup_vs_c_gemm"] > 1
@@ -206,17 +237,24 @@ def test_end_to_end_report_fields():
 @pytest.mark.parametrize("name", ["llama3.2-1b", "llama3.2-3b"])
 def test_speedup_baseline_equals_evaluated_c_gemm(name):
     """The report row takes C_GEMM from the scenario's own ``gemm_seconds``
-    and host decode; it must equal evaluating C_GEMM exactly."""
+    and host decode; it must equal evaluating C_GEMM exactly.  Each grid
+    row equals the row of its own point."""
     model = model_preset(name)
+    points = ((1, 0), (16, 1), (128, 32), (1024, 256))
+    in_lens = [i for i, _ in points]
+    out_lens = [o for _, o in points]
     for pim_bytes in (None, pim_weight_bytes(model)):
-        for in_len, out_len in ((1, 0), (16, 1), (128, 32), (1024, 256)):
+        rows = end_to_end_grid(model, HW, list(Scenario), in_lens, out_lens,
+                               pim_bytes=pim_bytes)
+        rows = {(r["scenario"], r["in_len"], r["out_len"]): r for r in rows}
+        assert len(rows) == len(Scenario) * len(in_lens) * len(out_lens)
+        for in_len, out_len in points:
             base_prefill = run_prefill(Scenario.C_GEMM, model, HW, in_len)
             base_decode = run_decode(Scenario.C_GEMM, model, HW, out_len,
                                      pim_bytes=pim_bytes)
             base = base_prefill.ttft + base_decode.total_seconds
             for scenario in Scenario:
-                r = run_end_to_end(scenario, model, HW, in_len, out_len,
-                                   pim_bytes=pim_bytes)
+                r = rows[scenario.value, in_len, out_len]
                 assert r["speedup_vs_c_gemm"] == base / r["total_seconds"]
                 row = end_to_end_row(
                     run_prefill(scenario, model, HW, in_len),
@@ -230,8 +268,10 @@ def test_invalid_arguments():
         run_prefill(Scenario.S_DDB, M1B, HW, 0)
     with pytest.raises(ConfigError):
         run_decode(Scenario.S_DDB, M1B, HW, -1)
-    with pytest.raises(ConfigError):
-        speedup_grid(M1B, HW, [], [64])
+    for axes in (([], [64], [64]), ([Scenario.WD], [], [64]),
+                 ([Scenario.WD], [64], [])):
+        with pytest.raises(ConfigError):
+            end_to_end_grid(M1B, HW, *axes)
 
 
 # ----------------------------------------------------------------------
