@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
+import numbers
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, RegionError
+from .errors import CapacityError, ConfigError, RegionError
 
 ALLOC_ALIGN = 64  # default region alignment in bytes
 
@@ -145,11 +146,24 @@ class HitRecord(NamedTuple):
     line_addr: int
 
 
+def _check_positive_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class CacheConfig:
     capacity: int = 8 * 1024 * 1024
     line_bytes: int = 64
     ways: int = 16
+
+    def __post_init__(self):
+        for name in ("capacity", "line_bytes", "ways"):
+            _check_positive_int(f"cache {name}", getattr(self, name))
+        if self.sets < 1:
+            raise ConfigError(
+                f"cache capacity {self.capacity} is below one set of "
+                f"{self.ways} ways x {self.line_bytes} B lines")
 
     @property
     def sets(self) -> int:
@@ -169,63 +183,61 @@ class CacheStats:
 
 
 class _Cache:
-    """Set-associative LRU cache, write-back / write-allocate."""
+    """Set-associative LRU cache, write-back / write-allocate.  Its one
+    call, ``access``, owns the LRU order, dirty bits and ``stats``."""
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self.sets = defaultdict(OrderedDict)  # set index -> set, made on first use
+        self.sets = defaultdict(OrderedDict)  # index -> {line: dirty}, LRU first
         self.stats = CacheStats()
         self._line_bytes, self._n_sets = config.line_bytes, config.sets
+        self._ways = config.ways
 
-    def line_of(self, addr: int) -> int:
-        return addr - (addr % self._line_bytes)
-
-    def _set_of(self, line_addr: int) -> OrderedDict:
-        return self.sets[(line_addr // self._line_bytes) % self._n_sets]
-
-    def lookup(self, line_addr: int) -> bool:
-        s = self._set_of(line_addr)
-        if line_addr in s:
-            s.move_to_end(line_addr)
-            return True
-        return False
-
-    def fill(self, line_addr: int) -> int | None:
-        """Insert a line; returns the address of an evicted dirty line, if any."""
-        s = self._set_of(line_addr)
+    def access(self, line: int, write: bool) -> tuple[bool, int | None]:
+        """Touch the line at address ``line``; returns whether it hit, and
+        the address of the dirty line that its fill evicted, if any."""
+        s, stats = self.sets[line // self._line_bytes % self._n_sets], self.stats
+        if line in s:
+            stats.hits += 1
+            s.move_to_end(line)
+            if write:
+                s[line] = True
+            return True, None
+        stats.misses += 1
         victim = None
-        if len(s) >= self.config.ways:
+        if len(s) >= self._ways:
             evicted, dirty = s.popitem(last=False)
-            self.stats.evictions += 1
+            stats.evictions += 1
             if dirty:
+                stats.writebacks += 1
                 victim = evicted
-        s[line_addr] = False
-        return victim
-
-    def mark_dirty(self, line_addr: int):
-        s = self._set_of(line_addr)
-        s[line_addr] = True
-        s.move_to_end(line_addr)
+        s[line] = write
+        return False, victim
 
 
-def _check_op(op: str):
+def _check_request(op: str, nbytes: int):
     if op not in ("R", "W"):
         raise RegionError(f"op must be 'R' or 'W', got {op!r}")
+    if nbytes < 1:
+        raise RegionError(f"a request must be at least 1 byte, got {nbytes}")
 
 
 class MemorySystem:
     """Single-address-space memory system shared by all logical agents.
 
     Accesses are serialized into one total order; determinism for a fixed
-    access sequence is guaranteed.  An optional "rogue prefetcher" mode
-    injects one extra sequential read every ``rogue_period`` reads, of the
-    next block when it lies in the same region, to model a prefetcher
-    that disrupts PIM command synchronization.
+    access sequence is guaranteed.  A cacheable request is served line by
+    line by ``_Cache.access``; this class logs the hits and emits the
+    fills and write-backs.  An optional "rogue prefetcher" mode injects one
+    extra sequential read every ``rogue_period`` reads, of the next block
+    when it lies in the same region, to model a prefetcher that disrupts
+    PIM command synchronization.
     """
 
     def __init__(self, capacity: int, cache: CacheConfig | None = None,
                  contiguous_pool_cap: int | None = None,
                  rogue_prefetcher: bool = False, rogue_period: int = 64):
+        _check_positive_int("rogue_period", rogue_period)
         self.capacity = capacity
         self.cache = _Cache(cache or CacheConfig())
         self.contiguous_pool_cap = contiguous_pool_cap
@@ -283,7 +295,7 @@ class MemorySystem:
 
     def _region_of(self, op: str, lo: int, hi: int, nbytes: int) -> MemoryRegion:
         """The region holding requests from ``lo`` to ``hi`` inclusive."""
-        _check_op(op)
+        _check_request(op, nbytes)
         region = self.region_at(lo)
         if hi + nbytes > region.base + region.size:
             raise RegionError(f"access [{hi:#x}, +{nbytes}) crosses region end")
@@ -294,16 +306,25 @@ class MemorySystem:
 
         Non-cacheable requests always reach DRAM as-is.  Cacheable
         requests are served per line: a miss fills the line (one
-        line-granularity DRAM read, plus a write-back when evicting a
+        line-granularity DRAM read, after a write-back when evicting a
         dirty victim); a hit produces no DRAM traffic.
         """
         region = self._region_of(op, addr, addr, nbytes)
         if region.is_non_cacheable:
             self._dram_batch(region, np.array([addr], dtype=np.int64), op, nbytes, agent)
             return Source.DRAM
-        source = self._cached_access(addr, op, nbytes, agent)
-        if (self._rogue_positions(op, agent, 1)
-                and addr + 2 * nbytes <= region.base + region.size):
+        line_bytes, source = self.cache.config.line_bytes, Source.CACHE
+        for line in range(addr - addr % line_bytes, addr + nbytes, line_bytes):
+            hit, victim = self.cache.access(line, op == "W")
+            if hit:
+                self.hit_log.append(HitRecord(self._tick, agent, line))
+                self._tick += 1
+                continue
+            if victim is not None:
+                self._emit(agent, "W", np.array([victim], dtype=np.int64), line_bytes)
+            self._emit(agent, "R", np.array([line], dtype=np.int64), line_bytes)
+            source = Source.DRAM
+        if self.rogue_prefetcher and self._rogue_positions(region, (addr,), op, nbytes, agent):
             self.access(addr + nbytes, "R", nbytes, agent="prefetcher")
         return source
 
@@ -314,7 +335,7 @@ class MemorySystem:
         non-cacheable region it reaches DRAM as one chunk."""
         addrs = np.array(addrs, dtype=np.int64).reshape(-1)
         if not addrs.size:
-            _check_op(op)
+            _check_request(op, nbytes)
             return
         region = self._region_of(op, int(addrs.min()), int(addrs.max()), nbytes)
         if region.is_non_cacheable:
@@ -328,48 +349,24 @@ class MemorySystem:
         """Non-cacheable requests: one chunk, split where the rogue
         prefetcher injects a read."""
         start = 0
-        for j in self._rogue_positions(op, agent, len(addrs)):
-            nxt = int(addrs[j]) + nbytes
-            if nxt + nbytes <= region.base + region.size:
-                self._emit(agent, op, addrs[start:j + 1], nbytes)
-                start = j + 1
-                self.access(nxt, "R", nbytes, agent="prefetcher")
+        for j in self._rogue_positions(region, addrs, op, nbytes, agent):
+            self._emit(agent, op, addrs[start:j + 1], nbytes)
+            start = j + 1
+            self.access(int(addrs[j]) + nbytes, "R", nbytes, agent="prefetcher")
         if start < len(addrs):
             self._emit(agent, op, addrs[start:], nbytes)
 
-    def _rogue_positions(self, op: str, agent: str, n: int) -> range:
-        """Positions in a batch of ``n`` requests after which the rogue
-        prefetcher injects a read: every ``rogue_period``-th read of an
-        agent other than the prefetcher itself."""
+    def _rogue_positions(self, region: MemoryRegion, addrs, op: str, nbytes: int,
+                         agent: str) -> list[int]:
+        """Positions in a batch of requests at ``addrs`` after which the rogue
+        prefetcher reads the next block: every ``rogue_period``-th read of an
+        agent other than the prefetcher itself, when that block fits in ``region``."""
         if op != "R" or not self.rogue_prefetcher or agent == "prefetcher":
-            return range(0)
+            return []
         seen = self._reads_seen
-        self._reads_seen += n
-        return range(-(seen + 1) % self.rogue_period, n, self.rogue_period)
-
-    def _cached_access(self, addr: int, op: str, nbytes: int, agent: str) -> Source:
-        line_bytes = self.cache.config.line_bytes
-        line = self.cache.line_of(addr)
-        end = addr + nbytes
-        filled = False
-        while line < end:
-            if self.cache.lookup(line):
-                self.cache.stats.hits += 1
-                self.hit_log.append(HitRecord(self._tick, agent, line))
-                self._tick += 1
-            else:
-                self.cache.stats.misses += 1
-                victim = self.cache.fill(line)
-                if victim is not None:
-                    self.cache.stats.writebacks += 1
-                    self._emit(agent, "W", np.array([victim], dtype=np.int64),
-                               line_bytes)
-                self._emit(agent, "R", np.array([line], dtype=np.int64), line_bytes)
-                filled = True
-            if op == "W":
-                self.cache.mark_dirty(line)
-            line += line_bytes
-        return Source.DRAM if filled else Source.CACHE
+        self._reads_seen += len(addrs)
+        period, last = self.rogue_period, region.base + region.size - 2 * nbytes
+        return [j for j in range(-(seen + 1) % period, len(addrs), period) if addrs[j] <= last]
 
     # ------------------------------------------------------------------
     # Trace bookkeeping

@@ -1,6 +1,7 @@
 """Memory system: regions, cache behavior against a replay oracle, and
 trace semantics."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pimsim.errors import CapacityError, RegionError
+from pimsim.errors import CapacityError, ConfigError, RegionError
 from pimsim.memsys import (Attribute, CacheConfig, MemorySystem, RegionKind,
                            Source, TraceRecord)
 
@@ -21,50 +22,92 @@ def make_mem(**kwargs):
 
 
 class ReplayCache:
-    """Independent model of a set-associative LRU write-back cache that
-    predicts the DRAM-side trace of a cacheable access sequence."""
+    """Independent model of a set-associative LRU write-back cache and of
+    the rogue prefetcher.  It predicts, request by request, the level that
+    serves a cacheable request, its DRAM records, its hits with their ticks
+    and the cache counters."""
 
-    def __init__(self, config: CacheConfig):
+    def __init__(self, config: CacheConfig, region_end: int, rogue_period=None):
         self.config = config
+        self.region_end = region_end
+        self.rogue_period = rogue_period  # None: no prefetcher
         self.sets = [[] for _ in range(config.sets)]  # [(line, dirty)] LRU last
-        self.dram = []
+        self.dram = []  # (tick, agent, op, addr, nbytes)
+        self.hits = []  # (tick, agent, line)
+        self.stats = {"hits": 0, "misses": 0, "evictions": 0, "writebacks": 0}
+        self.tick = 0
+        self.reads = 0
 
-    def access(self, addr, op, nbytes):
+    def _record(self, log, *entry):
+        log.append((self.tick, *entry))
+        self.tick += 1
+
+    def access(self, addr, op, nbytes, agent="host"):
         lb = self.config.line_bytes
         line = addr - addr % lb
+        source = Source.CACHE
         while line < addr + nbytes:
             idx = (line // lb) % self.config.sets
             ways = self.sets[idx]
             entry = next((e for e in ways if e[0] == line), None)
             if entry is not None:
                 ways.remove(entry)
+                self.stats["hits"] += 1
+                self._record(self.hits, agent, line)
             else:
+                self.stats["misses"] += 1
                 if len(ways) >= self.config.ways:
                     victim, dirty = ways.pop(0)
+                    self.stats["evictions"] += 1
                     if dirty:
-                        self.dram.append(("W", victim, lb))
-                self.dram.append(("R", line, lb))
+                        self.stats["writebacks"] += 1
+                        self._record(self.dram, agent, "W", victim, lb)
+                self._record(self.dram, agent, "R", line, lb)
                 entry = (line, False)
+                source = Source.DRAM
             if op == "W":
                 entry = (line, True)
             ways.append(entry)
             line += lb
+        if self.rogue_period and op == "R" and agent != "prefetcher":
+            self.reads += 1
+            if self.reads % self.rogue_period == 0 and addr + 2 * nbytes <= self.region_end:
+                self.access(addr + nbytes, "R", nbytes, "prefetcher")
+        return source
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 255), st.sampled_from("RW")),
-                min_size=1, max_size=200))
-def test_cacheable_trace_matches_replay_oracle(ops):
-    mem = make_mem()
-    region = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE,
-                                 256 * 64, name="data")
-    oracle = ReplayCache(mem.cache.config)
-    for line_idx, op in ops:
-        addr = region.base + line_idx * 64
-        mem.access(addr, op, 8)
-        oracle.access(addr, op, 8)
-    got = [(r.op, r.addr, r.nbytes) for r in mem.trace]
-    assert got == oracle.dram
+ORACLE_LINES = 40  # lines in the region of the oracle property
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(16, 128), st.integers(1, 4), st.integers(1, 8),
+       st.one_of(st.none(), st.integers(1, 5)), st.data())
+def test_cacheable_trace_matches_replay_oracle(line_bytes, ways, sets, rogue_period, data):
+    config = CacheConfig(capacity=line_bytes * ways * sets, line_bytes=line_bytes, ways=ways)
+    mem = make_mem(cache=config, rogue_prefetcher=rogue_period is not None,
+                   rogue_period=rogue_period or 64)
+    size = ORACLE_LINES * line_bytes
+    region = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, size,
+                                 name="data")
+    oracle = ReplayCache(config, region.base + size, rogue_period)
+
+    # a request starts anywhere, or at the ends where the prefetcher's next
+    # block just fits ("fits") or does not ("last", "over")
+    requests = data.draw(st.lists(st.tuples(
+        st.one_of(st.integers(0, size), st.sampled_from(["last", "fits", "over"])),
+        st.integers(1, 3 * line_bytes), st.sampled_from("RW"),
+        st.sampled_from(["host", "copy", "prefetcher"])), min_size=1, max_size=120),
+        label="requests")
+    for at, nbytes, op, agent in requests:
+        last = size - nbytes
+        ends = {"last": last, "fits": last - nbytes, "over": last - nbytes + 1}
+        offset = ends[at] if isinstance(at, str) else min(at, last)
+        mark, n_records, n_hits = mem.mark(), len(oracle.dram), len(oracle.hits)
+        assert mem.access(region.base + offset, op, nbytes, agent) is \
+            oracle.access(region.base + offset, op, nbytes, agent)
+        assert list(mem.records_since(mark)) == oracle.dram[n_records:]
+        assert mem.hits_since(mark) == oracle.hits[n_hits:]
+        assert mem.cache.stats.as_dict() == oracle.stats
 
 
 def test_non_cacheable_accesses_pass_through_verbatim():
@@ -143,6 +186,19 @@ def test_rogue_prefetcher_injects_next_line_reads():
     assert injected[0].addr == region.base + 32 * 3 + 32
 
 
+@pytest.mark.parametrize("attribute", list(Attribute))
+def test_rogue_prefetcher_reads_the_next_block_only_when_it_fits(attribute):
+    mem = make_mem(rogue_prefetcher=True, rogue_period=1)
+    region = mem.allocate_region(RegionKind.GENERAL, attribute, 256)
+    end = region.base + region.size
+    for start in (end - 16, end - 15, end - 8):  # the next block fits only at end - 16
+        mem.access(start, "R", 8)
+    # one read of the block at end - 8: from DRAM, or a hit on its 64 B line
+    prefetched = ([r.addr for r in mem.trace if r.agent == "prefetcher"]
+                  + [h.line_addr for h in mem.hit_log if h.agent == "prefetcher"])
+    assert prefetched == [end - 8 if attribute is Attribute.NON_CACHEABLE else end - 64]
+
+
 def test_trace_export_is_valid_ndjson():
     mem = make_mem()
     region = mem.allocate_region(RegionKind.GENERAL,
@@ -154,17 +210,28 @@ def test_trace_export_is_valid_ndjson():
                      "addr": region.base, "bytes": 4}]
 
 
+# sha256 of the trace export, hit log and counters of the fixed sequence
+# below: any change to what the cacheable path records changes it
+FIXED_SEQUENCE_SHA256 = "62b0c68e671c15cbb11ff1e4dadffb09e77c43e4450491d03c9203f9ed7238c2"
+
+
 def test_fixed_sequence_is_deterministic():
     def run():
         mem = make_mem(rogue_prefetcher=True, rogue_period=3)
         region = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE,
                                      8192)
         rng = np.random.default_rng(5)
-        for addr in rng.integers(0, 8000, size=300):
-            mem.access(region.base + int(addr) % 8000, "R", 1)
-        return mem.export_trace_ndjson()
+        for addr, write, nbytes in zip(rng.integers(0, 8000, size=300),
+                                       rng.random(300) < 0.4,
+                                       rng.integers(1, 100, size=300)):
+            mem.access(region.base + int(addr), "W" if write else "R", int(nbytes))
+        assert mem.cache.stats.writebacks > 0
+        text = (mem.export_trace_ndjson()
+                + "".join(json.dumps(h._asdict()) + "\n" for h in mem.hit_log)
+                + json.dumps(mem.cache.stats.as_dict()))
+        return hashlib.sha256(text.encode()).hexdigest()
 
-    assert run() == run()
+    assert run() == run() == FIXED_SEQUENCE_SHA256
 
 
 BATCH_REGION = 1024  # bytes in each region of the batch property
@@ -243,3 +310,46 @@ def test_batch_outside_its_region_raises_before_any_record():
     assert len(mem.trace) == 0 and mem.trace.chunks == [] and mem.hit_log == []
     assert mem.cache.stats.as_dict() == {"hits": 0, "misses": 0,
                                          "evictions": 0, "writebacks": 0}
+
+
+def test_request_below_one_byte_raises_before_any_record():
+    mem = make_mem()
+    regions = [mem.allocate_region(RegionKind.GENERAL, attr, 256)
+               for attr in (Attribute.NON_CACHEABLE, Attribute.CACHEABLE)]
+    for nbytes in (0, -8):
+        for region in regions:
+            with pytest.raises(RegionError):
+                mem.access(region.base, "R", nbytes)
+            with pytest.raises(RegionError):
+                mem.access_many([region.base, region.base + 64], "W", nbytes)
+        with pytest.raises(RegionError):
+            mem.access_many([], "R", nbytes)
+    assert len(mem.trace) == 0 and mem.hit_log == []
+    assert mem.cache.stats.as_dict() == {"hits": 0, "misses": 0,
+                                         "evictions": 0, "writebacks": 0}
+
+
+@pytest.mark.parametrize("rogue", [False, True])
+@pytest.mark.parametrize("period", [0, -3, 2.5])
+def test_rogue_period_below_one_is_rejected(rogue, period):
+    with pytest.raises(ConfigError):
+        make_mem(rogue_prefetcher=rogue, rogue_period=period)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"ways": 0}, {"line_bytes": 0}, {"capacity": 0},
+    {"capacity": 64, "line_bytes": 64, "ways": 2},  # zero sets
+    {"capacity": -4096}, {"line_bytes": -64}, {"ways": -1},
+    {"line_bytes": 64.0}, {"ways": True}])
+def test_cache_geometry_the_model_cannot_run_is_rejected(kwargs):
+    with pytest.raises(ConfigError):
+        CacheConfig(**kwargs)
+
+
+def test_smallest_cache_geometry_runs():
+    mem = make_mem(cache=CacheConfig(capacity=1, line_bytes=1, ways=1))
+    region = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, 64)
+    assert mem.access(region.base, "W", 2) is Source.DRAM
+    assert mem.access(region.base + 1, "R", 1) is Source.CACHE
+    assert mem.cache.stats.as_dict() == {"hits": 1, "misses": 2,
+                                         "evictions": 1, "writebacks": 1}
