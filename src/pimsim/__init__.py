@@ -9,8 +9,9 @@ prefill/decode scheduling strategies.
 
 from .bf16 import decode as bf16_decode
 from .bf16 import encode as bf16_encode
-from .cost import (CostMode, HardwareSpec, capacity_report, decode_token_time,
-                   gemm_time, rearrangement_overhead_table, smc_time)
+from .cost import (HardwareSpec, analytical_prefill, capacity_report,
+                   decode_token_time, gemm_time, rearrangement_overhead_table,
+                   smc_time)
 from .dram import AddressMap, DramCoord, DramGeometry
 from .engine import GemvJob, GemvResult, IntegrityReport, PimGemvEngine
 from .errors import (AttributeViolation, CapacityError, ConfigError,
@@ -29,15 +30,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AddressMap", "Attribute", "AttributeViolation", "CacheConfig",
-    "CapacityError", "ConfigError", "CostMode", "DramCoord", "DramGeometry",
-    "GemvJob", "GemvResult", "GeometryError", "HardwareSpec",
-    "IntegrityReport", "MatrixShape", "MemoryRegion", "MemorySystem",
-    "ModelSpec", "PimGemvEngine", "PimImage", "PimPlacement", "PrefillResult",
+    "CapacityError", "ConfigError", "DramCoord", "DramGeometry", "GemvJob",
+    "GemvResult", "GeometryError", "HardwareSpec", "IntegrityReport",
+    "MatrixShape", "MemoryRegion", "MemorySystem", "ModelSpec",
+    "PimGemvEngine", "PimImage", "PimPlacement", "PrefillResult",
     "RegionError", "RegionKind", "Scenario", "Segment", "SimulatorError",
     "Source", "StagingError", "Timeline", "TraceRecord", "WeightMatrix",
-    "bf16_decode", "bf16_encode", "build_ddb_schedule", "capacity_report",
-    "convert_to_pim_aware", "ddb_hiding_crossover", "decode_token_time",
-    "end_to_end_grid", "gemm_time", "model_placements", "padded_size",
-    "rearrangement_overhead_table", "run_decode", "run_prefill", "smc_copy",
-    "smc_time", "unswizzle",
+    "analytical_prefill", "bf16_decode", "bf16_encode", "build_ddb_schedule",
+    "capacity_report", "convert_to_pim_aware", "ddb_hiding_crossover",
+    "decode_token_time", "end_to_end_grid", "gemm_time", "model_placements",
+    "padded_size", "rearrangement_overhead_table", "run_decode", "run_prefill",
+    "smc_copy", "smc_time", "unswizzle",
 ]

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bf16
-from .cost import CostMode, HardwareSpec, capacity_report
+from .cost import HardwareSpec, analytical_prefill, capacity_report
 from .dram import AddressMap
 from .engine import GemvJob, PimGemvEngine
 from .errors import ConfigError, SimulatorError
@@ -55,6 +55,9 @@ RUN_KEYS = frozenset({"model", "hardware", "scenario", "in_len", "out_len",
                       "mode", "pim_bytes", "compute_pim_bytes", "timeline"})
 # a sweep reports calibrated seconds per point, and no timeline
 SWEEP_KEYS = (RUN_KEYS - {"timeline"}) | {"in_lens", "out_lens", "scenarios"}
+# the analytical model is in t-units: no decode, capacity or timeline
+CALIBRATED_ONLY_KEYS = frozenset({"pim_bytes", "compute_pim_bytes",
+                                  "timeline"})
 
 
 def _load_config(path: str, keys: frozenset) -> dict:
@@ -147,22 +150,29 @@ def _axis(cfg: dict, key: str, default) -> list:
 
 
 def _resolve(cfg: dict):
-    """Model, hardware, cost mode, PIM bytes and the (scenarios, in_lens,
-    out_lens) axes of a run or sweep config; a run's axes hold one value."""
+    """Model, hardware, mode, PIM bytes, timeline flag and the (scenarios,
+    in_lens, out_lens) axes of a run or sweep; a run's axes hold one value."""
     model = _resolve_model(cfg.get("model", "llama3.2-1b"))
     hw = _resolve_hardware(cfg.get("hardware"))
     axes = ([_resolve_scenario(s) for s in _axis(cfg, "scenario", "s_ddb")],
             [_int_value("in_len", n) for n in _axis(cfg, "in_len", 32)],
             [_int_value("out_len", n) for n in _axis(cfg, "out_len", 0)])
-    mode = CostMode(cfg.get("mode", "calibrated"))
+    mode = cfg.get("mode", "calibrated")
+    if mode not in ("calibrated", "analytical"):
+        raise ConfigError(f"unknown mode {mode!r}; use calibrated or analytical")
     compute_pim_bytes = _bool_field(cfg, "compute_pim_bytes")
     pim_bytes = cfg.get("pim_bytes")
     if pim_bytes is not None and (type(pim_bytes) is not int or pim_bytes <= 0):
         raise ConfigError(f"pim_bytes must be a positive integer, "
                           f"got {pim_bytes!r}")
+    timeline = _bool_field(cfg, "timeline")
+    unused = sorted(CALIBRATED_ONLY_KEYS & cfg.keys())
+    if mode == "analytical" and unused:
+        raise ConfigError(f"mode 'analytical' reports t-units only and takes "
+                          f"no {unused}")
     if pim_bytes is None and compute_pim_bytes:
         pim_bytes = pim_weight_bytes(model)
-    return model, hw, mode, pim_bytes, axes
+    return model, hw, mode, pim_bytes, timeline, axes
 
 
 def _resolved_config(cfg: dict, model: ModelSpec, hw: HardwareSpec) -> dict:
@@ -226,17 +236,17 @@ def cmd_convert(args) -> int:
 # ----------------------------------------------------------------------
 
 def _point_report(cfg: dict) -> dict:
-    model, hw, mode, pim_bytes, axes = _resolve(cfg)
+    model, hw, mode, pim_bytes, timeline, axes = _resolve(cfg)
     [scenario], [in_len], [out_len] = axes
-    timeline = _bool_field(cfg, "timeline")
-    prefill = run_prefill(scenario, model, hw, in_len, mode=mode)
     report = {"resolved_config": _resolved_config(cfg, model, hw),
               "scenario": scenario.value, "in_len": in_len, "out_len": out_len}
-    if mode is CostMode.ANALYTICAL:
-        report["ttft_t_units"] = str(prefill.ttft)
+    if mode == "analytical":
+        ttft, breakdown = analytical_prefill(scenario, in_len, hw)
+        report["ttft_t_units"] = str(ttft)
         report["breakdown"] = {k: (str(v) if isinstance(v, Fraction) else v)
-                               for k, v in prefill.breakdown.items()}
+                               for k, v in breakdown.items()}
         return report
+    prefill = run_prefill(scenario, model, hw, in_len)
     decode = run_decode(scenario, model, hw, out_len, pim_bytes=pim_bytes)
     report.update(end_to_end_row(prefill, decode, model, hw))
     report["breakdown"] = prefill.breakdown
@@ -264,7 +274,7 @@ def cmd_sweep(args) -> int:
     if cfg.get("mode", "calibrated") != "calibrated":
         raise ConfigError("sweep reports calibrated seconds only; "
                           f"got mode {cfg['mode']!r}")
-    model, hw, _, pim_bytes, axes = _resolve(cfg)
+    model, hw, _, pim_bytes, _, axes = _resolve(cfg)
     rows = end_to_end_grid(model, hw, *axes, pim_bytes=pim_bytes)
     fieldnames = ["scenario", "in_len", "out_len", "ttft_seconds",
                   "token_seconds", "total_seconds", "speedup_vs_c_gemm"]

@@ -1,15 +1,15 @@
 """Analytical and calibrated latency / bandwidth / capacity models.
 
-Two modes:
+Two models:
 
-* ``ANALYTICAL`` works in exact rational t-units, where ``t`` is the time
-  of one weight stream from DRAM.  GEMM costs ``analytical_gemm_t(SL) =
-  max(1, SL/4) * t`` (arithmetic intensity ~4 FLOP/B on the target CPU)
-  and an online rearrangement costs ``ONLINE_T``, three DRAM
-  transactions: a read of the non-cacheable source, a read of the
-  destination into cache, and a write back to DRAM.
-* ``CALIBRATED`` uses measured-style parameters for a Galaxy S24+ class
-  device; ``gemm_time`` and ``smc_time`` return seconds.
+* The analytical model works in exact rational t-units, where ``t`` is the
+  time of one weight stream from DRAM.  GEMM costs ``analytical_gemm_t(SL)
+  = max(1, SL/4) * t`` (arithmetic intensity ~4 FLOP/B on the target CPU)
+  and an online rearrangement costs ``ONLINE_T``, three DRAM transactions
+  (a non-cacheable read, a read into cache and a write back).  It gives
+  ``rearrangement_overhead_table`` and each scenario's ``analytical_prefill``.
+* The calibrated model uses measured-style parameters for a Galaxy S24+
+  class device; ``gemm_time`` and ``smc_time`` return seconds.
 
 The calibrated swizzled-copy bandwidths are fitted constants: observed
 copies out of a non-cacheable region run about twice as slow as
@@ -20,7 +20,6 @@ overestimates the achievable rate.  Both knobs are exposed.
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 from dataclasses import dataclass
@@ -34,11 +33,6 @@ GB = 1e9
 ANALYTICAL_FLOP_PER_BYTE = 4
 ONLINE_T = Fraction(3)  # online rearrangement: three DRAM transactions
 OVERHEAD_TABLE_SL = ("1-4", 8, 16, 32, 64, 128, 192)
-
-
-class CostMode(enum.Enum):
-    ANALYTICAL = "analytical"
-    CALIBRATED = "calibrated"
 
 
 def _is_number(value) -> bool:
@@ -156,6 +150,23 @@ def rearrangement_overhead_table() -> list[OverheadRow]:
             max_pct=_round_half_up(100 * peak / gemm),
         ))
     return rows
+
+
+def analytical_prefill(scenario: Scenario, sl: int,
+                       hw: HardwareSpec) -> tuple[Fraction, dict]:
+    """Time to first token of one scenario in exact t-units, and the online
+    rearrangement's overhead over GEMM, serial (SUM) and overlapped (MAX)."""
+    if sl < 1:
+        raise ConfigError("sl must be >= 1")
+    gemm = analytical_gemm_t(sl)
+    serial, overlapped = gemm + ONLINE_T, max(gemm, ONLINE_T)
+    # NC_GEMM: one non-cacheable weight stream per input token, at a penalty
+    nc = sl * Fraction(hw.nc_read_penalty).limit_denominator(1000)
+    ttft = {Scenario.S_OWR: serial, Scenario.S_DDB: overlapped,
+            Scenario.NC_GEMM: nc}.get(scenario, gemm)
+    return ttft, {"mode": "analytical", "gemm_t_units": gemm,
+                  "overhead_sum_pct": float(100 * serial / gemm),
+                  "overhead_max_pct": float(100 * overlapped / gemm)}
 
 
 def capacity_report(model: ModelSpec, scenario: Scenario, pim_bytes: int,

@@ -72,6 +72,11 @@ class PimPlacement:
 
     def __post_init__(self):
         geo = self.address_map.geometry
+        if self.out_dim < 1 or self.in_dim < 1:
+            raise GeometryError(f"matrix {self.out_dim}x{self.in_dim} has no "
+                                "elements")
+        if self.base_row < 0:
+            raise GeometryError(f"base_row must be >= 0, got {self.base_row}")
         if not 1 <= self.banks_per_channel <= geo.banks_per_rank:
             raise GeometryError("banks_per_channel out of range")
         if not 1 <= self.channels_used <= geo.channels:

@@ -7,6 +7,7 @@ scale geometry small enough for exhaustive functional simulation.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .cost import HardwareSpec
@@ -74,7 +75,9 @@ def geometry_preset(name: str) -> DramGeometry:
 
 def pim_weight_bytes(model: ModelSpec,
                      geometry: DramGeometry = PHONE_GEOMETRY) -> int:
-    """Padded size of the PIM-aware image of every linear weight."""
+    """Padded size of the PIM-aware image of every linear weight, with the
+    model's element size (a ``GeometryError`` if no burst holds it)."""
+    geometry = replace(geometry, element_bytes=model.element_bytes)
     amap = AddressMap(geometry)
     return padded_size(model, amap, banks_per_channel=geometry.banks_per_rank,
                        channels_used=geometry.channels)

@@ -1,4 +1,4 @@
-"""Prefill/decode orchestration over a decoder-layer stack.
+"""Calibrated prefill/decode orchestration over a decoder-layer stack.
 
 Prefill timelines are produced by a deterministic two-agent schedule:
 a compute agent running the per-matrix GEMMs and a copy agent running
@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .cost import (ONLINE_T, CostMode, HardwareSpec, analytical_gemm_t,
-                   decode_token_time, gemm_time, smc_time)
+from .cost import HardwareSpec, decode_token_time, gemm_time, smc_time
 from .errors import ConfigError
 from .model import ModelSpec
 from .scenario import Scenario
@@ -83,8 +81,8 @@ class Timeline:
 class PrefillResult:
     scenario: Scenario
     sl: int
-    ttft: float | Fraction
-    timeline: Timeline | None
+    ttft: float
+    timeline: Timeline | None  # None for NC_GEMM, which has no schedule
     breakdown: dict
 
 
@@ -95,6 +93,14 @@ class DecodeResult:
     token_seconds: float
     tps: float
     total_seconds: float
+
+
+def _fsum(values) -> float:
+    """``math.fsum``, but ``inf`` where the sum leaves the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 # ----------------------------------------------------------------------
@@ -211,44 +217,20 @@ def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec,
 # Prefill / decode entry points
 # ----------------------------------------------------------------------
 
-def _analytical_ttft(scenario: Scenario, sl: int, gemm: Fraction,
-                     hw: HardwareSpec) -> Fraction:
-    if scenario in (Scenario.WD, Scenario.FACIL_O, Scenario.C_GEMM):
-        return gemm
-    if scenario is Scenario.S_OWR:
-        return gemm + ONLINE_T
-    if scenario is Scenario.S_DDB:
-        return max(gemm, ONLINE_T)
-    # non-cacheable host GEMM: one weight stream per input token, at the
-    # non-cacheable read penalty
-    return Fraction(sl) * Fraction(hw.nc_read_penalty).limit_denominator(1000)
-
-
 def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
-                sl: int, mode: CostMode = CostMode.CALIBRATED,
-                pim_bytes: int | None = None) -> PrefillResult:
-    """Time-to-first-token and per-agent timeline for one scenario.
+                sl: int, pim_bytes: int | None = None) -> PrefillResult:
+    """Calibrated time-to-first-token and per-agent timeline of one scenario.
 
     Prefill streams host-friendly weights, so ``pim_bytes`` has no effect;
     the parameter is kept for interface compatibility.
     """
     if sl < 1:
         raise ConfigError("sl must be >= 1")
-    if mode is CostMode.ANALYTICAL:
-        gemm = analytical_gemm_t(sl)
-        ttft = _analytical_ttft(scenario, sl, gemm, hw)
-        return PrefillResult(scenario, sl, ttft, None, {
-            "mode": "analytical",
-            "gemm_t_units": gemm,
-            "overhead_sum_pct": float(100 * (gemm + ONLINE_T) / gemm),
-            "overhead_max_pct": float(100 * max(gemm, ONLINE_T) / gemm),
-        })
-
     plan = layer_plan(model, hw, sl)
     head_seconds = _head_seconds(model, hw, sl)
     # fsum is correctly rounded, so the order of the terms does not matter
-    gemm_total = math.fsum([s.compute_seconds for s in plan] * model.layers
-                           + [head_seconds])
+    gemm_total = _fsum([s.compute_seconds for s in plan] * model.layers
+                       + [head_seconds])
     eb = model.element_bytes
     if scenario in (Scenario.WD, Scenario.FACIL_O, Scenario.C_GEMM):
         tl = _serial_timeline(model, plan, head_seconds)
@@ -256,7 +238,7 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
                              {"gemm_seconds": gemm_total, "smc_seconds": 0.0})
     if scenario is Scenario.S_DDB:
         tl = build_ddb_schedule(model, hw, plan, head_seconds)
-        copy_busy = math.fsum(s.duration for s in tl.agent_segments("copy"))
+        copy_busy = _fsum(s.duration for s in tl.agent_segments("copy"))
         return PrefillResult(scenario, sl, tl.end, tl,
                              {"gemm_seconds": gemm_total,
                               "smc_seconds": copy_busy})
@@ -265,7 +247,7 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
         head = model.head_matrix()
         head_copy = (0.0 if head is None
                      else smc_time(head.params() * eb, OWR_COPY_AGENTS, hw))
-        smc_total = math.fsum([layer_copy] * model.layers + [head_copy])
+        smc_total = _fsum([layer_copy] * model.layers + [head_copy])
         tl = _serial_timeline(model, plan, head_seconds, layer_copy,
                               head_copy)
         return PrefillResult(scenario, sl, gemm_total + smc_total, tl,
@@ -282,7 +264,7 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
         times = ([nc_seconds(m) for m in model.layer_matrices()] * model.layers
                  + [0.0 if head is None else nc_seconds(head)]
                  + [hw.host_attn_seconds_per_layer] * model.layers)
-        total = math.fsum(times)
+        total = _fsum(times)
         return PrefillResult(scenario, sl, total, None,
                              {"gemm_seconds": gemm_total,
                               "nc_stream_seconds": total})
@@ -331,16 +313,17 @@ def run_decode(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
 
 def end_to_end_row(prefill: PrefillResult, decode: DecodeResult,
                    model: ModelSpec, hw: HardwareSpec) -> dict:
-    """Report row of one calibrated point, with speedup over C_GEMM.
+    """Report row of one point, with speedup over C_GEMM.
 
     The C_GEMM baseline is compute-only prefill (the ``gemm_seconds`` every
-    calibrated prefill reports) plus host-bandwidth decode, so no baseline
-    schedule is evaluated.
+    prefill reports) plus host-bandwidth decode, so no baseline schedule is
+    evaluated.  A time or speedup beyond the float range is a
+    ``ConfigError``, never an ``inf`` or ``nan`` in the row.
     """
     total = prefill.ttft + decode.total_seconds
     base_total = (prefill.breakdown["gemm_seconds"]
                   + decode.out_len * decode_token_time(model, hw, False))
-    return {
+    row = {
         "scenario": prefill.scenario.value,
         "in_len": prefill.sl,
         "out_len": decode.out_len,
@@ -350,6 +333,14 @@ def end_to_end_row(prefill: PrefillResult, decode: DecodeResult,
         "total_seconds": total,
         "speedup_vs_c_gemm": base_total / total if total > 0 else 1.0,
     }
+    bad = [key for key in ("ttft_seconds", "token_seconds", "decode_seconds",
+                           "total_seconds", "speedup_vs_c_gemm")
+           if not math.isfinite(row[key])]
+    if bad:
+        raise ConfigError(f"modeled {', '.join(bad)} beyond the float range "
+                          f"at {row['scenario']}, in_len {row['in_len']}; "
+                          "check the hardware parameters")
+    return row
 
 
 def end_to_end_grid(model: ModelSpec, hw: HardwareSpec, scenarios, in_lens,

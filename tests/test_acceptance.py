@@ -14,9 +14,8 @@ import pytest
 
 from pimsim import bf16
 from pimsim.cli import main as cli_main
-from pimsim.cost import (CostMode, HardwareSpec, capacity_report,
-                         decode_token_time, rearrangement_overhead_table,
-                         smc_time)
+from pimsim.cost import (HardwareSpec, capacity_report, decode_token_time,
+                         rearrangement_overhead_table, smc_time)
 from pimsim.dram import AddressMap, DramGeometry
 from pimsim.engine import GemvJob, PimGemvEngine
 from pimsim.layout import (PimPlacement, WeightMatrix, burst_address_of_tile,

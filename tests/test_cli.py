@@ -2,7 +2,9 @@
 GEMV check battery with its negative controls."""
 
 import csv
+import hashlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -14,6 +16,7 @@ from pimsim.dram import AddressMap
 from pimsim.layout import (WeightMatrix, address_order, convert_to_pim_aware,
                            model_placements)
 from pimsim.presets import DESK_GEOMETRY, model_preset
+from pimsim.scenario import Scenario
 
 
 def run_cli(*argv):
@@ -153,9 +156,32 @@ BAD_CONFIGS = {
     "string_timeline": json.dumps({"model": "toy-64", "timeline": "no"}),
     "string_compute_pim_bytes": json.dumps({"model": "toy-64",
                                             "compute_pim_bytes": "yes"}),
+    # valid parameters whose modeled times leave the float range
+    "subnormal_gemm_rate": json.dumps({
+        "model": "llama3.2-1b", "out_len": 4,
+        "hardware": {"gemm_effective_gflops": 1e-320}}),
+    "subnormal_dram_bandwidth": json.dumps({
+        "model": "toy-64", "scenario": "c_gemm", "out_len": 4,
+        "hardware": {"dram_bw_gbps": 5e-324}}),
+    "overflowing_attention_seconds": json.dumps({
+        "model": "llama3.2-1b",
+        "hardware": {"host_attn_seconds_per_layer": 1e308}}),
+    # a PIM image of elements that do not divide the 32-byte burst
+    **{f"{n}_byte_elements_in_pim_image": json.dumps({
+        "model": {"hidden": 64, "intermediate": 256, "layers": 1,
+                  "element_bytes": n}, "compute_pim_bytes": True})
+       for n in (3, 64)},
 }
 BAD_RUN_CONFIGS = {
     "sweep_key_on_run": json.dumps({"model": "toy-64", "in_lens": [32, 64]}),
+    # the analytical model has no decode, capacity or timeline to use them
+    **{f"analytical_with_{key}": json.dumps({"model": "toy-64",
+                                             "mode": "analytical", key: value})
+       for key, value in (("pim_bytes", 5), ("compute_pim_bytes", True),
+                          ("timeline", True))},
+    "analytical_with_pim_bytes_and_timeline": json.dumps({
+        "model": "toy-64", "mode": "analytical", "pim_bytes": 5,
+        "timeline": True}),
 }
 BAD_SWEEP_CONFIGS = {
     "scalar_in_lens": json.dumps({"model": "toy-64", "in_lens": 5}),
@@ -193,6 +219,61 @@ def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+def test_a_model_without_weights_decodes_at_an_infinite_rate(tmp_path,
+                                                             capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": {"hidden": 64, "intermediate": 256,
+                                         "layers": 0, "vocab": 0},
+                               "out_len": 4}))
+    assert run_cli("run", "--config", str(cfg)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["decode_tps"] == math.inf
+    assert report["ttft_seconds"] == report["total_seconds"] == 0.0
+
+
+# sha256 of the concatenated stdout of each variant's configs, in order
+REPORT_DIGESTS = {
+    "plain": "3e819a5482ab45c79f0344cd5258df6dc0a74d58a08dd6ffd7389669dda9a586",
+    "timeline": "313e7b7bdd776ae74c6b0cce8d5beac193270770e5a924edc54d5cefc5856330",
+    "analytical": "e3bb7fd7abbbce887e87d66748e60e639195817a17c64200e4036425d9eb0509",
+    "sweep": "44367427935f0aef3f36d7a8ddd2344156ff7a0444eb6dd5156f1cfbd052d0cc",
+}
+REPORT_MODELS = ("llama3.2-1b", "llama3.2-3b", "toy-64")
+REPORT_IN_LENS = (1, 75, 128, 1024)
+RUN_VARIANTS = {"plain": {},
+                "timeline": {"timeline": True, "compute_pim_bytes": True},
+                "analytical": {"mode": "analytical"}}
+
+
+def report_configs(variant):
+    """(command, config) of every output one digest covers."""
+    if variant == "sweep":
+        return [("sweep", {"model": model,
+                           "scenarios": [s.value for s in Scenario],
+                           "in_lens": list(REPORT_IN_LENS),
+                           "out_lens": [0, 8, 128],
+                           "compute_pim_bytes": True})
+                for model in REPORT_MODELS]
+    return [("run", dict(RUN_VARIANTS[variant], model=model,
+                         scenario=scenario.value, in_len=in_len, out_len=8))
+            for model in REPORT_MODELS for scenario in Scenario
+            for in_len in REPORT_IN_LENS]
+
+
+@pytest.mark.parametrize("variant", list(REPORT_DIGESTS))
+def test_modeled_clock_output_matches_its_pinned_digest(tmp_path, capsys,
+                                                        variant):
+    """Every byte of these reports and sweeps: a change that moves one must
+    update the pin on purpose."""
+    cfg = tmp_path / "cfg.json"
+    digest = hashlib.sha256()
+    for command, config in report_configs(variant):
+        cfg.write_text(json.dumps(config))
+        assert run_cli(command, "--config", str(cfg)) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == REPORT_DIGESTS[variant]
 
 
 @pytest.mark.parametrize("argv", [

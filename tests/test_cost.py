@@ -9,9 +9,10 @@ import pytest
 from pimsim.cost import (ONLINE_T, HardwareSpec, analytical_gemm_t,
                          capacity_report, decode_token_time, gemm_time,
                          rearrangement_overhead_table, smc_time)
-from pimsim.errors import ConfigError
+from pimsim.errors import ConfigError, GeometryError
 from pimsim.model import ModelSpec
-from pimsim.presets import hardware_preset, model_preset
+from pimsim.presets import (MODELS, hardware_preset, model_preset,
+                            pim_weight_bytes)
 from pimsim.scenario import Scenario
 
 HW = hardware_preset("s24plus")
@@ -106,6 +107,28 @@ def test_capacity_report_structure():
             == 2 * summary["s_owr"]["buffer_bytes"]
             == 2 * model.ff_bytes)
     assert summary["facil_o"]["buffer_bytes"] == 0
+
+
+@pytest.mark.parametrize("element_bytes", [1, 2, 4])
+def test_pim_image_is_sized_with_the_models_element_size(element_bytes):
+    """A burst holds ``32 / element_bytes`` elements of the model, so the
+    padding stays within a tenth of the weights at every element size."""
+    model = replace(model_preset("llama3.2-1b"), element_bytes=element_bytes)
+    report = capacity_report(model, Scenario.S_DDB, pim_weight_bytes(model))
+    assert 0 <= report["padding_bytes"] <= 0.1 * model.host_bytes()
+
+
+@pytest.mark.parametrize("element_bytes", [3, 64])
+def test_pim_image_rejects_an_element_no_burst_holds(element_bytes):
+    model = replace(model_preset("toy-64"), element_bytes=element_bytes)
+    with pytest.raises(GeometryError):
+        pim_weight_bytes(model)
+
+
+def test_preset_pim_weight_bytes_are_unchanged():
+    assert {name: pim_weight_bytes(model_preset(name)) for name in MODELS} == {
+        "llama3.2-1b": 2_541_748_224, "llama3.2-3b": 6_429_868_032,
+        "toy-64": 2_359_296}
 
 
 def test_decode_token_time_scaling():

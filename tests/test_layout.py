@@ -302,6 +302,16 @@ def test_placement_rejects_overflow_of_rows():
         burst_address_of_tile(p, p.m_pad // p.row_tile - 1)
 
 
+@pytest.mark.parametrize("out_dim, in_dim, base_row", [
+    (0, 128, 0), (16, 0, 0), (-16, 128, 0), (16, -128, 0), (16, 128, -1),
+], ids=["no-rows", "no-columns", "negative-rows", "negative-columns",
+        "negative-base-row"])
+def test_placement_rejects_a_matrix_that_cannot_exist(out_dim, in_dim,
+                                                       base_row):
+    with pytest.raises(GeometryError):
+        PimPlacement(AMAP, out_dim, in_dim, base_row=base_row)
+
+
 def test_model_placements_stack_without_overlap():
     model = ModelSpec(hidden=64, intermediate=256, layers=1, vocab=128)
     placements = model_placements(model, AMAP, banks_per_channel=8,

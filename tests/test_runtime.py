@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimsim import bf16
-from pimsim.cost import CostMode, smc_time
+from pimsim.cost import analytical_prefill, smc_time
 from pimsim.dram import AddressMap
 from pimsim.errors import ConfigError
 from pimsim.layout import (PimPlacement, WeightMatrix, convert_to_pim_aware,
@@ -181,11 +181,10 @@ def test_owr_is_compute_plus_total_copy_exactly():
 
 
 def test_analytical_mode_matches_table():
-    owr = run_prefill(Scenario.S_OWR, M1B, HW, 16, mode=CostMode.ANALYTICAL)
-    assert owr.ttft == Fraction(7)
-    assert owr.breakdown["overhead_sum_pct"] == pytest.approx(175.0)
-    ddb = run_prefill(Scenario.S_DDB, M1B, HW, 16, mode=CostMode.ANALYTICAL)
-    assert ddb.ttft == Fraction(4)
+    ttft, breakdown = analytical_prefill(Scenario.S_OWR, 16, HW)
+    assert ttft == Fraction(7)
+    assert breakdown["overhead_sum_pct"] == pytest.approx(175.0)
+    assert analytical_prefill(Scenario.S_DDB, 16, HW)[0] == Fraction(4)
 
 
 def test_nc_gemm_scales_linearly_and_dominates():
