@@ -32,7 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bf16
-from .cost import HardwareSpec, analytical_prefill, capacity_report
+from .cost import (HardwareSpec, analytical_prefill, capacity_report,
+                   decode_token_time)
 from .dram import AddressMap
 from .engine import GemvJob, PimGemvEngine
 from .errors import ConfigError, SimulatorError
@@ -170,7 +171,14 @@ def _resolve(cfg: dict):
     if mode == "analytical" and unused:
         raise ConfigError(f"mode 'analytical' reports t-units only and takes "
                           f"no {unused}")
-    if pim_bytes is None and compute_pim_bytes:
+    if pim_bytes is not None:
+        if compute_pim_bytes:
+            raise ConfigError("give pim_bytes or compute_pim_bytes, not both")
+        if pim_bytes < model.host_bytes():
+            raise ConfigError(f"pim_bytes {pim_bytes} is below the model's "
+                              f"{model.host_bytes()} weight bytes; a PIM "
+                              "image holds every weight")
+    elif compute_pim_bytes:
         pim_bytes = pim_weight_bytes(model)
     return model, hw, mode, pim_bytes, timeline, axes
 
@@ -248,7 +256,8 @@ def _point_report(cfg: dict) -> dict:
         return report
     prefill = run_prefill(scenario, model, hw, in_len)
     decode = run_decode(scenario, model, hw, out_len, pim_bytes=pim_bytes)
-    report.update(end_to_end_row(prefill, decode, model, hw))
+    report.update(end_to_end_row(prefill, decode,
+                                 decode_token_time(model, hw, False)))
     report["breakdown"] = prefill.breakdown
     if pim_bytes is not None:
         report["capacity"] = capacity_report(model, scenario, pim_bytes)

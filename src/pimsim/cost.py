@@ -74,10 +74,16 @@ class HardwareSpec:
             value = getattr(self, name)
             if not _is_number(value) or not (value > 0) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite and strictly positive")
+            # a GB/s or GFLOP/s rate is used in units per second
+            if name.endswith(("_gbps", "_gflops")) and not math.isfinite(value * GB):
+                raise ConfigError(f"{name} times 1e9 leaves the float range")
         for name in ("host_overhead_per_token", "host_attn_seconds_per_layer"):
             value = getattr(self, name)
             if not _is_number(value) or not (value >= 0) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite and non-negative")
+        if not math.isfinite(self.dram_bw_gbps * GB * self.pim_bw_multiplier):
+            raise ConfigError("dram_bw_gbps * 1e9 * pim_bw_multiplier leaves "
+                              "the float range")
         if self.gemm_effective_gflops > self.peak_gflops:
             raise ConfigError("gemm_effective_gflops exceeds peak_gflops")
 

@@ -1,8 +1,9 @@
 """Calibrated prefill/decode orchestration over a decoder-layer stack.
 
-Prefill timelines are produced by a deterministic two-agent schedule:
-a compute agent running the per-matrix GEMMs and a copy agent running
-swizzled memory copies out of the non-cacheable weight region.
+Every prefill reads one decoder layer's plan (``layer_plan``: each
+matrix's GEMM seconds and weight bytes) and the head, sized once.  Its
+timeline has two agents: a compute agent running the GEMMs and a copy
+agent running swizzled memory copies out of the non-cacheable region.
 
 Double buffering (S_DDB) follows a fixed per-layer plan: the four
 attention projections (preloaded into buffer 0 before the first layer)
@@ -16,8 +17,9 @@ fixed attention/normalization segments.  The output head is pipelined
 against its own copy at buffer-half granularity.
 
 Serial rearrangement (S_OWR) copies each layer in full (four copy
-agents) immediately before its GEMMs, so its time-to-first-token equals
-the compute-only schedule plus the total copy time, exactly.
+agents) just before its GEMMs: its time-to-first-token is the serial
+compute-only schedule of WD, FACIL_O and C_GEMM plus the total copy time,
+exactly.  NC_GEMM streams each matrix non-cacheably once per input token.
 """
 
 from __future__ import annotations
@@ -111,19 +113,15 @@ def _fsum(values) -> float:
 class _PlanSegment:
     tag: str               # the matrix: "attn" or "q" ... "ff2"
     compute_seconds: float
+    nbytes: int            # the matrix's weight bytes (0 for "attn")
     copy_bytes: float      # paired copy load (0 for none)
     copy_tag: str          # "ff0"-"ff2", or "qkvo": the next layer's projections
     buffer: int | None     # DDB buffer the GEMM reads; its copy fills the other
 
 
-def _matrix_seconds(params: int, sl: int, hw: HardwareSpec,
-                    eb: int) -> float:
-    return gemm_time(params * eb, params, sl, hw)
-
-
 def layer_plan(model: ModelSpec, hw: HardwareSpec,
                sl: int) -> list[_PlanSegment]:
-    """Compute segments of one decoder layer with their paired DDB copy loads.
+    """One decoder layer's compute segments, weight bytes and DDB copies.
 
     Every layer has the same plan; only the last layer issues no ``qkvo``
     copy, which the schedule builder drops.  The projections read buffer 0
@@ -131,28 +129,22 @@ def layer_plan(model: ModelSpec, hw: HardwareSpec,
     has the same buffer in every layer.
     """
     eb = model.element_bytes
-    mats = model.layer_matrices()
-    t = {m.name: _matrix_seconds(m.params(), sl, hw, eb) for m in mats}
-    nbytes = {m.name: m.params() * eb for m in mats}
+    params = {m.name: m.params() for m in model.layer_matrices()}
+    nbytes = {name: n * eb for name, n in params.items()}
+
+    def seg(name, copy_bytes, copy_tag, buffer) -> _PlanSegment:
+        return _PlanSegment(name, gemm_time(nbytes[name], params[name], sl, hw),
+                            nbytes[name], copy_bytes, copy_tag, buffer)
+
     quarter = nbytes["ff0"] / FF0_COPY_QUARTERS
-    segs = []
-    if hw.host_attn_seconds_per_layer > 0:
-        segs.append(_PlanSegment("attn", hw.host_attn_seconds_per_layer,
-                                 0.0, "", None))
-    for name in ("q", "k", "v", "o"):
-        segs.append(_PlanSegment(name, t[name], quarter, "ff0", 0))
-    segs.append(_PlanSegment("ff0", t["ff0"], nbytes["ff1"], "ff1", 1))
-    segs.append(_PlanSegment("ff1", t["ff1"], nbytes["ff2"], "ff2", 0))
     qkvo = sum(nbytes[name] for name in ("q", "k", "v", "o"))
-    segs.append(_PlanSegment("ff2", t["ff2"], qkvo, "qkvo", 1))
+    segs = [seg(name, quarter, "ff0", 0) for name in ("q", "k", "v", "o")]
+    segs += [seg("ff0", nbytes["ff1"], "ff1", 1),
+             seg("ff1", nbytes["ff2"], "ff2", 0), seg("ff2", qkvo, "qkvo", 1)]
+    if hw.host_attn_seconds_per_layer > 0:
+        segs.insert(0, _PlanSegment("attn", hw.host_attn_seconds_per_layer,
+                                    0, 0.0, "", None))
     return segs
-
-
-def _head_seconds(model: ModelSpec, hw: HardwareSpec, sl: int) -> float:
-    head = model.head_matrix()
-    if head is None:
-        return 0.0
-    return _matrix_seconds(head.params(), sl, hw, model.element_bytes)
 
 
 # ----------------------------------------------------------------------
@@ -224,78 +216,64 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
     Prefill streams host-friendly weights, so ``pim_bytes`` has no effect;
     the parameter is kept for interface compatibility.
     """
+    if not isinstance(scenario, Scenario):
+        raise ConfigError(f"unknown scenario {scenario}")
     if sl < 1:
         raise ConfigError("sl must be >= 1")
     plan = layer_plan(model, hw, sl)
-    head_seconds = _head_seconds(model, hw, sl)
+    head = model.head_matrix()
+    head_params = head.params() if head else 0
+    head_bytes = head_params * model.element_bytes
+    head_seconds = gemm_time(head_bytes, head_params, sl, hw)
     # fsum is correctly rounded, so the order of the terms does not matter
     gemm_total = _fsum([s.compute_seconds for s in plan] * model.layers
                        + [head_seconds])
-    eb = model.element_bytes
-    if scenario in (Scenario.WD, Scenario.FACIL_O, Scenario.C_GEMM):
-        tl = _serial_timeline(model, plan, head_seconds)
-        return PrefillResult(scenario, sl, gemm_total, tl,
-                             {"gemm_seconds": gemm_total, "smc_seconds": 0.0})
     if scenario is Scenario.S_DDB:
         tl = build_ddb_schedule(model, hw, plan, head_seconds)
         copy_busy = _fsum(s.duration for s in tl.agent_segments("copy"))
         return PrefillResult(scenario, sl, tl.end, tl,
                              {"gemm_seconds": gemm_total,
                               "smc_seconds": copy_busy})
-    if scenario is Scenario.S_OWR:
-        layer_copy = smc_time(model.layer_params() * eb, OWR_COPY_AGENTS, hw)
-        head = model.head_matrix()
-        head_copy = (0.0 if head is None
-                     else smc_time(head.params() * eb, OWR_COPY_AGENTS, hw))
-        smc_total = _fsum([layer_copy] * model.layers + [head_copy])
-        tl = _serial_timeline(model, plan, head_seconds, layer_copy,
-                              head_copy)
-        return PrefillResult(scenario, sl, gemm_total + smc_total, tl,
-                             {"gemm_seconds": gemm_total,
-                              "smc_seconds": smc_total})
     if scenario is Scenario.NC_GEMM:
+        # each GEMM streams its weights; the "attn" segment adds attention
         nc_bw = hw.nc_stream_bw_gbps * 1e9
-
-        def nc_seconds(mat) -> float:
-            stream = sl * mat.params() * eb / nc_bw
-            return max(stream, _matrix_seconds(mat.params(), sl, hw, eb))
-
-        head = model.head_matrix()
-        times = ([nc_seconds(m) for m in model.layer_matrices()] * model.layers
-                 + [0.0 if head is None else nc_seconds(head)]
-                 + [hw.host_attn_seconds_per_layer] * model.layers)
-        total = _fsum(times)
+        total = _fsum([max(sl * s.nbytes / nc_bw, s.compute_seconds)
+                       for s in plan] * model.layers
+                      + [max(sl * head_bytes / nc_bw, head_seconds)])
         return PrefillResult(scenario, sl, total, None,
                              {"gemm_seconds": gemm_total,
                               "nc_stream_seconds": total})
-    raise ConfigError(f"unknown scenario {scenario}")
+    # S_OWR copies each layer and the head before it; the others compute only
+    copies, smc_total = None, 0.0
+    if scenario is Scenario.S_OWR:
+        copies = (smc_time(sum(s.nbytes for s in plan), OWR_COPY_AGENTS, hw),
+                  smc_time(head_bytes, OWR_COPY_AGENTS, hw))
+        smc_total = _fsum([copies[0]] * model.layers + [copies[1]])
+    tl = _serial_timeline(model, plan, head_seconds, copies)
+    return PrefillResult(scenario, sl, gemm_total + smc_total, tl,
+                         {"gemm_seconds": gemm_total, "smc_seconds": smc_total})
 
 
 def _serial_timeline(model: ModelSpec, plan: list[_PlanSegment],
-                     head_seconds: float, layer_copy: float | None = None,
-                     head_copy: float | None = None) -> Timeline:
+                     head_seconds: float,
+                     copies: tuple[float, float] | None = None) -> Timeline:
     """Compute-only schedule of ``plan`` repeated per layer plus the head,
-    optionally with a serial copy of the given seconds before each layer
-    and before the head."""
-    tl = Timeline()
-    t = 0.0
+    optionally with ``copies``, the seconds of a serial copy before each
+    layer and before the head."""
+    steps = []  # (agent, tag, seconds), run back to back
     for layer in range(model.layers):
-        if layer_copy is not None:
-            tl.segments.append(Segment("copy", f"layer{layer}.smc",
-                                       t, t + layer_copy))
-            t += layer_copy
-        for seg in plan:
-            tl.segments.append(Segment("compute", f"layer{layer}.{seg.tag}",
-                                       t, t + seg.compute_seconds))
-            t += seg.compute_seconds
+        if copies is not None:
+            steps.append(("copy", f"layer{layer}.smc", copies[0]))
+        steps += [("compute", f"layer{layer}.{seg.tag}", seg.compute_seconds)
+                  for seg in plan]
     if model.head_matrix() is not None:
-        if head_copy is not None:
-            tl.segments.append(Segment("copy", "lm_head.smc",
-                                       t, t + head_copy))
-            t += head_copy
-        tl.segments.append(Segment("compute", "lm_head",
-                                   t, t + head_seconds))
-        t += head_seconds
+        if copies is not None:
+            steps.append(("copy", "lm_head.smc", copies[1]))
+        steps.append(("compute", "lm_head", head_seconds))
+    tl, t = Timeline(), 0.0
+    for agent, tag, seconds in steps:
+        tl.segments.append(Segment(agent, tag, t, t + seconds))
+        t += seconds
     tl.validate()
     return tl
 
@@ -312,17 +290,17 @@ def run_decode(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
 
 
 def end_to_end_row(prefill: PrefillResult, decode: DecodeResult,
-                   model: ModelSpec, hw: HardwareSpec) -> dict:
+                   host_token_seconds: float) -> dict:
     """Report row of one point, with speedup over C_GEMM.
 
     The C_GEMM baseline is compute-only prefill (the ``gemm_seconds`` every
-    prefill reports) plus host-bandwidth decode, so no baseline schedule is
-    evaluated.  A time or speedup beyond the float range is a
-    ``ConfigError``, never an ``inf`` or ``nan`` in the row.
+    prefill reports) plus host decode at ``host_token_seconds`` per token,
+    so no baseline is evaluated.  A time or speedup beyond the float range
+    is a ``ConfigError``, never an ``inf`` or ``nan`` in the row.
     """
     total = prefill.ttft + decode.total_seconds
     base_total = (prefill.breakdown["gemm_seconds"]
-                  + decode.out_len * decode_token_time(model, hw, False))
+                  + decode.out_len * host_token_seconds)
     row = {
         "scenario": prefill.scenario.value,
         "in_len": prefill.sl,
@@ -347,18 +325,19 @@ def end_to_end_grid(model: ModelSpec, hw: HardwareSpec, scenarios, in_lens,
                     out_lens, pim_bytes: int | None = None) -> list[dict]:
     """Report rows of a calibrated grid in (scenario, in_len, out_len) order.
 
-    Each prefill is evaluated once per (scenario, in_len) and each decode
-    once per (scenario, out_len); every row pairs them by ``end_to_end_row``.
+    Each prefill is evaluated once per (scenario, in_len), each decode once
+    per (scenario, out_len) and the host token time once per grid.
     """
     if not (scenarios and in_lens and out_lens):
         raise ConfigError("scenarios, in_lens and out_lens must be non-empty")
+    host_token = decode_token_time(model, hw, False)
     rows = []
     for scenario in scenarios:
         decodes = [run_decode(scenario, model, hw, out_len, pim_bytes=pim_bytes)
                    for out_len in out_lens]
         for in_len in in_lens:
             prefill = run_prefill(scenario, model, hw, in_len)
-            rows += [end_to_end_row(prefill, decode, model, hw)
+            rows += [end_to_end_row(prefill, decode, host_token)
                      for decode in decodes]
     return rows
 

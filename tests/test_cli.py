@@ -166,6 +166,18 @@ BAD_CONFIGS = {
     "overflowing_attention_seconds": json.dumps({
         "model": "llama3.2-1b",
         "hardware": {"host_attn_seconds_per_layer": 1e308}}),
+    # rates that leave the float range once scaled to units per second
+    "overflowing_scaled_rates": json.dumps({
+        "model": "llama3.2-1b", "out_len": 4,
+        "hardware": {"dram_bw_gbps": 1e300, "peak_gflops": 1e300,
+                     "gemm_effective_gflops": 1e300}}),
+    "overflowing_pim_bandwidth": json.dumps({
+        "model": "llama3.2-1b", "hardware": {"pim_bw_multiplier": 1e300}}),
+    # the PIM image size is given once, and holds at least every weight
+    "pim_bytes_with_compute_pim_bytes": json.dumps({
+        "model": "toy-64", "pim_bytes": 10 ** 9, "compute_pim_bytes": True}),
+    "pim_bytes_below_the_weight_bytes": json.dumps({
+        "model": "llama3.2-1b", "pim_bytes": 5}),
     # a PIM image of elements that do not divide the 32-byte burst
     **{f"{n}_byte_elements_in_pim_image": json.dumps({
         "model": {"hidden": 64, "intermediate": 256, "layers": 1,
@@ -221,6 +233,18 @@ def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, command,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_pim_bytes_of_exactly_the_weights_is_accepted(tmp_path, capsys,
+                                                      command):
+    cfg = tmp_path / "cfg.json"
+    model = model_preset("toy-64")
+    cfg.write_text(json.dumps({"model": "toy-64", "out_len": 4,
+                               "pim_bytes": model.host_bytes(),
+                               "compute_pim_bytes": False}))
+    assert run_cli(command, "--config", str(cfg)) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_a_model_without_weights_decodes_at_an_infinite_rate(tmp_path,
                                                              capsys):
     cfg = tmp_path / "run.json"
@@ -239,12 +263,18 @@ REPORT_DIGESTS = {
     "timeline": "313e7b7bdd776ae74c6b0cce8d5beac193270770e5a924edc54d5cefc5856330",
     "analytical": "e3bb7fd7abbbce887e87d66748e60e639195817a17c64200e4036425d9eb0509",
     "sweep": "44367427935f0aef3f36d7a8ddd2344156ff7a0444eb6dd5156f1cfbd052d0cc",
+    "hardware": "904fc8d7adbbdb0277f1b6061c8a4deb05f04ea41cdea294cc81919b2c3e62ee",
 }
 REPORT_MODELS = ("llama3.2-1b", "llama3.2-3b", "toy-64")
 REPORT_IN_LENS = (1, 75, 128, 1024)
 RUN_VARIANTS = {"plain": {},
                 "timeline": {"timeline": True, "compute_pim_bytes": True},
                 "analytical": {"mode": "analytical"}}
+# host attention and a stack without layers or without a head
+HARDWARE_MODELS = ("llama3.2-1b", "toy-64",
+                   {"hidden": 2048, "intermediate": 8192, "layers": 0,
+                    "vocab": 128256},
+                   {"hidden": 64, "intermediate": 256, "layers": 2})
 
 
 def report_configs(variant):
@@ -256,6 +286,13 @@ def report_configs(variant):
                            "out_lens": [0, 8, 128],
                            "compute_pim_bytes": True})
                 for model in REPORT_MODELS]
+    if variant == "hardware":
+        return [("run", {"model": model, "hardware": hw, "timeline": True,
+                         "scenario": scenario.value, "in_len": in_len,
+                         "out_len": 8})
+                for model in HARDWARE_MODELS
+                for hw in ({"host_attn_seconds_per_layer": 1e-3}, "ideal-bw")
+                for scenario in Scenario for in_len in (1, 75, 1024)]
     return [("run", dict(RUN_VARIANTS[variant], model=model,
                          scenario=scenario.value, in_len=in_len, out_len=8))
             for model in REPORT_MODELS for scenario in Scenario
@@ -333,19 +370,33 @@ def test_each_prefill_and_decode_is_evaluated_once(tmp_path, monkeypatch,
         for module in (runtime, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
+    decode_token_time = runtime.decode_token_time
+
+    def counted_token_time(model, hw, use_pim, **kwargs):
+        calls["decode_token_time", use_pim] += 1
+        return decode_token_time(model, hw, use_pim, **kwargs)
+    for module in (runtime, cli):
+        monkeypatch.setattr(module, "decode_token_time", counted_token_time)
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
         "model": "llama3.2-1b", "compute_pim_bytes": True,
         "scenarios": ["wd", "facil_o", "s_ddb", "s_owr", "c_gemm", "nc_gemm"],
         "in_lens": [1, 16, 64, 128, 192], "out_lens": [0, 1, 32, 256]}))
     assert run_cli("sweep", "--config", str(cfg)) == 0
+    # the host token time: one baseline, plus C_GEMM's own four decodes
     assert calls == {"run_prefill": 6 * 5, "run_decode": 6 * 4,
-                     "layer_plan": 6 * 5}
-    calls.clear()
-    cfg.write_text(json.dumps({"model": "llama3.2-1b", "scenario": "s_ddb",
-                               "in_len": 64, "out_len": 8}))
-    assert run_cli("run", "--config", str(cfg)) == 0
-    assert calls == {"run_prefill": 1, "run_decode": 1, "layer_plan": 1}
+                     "layer_plan": 6 * 5, ("decode_token_time", False): 1 + 4,
+                     ("decode_token_time", True): 5 * 4}
+    for scenario, token_times in (("s_ddb", {True: 1, False: 1}),
+                                  ("c_gemm", {False: 2})):
+        calls.clear()
+        cfg.write_text(json.dumps({"model": "llama3.2-1b",
+                                   "scenario": scenario, "in_len": 64,
+                                   "out_len": 8}))
+        assert run_cli("run", "--config", str(cfg)) == 0
+        assert calls == {"run_prefill": 1, "run_decode": 1, "layer_plan": 1,
+                         **{("decode_token_time", use_pim): n
+                            for use_pim, n in token_times.items()}}
     capsys.readouterr()
 
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimsim import bf16
-from pimsim.cost import analytical_prefill, smc_time
+from pimsim.cost import (analytical_prefill, decode_token_time, gemm_time,
+                         smc_time)
 from pimsim.dram import AddressMap
 from pimsim.errors import ConfigError
 from pimsim.layout import (PimPlacement, WeightMatrix, convert_to_pim_aware,
@@ -99,27 +100,66 @@ def test_copy_agent_moves_exactly_the_model_once():
     assert tl.end >= busy  # hiding law: TTFT bounded below by total copy
 
 
+@st.composite
+def drawn_points(draw):
+    """A model of 0-4 layers, with or without a head, on drawn hardware, and
+    an input length."""
+    model = ModelSpec(hidden=draw(st.sampled_from([64, 96, 2048])),
+                      intermediate=draw(st.sampled_from([128, 256, 8192])),
+                      layers=draw(st.integers(0, 4)),
+                      vocab=draw(st.sampled_from([0, 96, 128256])))
+    bandwidth = st.floats(0.5, 20.0)
+    hw = replace(HW, smc_bw_2agents_gbps=draw(bandwidth),
+                 smc_bw_4agents_gbps=draw(bandwidth),
+                 nc_stream_bw_gbps=draw(bandwidth),
+                 dram_bw_gbps=draw(st.floats(5.0, 200.0)),
+                 gemm_effective_gflops=draw(st.floats(10.0, 321.0)),
+                 host_attn_seconds_per_layer=draw(
+                     st.sampled_from([0.0, 1e-4, 1e-2])))
+    return model, hw, draw(st.integers(1, 512))
+
+
 @settings(max_examples=60, deadline=None)
-@given(layers=st.integers(0, 4), hidden=st.sampled_from([64, 96, 2048]),
-       intermediate=st.sampled_from([128, 256, 8192]),
-       vocab=st.sampled_from([0, 96, 128256]), sl=st.integers(1, 512),
-       copy_bw=st.floats(0.5, 20.0), dram_bw=st.floats(5.0, 200.0),
-       gflops=st.floats(10.0, 321.0),
-       attn=st.sampled_from([0.0, 1e-4, 1e-2]))
-def test_ddb_copies_every_weight_exactly_once(layers, hidden, intermediate,
-                                              vocab, sl, copy_bw, dram_bw,
-                                              gflops, attn):
+@given(drawn_points())
+def test_ddb_copies_every_weight_exactly_once(point):
     """Whatever the model shape, including a stack of zero layers, the copy
     agent moves each weight once: no preload of a layer that is not there."""
-    model = ModelSpec(hidden=hidden, intermediate=intermediate,
-                      layers=layers, vocab=vocab)
-    hw = replace(HW, smc_bw_2agents_gbps=copy_bw, dram_bw_gbps=dram_bw,
-                 gemm_effective_gflops=gflops,
-                 host_attn_seconds_per_layer=attn)
+    model, hw, sl = point
     ddb = run_prefill(Scenario.S_DDB, model, hw, sl)
     copied = ddb.breakdown["smc_seconds"] * hw.smc_bw_gbps(2) * 1e9
     assert copied == pytest.approx(model.host_bytes(), rel=1e-9, abs=1e-6)
     assert ddb.ttft >= ddb.breakdown["gemm_seconds"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_points())
+def test_every_calibrated_prefill_reads_one_plan(point):
+    """The plan holds each layer matrix's bytes once, NC_GEMM equals an
+    independent per-matrix sum, S_OWR adds its copies to the compute-only
+    schedule exactly, and the three compute-only scenarios agree."""
+    model, hw, sl = point
+    eb = model.element_bytes
+    head = model.head_matrix()
+    head_bytes = head.params() * eb if head else 0
+    plan = layer_plan(model, hw, sl)
+    assert (sum(s.nbytes for s in plan) * model.layers + head_bytes
+            == model.host_bytes())
+    nc_bw = hw.nc_stream_bw_gbps * 1e9
+    nc = run_prefill(Scenario.NC_GEMM, model, hw, sl)
+    assert nc.ttft == math.fsum(
+        [max(sl * m.params() * eb / nc_bw,
+             gemm_time(m.params() * eb, m.params(), sl, hw))
+         for m in model.all_matrices()]
+        + [hw.host_attn_seconds_per_layer] * model.layers)
+    wd, facil, c_gemm = (run_prefill(s, model, hw, sl) for s in
+                         (Scenario.WD, Scenario.FACIL_O, Scenario.C_GEMM))
+    for other in (facil, c_gemm):
+        assert (other.ttft, other.breakdown, other.timeline.rows()) \
+            == (wd.ttft, wd.breakdown, wd.timeline.rows())
+    owr = run_prefill(Scenario.S_OWR, model, hw, sl)
+    assert owr.ttft == wd.ttft + owr.breakdown["smc_seconds"]
+    assert owr.breakdown["smc_seconds"] * hw.smc_bw_gbps(4) * 1e9 \
+        == pytest.approx(model.host_bytes(), rel=1e-9, abs=1e-6)
 
 
 def test_buffers_alternate_between_compute_and_copy():
@@ -258,7 +298,8 @@ def test_speedup_baseline_equals_evaluated_c_gemm(name):
                 row = end_to_end_row(
                     run_prefill(scenario, model, HW, in_len),
                     run_decode(scenario, model, HW, out_len,
-                               pim_bytes=pim_bytes), model, HW)
+                               pim_bytes=pim_bytes),
+                    decode_token_time(model, HW, False))
                 assert row == r
 
 
@@ -271,6 +312,11 @@ def test_invalid_arguments():
                  ([Scenario.WD], [64], [])):
         with pytest.raises(ConfigError):
             end_to_end_grid(M1B, HW, *axes)
+
+
+def test_run_prefill_rejects_a_scenario_name():
+    with pytest.raises(ConfigError, match="unknown scenario"):
+        run_prefill("wd", M1B, HW, 16)
 
 
 # ----------------------------------------------------------------------
