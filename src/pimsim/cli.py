@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -262,7 +263,7 @@ def _point_report(cfg: dict) -> dict:
     if pim_bytes is not None:
         report["capacity"] = capacity_report(model, scenario, pim_bytes)
     report["decode_tps"] = decode.tps
-    if prefill.timeline is not None and timeline:
+    if timeline and prefill.timeline is not None:
         report["timeline"] = prefill.timeline.rows()
     return report
 
@@ -370,7 +371,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once and shared by every ``main`` call."""
     parser = _Parser(
         prog="pimsim",
         description="PIM-enabled LPDDR inference simulator")

@@ -4,6 +4,9 @@ Every prefill reads one decoder layer's plan (``layer_plan``: each
 matrix's GEMM seconds and weight bytes) and the head, sized once.  Its
 timeline has two agents: a compute agent running the GEMMs and a copy
 agent running swizzled memory copies out of the non-cacheable region.
+WD, FACIL_O, C_GEMM and S_OWR build their serial timeline on the first
+read of ``PrefillResult.timeline``; S_DDB always builds its schedule,
+whose end is the time-to-first-token.
 
 Double buffering (S_DDB) follows a fixed per-layer plan: the four
 attention projections (preloaded into buffer 0 before the first layer)
@@ -26,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .cost import HardwareSpec, decode_token_time, gemm_time, smc_time
 from .errors import ConfigError
@@ -84,8 +89,13 @@ class PrefillResult:
     scenario: Scenario
     sl: int
     ttft: float
-    timeline: Timeline | None  # None for NC_GEMM, which has no schedule
     breakdown: dict
+    schedule: Callable[[], Timeline | None] = field(repr=False, compare=False)
+
+    @cached_property
+    def timeline(self) -> Timeline | None:
+        """``schedule()`` on first read: None for NC_GEMM, which has none."""
+        return self.schedule()
 
 
 @dataclass
@@ -152,11 +162,11 @@ def layer_plan(model: ModelSpec, hw: HardwareSpec,
 # ----------------------------------------------------------------------
 
 def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec,
-                       plan: list[_PlanSegment],
-                       head_seconds: float) -> Timeline:
+                       plan: list[_PlanSegment], head_seconds: float,
+                       head_bytes: int) -> Timeline:
     """Double-buffered prefill timeline for the whole decoder stack, from
-    one layer's ``plan`` and the output head's compute seconds."""
-    eb = model.element_bytes
+    one layer's ``plan`` and the output head's compute seconds and weight
+    bytes (0 for a model without a head)."""
     tl = Timeline()
 
     def copy_seconds(nbytes: float) -> float:
@@ -189,9 +199,7 @@ def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec,
                                        c_start, copy_t, buffer=1 - seg.buffer))
         # one synchronization barrier per layer
         comp_t = copy_t = max(comp_t, copy_t)
-    head = model.head_matrix()
-    if head is not None:
-        head_bytes = head.params() * eb
+    if head_bytes > 0:
         copy_total = copy_seconds(head_bytes)
         tile = min(model.ff_bytes, head_bytes)
         start = comp_t
@@ -229,29 +237,30 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
     gemm_total = _fsum([s.compute_seconds for s in plan] * model.layers
                        + [head_seconds])
     if scenario is Scenario.S_DDB:
-        tl = build_ddb_schedule(model, hw, plan, head_seconds)
+        tl = build_ddb_schedule(model, hw, plan, head_seconds, head_bytes)
         copy_busy = _fsum(s.duration for s in tl.agent_segments("copy"))
-        return PrefillResult(scenario, sl, tl.end, tl,
+        return PrefillResult(scenario, sl, tl.end,
                              {"gemm_seconds": gemm_total,
-                              "smc_seconds": copy_busy})
+                              "smc_seconds": copy_busy}, lambda: tl)
     if scenario is Scenario.NC_GEMM:
         # each GEMM streams its weights; the "attn" segment adds attention
         nc_bw = hw.nc_stream_bw_gbps * 1e9
         total = _fsum([max(sl * s.nbytes / nc_bw, s.compute_seconds)
                        for s in plan] * model.layers
                       + [max(sl * head_bytes / nc_bw, head_seconds)])
-        return PrefillResult(scenario, sl, total, None,
+        return PrefillResult(scenario, sl, total,
                              {"gemm_seconds": gemm_total,
-                              "nc_stream_seconds": total})
+                              "nc_stream_seconds": total}, lambda: None)
     # S_OWR copies each layer and the head before it; the others compute only
     copies, smc_total = None, 0.0
     if scenario is Scenario.S_OWR:
         copies = (smc_time(sum(s.nbytes for s in plan), OWR_COPY_AGENTS, hw),
                   smc_time(head_bytes, OWR_COPY_AGENTS, hw))
         smc_total = _fsum([copies[0]] * model.layers + [copies[1]])
-    tl = _serial_timeline(model, plan, head_seconds, copies)
-    return PrefillResult(scenario, sl, gemm_total + smc_total, tl,
-                         {"gemm_seconds": gemm_total, "smc_seconds": smc_total})
+    return PrefillResult(scenario, sl, gemm_total + smc_total,
+                         {"gemm_seconds": gemm_total, "smc_seconds": smc_total},
+                         lambda: _serial_timeline(model, plan, head_seconds,
+                                                  copies))
 
 
 def _serial_timeline(model: ModelSpec, plan: list[_PlanSegment],

@@ -5,7 +5,11 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,7 +369,8 @@ def test_each_prefill_and_decode_is_evaluated_once(tmp_path, monkeypatch,
             return original(*args, **kwargs)
         return counted
 
-    for name in ("run_prefill", "run_decode", "layer_plan"):
+    for name in ("run_prefill", "run_decode", "layer_plan",
+                 "build_ddb_schedule", "_serial_timeline"):
         counted = count(name)
         for module in (runtime, cli):
             if hasattr(module, name):
@@ -383,21 +388,43 @@ def test_each_prefill_and_decode_is_evaluated_once(tmp_path, monkeypatch,
         "scenarios": ["wd", "facil_o", "s_ddb", "s_owr", "c_gemm", "nc_gemm"],
         "in_lens": [1, 16, 64, 128, 192], "out_lens": [0, 1, 32, 256]}))
     assert run_cli("sweep", "--config", str(cfg)) == 0
-    # the host token time: one baseline, plus C_GEMM's own four decodes
+    # the host token time: one baseline, plus C_GEMM's own four decodes;
+    # S_DDB's schedule sets its TTFT, and no serial timeline is built
     assert calls == {"run_prefill": 6 * 5, "run_decode": 6 * 4,
-                     "layer_plan": 6 * 5, ("decode_token_time", False): 1 + 4,
+                     "layer_plan": 6 * 5, "build_ddb_schedule": 5,
+                     ("decode_token_time", False): 1 + 4,
                      ("decode_token_time", True): 5 * 4}
-    for scenario, token_times in (("s_ddb", {True: 1, False: 1}),
-                                  ("c_gemm", {False: 2})):
+    reports = {}
+    for scenario, extra, token_times, schedules in (
+            ("s_ddb", {}, {True: 1, False: 1}, {"build_ddb_schedule": 1}),
+            ("c_gemm", {}, {False: 2}, {}),
+            ("wd", {}, {True: 1, False: 1}, {}),
+            ("wd", {"timeline": True}, {True: 1, False: 1},
+             {"_serial_timeline": 1})):
         calls.clear()
         cfg.write_text(json.dumps({"model": "llama3.2-1b",
                                    "scenario": scenario, "in_len": 64,
-                                   "out_len": 8}))
+                                   "out_len": 8, **extra}))
+        capsys.readouterr()
         assert run_cli("run", "--config", str(cfg)) == 0
         assert calls == {"run_prefill": 1, "run_decode": 1, "layer_plan": 1,
+                         **schedules,
                          **{("decode_token_time", use_pim): n
                             for use_pim, n in token_times.items()}}
-    capsys.readouterr()
+        reports[scenario, bool(extra)] = json.loads(capsys.readouterr().out)
+    # the timeline adds only its rows: WD's GEMMs back to back, then the head
+    plain, timed = reports["wd", False], reports["wd", True]
+    rows = timed.pop("timeline")
+    assert {k: v for k, v in timed.items() if k != "resolved_config"} \
+        == {k: v for k, v in plain.items() if k != "resolved_config"}
+    model = model_preset("llama3.2-1b")
+    assert [r["layer"] for r in rows] \
+        == [f"layer{n}.{m}" for n in range(model.layers)
+            for m in ("q", "k", "v", "o", "ff0", "ff1", "ff2")] + ["lm_head"]
+    assert {r["agent"] for r in rows} == {"compute"}
+    assert rows[0]["start"] == 0.0
+    assert all(a["end"] == b["start"] for a, b in zip(rows, rows[1:]))
+    assert rows[-1]["end"] == pytest.approx(timed["ttft_seconds"], rel=1e-12)
 
 
 def test_gemv_check_passes_by_default(capsys):
@@ -434,6 +461,44 @@ def test_usage_error_exits_1_with_an_error_line(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """Calls in one process print, write and exit exactly as each would in
+    a fresh ``python -m pimsim.cli``, and the parser is built once."""
+    (tmp_path / "a.json").write_text(json.dumps(
+        {"model": "toy-64", "scenario": "s_owr", "in_len": 16, "out_len": 4}))
+    (tmp_path / "b.json").write_text(json.dumps(
+        {"model": "llama3.2-1b", "scenario": "wd", "in_len": 64,
+         "out_len": 8}))
+    f = tmp_path / "f.json"
+    calls = [["run"],
+             ["run", "--config", str(tmp_path / "a.json"), "--output", str(f)],
+             ["run", "--config", str(tmp_path / "b.json")],
+             ["gemv-check", "--seed", "0", "--trials", "1"]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+    def written():
+        return f.read_text() if f.exists() else None
+
+    fresh = []  # exit code, stdout, stderr and f after each call
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "pimsim.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path)
+        fresh.append((done.returncode, done.stdout, done.stderr, written()))
+    assert fresh[0][0] == 1 and fresh[0][2].startswith("error:")
+    assert fresh[2][3] == fresh[1][3] == fresh[1][1]  # b writes nothing
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        f.unlink()
+        for argv, expected in zip(calls, fresh):
+            code = run_cli(*argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err, written()) == expected
+    assert cli.build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])

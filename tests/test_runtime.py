@@ -151,15 +151,35 @@ def test_every_calibrated_prefill_reads_one_plan(point):
              gemm_time(m.params() * eb, m.params(), sl, hw))
          for m in model.all_matrices()]
         + [hw.host_attn_seconds_per_layer] * model.layers)
-    wd, facil, c_gemm = (run_prefill(s, model, hw, sl) for s in
-                         (Scenario.WD, Scenario.FACIL_O, Scenario.C_GEMM))
+    assert nc.timeline is None
+    wd, facil, c_gemm, owr = (
+        run_prefill(s, model, hw, sl) for s in
+        (Scenario.WD, Scenario.FACIL_O, Scenario.C_GEMM, Scenario.S_OWR))
+    # the serial timelines are built on their first read, not before
+    assert not any("timeline" in vars(r) for r in (wd, facil, c_gemm, owr))
     for other in (facil, c_gemm):
         assert (other.ttft, other.breakdown, other.timeline.rows()) \
             == (wd.ttft, wd.breakdown, wd.timeline.rows())
-    owr = run_prefill(Scenario.S_OWR, model, hw, sl)
     assert owr.ttft == wd.ttft + owr.breakdown["smc_seconds"]
     assert owr.breakdown["smc_seconds"] * hw.smc_bw_gbps(4) * 1e9 \
         == pytest.approx(model.host_bytes(), rel=1e-9, abs=1e-6)
+    # S_OWR runs WD's GEMMs in order, with one copy right before each
+    # layer's first GEMM and one before the head's
+    rows = owr.timeline.rows()
+    groups = [f"layer{n}" for n in range(model.layers)] + (["lm_head"]
+                                                           if head else [])
+    assert [r["layer"] for r in rows if r["agent"] == "copy"] \
+        == [f"{g}.smc" for g in groups]
+    assert [r["layer"] for r in rows if r["agent"] == "compute"] \
+        == [r["layer"] for r in wd.timeline.rows()]
+    firsts = [n for n, r in enumerate(rows)
+              if n == 0 or r["layer"].split(".")[0]
+              != rows[n - 1]["layer"].split(".")[0]]
+    assert [rows[n]["layer"] for n in firsts] == [f"{g}.smc" for g in groups]
+    assert all(rows[n + 1]["agent"] == "compute" for n in firsts)
+    assert math.fsum(r["end"] - r["start"] for r in rows
+                     if r["agent"] == "copy") \
+        == pytest.approx(owr.breakdown["smc_seconds"], rel=1e-9, abs=1e-12)
 
 
 def test_buffers_alternate_between_compute_and_copy():
