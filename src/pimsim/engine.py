@@ -4,21 +4,25 @@ DRAM command protocol.
 The host drives GEMV with ordinary DRAM requests: inputs are staged into
 the 8-entry input register file with a burst write, weight reads trigger
 one MAC per read, five dummy reads drain the SIMD pipeline, and a final
-burst write moves the output register file back to memory.  The engine
-reads its MAC triggers from the memory system's DRAM command trace, so any
-read absorbed by the host cache silently skips its MAC - the
-memory-attribute hazard this simulator exists to demonstrate.
+burst write moves the output register file back to memory.  A job issues
+its whole command stream through one memory-system call and then decodes
+its MACs once, from the records that the DRAM command trace gained since
+the job began.  So any read absorbed by the host cache silently skips its
+MAC - the memory-attribute hazard this simulator exists to demonstrate.
 
-MAC micro-order: the j-th triggering read since the last input staging
-consumes input element j; the fetched burst supplies one weight per lane
-(one column of an output tile, 16 rows for 32-byte bursts of 2-byte
-elements), and in multi-bank mode every active bank applies the same (row,
-column) command in lockstep.
+MAC rule, record by record: a staging write to the input buffer loads the
+next staged tile into the input RF; an output write to the output buffer
+snapshots and clears the accumulators; and the j-th read of a slab burst
+after either consumes input element j, while j is below the RF size.  The
+fetched burst supplies one weight per lane (one column of an output tile,
+16 rows for 32-byte bursts of 2-byte elements), and in multi-bank mode
+every active bank applies the same (row, column) command in lockstep.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,44 +120,46 @@ class PimGemvEngine:
     # ------------------------------------------------------------------
     # DRAM-side trigger path
     # ------------------------------------------------------------------
-    def _on_dram(self):
-        """MAC flush at the output readback: every read traced since the last
-        flush that reads a burst of the weight slab triggers a MAC, decoded in
-        one batch.  The staging writes split them into tiles: the j-th trigger
-        after a staging uses element j of its tile, and triggers before the
-        first staging use the tile staged earlier."""
-        chunks = self.mem.trace.chunks
-        first, self._traced = self._traced, len(chunks)
-        marks, tiles = self._marks, self._tiles
-        self._marks, self._tiles = [], tiles[-1:]
-        idx = [i for i in range(first, len(chunks)) if chunks[i].op == "R"]
-        if not idx:
-            return
-        reads = [chunks[i] for i in idx]
-        sizes = [len(c.addrs) for c in reads]
-        addrs = np.concatenate([c.addrs for c in reads])
-        prefetched = np.repeat([c.agent == "prefetcher" for c in reads], sizes)
-        tile_of = np.repeat(np.searchsorted(marks, idx, side="right"), sizes)
-        p = self._job.placement
-        bursts = burst_of_address(p, addrs)
-        triggered = bursts >= 0
-        bursts, tile_of = bursts[triggered], tile_of[triggered]
-        self._trigger_count += len(bursts)
-        self._prefetch_triggers += int(prefetched[triggered].sum())
-        # the RF pointer of each tile saturates past its last element
-        rf = len(tiles[0])
-        bounds = np.searchsorted(tile_of, np.arange(len(tiles) + 1))
-        used = np.arange(len(bursts)) - bounds[tile_of] < rf
-        slots, cols = np.divmod(bursts[used], p.k_pad)
-        # (n, active banks, lanes): each read's burst in every active bank
-        w = bf16.decode(self._job.image.data[slots, :, :, cols])
-        w = w.astype(self._acc.dtype)
-        lo = 0
-        for x, n in zip(tiles, np.minimum(np.diff(bounds), rf).tolist()):
+    def _on_dram(self) -> list[np.ndarray]:
+        """MAC decode of every record traced since the last decode, by the
+        rule in the module docstring.  Returns the accumulators that each
+        output write snapshots, in trace order."""
+        trace, p = self.mem.trace, self._job.placement
+        addrs, ops, agents = trace.view(self._decoded).columns()
+        self._decoded = len(trace)
+        writes = ops == "W"
+        staging = writes & (addrs == self.in_buf_addr)
+        bounds = np.flatnonzero(staging | (writes & (addrs == self.out_buf_addr)))
+        bursts = np.where(writes, -1, burst_of_address(p, addrs))
+        triggers = np.flatnonzero(bursts >= 0)
+        self._trigger_count += len(triggers)
+        self._prefetch_triggers += int((agents[triggers] == "prefetcher").sum())
+        # triggers per window between boundaries; the RF pointer restarts at
+        # each boundary and saturates past its last element
+        rf = len(self._x)
+        window = np.searchsorted(bounds, triggers)
+        first = np.searchsorted(window, np.arange(len(bounds) + 2))
+        used = np.arange(len(triggers)) - first[window] < rf
+        slab = self._job.image.data.reshape(-1, p.active_banks, p.row_tile)
+        reads, lo = bursts[triggers[used]], 0
+        snapshots = []
+        for n, boundary in zip(np.minimum(np.diff(first), rf).tolist(),
+                               [*staging[bounds].tolist(), None]):
             if n:
-                x = x[:n][::-1] if self.corrupt_mac_order else x[:n]
-                self._acc += np.einsum("nab,n->ab", w[lo:lo + n], x)
+                # (n, active banks, lanes): each read's burst in every active bank
+                w = bf16.decode(slab.take(reads[lo:lo + n], axis=0))
+                x = self._x[:n][::-1] if self.corrupt_mac_order else self._x[:n]
+                self._acc += np.einsum("nab,n->ab", w.astype(self._acc.dtype), x)
                 lo += n
+            if boundary:  # a staging write
+                if not self._staged:
+                    raise StagingError("a staging write with no tile staged "
+                                       "through pim_write_input")
+                self._x = self._staged.popleft()
+            elif boundary is not None:  # an output write
+                snapshots.append(self._acc.copy())
+                self._acc[:] = 0
+        return snapshots
 
     # ------------------------------------------------------------------
     # Staging primitives
@@ -161,9 +167,8 @@ class PimGemvEngine:
     def pim_write_input(self, values_bits: np.ndarray):
         """Write8: stage up to one 128-element input tile into the input RF.
 
-        Unused lanes of a partial final tile are zero-filled.  The write's
-        position in the trace marks where the tile's MACs begin; they are
-        applied at the next output readback.
+        Unused lanes of a partial final tile are zero-filled.  The tile is
+        queued for the write's record, which the next decode finds.
         """
         if self._job is None:
             raise ConfigError("no active job")
@@ -173,22 +178,24 @@ class PimGemvEngine:
                                f"exceeds RF capacity {tile_elems}")
         staged = np.zeros(tile_elems, dtype=np.uint16)
         staged[:values_bits.size] = values_bits
-        self._marks.append(len(self.mem.trace.chunks))
-        self._tiles.append(bf16.decode(staged).astype(self._acc.dtype))
+        self._staged.append(bf16.decode(staged).astype(self._acc.dtype))
         self.mem.access(self.in_buf_addr, "W",
-                        tile_elems * self._job.placement.geometry.element_bytes)
+                        RF_ENTRIES * self._job.placement.geometry.burst_bytes)
         self._staged_bits = staged
 
     def pim_read_output(self) -> tuple[np.ndarray, np.ndarray]:
-        """Write8 of the output RF after the MAC flush: returns ``(values,
+        """Write8 of the output RF after the MAC decode: returns ``(values,
         bits)``, the accumulator lanes of every active bank and their bits
-        rounded to element precision."""
+        rounded to element precision.  The next decode starts after this
+        output write, so the accumulators are not cleared: step by step,
+        readbacks accumulate until the next bind."""
         if self._job is None:
             raise ConfigError("no active job")
         self._on_dram()
         flat = self._acc.reshape(-1)
         self.mem.access(self.out_buf_addr, "W",
                         RF_ENTRIES * self._job.placement.geometry.burst_bytes)
+        self._decoded = len(self.mem.trace)
         bits = bf16.encode(flat.astype(np.float32))
         self._readout = (self._acc.astype(np.float64),
                          bits.reshape(self._acc.shape))
@@ -214,22 +221,23 @@ class PimGemvEngine:
     def _bind(self, job: GemvJob):
         p = job.placement
         self._job = job
-        # reads traced before the job trigger nothing
-        self._traced = len(self.mem.trace.chunks)
+        # records traced before the job trigger nothing
+        self._decoded = len(self.mem.trace)
         self._trigger_count = 0
         self._prefetch_triggers = 0
         acc_dtype = np.float64 if job.arithmetic == "exact" else np.float32
         self._acc = np.zeros((p.active_banks, p.row_tile), dtype=acc_dtype)
+        # the tile in the input RF (zeros after the bind), and the tiles
+        # staged whose writes the decode has not reached yet
+        self._x = np.zeros(p.input_tile_elements, dtype=acc_dtype)
+        self._staged = deque()
         self._staged_bits = np.zeros(p.input_tile_elements, dtype=np.uint16)
         self._readout = (np.zeros(self._acc.shape),
                          np.zeros(self._acc.shape, dtype=np.uint16))
-        # the stagings since the last flush: their trace positions, and the
-        # tile in the RF before them (zeros after the bind) followed by theirs
-        self._marks = []
-        self._tiles = [np.zeros(p.input_tile_elements, dtype=acc_dtype)]
 
     def execute(self, job: GemvJob) -> GemvResult:
-        """Run the full GEMV command protocol for ``job``."""
+        """Run the full GEMV command protocol for ``job``: one stream of
+        requests, then one MAC decode."""
         p = job.placement
         geo = p.geometry
         self._bind(job)
@@ -237,21 +245,32 @@ class PimGemvEngine:
         x_padded = np.zeros(p.k_pad, dtype=np.uint16)
         x_padded[:p.in_dim] = job.input_bits
         x_tiles = x_padded.reshape(-1, p.input_tile_elements)
-        out_bits = np.zeros((p.slots, p.active_banks * p.row_tile),
-                            dtype=np.uint16)
-        out_vals = np.zeros(out_bits.shape)
-        addrs = burst_address_of_tile(p, np.arange(p.slots) * p.active_banks)
-        for o in range(p.slots):
-            self._acc[:] = 0
-            for x_tile, reads in zip(x_tiles, addrs[o].reshape(x_tiles.shape)):
-                self.pim_write_input(x_tile)
-                self.mem.access_many(reads, "R", geo.burst_bytes)
-            self.mem.access_many([self.dummy_addr] * PIPELINE_DRAIN_READS,
-                                 "R", geo.burst_bytes)
-            out_vals[o], out_bits[o] = self.pim_read_output()
+        self._staged.extend([*bf16.decode(x_tiles).astype(self._acc.dtype)] * p.slots)
+        self._staged_bits = x_tiles[-1]
+        # per output tile: each input tile's staging write and weight reads,
+        # then the drain reads and the output write
+        n_in, tile = x_tiles.shape
+        stream = np.empty((p.slots, n_in * (1 + tile) + PIPELINE_DRAIN_READS + 1),
+                          dtype=np.int64)
+        body = stream[:, :n_in * (1 + tile)].reshape(p.slots, n_in, 1 + tile)
+        body[:, :, 0] = self.in_buf_addr
+        body[:, :, 1:] = burst_address_of_tile(
+            p, np.arange(p.slots) * p.active_banks).reshape(p.slots, n_in, tile)
+        stream[:, -1 - PIPELINE_DRAIN_READS:-1] = self.dummy_addr
+        stream[:, -1] = self.out_buf_addr
+        stream = stream.ravel()
+        writes = (stream == self.in_buf_addr) | (stream == self.out_buf_addr)
+        # a staging write and an output write each move one RF of 8 bursts
+        self.mem.access_many(stream, np.where(writes, "W", "R"),
+                             np.where(writes, RF_ENTRIES * geo.burst_bytes,
+                                      geo.burst_bytes))
+        snapshots = np.array(self._on_dram()).reshape(p.slots, -1)
+        bits = bf16.encode(snapshots.astype(np.float32))
+        self._readout = (snapshots[-1].astype(np.float64).reshape(self._acc.shape),
+                         bits[-1].reshape(self._acc.shape))
         return GemvResult(
-            output=out_vals.reshape(-1)[:p.out_dim].copy(),
-            output_bits=out_bits.reshape(-1),
+            output=snapshots.reshape(-1)[:p.out_dim].astype(np.float64),
+            output_bits=bits.reshape(-1),
             records=self.mem.records_since(mark),
             hits=self.mem.hits_since(mark),
             triggered_mac_reads=self._trigger_count,

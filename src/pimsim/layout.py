@@ -17,9 +17,11 @@ DRAM-row boundary; the input dimension is padded to a whole number of
 128-element input tiles (8 register-file entries of 16 lanes).  Padding
 elements are zero.
 
-A :class:`PimImage` stores the padded matrix in burst order.  Physical
-addresses are computed only at the DRAM boundary: the requests
-(:func:`burst_address_of_tile`), the trigger decode
+A :class:`PimImage` stores the padded matrix burst-major, ``(slots,
+k_pad, banks, lanes)``: the weights that one burst index delivers in every
+active bank form one contiguous row, so the engine gathers a window's
+weights as a row take.  Physical addresses are computed only at the DRAM
+boundary: the requests (:func:`burst_address_of_tile`), the trigger decode
 (:func:`burst_of_address`) and the ``pimsim convert`` export
 (:func:`address_order`).
 """
@@ -190,15 +192,16 @@ def burst_of_address(p: PimPlacement, addrs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PimImage:
-    """PIM-aware weight image: the padded matrix in burst order, ``data[s,
-    b, lane, k] == w[(s * active_banks + b) * lanes + lane, k]``.
-    ``base_addr`` and ``span_bytes`` bound the placed bursts' addresses
-    exactly."""
+    """PIM-aware weight image: the padded matrix burst-major, ``data[s, k,
+    b, lane] == w[(s * active_banks + b) * lanes + lane, k]``, so
+    ``data[s, k]`` is what burst ``s * k_pad + k`` holds in every active
+    bank.  ``base_addr`` and ``span_bytes`` bound the placed bursts'
+    addresses exactly."""
 
     placement: PimPlacement
     base_addr: int
     span_bytes: int
-    data: np.ndarray  # uint16, (slots, active_banks, lanes, k_pad)
+    data: np.ndarray  # uint16, (slots, k_pad, active_banks, lanes)
 
 
 def convert_to_pim_aware(w: WeightMatrix, p: PimPlacement) -> PimImage:
@@ -209,14 +212,21 @@ def convert_to_pim_aware(w: WeightMatrix, p: PimPlacement) -> PimImage:
     """
     if (w.out_dim, w.in_dim) != (p.out_dim, p.in_dim):
         raise GeometryError("placement dims do not match matrix dims")
-    padded = np.pad(w.data, ((0, p.m_pad - p.out_dim), (0, p.k_pad - p.in_dim)))
+    data = np.zeros((p.slots, p.k_pad, p.active_banks, p.row_tile), dtype=np.uint16)
+    # the matrix rows of each slot, written once into a (slots, rows, k_pad) view
+    rows = p.active_banks * p.row_tile
+    slot_rows = data.reshape(p.slots, p.k_pad, rows).transpose(0, 2, 1)
+    full, rest = divmod(p.out_dim, rows)
+    slot_rows[:full, :, :p.in_dim] = w.data[:full * rows].reshape(full, rows, p.in_dim)
+    slot_rows[full:full + 1, :rest, :p.in_dim] = w.data[full * rows:]
     # Each active bank holds the same (row, column) bursts at disjoint bank and
     # channel bits: the first bank has the lowest address, the last the highest.
-    first = np.arange(p.slots) * p.active_banks
-    lo = int(burst_address_of_tile(p, first).min())
-    hi = int(burst_address_of_tile(p, first + p.active_banks - 1).max())
-    return PimImage(p, lo, hi + p.geometry.burst_bytes - lo, padded.reshape(
-        p.slots, p.active_banks, p.row_tile, p.k_pad))
+    first = burst_address_of_tile(p, np.arange(p.slots) * p.active_banks)
+    last_bank = pack_fields(p.address_map, {
+        "channel": p.channels_used - 1, "rank": 0,
+        "bank": p.banks_per_channel - 1, "row": 0, "column": 0})
+    lo, hi = int(first.min()), int(first.max()) + last_bank
+    return PimImage(p, lo, hi + p.geometry.burst_bytes - lo, data)
 
 
 def address_order(image: PimImage) -> np.ndarray:
@@ -224,10 +234,10 @@ def address_order(image: PimImage) -> np.ndarray:
     ``base_addr`` over ``span_bytes``, zero where no burst is placed."""
     p = image.placement
     eb = p.geometry.element_bytes
-    tiles = np.arange(p.m_pad // p.row_tile).reshape(p.slots, -1, 1)
+    tiles = np.arange(p.m_pad // p.row_tile).reshape(p.slots, -1)
     first = (burst_address_of_tile(p, tiles) - image.base_addr) // eb
     out = np.zeros(image.span_bytes // eb, dtype=np.uint16)
-    out[first + np.arange(p.row_tile)[:, None]] = image.data
+    out[first.transpose(0, 2, 1)[..., None] + np.arange(p.row_tile)] = image.data
     return out
 
 
@@ -266,10 +276,14 @@ def smc_copy(image: PimImage, rows: range, cols: range,
         addrs = burst_address_of_tile(p, tiles)[:, cols.start:cols.stop]
         # tile by tile, then column
         mem.access_many(addrs.ravel(), "R", geo.burst_bytes, "copy")
-    w = image.data.reshape(p.m_pad, p.k_pad)
-    # column-major destination: one row per column
-    dst[:nr * nc].reshape(nc, nr)[:] = w[rows.start:rows.stop,
-                                         cols.start:cols.stop].T
+    # column-major destination, one row per column, from the burst-major
+    # image: the slots holding ``rows``, each column's rows slot after slot
+    per_slot = p.active_banks * p.row_tile
+    first, last = rows.start // per_slot, (rows.stop - 1) // per_slot
+    src = image.data.reshape(p.slots, p.k_pad, per_slot)[
+        first:last + 1, cols.start:cols.stop].transpose(1, 0, 2).reshape(nc, -1)
+    start = rows.start - first * per_slot
+    dst[:nr * nc].reshape(nc, nr)[:] = src[:, start:start + nr]
     return nr * nc * geo.element_bytes
 
 

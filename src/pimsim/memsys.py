@@ -7,11 +7,12 @@ write-backs.  Cache hits never appear in the trace, which is precisely
 what makes cacheable placement of PIM weights hazardous: reads absorbed
 by the cache cannot trigger PIM execution.
 
-The trace is columnar: a batch of non-cacheable requests is stored as one
-chunk of consecutive ticks with an address array.  ``TraceRecord``s are
-built only when the trace is iterated.  The trace is the only record of
-what reached DRAM: the PIM engine decodes its MAC triggers from the chunks
-appended to it.
+The trace is columnar: a run of non-cacheable requests of one agent, op and
+size is stored as one chunk of consecutive ticks with an address array.
+``TraceRecord``s are built only when the trace is iterated.  The trace is
+the only record of what reached DRAM: the PIM engine decodes its MAC
+triggers from the records appended to it, by their position in the trace;
+where one chunk ends and the next begins means nothing to it.
 """
 
 from __future__ import annotations
@@ -97,13 +98,29 @@ class TraceView:
     def __len__(self) -> int:
         return self._stop - self._start
 
-    def __iter__(self):
+    def _parts(self):
+        """Each chunk, the index of its first record in the view, and the
+        addresses of its records in the view."""
         pos = self._base
         for c, end in zip(self._chunks, self._ends):
             lo = max(self._start - pos, 0)
-            for tick, addr in enumerate(c.addrs[lo:self._stop - pos].tolist(), c.tick + lo):
-                yield TraceRecord(tick, c.agent, c.op, addr, c.nbytes)
+            yield c, lo, c.addrs[lo:self._stop - pos]
             pos = end
+
+    def __iter__(self):
+        for c, lo, addrs in self._parts():
+            for tick, addr in enumerate(addrs.tolist(), c.tick + lo):
+                yield TraceRecord(tick, c.agent, c.op, addr, c.nbytes)
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The records as three arrays: address, op and agent."""
+        parts = list(self._parts())
+        sizes = [len(addrs) for _, _, addrs in parts]
+        ops = np.array([c.op for c, _, _ in parts], dtype=str)
+        agents = np.array([c.agent for c, _, _ in parts], dtype=str)
+        return (np.concatenate([np.zeros(0, dtype=np.int64)]
+                               + [addrs for _, _, addrs in parts]),
+                np.repeat(ops, sizes), np.repeat(agents, sizes))
 
     def __eq__(self, other):
         if isinstance(other, (TraceView, list, tuple)):
@@ -119,7 +136,7 @@ class CommandTrace:
 
     def clear(self):
         """Drop every record.  Not to be called inside a GEMV job: the
-        engine finds the job's reads by their position in ``chunks``."""
+        engine finds the job's records by their position in the trace."""
         self.chunks: list[TraceChunk] = []
         self._ends: list[int] = []  # records up to the end of each chunk
         self._len = 0
@@ -293,14 +310,6 @@ class MemorySystem:
         self.trace.append(TraceChunk(self._tick, agent, op, addrs, nbytes))
         self._tick += len(addrs)
 
-    def _region_of(self, op: str, lo: int, hi: int, nbytes: int) -> MemoryRegion:
-        """The region holding requests from ``lo`` to ``hi`` inclusive."""
-        _check_request(op, nbytes)
-        region = self.region_at(lo)
-        if hi + nbytes > region.base + region.size:
-            raise RegionError(f"access [{hi:#x}, +{nbytes}) crosses region end")
-        return region
-
     def access(self, addr: int, op: str, nbytes: int, agent: str = "host") -> Source:
         """Issue one request; returns which level serviced it.
 
@@ -309,9 +318,13 @@ class MemorySystem:
         line-granularity DRAM read, after a write-back when evicting a
         dirty victim); a hit produces no DRAM traffic.
         """
-        region = self._region_of(op, addr, addr, nbytes)
+        _check_request(op, nbytes)
+        region = self.region_at(addr)
+        end = region.base + region.size
+        if addr + nbytes > end:
+            raise RegionError(f"access [{addr:#x}, +{nbytes}) crosses region end")
         if region.is_non_cacheable:
-            self._dram_batch(region, np.array([addr], dtype=np.int64), op, nbytes, agent)
+            self._dram_batch(np.array([addr], dtype=np.int64), (end,), op, nbytes, agent)
             return Source.DRAM
         line_bytes, source = self.cache.config.line_bytes, Source.CACHE
         for line in range(addr - addr % line_bytes, addr + nbytes, line_bytes):
@@ -324,49 +337,89 @@ class MemorySystem:
                 self._emit(agent, "W", np.array([victim], dtype=np.int64), line_bytes)
             self._emit(agent, "R", np.array([line], dtype=np.int64), line_bytes)
             source = Source.DRAM
-        if self.rogue_prefetcher and self._rogue_positions(region, (addr,), op, nbytes, agent):
+        if self.rogue_prefetcher and self._rogue_positions((addr,), (end,), op, nbytes, agent):
             self.access(addr + nbytes, "R", nbytes, agent="prefetcher")
         return source
 
-    def access_many(self, addrs, op: str, nbytes: int, agent: str = "host"):
-        """Issue ``access(a, op, nbytes, agent)`` for each ``a`` in order,
-        with the same trace, ticks and cache state.  The batch must lie in
-        one region and is validated before any request is issued; in a
-        non-cacheable region it reaches DRAM as one chunk."""
+    def access_many(self, addrs, op, nbytes, agent: str = "host"):
+        """Issue ``access(a, o, n, agent)`` for each request ``(a, o, n)`` in
+        order, with the same trace, ticks and cache state.  ``op`` and
+        ``nbytes`` give one value per request, or one for all.  The whole
+        stream is validated before any request is issued; each run of
+        consecutive non-cacheable requests of one op and size reaches DRAM
+        as one chunk."""
         addrs = np.array(addrs, dtype=np.int64).reshape(-1)
-        if not addrs.size:
-            _check_request(op, nbytes)
-            return
-        region = self._region_of(op, int(addrs.min()), int(addrs.max()), nbytes)
-        if region.is_non_cacheable:
-            self._dram_batch(region, addrs, op, nbytes, agent)
-        else:
-            for addr in addrs.tolist():
-                self.access(addr, op, nbytes, agent)
+        ends, runs = self._runs(addrs, op, nbytes)
+        for lo, hi, op, size, non_cacheable in runs:
+            if non_cacheable:
+                self._dram_batch(addrs[lo:hi], ends[lo:hi], op, size, agent)
+            else:
+                for addr in addrs[lo:hi].tolist():
+                    self.access(addr, op, size, agent)
 
-    def _dram_batch(self, region: MemoryRegion, addrs: np.ndarray, op: str,
-                    nbytes: int, agent: str):
-        """Non-cacheable requests: one chunk, split where the rogue
-        prefetcher injects a read."""
+    def _runs(self, addrs: np.ndarray, op, nbytes):
+        """Validate a stream of requests and split it into runs of one op,
+        size and attribute.  Returns the end of each request's region and
+        the runs, as ``(lo, hi, op, size, non-cacheable)``."""
+        if np.ndim(op) == np.ndim(nbytes) == 0:
+            _check_request(op, nbytes)
+            if not addrs.size:
+                return addrs, []
+            region = self.region_at(int(addrs.min()))
+            end = region.base + region.size
+            if addrs.max() + nbytes <= end:  # inside one region: one run
+                return (np.full(addrs.shape, end),
+                        [(0, addrs.size, op, nbytes, region.is_non_cacheable)])
+        ops, sizes = np.asarray(op), np.asarray(nbytes)
+        if sizes.size and sizes.dtype.kind not in "iu":
+            raise RegionError(f"request sizes must be whole bytes, got {sizes.dtype}")
+        writes = ops == "W"
+        invalid = ops[~(writes | (ops == "R"))]
+        _check_request(invalid.item(0) if invalid.size else "R", sizes.min(initial=1).item())
+        if not addrs.size:
+            return addrs, []
+        # each request's region; index -1, below every region, has an end
+        # below every address and is no region
+        region = np.searchsorted(self._bases, addrs, side="right") - 1
+        ends = np.array([r.base + r.size for r in self.regions]
+                        + [np.iinfo(np.int64).min])[region]
+        outside = addrs + sizes > ends
+        if outside.any():
+            j = int(outside.argmax())
+            self.region_at(int(addrs[j]))  # raises if the address is unmapped
+            size = sizes[j] if sizes.ndim else sizes
+            raise RegionError(f"access [{addrs[j]:#x}, +{size}) crosses region end")
+        # each request coded as the integer 4 * size + 2 * write + non-cacheable
+        code = (sizes * 2 + writes) * 2 + np.array(
+            [r.is_non_cacheable for r in self.regions] + [False])[region]
+        starts = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist()]
+        return ends, [(lo, hi, "W" if c & 2 else "R", c >> 2, c & 1)
+                      for lo, hi, c in zip(starts, starts[1:] + [addrs.size],
+                                           code[starts].tolist())]
+
+    def _dram_batch(self, addrs: np.ndarray, ends, op: str, nbytes: int, agent: str):
+        """Non-cacheable requests, each in a region ending at ``ends[j]``: one
+        chunk, split where the rogue prefetcher injects a read."""
         start = 0
-        for j in self._rogue_positions(region, addrs, op, nbytes, agent):
+        for j in self._rogue_positions(addrs, ends, op, nbytes, agent):
             self._emit(agent, op, addrs[start:j + 1], nbytes)
             start = j + 1
             self.access(int(addrs[j]) + nbytes, "R", nbytes, agent="prefetcher")
         if start < len(addrs):
             self._emit(agent, op, addrs[start:], nbytes)
 
-    def _rogue_positions(self, region: MemoryRegion, addrs, op: str, nbytes: int,
-                         agent: str) -> list[int]:
+    def _rogue_positions(self, addrs, ends, op: str, nbytes: int, agent: str) -> list[int]:
         """Positions in a batch of requests at ``addrs`` after which the rogue
         prefetcher reads the next block: every ``rogue_period``-th read of an
-        agent other than the prefetcher itself, when that block fits in ``region``."""
+        agent other than the prefetcher itself, when that block fits in the
+        request's region, which ends at ``ends[j]``."""
         if op != "R" or not self.rogue_prefetcher or agent == "prefetcher":
             return []
         seen = self._reads_seen
         self._reads_seen += len(addrs)
-        period, last = self.rogue_period, region.base + region.size - 2 * nbytes
-        return [j for j in range(-(seen + 1) % period, len(addrs), period) if addrs[j] <= last]
+        period = self.rogue_period
+        return [j for j in range(-(seen + 1) % period, len(addrs), period)
+                if addrs[j] + 2 * nbytes <= ends[j]]
 
     # ------------------------------------------------------------------
     # Trace bookkeeping

@@ -7,6 +7,7 @@ scale geometry small enough for exhaustive functional simulation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -73,10 +74,12 @@ def geometry_preset(name: str) -> DramGeometry:
                           f"choose from {sorted(presets)}") from None
 
 
+@functools.lru_cache(maxsize=64)
 def pim_weight_bytes(model: ModelSpec,
                      geometry: DramGeometry = PHONE_GEOMETRY) -> int:
     """Padded size of the PIM-aware image of every linear weight, with the
-    model's element size (a ``GeometryError`` if no burst holds it)."""
+    model's element size (a ``GeometryError`` if no burst holds it).  Both
+    arguments are frozen, so the size is computed once per pair."""
     geometry = replace(geometry, element_bytes=model.element_bytes)
     amap = AddressMap(geometry)
     return padded_size(model, amap, banks_per_channel=geometry.banks_per_rank,

@@ -4,6 +4,7 @@ trigger-integrity behavior."""
 import gc
 import json
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,11 +37,11 @@ def build(out_dim, in_dim, w_int, cacheable=False, rogue=False, amap=AMAP,
 
 
 def add_image(mem, out_dim, in_dim, w_int, cacheable=False, amap=AMAP,
-              base_row=0, banks=ACTIVE_BANKS):
+              base_row=0, banks=ACTIVE_BANKS, channels=1):
     """Convert ``w_int`` and map the rest of ``mem`` up to the end of its
     image as one weight region."""
     p = PimPlacement(amap, out_dim, in_dim, banks_per_channel=banks,
-                     channels_used=1, base_row=base_row)
+                     channels_used=channels, base_row=base_row)
     w = WeightMatrix(out_dim, in_dim, bf16.encode(w_int.astype(np.float32)))
     image = convert_to_pim_aware(w, p)
     attr = Attribute.CACHEABLE if cacheable else Attribute.NON_CACHEABLE
@@ -113,22 +114,43 @@ def test_bf16_mode_error_bound(seed):
     assert np.abs(result.output - oracle).max() / scale <= 2.0 ** -7
 
 
-def test_command_counts_match_protocol_formula():
-    out_dim, in_dim = 16 * ACTIVE_BANKS * 3, 300
-    engine, image = build(out_dim, in_dim,
-                          np.ones((out_dim, in_dim)))
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 4, 8, 16]), st.sampled_from([1, 2]),
+       st.sampled_from([32, 64]), st.sampled_from([32, 64]),
+       st.permutations(FIELD_NAMES), st.data())
+def test_command_counts_match_protocol_formula(geo_banks, channels, columns,
+                                               burst_bytes, order, data):
+    """A non-cacheable job traces, per output tile, each input tile's
+    staging write and its slab reads, then the drain reads and the output
+    write: exactly the counts of ``expected_total_commands``."""
+    geo = DramGeometry(channels=channels, ranks_per_channel=1,
+                       banks_per_rank=geo_banks, rows_per_bank=256,
+                       columns_per_row=columns, burst_bytes=burst_bytes)
+    banks = data.draw(st.integers(1, geo_banks), label="active banks")
+    used = data.draw(st.integers(1, channels), label="channels used")
+    lanes = geo.elements_per_burst
+    out_dim = data.draw(st.integers(1, 3 * lanes * banks * used), label="M")
+    in_dim = data.draw(st.integers(1, 3 * 8 * lanes), label="K")
+    mem = MemorySystem(capacity=geo.total_capacity + (1 << 16))
+    image = add_image(mem, out_dim, in_dim, np.ones((out_dim, in_dim)),
+                      amap=AddressMap(geo, order), banks=banks, channels=used)
+    engine = PimGemvEngine(mem)
     job, result = run_exact(engine, image, np.ones(in_dim))
-    expected = job.expected_total_commands
-    reads = [r for r in result.records if r.op == "R"]
-    writes = [r for r in result.records if r.op == "W"]
-    mac = [r for r in reads if r.addr != engine.dummy_addr]
-    dummy = [r for r in reads if r.addr == engine.dummy_addr]
-    assert len(mac) == expected["mac_reads"] == job.expected_mac_reads
-    assert len(dummy) == expected["dummy_reads"]
-    assert len([w for w in writes if w.addr == engine.in_buf_addr]) == \
-        expected["input_writes"]
-    assert len([w for w in writes if w.addr == engine.out_buf_addr]) == \
-        expected["output_writes"]
+    p = image.placement
+    slab = burst_address_of_tile(p, np.arange(p.slots) * p.active_banks)
+    kinds = {("W", engine.in_buf_addr): "input_writes",
+             ("R", engine.dummy_addr): "dummy_reads",
+             ("W", engine.out_buf_addr): "output_writes"}
+    kinds.update((("R", a), "mac_reads") for a in slab.ravel().tolist())
+    trace = [kinds.get((r.op, r.addr), r) for r in result.records]
+    n_in = p.k_pad // p.input_tile_elements
+    per_tile = ((["input_writes"] + ["mac_reads"] * p.input_tile_elements) * n_in
+                + ["dummy_reads"] * PIPELINE_DRAIN_READS + ["output_writes"])
+    assert trace == per_tile * p.slots
+    assert Counter(trace) == job.expected_total_commands
+    mac = [r.addr for r, kind in zip(result.records, trace) if kind == "mac_reads"]
+    assert mac == slab.ravel().tolist()  # slot by slot, column by column
+    assert job.expected_total_commands["mac_reads"] == job.expected_mac_reads
 
 
 def test_single_tile_trace_shape():
@@ -263,14 +285,21 @@ def test_stagings_split_one_flush_window_into_tiles():
     assert np.array_equal(later - values, w[:, :20] @ x[128:148])
 
 
-def test_a_job_flushes_macs_once_per_output_tile():
+def test_a_job_decodes_its_macs_once():
+    """One decode per ``execute``, whatever the number of output tiles."""
     engine, image = build(16 * ACTIVE_BANKS * 3, 300,
                           np.ones((16 * ACTIVE_BANKS * 3, 300)))
-    flush, flushes = engine._on_dram, []
-    engine._on_dram = lambda: flushes.append(flush())
-    job, result = run_exact(engine, image, np.ones(300))
-    assert len(flushes) == image.placement.slots == 3
-    assert engine.verify_trigger_integrity(job, result).ok
+    decode, decodes = engine._on_dram, []
+
+    def counted():
+        decodes.append(None)
+        return decode()
+    engine._on_dram = counted
+    assert image.placement.slots == 3
+    for n in (1, 2):
+        job, result = run_exact(engine, image, np.ones(300))
+        assert len(decodes) == n
+        assert engine.verify_trigger_integrity(job, result).ok
 
 
 def replay_mac_rule(result, engine, w_int, x_int, p, corrupt):
@@ -441,6 +470,17 @@ def test_rf_overflow_rejected():
     engine._bind(job)
     with pytest.raises(StagingError):
         engine.pim_write_input(np.zeros(129, dtype=np.uint16))
+
+
+def test_staging_write_without_a_staged_tile_is_rejected():
+    """The decode takes a staging write's tile from ``pim_write_input``; a
+    write to the input buffer by any other way has none."""
+    engine, image = build(16 * ACTIVE_BANKS, 128,
+                          np.zeros((16 * ACTIVE_BANKS, 128)))
+    engine._bind(GemvJob(image, np.zeros(128, dtype=np.uint16), arithmetic="exact"))
+    engine.mem.access(engine.in_buf_addr, "W", 256)
+    with pytest.raises(StagingError):
+        engine.pim_read_output()
 
 
 def test_output_readback_matches_state_dump():

@@ -235,31 +235,55 @@ def test_fixed_sequence_is_deterministic():
 
 
 BATCH_REGION = 1024  # bytes in each region of the batch property
+BATCH_SIZES = (4, 32, 64)
+# two adjacent non-cacheable regions, so a run of requests can cross from
+# one into the next, and a cacheable one
+BATCH_ATTRIBUTES = (Attribute.NON_CACHEABLE, Attribute.NON_CACHEABLE, Attribute.CACHEABLE)
+REGIONS = range(len(BATCH_ATTRIBUTES))
 
 
-def _batches(nbytes):
-    """Batches of offsets into a region of BATCH_REGION bytes, biased to
-    its ends, where the rogue prefetcher's next block no longer fits."""
+def _offsets(nbytes):
+    """Offsets into a region of BATCH_REGION bytes for requests of
+    ``nbytes``, biased to its end, where the rogue prefetcher's next block
+    no longer fits."""
     last = BATCH_REGION - nbytes
-    offset = st.one_of(st.integers(0, last),
-                       st.sampled_from([0, last, last - nbytes, last - nbytes + 1]))
-    return st.lists(st.tuples(st.booleans(),           # cacheable region
-                              st.sampled_from("RW"),
-                              st.sampled_from(["host", "copy"]),
-                              st.lists(offset, max_size=12),
-                              st.sampled_from(["", "clear"])),
-                    max_size=12)
+    return st.one_of(st.integers(0, last),
+                     st.sampled_from([0, last, last - nbytes, last - nbytes + 1]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.booleans(), st.integers(1, 7), st.sampled_from([4, 32, 64]), st.data())
-def test_access_many_equals_a_sequence_of_access(rogue, period, nbytes, data):
-    batches = data.draw(_batches(nbytes), label="batches")
+@st.composite
+def _batches(draw):
+    """Batches of requests ``(region, op, size, offset)`` into the regions
+    of BATCH_ATTRIBUTES.  A uniform batch shares one region, op and size,
+    given to ``access_many`` as scalars.  A mixed one is a few segments of
+    one op and size each, given per request, whose requests draw their
+    regions: so its runs change op and size, and cross from region to
+    region."""
+    batches = []
+    for _ in range(draw(st.integers(0, 12))):
+        agent = draw(st.sampled_from(["host", "copy"]))
+        uniform = draw(st.booleans())
+        requests = []
+        for _ in range(1 if uniform else draw(st.integers(1, 4))):
+            op, nbytes = draw(st.sampled_from("RW")), draw(st.sampled_from(BATCH_SIZES))
+            region = draw(st.sampled_from(REGIONS))
+            for _ in range(draw(st.integers(0, 12 if uniform else 6))):
+                if not uniform:
+                    region = draw(st.sampled_from(REGIONS))
+                requests.append((region, op, nbytes, draw(_offsets(nbytes))))
+        scalars = (op, nbytes) if uniform else None
+        batches.append((agent, scalars, requests, draw(st.sampled_from(["", "clear"]))))
+    return batches
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), st.integers(1, 7), _batches())
+def test_access_many_equals_a_sequence_of_access(rogue, period, batches):
 
     def run(batched):
         mem = make_mem(rogue_prefetcher=rogue, rogue_period=period)
         regions = [mem.allocate_region(RegionKind.GENERAL, attr, BATCH_REGION)
-                   for attr in (Attribute.NON_CACHEABLE, Attribute.CACHEABLE)]
+                   for attr in BATCH_ATTRIBUTES]
         seen = []  # every record, rebuilt from the trace's chunks
 
         def collect():
@@ -267,14 +291,18 @@ def test_access_many_equals_a_sequence_of_access(rogue, period, nbytes, data):
                         for c in mem.trace.chunks
                         for i, a in enumerate(c.addrs.tolist()))
         windows = []
-        for cacheable, op, agent, offsets, then in batches:
-            addrs = [regions[cacheable].base + o for o in offsets]
+        for agent, scalars, requests, then in batches:
+            addrs = [regions[region].base + o for region, _, _, o in requests]
+            ops = [op for _, op, _, _ in requests]
+            sizes = [nbytes for _, _, nbytes, _ in requests]
             mark = mem.mark()
-            if batched:
-                mem.access_many(addrs, op, nbytes, agent)
-            else:
-                for addr in addrs:
+            if not batched:
+                for addr, op, nbytes in zip(addrs, ops, sizes):
                     mem.access(addr, op, nbytes, agent)
+            elif scalars:
+                mem.access_many(addrs, *scalars, agent)
+            else:
+                mem.access_many(addrs, ops, sizes, agent)
             view = mem.records_since(mark)
             windows.append((view, list(view)))
             if then == "clear":
@@ -284,9 +312,13 @@ def test_access_many_equals_a_sequence_of_access(rogue, period, nbytes, data):
         assert all(list(view) == records for view, records in windows)
         windows = [records for _, records in windows]
         trace = list(mem.trace)
-        # every start position, inside chunks and past the end
-        tails = [list(mem.records_since((k, 0))) for k in range(len(trace) + 2)]
-        assert tails == [trace[k:] for k in range(len(trace) + 2)]
+        # every start position, inside chunks and past the end, as records
+        # and as columns
+        tails = [mem.records_since((k, 0)) for k in range(len(trace) + 2)]
+        assert [list(t) for t in tails] == [trace[k:] for k in range(len(trace) + 2)]
+        assert [[c.tolist() for c in t.columns()] for t in tails] == [
+            [[getattr(r, f) for r in trace[k:]] for f in ("addr", "op", "agent")]
+            for k in range(len(trace) + 2)]
         collect()
         return (trace, mem.export_trace_ndjson(), seen, windows, mem.hit_log,
                 mem.cache.stats.as_dict())
@@ -295,11 +327,13 @@ def test_access_many_equals_a_sequence_of_access(rogue, period, nbytes, data):
 
 
 def test_batch_outside_its_region_raises_before_any_record():
+    """Each request of a stream must lie inside one region; the stream is
+    checked whole, so an invalid last request leaves no record."""
     mem = make_mem()
     a = mem.allocate_region(RegionKind.GENERAL, Attribute.NON_CACHEABLE, 256)
     b = mem.allocate_region(RegionKind.GENERAL, Attribute.NON_CACHEABLE, 256)
     c = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, 256)
-    for addrs in ([a.base, a.base + 64, b.base],        # into the next region
+    for addrs in ([a.base, a.base + 64, b.base + 252],  # crosses into the next region
                   [a.base, a.base + 252],              # crosses the region end
                   [c.base, c.base + 64, c.base + 256],  # cacheable, past the end
                   [a.base, mem.capacity - 8]):         # unmapped
@@ -307,9 +341,19 @@ def test_batch_outside_its_region_raises_before_any_record():
             mem.access_many(addrs, "R", 8)
     with pytest.raises(RegionError):
         mem.access_many([a.base], "X", 8)
+    # mixed streams over all three regions whose last request is invalid
+    valid = [(a.base, "W", 8), (c.base, "R", 64), (b.base, "R", 16), (c.base + 64, "W", 8)]
+    for last in [(b.base + 252, "R", 8), (c.base + 200, "W", 64),
+                 (mem.capacity - 8, "R", 8), (a.base, "X", 8)]:
+        addrs, ops, sizes = zip(*valid, last)
+        with pytest.raises(RegionError):
+            mem.access_many(addrs, ops, sizes)
     assert len(mem.trace) == 0 and mem.trace.chunks == [] and mem.hit_log == []
     assert mem.cache.stats.as_dict() == {"hits": 0, "misses": 0,
                                          "evictions": 0, "writebacks": 0}
+    # a stream may go on from one region into the next
+    mem.access_many([a.base, a.base + 64, b.base], "R", 8)
+    assert [r.addr for r in mem.trace] == [a.base, a.base + 64, b.base]
 
 
 def test_request_below_one_byte_raises_before_any_record():
@@ -324,9 +368,22 @@ def test_request_below_one_byte_raises_before_any_record():
                 mem.access_many([region.base, region.base + 64], "W", nbytes)
         with pytest.raises(RegionError):
             mem.access_many([], "R", nbytes)
+        # a mixed stream whose last request is below one byte
+        with pytest.raises(RegionError):
+            mem.access_many([regions[0].base, regions[1].base, regions[0].base + 64],
+                            ["W", "R", "R"], [8, 64, nbytes])
     assert len(mem.trace) == 0 and mem.hit_log == []
     assert mem.cache.stats.as_dict() == {"hits": 0, "misses": 0,
                                          "evictions": 0, "writebacks": 0}
+
+
+@pytest.mark.parametrize("sizes", [[8, 2.5], [True, True]])
+def test_per_request_sizes_must_be_whole_bytes(sizes):
+    mem = make_mem()
+    region = mem.allocate_region(RegionKind.GENERAL, Attribute.NON_CACHEABLE, 256)
+    with pytest.raises(RegionError):
+        mem.access_many([region.base, region.base + 64], "R", sizes)
+    assert len(mem.trace) == 0
 
 
 @pytest.mark.parametrize("rogue", [False, True])
