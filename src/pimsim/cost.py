@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import ConfigError
 from .model import ModelSpec
-from .scenario import Scenario
+from .scenario import Scenario, Schedule
 
 GB = 1e9
 ANALYTICAL_FLOP_PER_BYTE = 4
@@ -166,10 +166,12 @@ def analytical_prefill(scenario: Scenario, sl: int,
         raise ConfigError("sl must be >= 1")
     gemm = analytical_gemm_t(sl)
     serial, overlapped = gemm + ONLINE_T, max(gemm, ONLINE_T)
-    # NC_GEMM: one non-cacheable weight stream per input token, at a penalty
+    # NC stream: one non-cacheable weight stream per input token, at a penalty
     nc = sl * Fraction(hw.nc_read_penalty).limit_denominator(1000)
-    ttft = {Scenario.S_OWR: serial, Scenario.S_DDB: overlapped,
-            Scenario.NC_GEMM: nc}.get(scenario, gemm)
+    record = scenario.record
+    ttft = {Schedule.SERIAL: serial if record.copy_agents else gemm,
+            Schedule.DOUBLE_BUFFERED: overlapped,
+            Schedule.NC_STREAM: nc}[record.schedule]
     return ttft, {"mode": "analytical", "gemm_t_units": gemm,
                   "overhead_sum_pct": float(100 * serial / gemm),
                   "overhead_max_pct": float(100 * overlapped / gemm)}
@@ -177,19 +179,13 @@ def analytical_prefill(scenario: Scenario, sl: int,
 
 def capacity_report(model: ModelSpec, scenario: Scenario, pim_bytes: int,
                     host_bytes: int | None = None) -> dict:
-    """DRAM capacity needed by one scenario and its savings versus
-    weight duplication (WD keeps both copies)."""
+    """DRAM capacity of one scenario's weight copies and cacheable buffers,
+    and its savings versus weight duplication (both copies, no buffer)."""
     host = model.host_bytes() if host_bytes is None else host_bytes
     padding = pim_bytes - host
-    buffer_bytes = scenario.buffer_bytes(model)
-    weights = {
-        Scenario.WD: host + pim_bytes,
-        Scenario.FACIL_O: pim_bytes,
-        Scenario.S_DDB: pim_bytes,
-        Scenario.S_OWR: pim_bytes,
-        Scenario.C_GEMM: host,
-        Scenario.NC_GEMM: pim_bytes,
-    }[scenario]
+    record = scenario.record
+    weights = host * record.host_copy + pim_bytes * record.pim_copy
+    buffer_bytes = record.buffers * model.ff_bytes
     total = weights + buffer_bytes
     wd_total = host + pim_bytes
     return {

@@ -235,8 +235,10 @@ class _Cache:
 def _check_request(op: str, nbytes: int):
     if op not in ("R", "W"):
         raise RegionError(f"op must be 'R' or 'W', got {op!r}")
-    if nbytes < 1:
-        raise RegionError(f"a request must be at least 1 byte, got {nbytes}")
+    whole = type(nbytes) is int or (isinstance(nbytes, numbers.Integral)
+                                    and not isinstance(nbytes, bool))
+    if not whole or nbytes < 1:
+        raise RegionError(f"request sizes must be whole bytes >= 1, got {nbytes!r}")
 
 
 class MemorySystem:
@@ -371,11 +373,12 @@ class MemorySystem:
                 return (np.full(addrs.shape, end),
                         [(0, addrs.size, op, nbytes, region.is_non_cacheable)])
         ops, sizes = np.asarray(op), np.asarray(nbytes)
-        if sizes.size and sizes.dtype.kind not in "iu":
-            raise RegionError(f"request sizes must be whole bytes, got {sizes.dtype}")
         writes = ops == "W"
         invalid = ops[~(writes | (ops == "R"))]
-        _check_request(invalid.item(0) if invalid.size else "R", sizes.min(initial=1).item())
+        # a numeric array's least size stands for all; any other is passed whole
+        least = ((sizes.min() if np.issubdtype(sizes.dtype, np.number) else sizes)
+                 if sizes.size else 1)
+        _check_request(invalid.item(0) if invalid.size else "R", least)
         if not addrs.size:
             return addrs, []
         # each request's region; index -1, below every region, has an end

@@ -1,28 +1,23 @@
 """Calibrated prefill/decode orchestration over a decoder-layer stack.
 
 Every prefill reads one decoder layer's plan (``layer_plan``: each
-matrix's GEMM seconds and weight bytes) and the head, sized once.  Its
-timeline has two agents: a compute agent running the GEMMs and a copy
-agent running swizzled memory copies out of the non-cacheable region.
-WD, FACIL_O, C_GEMM and S_OWR build their serial timeline on the first
-read of ``PrefillResult.timeline``; S_DDB always builds its schedule,
-whose end is the time-to-first-token.
+matrix's GEMM seconds, weight bytes and paired copy) and the head, sized
+once, and takes the branch of its scenario's ``Schedule``.  A timeline has
+a compute agent running the GEMMs and a copy agent running swizzled
+memory copies out of the non-cacheable region.
 
-Double buffering (S_DDB) follows a fixed per-layer plan: the four
-attention projections (preloaded into buffer 0 before the first layer)
-compute while the first feed-forward matrix is copied in four equal
-quarters (one per projection); each feed-forward GEMM then covers the
-copy of the next matrix, and the last one covers the preload of the next
-layer's projections.  A copy chunk may not start before its paired
-compute segment (its target buffer only frees up then) and the two
-agents synchronize once per layer.  Copies are never issued during the
-fixed attention/normalization segments.  The output head is pipelined
-against its own copy at buffer-half granularity.
-
-Serial rearrangement (S_OWR) copies each layer in full (four copy
-agents) just before its GEMMs: its time-to-first-token is the serial
-compute-only schedule of WD, FACIL_O and C_GEMM plus the total copy time,
-exactly.  NC_GEMM streams each matrix non-cacheably once per input token.
+* Serial: the GEMMs run back to back.  With copy agents, each layer and
+  the head are copied in full just before their GEMMs, so the TTFT is the
+  compute-only one plus the total copy time, exactly.  The timeline is
+  built on the first read of ``PrefillResult.timeline``.
+* Double-buffered: each copy into one buffer runs beside the GEMM that
+  reads the other (``layer_plan`` pairs them), starting no earlier than
+  that GEMM and never during attention.  The first layer's projections
+  are preloaded, the agents synchronize once per layer, and the head is
+  pipelined against its copy at buffer-half granularity.  The schedule is
+  always built: its end is the TTFT.
+* NC stream: each GEMM streams its matrix from the non-cacheable copy
+  once per input token; there is no timeline.
 """
 
 from __future__ import annotations
@@ -35,10 +30,8 @@ from typing import Callable
 from .cost import HardwareSpec, decode_token_time, gemm_time, smc_time
 from .errors import ConfigError
 from .model import ModelSpec
-from .scenario import Scenario
+from .scenario import Scenario, Schedule
 
-DDB_COPY_AGENTS = 2
-OWR_COPY_AGENTS = 4
 FF0_COPY_QUARTERS = 4
 CROSSOVER_MAX_SL = 1024  # longest input ddb_hiding_crossover searches
 
@@ -94,7 +87,7 @@ class PrefillResult:
 
     @cached_property
     def timeline(self) -> Timeline | None:
-        """``schedule()`` on first read: None for NC_GEMM, which has none."""
+        """``schedule()`` on first read: None for an NC stream, which has none."""
         return self.schedule()
 
 
@@ -170,7 +163,7 @@ def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec,
     tl = Timeline()
 
     def copy_seconds(nbytes: float) -> float:
-        return smc_time(nbytes, DDB_COPY_AGENTS, hw)
+        return smc_time(nbytes, Scenario.S_DDB.record.copy_agents, hw)
 
     copies = [copy_seconds(seg.copy_bytes) for seg in plan]
     comp_t = copy_t = 0.0
@@ -236,13 +229,14 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
     # fsum is correctly rounded, so the order of the terms does not matter
     gemm_total = _fsum([s.compute_seconds for s in plan] * model.layers
                        + [head_seconds])
-    if scenario is Scenario.S_DDB:
+    record = scenario.record
+    if record.schedule is Schedule.DOUBLE_BUFFERED:
         tl = build_ddb_schedule(model, hw, plan, head_seconds, head_bytes)
         copy_busy = _fsum(s.duration for s in tl.agent_segments("copy"))
         return PrefillResult(scenario, sl, tl.end,
                              {"gemm_seconds": gemm_total,
                               "smc_seconds": copy_busy}, lambda: tl)
-    if scenario is Scenario.NC_GEMM:
+    if record.schedule is Schedule.NC_STREAM:
         # each GEMM streams its weights; the "attn" segment adds attention
         nc_bw = hw.nc_stream_bw_gbps * 1e9
         total = _fsum([max(sl * s.nbytes / nc_bw, s.compute_seconds)
@@ -251,11 +245,11 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
         return PrefillResult(scenario, sl, total,
                              {"gemm_seconds": gemm_total,
                               "nc_stream_seconds": total}, lambda: None)
-    # S_OWR copies each layer and the head before it; the others compute only
+    # serial: with copy agents, a copy of each layer and the head before it
     copies, smc_total = None, 0.0
-    if scenario is Scenario.S_OWR:
-        copies = (smc_time(sum(s.nbytes for s in plan), OWR_COPY_AGENTS, hw),
-                  smc_time(head_bytes, OWR_COPY_AGENTS, hw))
+    if record.copy_agents:
+        copies = (smc_time(sum(s.nbytes for s in plan), record.copy_agents, hw),
+                  smc_time(head_bytes, record.copy_agents, hw))
         smc_total = _fsum([copies[0]] * model.layers + [copies[1]])
     return PrefillResult(scenario, sl, gemm_total + smc_total,
                          {"gemm_seconds": gemm_total, "smc_seconds": smc_total},
@@ -292,7 +286,7 @@ def run_decode(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
     """Per-token decode latency; every PIM scenario shares one PIM-aware copy."""
     if out_len < 0:
         raise ConfigError("out_len must be >= 0")
-    token = decode_token_time(model, hw, scenario.uses_pim_decode,
+    token = decode_token_time(model, hw, scenario.record.pim_copy,
                               pim_bytes=pim_bytes)
     tps = 1.0 / token if token > 0 else float("inf")
     return DecodeResult(scenario, out_len, token, tps, out_len * token)
@@ -355,7 +349,7 @@ def ddb_hiding_crossover(model: ModelSpec, hw: HardwareSpec) -> int:
     """Smallest input length at which every DDB copy chunk fits inside its
     paired compute segment (full latency hiding, preload aside)."""
     for sl in range(1, CROSSOVER_MAX_SL + 1):
-        if all(smc_time(seg.copy_bytes, DDB_COPY_AGENTS, hw)
+        if all(smc_time(seg.copy_bytes, Scenario.S_DDB.record.copy_agents, hw)
                <= seg.compute_seconds for seg in layer_plan(model, hw, sl)
                if seg.copy_bytes > 0
                and (seg.copy_tag != "qkvo" or model.layers > 1)):

@@ -1,28 +1,34 @@
-"""Placement/scheduling scenarios for prefill and decode."""
-
-from __future__ import annotations
+"""Placement/scheduling scenarios for prefill and decode, as one table of
+records: weight copies, cacheable buffers, copy agents and prefill schedule.
+FACIL_O is an oracle controller that lets the host read the PIM-aware copy."""
 
 import enum
+from typing import NamedTuple
 
-from .model import ModelSpec
+
+class Schedule(enum.Enum):  # how a prefill orders its GEMMs and copies
+    SERIAL = "serial"                    # GEMMs back to back, each layer after its copy
+    DOUBLE_BUFFERED = "double_buffered"  # each copy hidden behind earlier GEMMs
+    NC_STREAM = "nc_stream"              # GEMMs stream the non-cacheable copy per token
+
+
+class ScenarioRecord(NamedTuple):
+    host_copy: bool    # a host-friendly copy in a cacheable region
+    pim_copy: bool     # a PIM-aware copy in a non-cacheable region; decode uses PIM
+    buffers: int       # cacheable buffers, each of the model's ff_bytes
+    copy_agents: int   # agents swizzle-copying weights into them (0: no copy)
+    schedule: Schedule
 
 
 class Scenario(enum.Enum):
-    WD = "wd"              # duplicated weights: host-friendly + PIM-aware copies
-    FACIL_O = "facil_o"    # oracle controller translation, single PIM-aware copy
-    S_DDB = "s_ddb"        # double-buffered swizzled prefetch
-    S_OWR = "s_owr"        # serial swizzled copy before each layer
-    C_GEMM = "c_gemm"      # cacheable weights, no PIM (baseline)
-    NC_GEMM = "nc_gemm"    # non-cacheable weights for host GEMM, PIM decode
+    WD = "wd", ScenarioRecord(True, True, 0, 0, Schedule.SERIAL)
+    FACIL_O = "facil_o", ScenarioRecord(False, True, 0, 0, Schedule.SERIAL)
+    S_DDB = "s_ddb", ScenarioRecord(False, True, 2, 2, Schedule.DOUBLE_BUFFERED)
+    S_OWR = "s_owr", ScenarioRecord(False, True, 1, 4, Schedule.SERIAL)
+    C_GEMM = "c_gemm", ScenarioRecord(True, False, 0, 0, Schedule.SERIAL)
+    NC_GEMM = "nc_gemm", ScenarioRecord(False, True, 0, 0, Schedule.NC_STREAM)
 
-    @property
-    def uses_pim_decode(self) -> bool:
-        return self is not Scenario.C_GEMM
-
-    def buffer_bytes(self, model: ModelSpec) -> int:
-        """Cacheable staging buffer: two FF-sized buffers for DDB, one for OWR."""
-        if self is Scenario.S_DDB:
-            return 2 * model.ff_bytes
-        if self is Scenario.S_OWR:
-            return model.ff_bytes
-        return 0
+    def __new__(cls, value: str, record: ScenarioRecord):
+        member = object.__new__(cls)
+        member._value_, member.record = value, record
+        return member

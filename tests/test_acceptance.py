@@ -84,6 +84,19 @@ def test_acceptance_2_capacity_savings():
     _passed(2, "capacity savings within 0.5 pp on both model scales")
 
 
+def test_capacity_savings_from_the_computed_pim_image():
+    """The savings of ``test_acceptance_2``, from the model's own host bytes
+    and its computed phone-geometry PIM image instead of rounded figures."""
+    for name, ddb_want, owr_want in [("llama3.2-1b", 47.8, 48.5),
+                                     ("llama3.2-3b", 49.4, 49.7)]:
+        model = model_preset(name)
+        pim = pim_weight_bytes(model)
+        ddb = capacity_report(model, Scenario.S_DDB, pim)
+        owr = capacity_report(model, Scenario.S_OWR, pim)
+        assert abs(ddb["savings_vs_wd_pct"] - ddb_want) <= 0.5, name
+        assert abs(owr["savings_vs_wd_pct"] - owr_want) <= 0.5, name
+
+
 # ----------------------------------------------------------------------
 # 3. GEMV oracle battery
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pimsim.errors import ConfigError, GeometryError
 from pimsim.model import ModelSpec
 from pimsim.presets import (MODELS, hardware_preset, model_preset,
                             pim_weight_bytes)
-from pimsim.scenario import Scenario
+from pimsim.scenario import Scenario, Schedule
 
 HW = hardware_preset("s24plus")
 
@@ -107,6 +107,32 @@ def test_capacity_report_structure():
             == 2 * summary["s_owr"]["buffer_bytes"]
             == 2 * model.ff_bytes)
     assert summary["facil_o"]["buffer_bytes"] == 0
+
+
+def test_scenario_table_states_the_papers_facts():
+    """The paper's facts in each scenario's record, and the capacity report
+    read from the record alone."""
+    records = {s: s.record for s in Scenario}
+    assert records[Scenario.WD].host_copy and records[Scenario.WD].pim_copy
+    assert [s for s, r in records.items() if r.host_copy] \
+        == [Scenario.WD, Scenario.C_GEMM]
+    # C_GEMM is the only scenario without a PIM-aware copy, so without PIM decode
+    assert [s for s, r in records.items() if not r.pim_copy] == [Scenario.C_GEMM]
+    ddb, owr = records[Scenario.S_DDB], records[Scenario.S_OWR]
+    assert (ddb.buffers, ddb.copy_agents) == (2, 2)
+    assert (owr.buffers, owr.copy_agents) == (1, 4)
+    assert {r.schedule for r in records.values()} == set(Schedule)
+    for scenario, r in records.items():
+        # a scenario copies exactly when it has buffers to copy into, with a
+        # calibrated bandwidth
+        assert bool(r.copy_agents) == bool(r.buffers), scenario
+        if r.copy_agents:
+            assert HardwareSpec().smc_bw_gbps(r.copy_agents) > 0
+    model = model_preset("llama3.2-3b")
+    host, pim = model.host_bytes(), pim_weight_bytes(model)
+    for scenario, r in records.items():
+        assert capacity_report(model, scenario, pim)["total_bytes"] \
+            == host * r.host_copy + pim * r.pim_copy + r.buffers * model.ff_bytes
 
 
 @pytest.mark.parametrize("element_bytes", [1, 2, 4])

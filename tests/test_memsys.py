@@ -377,13 +377,25 @@ def test_request_below_one_byte_raises_before_any_record():
                                          "evictions": 0, "writebacks": 0}
 
 
-@pytest.mark.parametrize("sizes", [[8, 2.5], [True, True]])
+@pytest.mark.parametrize("sizes", [[8, 2.5], [True, True], 2.5, True,
+                                   ["8", "8"], [8, None]])
 def test_per_request_sizes_must_be_whole_bytes(sizes):
+    """A size that is no whole number of bytes is rejected on either
+    attribute, per request or for all, by ``access_many`` and by a scalar
+    ``access``."""
     mem = make_mem()
-    region = mem.allocate_region(RegionKind.GENERAL, Attribute.NON_CACHEABLE, 256)
-    with pytest.raises(RegionError):
-        mem.access_many([region.base, region.base + 64], "R", sizes)
-    assert len(mem.trace) == 0
+    for attribute in (Attribute.NON_CACHEABLE, Attribute.CACHEABLE):
+        region = mem.allocate_region(RegionKind.GENERAL, attribute, 256)
+        with pytest.raises(RegionError):
+            mem.access_many([region.base, region.base + 64], "R", sizes)
+        if np.ndim(sizes) == 0:
+            with pytest.raises(RegionError):
+                mem.access(region.base, "R", sizes)
+    # an empty stream has no size to reject; numpy integers are whole bytes
+    mem.access_many([], "R", [])
+    assert len(mem.trace) == 0 and mem.hit_log == []
+    mem.access_many([region.base], "R", np.array([8], dtype=np.uint8))
+    assert mem.access(region.base, "R", np.int64(8)) is Source.CACHE
 
 
 @pytest.mark.parametrize("rogue", [False, True])

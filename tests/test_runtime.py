@@ -126,7 +126,8 @@ def test_ddb_copies_every_weight_exactly_once(point):
     agent moves each weight once: no preload of a layer that is not there."""
     model, hw, sl = point
     ddb = run_prefill(Scenario.S_DDB, model, hw, sl)
-    copied = ddb.breakdown["smc_seconds"] * hw.smc_bw_gbps(2) * 1e9
+    agents = Scenario.S_DDB.record.copy_agents
+    copied = ddb.breakdown["smc_seconds"] * hw.smc_bw_gbps(agents) * 1e9
     assert copied == pytest.approx(model.host_bytes(), rel=1e-9, abs=1e-6)
     assert ddb.ttft >= ddb.breakdown["gemm_seconds"]
 
@@ -161,7 +162,8 @@ def test_every_calibrated_prefill_reads_one_plan(point):
         assert (other.ttft, other.breakdown, other.timeline.rows()) \
             == (wd.ttft, wd.breakdown, wd.timeline.rows())
     assert owr.ttft == wd.ttft + owr.breakdown["smc_seconds"]
-    assert owr.breakdown["smc_seconds"] * hw.smc_bw_gbps(4) * 1e9 \
+    agents = Scenario.S_OWR.record.copy_agents
+    assert owr.breakdown["smc_seconds"] * hw.smc_bw_gbps(agents) * 1e9 \
         == pytest.approx(model.host_bytes(), rel=1e-9, abs=1e-6)
     # S_OWR runs WD's GEMMs in order, with one copy right before each
     # layer's first GEMM and one before the head's
@@ -262,13 +264,14 @@ def test_crossover_is_in_the_expected_band():
     # below the crossover some chunk exceeds its window
     segs = layer_plan(M1B, HW, sl - 1)
     assert any(s.copy_bytes > 0 and
-               smc_time(s.copy_bytes, 2, HW) > s.compute_seconds
+               smc_time(s.copy_bytes, Scenario.S_DDB.record.copy_agents, HW)
+               > s.compute_seconds
                for s in segs)
 
 
 def test_decode_identical_across_pim_scenarios():
     times = {s: run_decode(s, M1B, HW, 10).token_seconds
-             for s in Scenario if s.uses_pim_decode}
+             for s in Scenario if s.record.pim_copy}
     assert len(set(times.values())) == 1
     assert run_decode(Scenario.C_GEMM, M1B, HW, 10).token_seconds \
         > max(times.values())
