@@ -13,6 +13,11 @@ size is stored as one chunk of consecutive ticks with an address array.
 the only record of what reached DRAM: the PIM engine decodes its MAC
 triggers from the records appended to it, by their position in the trace;
 where one chunk ends and the next begins means nothing to it.
+
+Cache hits are stored as plain ``(tick, agent, line)`` tuples;
+``hit_log`` and ``hits_since`` read them as ``HitRecord``s, built only
+when read.  ``access`` remembers the last region it resolved and searches
+the regions only for an address outside it.
 """
 
 from __future__ import annotations
@@ -163,6 +168,38 @@ class HitRecord(NamedTuple):
     line_addr: int
 
 
+class HitLog:
+    """The cache hits, read as ``HitRecord``s like a list of them.  Each hit
+    is stored as a plain ``(tick, agent, line)`` tuple in the list the
+    memory system appends to; a ``HitRecord`` is built only when read."""
+
+    def __init__(self, hits: list[tuple[int, str, int]]):
+        self._hits = hits
+
+    def __len__(self) -> int:
+        return len(self._hits)
+
+    def __iter__(self):
+        return map(HitRecord._make, self._hits)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(HitRecord._make, self._hits[i]))
+        return HitRecord._make(self._hits[i])
+
+    def __eq__(self, other):
+        if isinstance(other, (HitLog, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"HitLog({list(self)!r})"
+
+    def clear(self):
+        """Drop every hit."""
+        self._hits.clear()
+
+
 def _check_positive_int(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
@@ -265,7 +302,11 @@ class MemorySystem:
         self.regions: list[MemoryRegion] = []
         self._bases: list[int] = []  # region bases, ascending
         self.trace = CommandTrace()
-        self.hit_log: list[HitRecord] = []
+        self._hits: list[tuple[int, str, int]] = []  # (tick, agent, line) per hit
+        self.hit_log = HitLog(self._hits)
+        # (base, end, non-cacheable) of the region that ``access`` resolved
+        # last; regions are only appended, so it never goes stale
+        self._last_region = (0, 0, False)
         self._next_base = 0
         self._pool_used = 0
         self._tick = 0
@@ -321,24 +362,31 @@ class MemorySystem:
         dirty victim); a hit produces no DRAM traffic.
         """
         _check_request(op, nbytes)
-        region = self.region_at(addr)
-        end = region.base + region.size
+        base, end, non_cacheable = self._last_region
+        if not base <= addr < end:
+            region = self.region_at(addr)
+            base, end = region.base, region.base + region.size
+            non_cacheable = region.is_non_cacheable
+            self._last_region = base, end, non_cacheable
         if addr + nbytes > end:
             raise RegionError(f"access [{addr:#x}, +{nbytes}) crosses region end")
-        if region.is_non_cacheable:
+        if non_cacheable:
             self._dram_batch(np.array([addr], dtype=np.int64), (end,), op, nbytes, agent)
             return Source.DRAM
-        line_bytes, source = self.cache.config.line_bytes, Source.CACHE
-        for line in range(addr - addr % line_bytes, addr + nbytes, line_bytes):
-            hit, victim = self.cache.access(line, op == "W")
+        cache, hits, line_bytes = self.cache, self._hits, self.cache._line_bytes
+        write, source = op == "W", Source.CACHE
+        line, stop = addr - addr % line_bytes, addr + nbytes
+        while line < stop:
+            hit, victim = cache.access(line, write)
             if hit:
-                self.hit_log.append(HitRecord(self._tick, agent, line))
+                hits.append((self._tick, agent, line))
                 self._tick += 1
-                continue
-            if victim is not None:
-                self._emit(agent, "W", np.array([victim], dtype=np.int64), line_bytes)
-            self._emit(agent, "R", np.array([line], dtype=np.int64), line_bytes)
-            source = Source.DRAM
+            else:
+                if victim is not None:
+                    self._emit(agent, "W", np.array([victim], dtype=np.int64), line_bytes)
+                self._emit(agent, "R", np.array([line], dtype=np.int64), line_bytes)
+                source = Source.DRAM
+            line += line_bytes
         if self.rogue_prefetcher and self._rogue_positions((addr,), (end,), op, nbytes, agent):
             self.access(addr + nbytes, "R", nbytes, agent="prefetcher")
         return source
@@ -373,6 +421,10 @@ class MemorySystem:
                 return (np.full(addrs.shape, end),
                         [(0, addrs.size, op, nbytes, region.is_non_cacheable)])
         ops, sizes = np.asarray(op), np.asarray(nbytes)
+        for name, values in (("op", ops), ("nbytes", sizes)):
+            if values.ndim and values.shape != addrs.shape:
+                raise RegionError(f"{name} has {values.size} values for "
+                                  f"{addrs.size} requests")
         writes = ops == "W"
         invalid = ops[~(writes | (ops == "R"))]
         # a numeric array's least size stands for all; any other is passed whole

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimsim.errors import CapacityError, ConfigError, RegionError
-from pimsim.memsys import (Attribute, CacheConfig, MemorySystem, RegionKind,
-                           Source, TraceRecord)
+from pimsim.memsys import (Attribute, CacheConfig, HitRecord, MemorySystem,
+                           RegionKind, Source, TraceRecord)
 
 
 def make_mem(**kwargs):
@@ -396,6 +396,120 @@ def test_per_request_sizes_must_be_whole_bytes(sizes):
     assert len(mem.trace) == 0 and mem.hit_log == []
     mem.access_many([region.base], "R", np.array([8], dtype=np.uint8))
     assert mem.access(region.base, "R", np.int64(8)) is Source.CACHE
+
+
+@pytest.mark.parametrize("ops, sizes", [("R", []), (["R", "W", "R"], 8),
+                                        (["R"], [8, 8])])
+def test_per_request_values_must_match_the_addresses(ops, sizes):
+    """A per-request op or size list has one entry per address; any other
+    length is rejected before any record, not broadcast."""
+    mem = make_mem()
+    for attribute in (Attribute.NON_CACHEABLE, Attribute.CACHEABLE):
+        region = mem.allocate_region(RegionKind.GENERAL, attribute, 256)
+        with pytest.raises(RegionError):
+            mem.access_many([region.base, region.base + 64], ops, sizes)
+    assert len(mem.trace) == 0 and mem.hit_log == []
+    assert mem.cache.stats.as_dict() == {"hits": 0, "misses": 0,
+                                         "evictions": 0, "writebacks": 0}
+
+
+def test_hit_log_reads_like_a_list_of_hit_records():
+    mem = make_mem()
+    region = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, 4096)
+    mem.access(region.base, "W", 128, agent="a")  # two fills, ticks 0 and 1
+    mem.access(region.base, "R", 128, agent="b")  # two hits
+    mark = mem.mark()
+    mem.access(region.base + 64, "W", 8, agent="c")  # one more hit
+    expected = [HitRecord(2, "b", region.base), HitRecord(3, "b", region.base + 64),
+                HitRecord(4, "c", region.base + 64)]
+    assert [type(h) for h in mem.hit_log] == [HitRecord] * 3
+    assert list(mem.hit_log) == expected
+    assert mem.hit_log == expected and mem.hit_log == tuple(expected)
+    assert mem.hit_log != expected[:2] and len(mem.hit_log) == 3
+    assert mem.hit_log[1] == expected[1] and type(mem.hit_log[-1]) is HitRecord
+    assert mem.hit_log[1:] == expected[1:] and mem.hit_log[::2] == expected[::2]
+    assert mem.hits_since(mark) == list(mem.hit_log)[mark[1]:] == expected[2:]
+    mem.hit_log.clear()
+    assert len(mem.hit_log) == 0 and mem.hit_log == [] and list(mem.hit_log) == []
+    assert mem.mark() == (2, 0)
+
+
+def test_snapshots_do_not_change_after_more_accesses_or_a_clear():
+    mem = make_mem(cache=CacheConfig(capacity=2 * 64, line_bytes=64, ways=2))  # one set
+    pool = mem.allocate_region(RegionKind.GENERAL, Attribute.NON_CACHEABLE, 4096)
+    data = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, 4096)
+    mem.access(data.base, "W", 64)
+    mem.access(pool.base, "R", 8)
+    mark = mem.mark()
+    mem.access(data.base, "R", 64)  # hit
+    mem.access(data.base + 64, "R", 64)  # fill
+    mem.access_many([pool.base, pool.base + 8], "W", 8)
+    view, hits = mem.records_since(mark), mem.hits_since(mark)
+    records, hit_records = list(view), list(hits)
+    assert len(records) == 3 and hit_records == [HitRecord(2, "host", data.base)]
+    mem.access(data.base + 128, "R", 64)  # evicts the dirty line: write-back, fill
+    mem.access(data.base + 64, "R", 64)  # hit
+    assert list(view) == records and hits == hit_records
+    mem.trace.clear()
+    mem.hit_log.clear()
+    assert list(view) == records and len(view) == 3 and hits == hit_records
+
+
+@st.composite
+def _region_layouts(draw):
+    """Regions of both attributes, each aligned so that most leave a gap
+    before the next, and a stream of steps over them: each step a valid
+    request into one region, then, for some, a request into the gap after
+    it or one that crosses its end."""
+    regions = [(draw(st.sampled_from(list(Attribute))), draw(st.integers(1, 700)),
+                draw(st.sampled_from([None, 16, 256]))) for _ in range(draw(st.integers(2, 5)))]
+    steps = draw(st.lists(st.tuples(
+        st.integers(0, len(regions) - 1), st.integers(1, 130), st.sampled_from("RW"),
+        st.sampled_from(["host", "copy"]), st.integers(0, 10_000),
+        st.sampled_from(["", "", "gap", "cross"])), min_size=1, max_size=60))
+    return regions, steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(_region_layouts())
+def test_region_memo_matches_the_replay_oracle(layout):
+    """``access`` remembers the last region it resolved.  Interleaved over
+    regions with gaps between them, it must give the records, hits and
+    counters of the replay oracle, which knows nothing of regions but the
+    test's own list, and reject a gap or a crossing request just after an
+    access to its neighbour, before any record."""
+    config = CacheConfig(capacity=64 * 2 * 4, line_bytes=64, ways=2)
+    mem = make_mem(cache=config)
+    regions = [mem.allocate_region(RegionKind.GENERAL, attribute, size, align=align)
+               for attribute, size, align in layout[0]]
+    oracle = ReplayCache(config, region_end=None)
+    for i, nbytes, op, agent, at, then in layout[1]:
+        region = regions[i]
+        end = region.base + region.size
+        nbytes = min(nbytes, region.size)
+        addr = region.base + at % (region.size - nbytes + 1)
+        mark, n_records, n_hits = mem.mark(), len(oracle.dram), len(oracle.hits)
+        if region.attribute is Attribute.NON_CACHEABLE:
+            oracle._record(oracle.dram, agent, op, addr, nbytes)
+            expected = Source.DRAM
+        else:
+            expected = oracle.access(addr, op, nbytes, agent)
+        assert mem.access(addr, op, nbytes, agent) is expected
+        assert list(mem.records_since(mark)) == oracle.dram[n_records:]
+        assert mem.hits_since(mark) == oracle.hits[n_hits:]
+        assert mem.cache.stats.as_dict() == oracle.stats
+        next_base = regions[i + 1].base if i + 1 < len(regions) else mem.capacity
+        if then == "gap" and next_base > end:
+            addr, nbytes = end + at % (next_base - end), 1
+        elif then == "cross":
+            addr, nbytes = max(region.base, end - 1 - at % 63), 64
+        else:
+            continue
+        mark = mem.mark()
+        with pytest.raises(RegionError):
+            mem.access(addr, op, nbytes, agent)
+        assert mem.mark() == mark and mem.cache.stats.as_dict() == oracle.stats
+    assert list(mem.trace) == oracle.dram and mem.hit_log == oracle.hits
 
 
 @pytest.mark.parametrize("rogue", [False, True])
