@@ -15,7 +15,7 @@ from .cost import (HardwareSpec, analytical_prefill, capacity_report,
 from .dram import AddressMap, DramCoord, DramGeometry
 from .engine import GemvJob, GemvResult, IntegrityReport, PimGemvEngine
 from .errors import (AttributeViolation, CapacityError, ConfigError,
-                     GeometryError, RegionError, SimulatorError, StagingError)
+                     GeometryError, RegionError, SimulatorError)
 from .layout import (PimImage, PimPlacement, WeightMatrix, convert_to_pim_aware,
                      model_placements, padded_size, smc_copy, unswizzle)
 from .memsys import (Attribute, CacheConfig, MemoryRegion, MemorySystem,
@@ -35,7 +35,7 @@ __all__ = [
     "MatrixShape", "MemoryRegion", "MemorySystem", "ModelSpec",
     "PimGemvEngine", "PimImage", "PimPlacement", "PrefillResult",
     "RegionError", "RegionKind", "Scenario", "Segment", "SimulatorError",
-    "Source", "StagingError", "Timeline", "TraceRecord", "WeightMatrix",
+    "Source", "Timeline", "TraceRecord", "WeightMatrix",
     "analytical_prefill", "bf16_decode", "bf16_encode", "build_ddb_schedule",
     "capacity_report", "convert_to_pim_aware", "ddb_hiding_crossover",
     "decode_token_time", "end_to_end_grid", "gemm_time", "model_placements",

@@ -304,8 +304,8 @@ def cmd_sweep(args) -> int:
 # gemv-check
 # ----------------------------------------------------------------------
 
-def _random_gemv_trial(rng: np.random.Generator, engine_kwargs: dict,
-                       cacheable: bool) -> dict:
+def _random_gemv_trial(rng: np.random.Generator, cacheable: bool, rogue: bool,
+                       corrupt_mac_order: bool) -> dict:
     geometry = geometry_preset("desk")
     amap = AddressMap(geometry)
     out_dim = int(rng.integers(1, 3)) * 16 * 4  # multiples of one tile group
@@ -318,12 +318,12 @@ def _random_gemv_trial(rng: np.random.Generator, engine_kwargs: dict,
     img = convert_to_pim_aware(w, p)
     mem = MemorySystem(capacity=geometry.total_capacity + (1 << 20),
                        cache=CacheConfig(capacity=1 << 21),
-                       rogue_prefetcher=engine_kwargs.pop("rogue", False))
+                       rogue_prefetcher=rogue)
     attr = Attribute.CACHEABLE if cacheable else Attribute.NON_CACHEABLE
     mem.allocate_region(RegionKind.CONTIGUOUS_POOL, attr,
                         max(img.base_addr + img.span_bytes, 1), name="weights",
                         align=1)
-    engine = PimGemvEngine(mem, **engine_kwargs)
+    engine = PimGemvEngine(mem, corrupt_mac_order=corrupt_mac_order)
     job = GemvJob(img, bf16.encode(x_int.astype(np.float32)),
                   arithmetic="exact")
     # run twice: the attribute hazard only bites once the cache is warm
@@ -343,10 +343,8 @@ def cmd_gemv_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     failures = 0
     for trial in range(args.trials):
-        r = _random_gemv_trial(
-            rng, {"corrupt_mac_order": args.corrupt_mac_order,
-                  "rogue": args.rogue_prefetcher},
-            cacheable=args.cacheable)
+        r = _random_gemv_trial(rng, args.cacheable, args.rogue_prefetcher,
+                               args.corrupt_mac_order)
         ok = r["value_ok"] and r["integrity"] == "ok"
         failures += not ok
         print(f"trial {trial}: {r['out_dim']}x{r['in_dim']} "

@@ -10,25 +10,26 @@ its MACs once, from the records that the DRAM command trace gained since
 the job began.  So any read absorbed by the host cache silently skips its
 MAC - the memory-attribute hazard this simulator exists to demonstrate.
 
-MAC rule, record by record: a staging write to the input buffer loads the
-next staged tile into the input RF; an output write to the output buffer
-snapshots and clears the accumulators; and the j-th read of a slab burst
-after either consumes input element j, while j is below the RF size.  The
-fetched burst supplies one weight per lane (one column of an output tile,
-16 rows for 32-byte bursts of 2-byte elements), and in multi-bank mode
-every active bank applies the same (row, column) command in lockstep.
+MAC rule, record by record: the i-th staging write of a job to the input
+buffer loads the job's input tile ``i % n_in`` (of ``n_in`` tiles) into the
+input RF, which holds zeros before the first; an output write to the
+output buffer snapshots and clears the accumulators; and the j-th read of
+a slab burst after either consumes input element j, while j is below the
+RF size.  The fetched burst supplies one weight per lane (one column of an
+output tile, 16 rows for 32-byte bursts of 2-byte elements), and in
+multi-bank mode every active bank applies the same (row, column) command
+in lockstep.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bf16
-from .errors import ConfigError, StagingError
+from .errors import ConfigError
 from .layout import (RF_ENTRIES, PimImage, burst_address_of_tile,
                      burst_of_address)
 from .memsys import Attribute, MemorySystem, RegionKind, TraceView
@@ -41,11 +42,16 @@ class GemvJob:
     """One GEMV: a placed weight image times an input vector."""
 
     image: PimImage
-    input_bits: np.ndarray  # uint16 elements, length in_dim
+    input_bits: np.ndarray  # element bit patterns, length in_dim
     arithmetic: str = "bf16"  # "bf16" or "exact"
 
     def __post_init__(self):
-        self.input_bits = np.ascontiguousarray(self.input_bits, dtype=np.uint16)
+        bits = np.asarray(self.input_bits)
+        if (bits.ndim != 1 or bits.dtype.kind not in "iu"
+                or (bits.size and not 0 <= bits.min() <= bits.max() <= 0xFFFF)):
+            raise ConfigError("input must be a 1-D integer array of bit "
+                              "patterns in [0, 0xFFFF]")
+        self.input_bits = np.ascontiguousarray(bits, dtype=np.uint16)
         p = self.image.placement
         if self.input_bits.size != p.in_dim:
             raise ConfigError(f"input length {self.input_bits.size} != K {p.in_dim}")
@@ -115,99 +121,62 @@ class PimGemvEngine:
         self.in_buf_addr = staging.base
         self.out_buf_addr = staging.base + 256
         self.dummy_addr = staging.base + 512
-        self._job = None
+        self._last = None  # (input RF bits, accumulators, their bits)
 
     # ------------------------------------------------------------------
     # DRAM-side trigger path
     # ------------------------------------------------------------------
-    def _on_dram(self) -> list[np.ndarray]:
-        """MAC decode of every record traced since the last decode, by the
-        rule in the module docstring.  Returns the accumulators that each
-        output write snapshots, in trace order."""
-        trace, p = self.mem.trace, self._job.placement
-        addrs, ops, agents = trace.view(self._decoded).columns()
-        self._decoded = len(trace)
+    def _on_dram(self, job: GemvJob, records: TraceView,
+                 x_tiles: np.ndarray) -> tuple[list[np.ndarray], int, int]:
+        """MAC decode of a job's records, by the rule in the module
+        docstring.  Returns the accumulators that each output write
+        snapshots, in trace order, the triggered reads, and how many of
+        those the prefetcher issued."""
+        p = job.placement
+        addrs, ops, agents = records.columns()
         writes = ops == "W"
         staging = writes & (addrs == self.in_buf_addr)
         bounds = np.flatnonzero(staging | (writes & (addrs == self.out_buf_addr)))
         bursts = np.where(writes, -1, burst_of_address(p, addrs))
         triggers = np.flatnonzero(bursts >= 0)
-        self._trigger_count += len(triggers)
-        self._prefetch_triggers += int((agents[triggers] == "prefetcher").sum())
         # triggers per window between boundaries; the RF pointer restarts at
         # each boundary and saturates past its last element
-        rf = len(self._x)
+        n_in, rf = x_tiles.shape
         window = np.searchsorted(bounds, triggers)
         first = np.searchsorted(window, np.arange(len(bounds) + 2))
         used = np.arange(len(triggers)) - first[window] < rf
-        slab = self._job.image.data.reshape(-1, p.active_banks, p.row_tile)
-        reads, lo = bursts[triggers[used]], 0
-        snapshots = []
+        slab = job.image.data.reshape(-1, p.active_banks, p.row_tile)
+        acc_dtype = np.float64 if job.arithmetic == "exact" else np.float32
+        tiles = bf16.decode(x_tiles).astype(acc_dtype)
+        acc = np.zeros((p.active_banks, p.row_tile), dtype=acc_dtype)
+        x = np.zeros(rf, dtype=acc_dtype)
+        reads, lo, stagings, snapshots = bursts[triggers[used]], 0, 0, []
         for n, boundary in zip(np.minimum(np.diff(first), rf).tolist(),
                                [*staging[bounds].tolist(), None]):
             if n:
                 # (n, active banks, lanes): each read's burst in every active bank
                 w = bf16.decode(slab.take(reads[lo:lo + n], axis=0))
-                x = self._x[:n][::-1] if self.corrupt_mac_order else self._x[:n]
-                self._acc += np.einsum("nab,n->ab", w.astype(self._acc.dtype), x)
+                xn = x[:n][::-1] if self.corrupt_mac_order else x[:n]
+                acc += np.einsum("nab,n->ab", w.astype(acc_dtype), xn)
                 lo += n
             if boundary:  # a staging write
-                if not self._staged:
-                    raise StagingError("a staging write with no tile staged "
-                                       "through pim_write_input")
-                self._x = self._staged.popleft()
+                x = tiles[stagings % n_in]
+                stagings += 1
             elif boundary is not None:  # an output write
-                snapshots.append(self._acc.copy())
-                self._acc[:] = 0
-        return snapshots
-
-    # ------------------------------------------------------------------
-    # Staging primitives
-    # ------------------------------------------------------------------
-    def pim_write_input(self, values_bits: np.ndarray):
-        """Write8: stage up to one 128-element input tile into the input RF.
-
-        Unused lanes of a partial final tile are zero-filled.  The tile is
-        queued for the write's record, which the next decode finds.
-        """
-        if self._job is None:
-            raise ConfigError("no active job")
-        tile_elems = self._job.placement.input_tile_elements
-        if values_bits.size > tile_elems:
-            raise StagingError(f"input tile of {values_bits.size} elements "
-                               f"exceeds RF capacity {tile_elems}")
-        staged = np.zeros(tile_elems, dtype=np.uint16)
-        staged[:values_bits.size] = values_bits
-        self._staged.append(bf16.decode(staged).astype(self._acc.dtype))
-        self.mem.access(self.in_buf_addr, "W",
-                        RF_ENTRIES * self._job.placement.geometry.burst_bytes)
-        self._staged_bits = staged
-
-    def pim_read_output(self) -> tuple[np.ndarray, np.ndarray]:
-        """Write8 of the output RF after the MAC decode: returns ``(values,
-        bits)``, the accumulator lanes of every active bank and their bits
-        rounded to element precision.  The next decode starts after this
-        output write, so the accumulators are not cleared: step by step,
-        readbacks accumulate until the next bind."""
-        if self._job is None:
-            raise ConfigError("no active job")
-        self._on_dram()
-        flat = self._acc.reshape(-1)
-        self.mem.access(self.out_buf_addr, "W",
-                        RF_ENTRIES * self._job.placement.geometry.burst_bytes)
-        self._decoded = len(self.mem.trace)
-        bits = bf16.encode(flat.astype(np.float32))
-        self._readout = (self._acc.astype(np.float64),
-                         bits.reshape(self._acc.shape))
-        return flat.copy(), bits
+                snapshots.append(acc.copy())
+                acc[:] = 0
+        prefetched = int((agents[triggers] == "prefetcher").sum())
+        return snapshots, len(triggers), prefetched
 
     def state_dump(self) -> str:
-        """JSON dump of every active bank's input RF (the staged input tile),
-        output RF and accumulators (the last readback), for debugging."""
+        """JSON dump of every active bank's input RF (the last input tile),
+        output RF and accumulators (the last readback) after the last job,
+        for debugging."""
         blocks = []
-        if self._job is not None:
-            input_rf = self._staged_bits.reshape(RF_ENTRIES, -1).tolist()
-            for bank_acc, bank_bits in zip(*self._readout):
+        if self._last is not None:
+            tile_bits, accs, acc_bits = self._last
+            input_rf = tile_bits.reshape(RF_ENTRIES, -1).tolist()
+            for bank_acc, bank_bits in zip(accs, acc_bits):
                 output_rf = np.zeros((RF_ENTRIES, bank_bits.size), dtype=np.uint16)
                 output_rf[0] = bank_bits
                 blocks.append({"input_rf": input_rf,
@@ -218,35 +187,15 @@ class PimGemvEngine:
     # ------------------------------------------------------------------
     # Job execution
     # ------------------------------------------------------------------
-    def _bind(self, job: GemvJob):
-        p = job.placement
-        self._job = job
-        # records traced before the job trigger nothing
-        self._decoded = len(self.mem.trace)
-        self._trigger_count = 0
-        self._prefetch_triggers = 0
-        acc_dtype = np.float64 if job.arithmetic == "exact" else np.float32
-        self._acc = np.zeros((p.active_banks, p.row_tile), dtype=acc_dtype)
-        # the tile in the input RF (zeros after the bind), and the tiles
-        # staged whose writes the decode has not reached yet
-        self._x = np.zeros(p.input_tile_elements, dtype=acc_dtype)
-        self._staged = deque()
-        self._staged_bits = np.zeros(p.input_tile_elements, dtype=np.uint16)
-        self._readout = (np.zeros(self._acc.shape),
-                         np.zeros(self._acc.shape, dtype=np.uint16))
-
     def execute(self, job: GemvJob) -> GemvResult:
         """Run the full GEMV command protocol for ``job``: one stream of
-        requests, then one MAC decode."""
+        requests, then one MAC decode of the records it traced."""
         p = job.placement
         geo = p.geometry
-        self._bind(job)
         mark = self.mem.mark()
         x_padded = np.zeros(p.k_pad, dtype=np.uint16)
         x_padded[:p.in_dim] = job.input_bits
         x_tiles = x_padded.reshape(-1, p.input_tile_elements)
-        self._staged.extend([*bf16.decode(x_tiles).astype(self._acc.dtype)] * p.slots)
-        self._staged_bits = x_tiles[-1]
         # per output tile: each input tile's staging write and weight reads,
         # then the drain reads and the output write
         n_in, tile = x_tiles.shape
@@ -264,17 +213,20 @@ class PimGemvEngine:
         self.mem.access_many(stream, np.where(writes, "W", "R"),
                              np.where(writes, RF_ENTRIES * geo.burst_bytes,
                                       geo.burst_bytes))
-        snapshots = np.array(self._on_dram()).reshape(p.slots, -1)
+        records = self.mem.records_since(mark)
+        snapshots, triggers, prefetched = self._on_dram(job, records, x_tiles)
+        snapshots = np.array(snapshots).reshape(p.slots, -1)
         bits = bf16.encode(snapshots.astype(np.float32))
-        self._readout = (snapshots[-1].astype(np.float64).reshape(self._acc.shape),
-                         bits[-1].reshape(self._acc.shape))
+        shape = (p.active_banks, p.row_tile)
+        self._last = (x_tiles[-1], snapshots[-1].astype(np.float64).reshape(shape),
+                      bits[-1].reshape(shape))
         return GemvResult(
             output=snapshots.reshape(-1)[:p.out_dim].astype(np.float64),
             output_bits=bits.reshape(-1),
-            records=self.mem.records_since(mark),
+            records=records,
             hits=self.mem.hits_since(mark),
-            triggered_mac_reads=self._trigger_count,
-            prefetcher_triggers=self._prefetch_triggers,
+            triggered_mac_reads=triggers,
+            prefetcher_triggers=prefetched,
         )
 
     def verify_trigger_integrity(self, job: GemvJob,

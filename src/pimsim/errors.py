@@ -23,7 +23,3 @@ class AttributeViolation(SimulatorError):
 
 class ConfigError(SimulatorError):
     """Invalid or inconsistent run configuration."""
-
-
-class StagingError(SimulatorError):
-    """Misaligned or oversized register-file staging transfer."""

@@ -8,13 +8,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimsim import bf16
 from pimsim.dram import FIELD_NAMES, AddressMap, DramGeometry
 from pimsim.engine import PIPELINE_DRAIN_READS, GemvJob, PimGemvEngine
-from pimsim.errors import ConfigError, StagingError
+from pimsim.errors import ConfigError
 from pimsim.layout import (PimPlacement, WeightMatrix, burst_address_of_tile,
                            convert_to_pim_aware)
 from pimsim.memsys import Attribute, CacheConfig, MemorySystem, RegionKind
@@ -221,8 +221,7 @@ def test_integrity_of_an_earlier_result_uses_its_own_hit_window():
 
 
 def test_a_job_triggers_on_the_weight_reads_traced_inside_it():
-    """Weight reads traced between two jobs trigger nothing in the second;
-    another agent's weight read inside a job triggers its MAC."""
+    """Weight reads traced between two jobs trigger nothing in the second."""
     rng = np.random.default_rng(12)
     w = rng.integers(-3, 4, size=(16, 256)).astype(np.float64)
     x = rng.integers(-3, 4, size=256).astype(np.float64)
@@ -234,55 +233,47 @@ def test_a_job_triggers_on_the_weight_reads_traced_inside_it():
     job, result = run_exact(engine, image, x)
     assert np.array_equal(result.output, w @ x)
     assert engine.verify_trigger_integrity(job, result).ok
-    engine._bind(job)
-    engine.pim_write_input(job.input_bits[:128])
-    engine.mem.access_many(reads, "R", burst_bytes, "copy")
-    values, _ = engine.pim_read_output()
-    assert np.array_equal(values, w[:16, :128] @ x[:128])
 
 
 def test_rf_pointer_saturates_but_every_trigger_counts():
-    """One staged tile followed by 256 weight reads before the readout: the
-    first 128 consume the tile, the rest trigger without a MAC."""
+    """A read prefetched after every second weight read lands in the other
+    active bank, so each input tile's window holds 192 triggers: the first
+    128 consume the tile, the rest trigger without a MAC."""
     rng = np.random.default_rng(14)
-    w = rng.integers(-3, 4, size=(16, 256)).astype(np.float64)
+    w = rng.integers(-3, 4, size=(32, 256)).astype(np.float64)
     x = rng.integers(-3, 4, size=256).astype(np.float64)
-    engine, image = build(16, 256, w, banks=1)
-    job = GemvJob(image, bf16.encode(x.astype(np.float32)), arithmetic="exact")
-    engine._bind(job)
-    engine.pim_write_input(job.input_bits[:128])
-    engine.mem.access_many(burst_address_of_tile(image.placement, 0), "R",
-                           image.placement.geometry.burst_bytes)
-    values, _ = engine.pim_read_output()
-    assert np.array_equal(values, w[:, :128] @ x[:128])
-    assert engine._trigger_count == 256
+    mem = MemorySystem(capacity=GEO.total_capacity + (1 << 16),
+                       cache=CacheConfig(capacity=1 << 18),
+                       rogue_prefetcher=True, rogue_period=2)
+    image = add_image(mem, 32, 256, w, banks=2)
+    job, result = run_exact(PimGemvEngine(mem), image, x)
+    assert result.triggered_mac_reads == 2 * 192
+    assert result.prefetcher_triggers == 2 * 64
+    # columns read per window: 0, 1, 1 (prefetched), 2, 3, 3, ...
+    cols = np.repeat(np.arange(128), np.tile([1, 2], 64))[:128]
+    expected = sum(w[:, t + cols] @ x[t:t + 128] for t in (0, 128))
+    assert np.array_equal(result.output, expected)
 
 
 def test_stagings_split_one_flush_window_into_tiles():
-    """Weight reads after the bind, between two stagings and after the
-    second, all flushed by one readback, each use their own tile; reads
-    after the readback use the last tile again."""
+    """With the first 100 weight reads absorbed by a warm cache of one burst
+    per line, the first input tile's window triggers 28 reads, which MAC
+    that tile's first 28 elements; the second staging restarts the RF
+    pointer, so its 128 reads MAC the whole second tile."""
     rng = np.random.default_rng(15)
     w = rng.integers(-3, 4, size=(16, 256)).astype(np.float64)
     x = rng.integers(-3, 4, size=256).astype(np.float64)
-    engine, image = build(16, 256, w, banks=1)
-    job = GemvJob(image, bf16.encode(x.astype(np.float32)), arithmetic="exact")
-    burst_bytes = image.placement.geometry.burst_bytes
+    mem = MemorySystem(capacity=GEO.total_capacity + (1 << 16),
+                       cache=CacheConfig(capacity=1 << 18, line_bytes=32))
+    image = add_image(mem, 16, 256, w, cacheable=True, banks=1)
+    engine = PimGemvEngine(mem)
     bursts = burst_address_of_tile(image.placement, 0)
-    engine._bind(job)
-    engine.mem.access_many(bursts[:10], "R", burst_bytes)  # the zero tile
-    engine.pim_write_input(job.input_bits[:128])
-    engine.mem.access_many(bursts[200:], "R", burst_bytes)
-    engine.pim_write_input(job.input_bits[128:])
-    engine.mem.access_many(bursts[:100], "R", burst_bytes)
-    values, _ = engine.pim_read_output()
-    assert np.array_equal(values,
-                          w[:, 200:] @ x[:56] + w[:, :100] @ x[128:228])
-    assert engine._trigger_count == 10 + 56 + 100
-    # the next window starts on the tile staged last, from its element 0
-    engine.mem.access_many(bursts[:20], "R", burst_bytes)
-    later, _ = engine.pim_read_output()
-    assert np.array_equal(later - values, w[:, :20] @ x[128:148])
+    mem.access_many(bursts[:100], "R", image.placement.geometry.burst_bytes)
+    job, result = run_exact(engine, image, x)
+    assert result.triggered_mac_reads == 28 + 128
+    assert np.array_equal(result.output,
+                          w[:, 100:128] @ x[:28] + w[:, 128:] @ x[128:])
+    assert engine.verify_trigger_integrity(job, result).deficit == 100
 
 
 def test_a_job_decodes_its_macs_once():
@@ -291,9 +282,9 @@ def test_a_job_decodes_its_macs_once():
                           np.ones((16 * ACTIVE_BANKS * 3, 300)))
     decode, decodes = engine._on_dram, []
 
-    def counted():
+    def counted(*args):
         decodes.append(None)
-        return decode()
+        return decode(*args)
     engine._on_dram = counted
     assert image.placement.slots == 3
     for n in (1, 2):
@@ -347,6 +338,22 @@ def replay_mac_rule(result, engine, w_int, x_int, p, corrupt):
     return bf16.encode(values.astype(np.float32)), values, triggers, prefetched
 
 
+class Drawn:
+    """Stands in for ``st.data()`` in an explicit example: every draw
+    gives ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy, label=None):
+        return self.value
+
+
+# Seed 44303 draws a 64x256 job; on 4 banks with a read prefetched after
+# every second one, each input tile's window holds more slab reads than
+# the RF, so the RF pointer saturates while every read still triggers.
+@example(4, 32, 32, list(FIELD_NAMES), Drawn(4), "exact", False, False, 2, 44303)
+@example(4, 32, 32, list(FIELD_NAMES), Drawn(4), "bf16", False, True, 2, 44303)
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 4, 8, 16]), st.sampled_from([32, 64]),
        st.sampled_from([32, 64]), st.permutations(FIELD_NAMES), st.data(),
@@ -441,46 +448,28 @@ def test_corrupt_mac_order_hook_breaks_results():
 
 
 def test_input_rf_staging_round_trip():
-    engine, image = build(16 * ACTIVE_BANKS, 128,
-                          np.zeros((16 * ACTIVE_BANKS, 128)))
-    job = GemvJob(image, np.zeros(128, dtype=np.uint16), arithmetic="exact")
-    engine._bind(job)
-    bits = np.arange(128, dtype=np.uint16)
-    engine.pim_write_input(bits)
-    state = json.loads(engine.state_dump())
-    staged = np.asarray(state["blocks"][0]["input_rf"], dtype=np.uint16)
-    assert np.array_equal(staged.reshape(-1), bits)
+    """The dump is empty before any job; after one, its input RF holds the
+    last input tile, here the whole input."""
+    engine, image = build(16 * ACTIVE_BANKS, 100,
+                          np.zeros((16 * ACTIVE_BANKS, 100)))
+    assert json.loads(engine.state_dump()) == {"blocks": []}
+    bits = np.arange(100, dtype=np.uint16)
+    engine.execute(GemvJob(image, bits, arithmetic="exact"))
+    blocks = json.loads(engine.state_dump())["blocks"]
+    assert len(blocks) == ACTIVE_BANKS
+    staged = np.asarray(blocks[0]["input_rf"], dtype=np.uint16).reshape(-1)
+    assert np.array_equal(staged[:100], bits)
 
 
 def test_partial_tile_zero_fills_unused_lanes():
-    engine, image = build(16 * ACTIVE_BANKS, 128,
-                          np.zeros((16 * ACTIVE_BANKS, 128)))
-    job = GemvJob(image, np.zeros(128, dtype=np.uint16), arithmetic="exact")
-    engine._bind(job)
-    engine.pim_write_input(np.full(100, 0xAAAA, dtype=np.uint16))
+    engine, image = build(16 * ACTIVE_BANKS, 100,
+                          np.zeros((16 * ACTIVE_BANKS, 100)))
+    engine.execute(GemvJob(image, np.full(100, 0xAAAA, dtype=np.uint16),
+                           arithmetic="exact"))
     state = json.loads(engine.state_dump())
     staged = np.asarray(state["blocks"][0]["input_rf"]).reshape(-1)
-    assert (staged[100:] == 0).all()
-
-
-def test_rf_overflow_rejected():
-    engine, image = build(16 * ACTIVE_BANKS, 128,
-                          np.zeros((16 * ACTIVE_BANKS, 128)))
-    job = GemvJob(image, np.zeros(128, dtype=np.uint16), arithmetic="exact")
-    engine._bind(job)
-    with pytest.raises(StagingError):
-        engine.pim_write_input(np.zeros(129, dtype=np.uint16))
-
-
-def test_staging_write_without_a_staged_tile_is_rejected():
-    """The decode takes a staging write's tile from ``pim_write_input``; a
-    write to the input buffer by any other way has none."""
-    engine, image = build(16 * ACTIVE_BANKS, 128,
-                          np.zeros((16 * ACTIVE_BANKS, 128)))
-    engine._bind(GemvJob(image, np.zeros(128, dtype=np.uint16), arithmetic="exact"))
-    engine.mem.access(engine.in_buf_addr, "W", 256)
-    with pytest.raises(StagingError):
-        engine.pim_read_output()
+    assert staged.size == 128
+    assert (staged[:100] == 0xAAAA).all() and (staged[100:] == 0).all()
 
 
 def test_output_readback_matches_state_dump():
@@ -498,6 +487,28 @@ def test_job_validates_input_length():
     engine, image = build(64, 128, np.zeros((64, 128)))
     with pytest.raises(ConfigError):
         GemvJob(image, np.zeros(64, dtype=np.uint16))
+
+
+@pytest.mark.parametrize("x", [
+    np.full(128, 1.7),                  # a float: would run as bit pattern 1
+    np.full(128, -1),                   # would wrap to 0xFFFF, a NaN
+    np.full(128, 70000),                # would wrap to 4464
+    np.zeros((2, 64), dtype=np.uint16),  # right size, wrong shape
+    np.ones(128, dtype=bool),
+], ids=["float", "negative", "above-16-bit", "2-d", "bool"])
+def test_job_rejects_input_it_would_reinterpret(x):
+    engine, image = build(64, 128, np.zeros((64, 128)))
+    with pytest.raises(ConfigError):
+        GemvJob(image, x)
+
+
+def test_job_accepts_uint16_and_in_range_integer_input():
+    engine, image = build(64, 128, np.zeros((64, 128)))
+    bits = np.arange(128, dtype=np.uint16) + 0xFF00
+    for x in (bits, bits.astype(np.int64)):
+        job = GemvJob(image, x)
+        assert job.input_bits.dtype == np.uint16
+        assert np.array_equal(job.input_bits, bits)
 
 
 def test_dropped_engine_and_memory_system_are_freed_without_gc():
