@@ -17,7 +17,7 @@ from .engine import GemvJob, GemvResult, IntegrityReport, PimGemvEngine
 from .errors import (AttributeViolation, CapacityError, ConfigError,
                      GeometryError, RegionError, SimulatorError)
 from .layout import (PimImage, PimPlacement, WeightMatrix, convert_to_pim_aware,
-                     model_placements, padded_size, smc_copy, unswizzle)
+                     model_placements, smc_copy, unswizzle)
 from .memsys import (Attribute, CacheConfig, MemoryRegion, MemorySystem,
                      RegionKind, Source, TraceRecord)
 from .model import MatrixShape, ModelSpec
@@ -39,6 +39,6 @@ __all__ = [
     "analytical_prefill", "bf16_decode", "bf16_encode", "build_ddb_schedule",
     "capacity_report", "convert_to_pim_aware", "ddb_hiding_crossover",
     "decode_token_time", "end_to_end_grid", "gemm_time", "model_placements",
-    "padded_size", "rearrangement_overhead_table", "run_decode", "run_prefill",
-    "smc_copy", "smc_time", "unswizzle",
+    "rearrangement_overhead_table", "run_decode", "run_prefill", "smc_copy",
+    "smc_time", "unswizzle",
 ]

@@ -28,7 +28,6 @@ boundary: the requests (:func:`burst_address_of_tile`), the trigger decode
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,9 +247,10 @@ def smc_copy(image: PimImage, rows: range, cols: range,
     ``rows`` and ``cols`` are contiguous unit-step ranges.  ``dst``
     receives the selected (rows x cols) tile in column-major
     (host-friendly) order and must be large enough.  The ``"copy"`` agent
-    issues one DRAM read per source burst through ``mem`` when given; the
-    source addresses must then fall in a non-cacheable region.  Returns the
-    number of payload bytes copied.
+    issues one DRAM read per source burst through ``mem`` when given; every
+    copied burst must then lie in one non-cacheable region, or the copy
+    raises ``AttributeViolation`` before any request.  Returns the number of
+    payload bytes copied.
     """
     p = image.placement
     geo = p.geometry
@@ -268,14 +268,14 @@ def smc_copy(image: PimImage, rows: range, cols: range,
         raise CapacityError(f"destination holds {dst.size} elements, "
                             f"tile needs {nr * nc}")
     if mem is not None:
-        region = mem.region_at(image.base_addr)
-        if not region.is_non_cacheable:
-            raise AttributeViolation(
-                f"SMC source region {region.name!r} is not non-cacheable")
         tiles = np.arange(rows[0] // p.row_tile, rows[-1] // p.row_tile + 1)
-        addrs = burst_address_of_tile(p, tiles)[:, cols.start:cols.stop]
         # tile by tile, then column
-        mem.access_many(addrs.ravel(), "R", geo.burst_bytes, "copy")
+        addrs = burst_address_of_tile(p, tiles)[:, cols.start:cols.stop].ravel()
+        region = mem.region_at(int(addrs.min()))
+        if not (region.is_non_cacheable and region.contains(int(addrs.max()))):
+            raise AttributeViolation(f"SMC source bursts must lie in one non-cacheable "
+                                     f"region; the first is in {region.name!r}")
+        mem.access_many(addrs, "R", geo.burst_bytes, "copy")
     # column-major destination, one row per column, from the burst-major
     # image: the slots holding ``rows``, each column's rows slot after slot
     per_slot = p.active_banks * p.row_tile
@@ -311,19 +311,3 @@ def model_placements(model: ModelSpec, amap: AddressMap,
         row += p.rows_needed
     return placements
 
-
-def padded_size(model: ModelSpec, amap: AddressMap,
-                banks_per_channel: int, channels_used: int) -> int:
-    """Total padded DRAM bytes of the PIM-aware model.  A slab's padded size
-    does not depend on where it is stacked, so each distinct shape of one
-    layer and the head is placed once and counted as often as it occurs."""
-    count = Counter()
-    for mat in model.layer_matrices():
-        count[mat.out_dim, mat.in_dim] += model.layers
-    head = model.head_matrix()
-    if head is not None:
-        count[head.out_dim, head.in_dim] += 1
-    return sum(n * PimPlacement(amap, out_dim, in_dim,
-                                banks_per_channel=banks_per_channel,
-                                channels_used=channels_used).padded_bytes
-               for (out_dim, in_dim), n in count.items())

@@ -200,8 +200,14 @@ class HitLog:
         self._hits.clear()
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, a NumPy one included, but no bool."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
 def _check_positive_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -272,9 +278,7 @@ class _Cache:
 def _check_request(op: str, nbytes: int):
     if op not in ("R", "W"):
         raise RegionError(f"op must be 'R' or 'W', got {op!r}")
-    whole = type(nbytes) is int or (isinstance(nbytes, numbers.Integral)
-                                    and not isinstance(nbytes, bool))
-    if not whole or nbytes < 1:
+    if not _is_int(nbytes) or nbytes < 1:
         raise RegionError(f"request sizes must be whole bytes >= 1, got {nbytes!r}")
 
 
@@ -293,6 +297,7 @@ class MemorySystem:
     def __init__(self, capacity: int, cache: CacheConfig | None = None,
                  contiguous_pool_cap: int | None = None,
                  rogue_prefetcher: bool = False, rogue_period: int = 64):
+        _check_positive_int("capacity", capacity)
         _check_positive_int("rogue_period", rogue_period)
         self.capacity = capacity
         self.cache = _Cache(cache or CacheConfig())
@@ -318,9 +323,13 @@ class MemorySystem:
     def allocate_region(self, kind: RegionKind, attribute: Attribute,
                         size: int, name: str | None = None,
                         align: int | None = None) -> MemoryRegion:
-        if size <= 0:
-            raise RegionError(f"region size must be positive, got {size}")
-        align = align or ALLOC_ALIGN
+        if not isinstance(kind, RegionKind) or not isinstance(attribute, Attribute):
+            raise RegionError(f"region kind {kind!r} and attribute {attribute!r} "
+                              "must be a RegionKind and an Attribute")
+        align = ALLOC_ALIGN if align is None else align
+        for what, value in (("size", size), ("align", align)):
+            if not _is_int(value) or value < 1:
+                raise RegionError(f"region {what} must be an integer >= 1, got {value!r}")
         base = -(-self._next_base // align) * align
         if base + size > self.capacity:
             raise CapacityError(
@@ -362,6 +371,8 @@ class MemorySystem:
         dirty victim); a hit produces no DRAM traffic.
         """
         _check_request(op, nbytes)
+        if type(addr) is not int and not _is_int(addr):
+            raise RegionError(f"addresses must be integers, got {addr!r}")
         base, end, non_cacheable = self._last_region
         if not base <= addr < end:
             region = self.region_at(addr)
@@ -398,7 +409,10 @@ class MemorySystem:
         stream is validated before any request is issued; each run of
         consecutive non-cacheable requests of one op and size reaches DRAM
         as one chunk."""
-        addrs = np.array(addrs, dtype=np.int64).reshape(-1)
+        addrs = np.asarray(addrs)
+        if addrs.size and addrs.dtype.kind not in "iu":
+            raise RegionError(f"addresses must be integers, got {addrs.dtype} values")
+        addrs = addrs.astype(np.int64).reshape(-1)
         ends, runs = self._runs(addrs, op, nbytes)
         for lo, hi, op, size, non_cacheable in runs:
             if non_cacheable:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cost import HardwareSpec
 from .dram import AddressMap, DramGeometry
 from .errors import ConfigError
-from .layout import padded_size
+from .layout import model_placements
 from .model import ModelSpec
 
 MODELS = {
@@ -77,10 +77,11 @@ def geometry_preset(name: str) -> DramGeometry:
 @functools.lru_cache(maxsize=64)
 def pim_weight_bytes(model: ModelSpec,
                      geometry: DramGeometry = PHONE_GEOMETRY) -> int:
-    """Padded size of the PIM-aware image of every linear weight, with the
+    """Padded bytes of the slabs that ``pimsim convert`` stacks, with the
     model's element size (a ``GeometryError`` if no burst holds it).  Both
     arguments are frozen, so the size is computed once per pair."""
     geometry = replace(geometry, element_bytes=model.element_bytes)
-    amap = AddressMap(geometry)
-    return padded_size(model, amap, banks_per_channel=geometry.banks_per_rank,
-                       channels_used=geometry.channels)
+    placements = model_placements(model, AddressMap(geometry),
+                                  banks_per_channel=geometry.banks_per_rank,
+                                  channels_used=geometry.channels)
+    return sum(p.padded_bytes for _, p in placements)

@@ -1,5 +1,7 @@
 """Placement, conversion, swizzled-copy round trip, and padding accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,12 @@ from pimsim.dram import (FIELD_NAMES, AddressMap, DramGeometry,
 from pimsim.errors import AttributeViolation, CapacityError, GeometryError
 from pimsim.layout import (PimPlacement, WeightMatrix, address_order,
                            burst_address_of_tile, burst_of_address,
-                           convert_to_pim_aware, model_placements, padded_size,
+                           convert_to_pim_aware, model_placements,
                            pim_coord_of_element, smc_copy, unswizzle)
 from pimsim.memsys import Attribute, CacheConfig, MemorySystem, RegionKind
 from pimsim.model import ModelSpec
-from pimsim.presets import PHONE_GEOMETRY, model_preset
+from pimsim.presets import (DESK_GEOMETRY, PHONE_GEOMETRY, model_preset,
+                            pim_weight_bytes)
 
 DESK = DramGeometry(channels=2, ranks_per_channel=1, banks_per_rank=8,
                     rows_per_bank=256, columns_per_row=32)
@@ -265,6 +268,40 @@ def test_smc_requires_non_cacheable_source():
         smc_copy(image, range(16), range(128), dst, mem=mem)
 
 
+def split_desk_copy():
+    """A 64x256 desk image on 4 banks, the first half of its span in a
+    non-cacheable region and the second half in a cacheable one."""
+    p = PimPlacement(AddressMap(DESK_GEOMETRY), 64, 256, banks_per_channel=4)
+    w = WeightMatrix(64, 256, np.arange(64 * 256, dtype=np.uint16).reshape(64, 256))
+    image = convert_to_pim_aware(w, p)
+    assert (image.base_addr, image.span_bytes) == (0, 130_688)
+    mem = MemorySystem(capacity=DESK_GEOMETRY.total_capacity)
+    for attribute in (Attribute.NON_CACHEABLE, Attribute.CACHEABLE):
+        mem.allocate_region(RegionKind.GENERAL, attribute,
+                            image.span_bytes // 2, align=1)
+    return w, image, mem
+
+
+def test_smc_source_straddling_a_cacheable_region_raises_before_any_record():
+    _, image, mem = split_desk_copy()
+    dst = np.zeros(64 * 256, dtype=np.uint16)
+    with pytest.raises(AttributeViolation):
+        smc_copy(image, range(64), range(256), dst, mem=mem)
+    assert len(mem.trace) == 0 and mem.hit_log == [] and not dst.any()
+    assert mem.cache.stats.as_dict() == {"hits": 0, "misses": 0,
+                                         "evictions": 0, "writebacks": 0}
+
+
+def test_smc_copy_inside_the_non_cacheable_half_runs():
+    # input columns 0-127 are DRAM rows 0-3, below the cacheable half
+    w, image, mem = split_desk_copy()
+    dst = np.zeros(64 * 128, dtype=np.uint16)
+    smc_copy(image, range(64), range(128), dst, mem=mem)
+    assert np.array_equal(dst.reshape(128, 64).T, w.data[:, :128])
+    assert len(mem.trace) == 4 * 128 and mem.hit_log == []
+    assert {r.agent for r in mem.trace} == {"copy"}
+
+
 def test_smc_destination_overflow():
     p = make_placement(16, 128, banks=1, channels=1)
     w = WeightMatrix(16, 128, np.zeros((16, 128), dtype=np.uint16))
@@ -323,27 +360,53 @@ def test_model_placements_stack_without_overlap():
 
 
 def test_padded_size_accounting():
-    """The per-shape total equals placing and summing every matrix."""
-    phone = AddressMap(PHONE_GEOMETRY)
+    """The padded image holds every weight, on each geometry's banks and
+    channels."""
+    desk_4x1 = replace(DESK, channels=1, banks_per_rank=4)
     cases = [
-        (ModelSpec(hidden=64, intermediate=256, layers=2, vocab=128), AMAP, 8, 2),
-        (ModelSpec(hidden=64, intermediate=256, layers=0, vocab=128), AMAP, 8, 2),
-        (ModelSpec(hidden=64, intermediate=256, layers=3), AMAP, 4, 1),
-        (model_preset("toy-64"), AMAP, 8, 2),
-        (model_preset("llama3.2-1b"), phone, 16, 4),
-        (model_preset("llama3.2-3b"), phone, 16, 4),
+        (ModelSpec(hidden=64, intermediate=256, layers=2, vocab=128), DESK),
+        (ModelSpec(hidden=64, intermediate=256, layers=0, vocab=128), DESK),
+        (ModelSpec(hidden=64, intermediate=256, layers=3), desk_4x1),
+        (model_preset("toy-64"), DESK),
+        (model_preset("llama3.2-1b"), PHONE_GEOMETRY),
+        (model_preset("llama3.2-3b"), PHONE_GEOMETRY),
     ]
-    for model, amap, banks, channels in cases:
-        total = padded_size(model, amap, banks_per_channel=banks,
-                            channels_used=channels)
-        reference = sum(p.padded_bytes for _, p in model_placements(
-            model, amap, banks_per_channel=banks, channels_used=channels))
-        assert total == reference
-        assert total >= model.host_bytes()
+    for model, geometry in cases:
+        assert pim_weight_bytes(model, geometry) >= model.host_bytes()
 
 
 def test_phone_scale_padding_fraction_is_small():
     model = model_preset("llama3.2-1b")
-    amap = AddressMap(PHONE_GEOMETRY)
-    total = padded_size(model, amap, banks_per_channel=16, channels_used=4)
+    total = pim_weight_bytes(model)
     assert total - model.host_bytes() <= 0.03 * model.host_bytes()
+
+
+@st.composite
+def small_models(draw):
+    hidden = draw(st.sampled_from([16, 32, 48, 64, 128]))
+    return ModelSpec(hidden=hidden, intermediate=draw(st.integers(1, 300)),
+                     layers=draw(st.integers(0, 2)),
+                     vocab=draw(st.sampled_from([0, 1, 100, 300])),
+                     element_bytes=draw(st.sampled_from([1, 2])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models(), st.sampled_from([1, 2, 4]),
+       st.sampled_from([2, 4, 8, 16]), st.sampled_from([32, 64, 256]))
+def test_pim_weight_bytes_bound_every_placed_burst(model, channels, banks,
+                                                    columns):
+    """Every burst of every slab that the model's placement stacks lies
+    below ``pim_weight_bytes``, and the last one ends within one all-bank
+    DRAM row of it (one rank, row field on top)."""
+    geometry = DramGeometry(channels=channels, banks_per_rank=banks,
+                            rows_per_bank=1 << 16, columns_per_row=columns)
+    total = pim_weight_bytes(model, geometry)
+    amap = AddressMap(replace(geometry, element_bytes=model.element_bytes))
+    end = 0
+    for _, p in model_placements(model, amap, banks_per_channel=banks,
+                                 channels_used=channels):
+        addrs = burst_address_of_tile(p, np.arange(p.m_pad // p.row_tile))
+        assert addrs.min() >= 0
+        end = max(end, int(addrs.max()) + geometry.burst_bytes)
+    assert end <= total
+    assert total - end < geometry.row_bytes * banks * channels

@@ -167,6 +167,61 @@ def test_region_allocation_and_bounds():
                             Attribute.NON_CACHEABLE, 8192)
 
 
+@pytest.mark.parametrize("kind, attribute, size, align", [
+    (RegionKind.GENERAL, "non_cacheable", 64, None),
+    ("contiguous_pool", Attribute.NON_CACHEABLE, 64, None),
+    (RegionKind.GENERAL, Attribute.CACHEABLE, 100.5, None),
+    (RegionKind.GENERAL, Attribute.CACHEABLE, True, None),
+    (RegionKind.GENERAL, Attribute.CACHEABLE, 64, 0),
+    (RegionKind.GENERAL, Attribute.CACHEABLE, 64, -64),
+], ids=["string-attribute", "string-kind", "fractional-size", "bool-size",
+        "zero-align", "negative-align"])
+def test_malformed_region_is_rejected(kind, attribute, size, align):
+    """A region the memory system cannot serve as asked is rejected before
+    any allocation: a string attribute would be cached, and a string kind
+    would skip the contiguous-pool cap."""
+    mem = make_mem(contiguous_pool_cap=32)
+    with pytest.raises(RegionError):
+        mem.allocate_region(kind, attribute, size, align=align)
+    assert mem.regions == []
+    # NumPy integers are sizes and alignments
+    region = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE,
+                                 np.int64(100), align=np.uint8(128))
+    assert (region.base, region.size) == (0, 100)
+
+
+def test_negative_capacity_is_rejected():
+    with pytest.raises(ConfigError):
+        MemorySystem(capacity=-5)
+
+
+@pytest.mark.parametrize("attribute", list(Attribute))
+@pytest.mark.parametrize("addr", [2.5, True, np.float64(64.0)],
+                         ids=["fractional", "bool", "numpy-float"])
+def test_address_that_is_no_integer_is_rejected(attribute, addr):
+    mem = make_mem()
+    mem.allocate_region(RegionKind.GENERAL, attribute, 256)
+    with pytest.raises(RegionError):
+        mem.access(addr, "R", 8)
+    assert len(mem.trace) == 0 and mem.hit_log == []
+    assert mem.access(np.int64(64), "R", 8) is Source.DRAM
+
+
+@pytest.mark.parametrize("attribute", list(Attribute))
+def test_stream_of_fractional_addresses_is_rejected(attribute):
+    mem = make_mem()
+    mem.allocate_region(RegionKind.GENERAL, attribute, 256)
+    with pytest.raises(RegionError):
+        mem.access_many([2.5, 64.7], "R", 8)
+    with pytest.raises(RegionError):
+        mem.access_many(np.array([True, False]), "R", 8)
+    assert len(mem.trace) == 0 and mem.hit_log == []
+    # an empty stream is float64 to NumPy, and stays valid
+    mem.access_many([], "R", 8)
+    mem.access_many(np.array([0, 64], dtype=np.uint32), "R", 8)
+    assert [r.addr for r in mem.trace] == [0, 64]
+
+
 def test_capacity_exhaustion():
     mem = MemorySystem(capacity=1024)
     mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, 512)
