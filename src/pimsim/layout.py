@@ -300,7 +300,7 @@ def model_placements(model: ModelSpec, amap: AddressMap,
                      banks_per_channel: int,
                      channels_used: int) -> list[tuple[str, PimPlacement]]:
     """Stack every matrix of the model along DRAM rows from row 0, slab
-    after slab."""
+    after slab; a ``CapacityError`` if the stack ends past a bank's rows."""
     placements = []
     row = 0
     for mat in model.all_matrices():
@@ -309,5 +309,8 @@ def model_placements(model: ModelSpec, amap: AddressMap,
                          channels_used=channels_used, base_row=row)
         placements.append((mat.name, p))
         row += p.rows_needed
+        if row > amap.geometry.rows_per_bank:
+            raise CapacityError(f"{mat.name} ends at row {row}, past the "
+                                f"{amap.geometry.rows_per_bank} rows of a bank")
     return placements
 

@@ -7,12 +7,15 @@ write-backs.  Cache hits never appear in the trace, which is precisely
 what makes cacheable placement of PIM weights hazardous: reads absorbed
 by the cache cannot trigger PIM execution.
 
-The trace is columnar: a run of non-cacheable requests of one agent, op and
-size is stored as one chunk of consecutive ticks with an address array.
-``TraceRecord``s are built only when the trace is iterated.  The trace is
-the only record of what reached DRAM: the PIM engine decodes its MAC
-triggers from the records appended to it, by their position in the trace;
-where one chunk ends and the next begins means nothing to it.
+The trace is columnar: five arrays hold the tick, address, op, agent and
+size of every record, and ``TraceRecord``s are built only when the trace
+is iterated.  Records are written only past the end, and the arrays are
+reallocated to grow or to clear, so a ``TraceView`` is a slice of each
+that never changes.  ``access_many`` stores each stretch of consecutive
+non-cacheable requests at once, whatever ops and sizes it mixes, cut only
+where the rogue prefetcher injects a read.  The trace is the only record
+of what reached DRAM: the PIM engine decodes its MAC triggers from the
+records appended to it, by their position in the trace.
 
 Cache hits are stored as plain ``(tick, agent, line)`` tuples;
 ``hit_log`` and ``hits_since`` read them as ``HitRecord``s, built only
@@ -25,7 +28,7 @@ from __future__ import annotations
 import enum
 import json
 import numbers
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -76,56 +79,24 @@ class TraceRecord(NamedTuple):
     nbytes: int
 
 
-class TraceChunk(NamedTuple):
-    """Requests of one agent and op at consecutive ticks from ``tick``."""
-
-    tick: int
-    agent: str
-    op: str
-    addrs: np.ndarray  # int64, one address per request
-    nbytes: int
-
-
 class TraceView:
-    """Records ``start`` up to ``stop`` of a trace, built as they are
-    iterated.  The view holds only the chunks it covers, so it does not
-    change, or keep the rest of the trace alive, when the trace grows or
-    is cleared."""
+    """Records ``start`` up to ``stop`` of a trace's columns, built as they
+    are iterated.  A trace writes only past its end and reallocates its
+    columns to grow or to clear, so a view's records never change."""
 
-    def __init__(self, chunks: list[TraceChunk], ends: list[int], start: int, stop: int):
-        start = min(start, stop)
-        first = bisect_right(ends, start)
-        last = bisect_left(ends, stop) + 1 if start < stop else first
-        self._chunks, self._ends = chunks[first:last], ends[first:last]
-        self._base = ends[first - 1] if first else 0  # position of the first chunk
-        self._start, self._stop = start, stop
+    def __init__(self, columns: tuple[np.ndarray, ...], start: int, stop: int):
+        self._columns = tuple(c[start:stop] for c in columns)
 
     def __len__(self) -> int:
-        return self._stop - self._start
-
-    def _parts(self):
-        """Each chunk, the index of its first record in the view, and the
-        addresses of its records in the view."""
-        pos = self._base
-        for c, end in zip(self._chunks, self._ends):
-            lo = max(self._start - pos, 0)
-            yield c, lo, c.addrs[lo:self._stop - pos]
-            pos = end
+        return len(self._columns[0])
 
     def __iter__(self):
-        for c, lo, addrs in self._parts():
-            for tick, addr in enumerate(addrs.tolist(), c.tick + lo):
-                yield TraceRecord(tick, c.agent, c.op, addr, c.nbytes)
+        ticks, addrs, ops, agents, sizes = (c.tolist() for c in self._columns)
+        return map(TraceRecord, ticks, agents, ops, addrs, sizes)
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The records as three arrays: address, op and agent."""
-        parts = list(self._parts())
-        sizes = [len(addrs) for _, _, addrs in parts]
-        ops = np.array([c.op for c, _, _ in parts], dtype=str)
-        agents = np.array([c.agent for c, _, _ in parts], dtype=str)
-        return (np.concatenate([np.zeros(0, dtype=np.int64)]
-                               + [addrs for _, _, addrs in parts]),
-                np.repeat(ops, sizes), np.repeat(agents, sizes))
+        return self._columns[1:4]
 
     def __eq__(self, other):
         if isinstance(other, (TraceView, list, tuple)):
@@ -133,8 +104,16 @@ class TraceView:
         return NotImplemented
 
 
+def _new_columns(n: int) -> tuple[np.ndarray, ...]:
+    """Room for ``n`` records: tick, address, op, agent and size.  Agents
+    are objects, so no agent name is cut to a fixed width."""
+    return (np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, "U1"),
+            np.empty(n, object), np.empty(n, np.int64))
+
+
 class CommandTrace:
-    """The DRAM command trace, as chunks with a cumulative-end index."""
+    """The DRAM command trace, as five columns: tick, address, op, agent
+    and size.  The memory system writes its records into them."""
 
     def __init__(self):
         self.clear()
@@ -142,21 +121,26 @@ class CommandTrace:
     def clear(self):
         """Drop every record.  Not to be called inside a GEMV job: the
         engine finds the job's records by their position in the trace."""
-        self.chunks: list[TraceChunk] = []
-        self._ends: list[int] = []  # records up to the end of each chunk
+        self._columns = _new_columns(16)
         self._len = 0
 
-    def append(self, chunk: TraceChunk):
-        self._len += len(chunk.addrs)
-        self.chunks.append(chunk)
-        self._ends.append(self._len)
+    def grow(self, n: int) -> tuple[int, tuple[np.ndarray, ...]]:
+        """Take ``n`` more records; returns the position of the first and
+        the columns to write them into, new ones if the old were full."""
+        columns, used = self._columns, self._len
+        if used + n > len(columns[0]):
+            self._columns = _new_columns(max(2 * len(columns[0]), used + n))
+            for new, old in zip(self._columns, columns):
+                new[:used] = old[:used]
+        self._len = used + n
+        return used, self._columns
 
     def __len__(self) -> int:
         return self._len
 
     def view(self, start: int = 0) -> TraceView:
         """Records from position ``start`` to the current end."""
-        return TraceView(self.chunks, self._ends, start, self._len)
+        return TraceView(self._columns, start, self._len)
 
     def __iter__(self):
         return iter(self.view())
@@ -358,9 +342,10 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
-    def _emit(self, agent: str, op: str, addrs: np.ndarray, nbytes: int):
-        self.trace.append(TraceChunk(self._tick, agent, op, addrs, nbytes))
-        self._tick += len(addrs)
+    def _emit(self, agent: str, op: str, addr: int, nbytes: int):
+        i, (ticks, addrs, ops, agents, sizes) = self.trace.grow(1)
+        ticks[i], addrs[i], ops[i], agents[i], sizes[i] = self._tick, addr, op, agent, nbytes
+        self._tick += 1
 
     def access(self, addr: int, op: str, nbytes: int, agent: str = "host") -> Source:
         """Issue one request; returns which level serviced it.
@@ -382,23 +367,25 @@ class MemorySystem:
         if addr + nbytes > end:
             raise RegionError(f"access [{addr:#x}, +{nbytes}) crosses region end")
         if non_cacheable:
-            self._dram_batch(np.array([addr], dtype=np.int64), (end,), op, nbytes, agent)
-            return Source.DRAM
-        cache, hits, line_bytes = self.cache, self._hits, self.cache._line_bytes
-        write, source = op == "W", Source.CACHE
-        line, stop = addr - addr % line_bytes, addr + nbytes
-        while line < stop:
-            hit, victim = cache.access(line, write)
-            if hit:
-                hits.append((self._tick, agent, line))
-                self._tick += 1
-            else:
-                if victim is not None:
-                    self._emit(agent, "W", np.array([victim], dtype=np.int64), line_bytes)
-                self._emit(agent, "R", np.array([line], dtype=np.int64), line_bytes)
-                source = Source.DRAM
-            line += line_bytes
-        if self.rogue_prefetcher and self._rogue_positions((addr,), (end,), op, nbytes, agent):
+            self._emit(agent, op, addr, nbytes)
+            source = Source.DRAM
+        else:
+            cache, hits, line_bytes = self.cache, self._hits, self.cache._line_bytes
+            write, source = op == "W", Source.CACHE
+            line, stop = addr - addr % line_bytes, addr + nbytes
+            while line < stop:
+                hit, victim = cache.access(line, write)
+                if hit:
+                    hits.append((self._tick, agent, line))
+                    self._tick += 1
+                else:
+                    if victim is not None:
+                        self._emit(agent, "W", victim, line_bytes)
+                    self._emit(agent, "R", line, line_bytes)
+                    source = Source.DRAM
+                line += line_bytes
+        if self.rogue_prefetcher and self._rogue_positions(
+                (addr,), (end,), (op,), (nbytes,), agent):
             self.access(addr + nbytes, "R", nbytes, agent="prefetcher")
         return source
 
@@ -406,25 +393,30 @@ class MemorySystem:
         """Issue ``access(a, o, n, agent)`` for each request ``(a, o, n)`` in
         order, with the same trace, ticks and cache state.  ``op`` and
         ``nbytes`` give one value per request, or one for all.  The whole
-        stream is validated before any request is issued; each run of
-        consecutive non-cacheable requests of one op and size reaches DRAM
-        as one chunk."""
-        addrs = np.asarray(addrs)
-        if addrs.size and addrs.dtype.kind not in "iu":
-            raise RegionError(f"addresses must be integers, got {addrs.dtype} values")
-        addrs = addrs.astype(np.int64).reshape(-1)
+        stream is validated before any request is issued; each stretch of
+        consecutive non-cacheable requests reaches DRAM in one store."""
+        values = np.asarray(addrs)
+        # NumPy casts a bool among integers to 0 or 1, so a list is read item by item
+        items = () if isinstance(addrs, np.ndarray) else np.asarray(addrs, dtype=object).flat
+        bad = [a for a in items if not _is_int(a)]
+        if bad or values.size and values.dtype.kind not in "iu":
+            raise RegionError("addresses must be integers, got "
+                              f"{bad[0] if bad else values.dtype}")
+        addrs = values.astype(np.int64).reshape(-1)
         ends, runs = self._runs(addrs, op, nbytes)
-        for lo, hi, op, size, non_cacheable in runs:
+        ops, sizes = np.broadcast_to(op, addrs.shape), np.broadcast_to(nbytes, addrs.shape)
+        for lo, hi, non_cacheable in runs:
             if non_cacheable:
-                self._dram_batch(addrs[lo:hi], ends[lo:hi], op, size, agent)
+                self._dram_batch(addrs[lo:hi], ends[lo:hi], ops[lo:hi], sizes[lo:hi], agent)
             else:
-                for addr in addrs[lo:hi].tolist():
-                    self.access(addr, op, size, agent)
+                for request in zip(addrs[lo:hi].tolist(), ops[lo:hi].tolist(),
+                                   sizes[lo:hi].tolist()):
+                    self.access(*request, agent)
 
     def _runs(self, addrs: np.ndarray, op, nbytes):
-        """Validate a stream of requests and split it into runs of one op,
-        size and attribute.  Returns the end of each request's region and
-        the runs, as ``(lo, hi, op, size, non-cacheable)``."""
+        """Validate a stream of requests and split it where the region
+        attribute changes.  Returns the end of each request's region and
+        the runs, as ``(lo, hi, non-cacheable)``."""
         if np.ndim(op) == np.ndim(nbytes) == 0:
             _check_request(op, nbytes)
             if not addrs.size:
@@ -432,15 +424,13 @@ class MemorySystem:
             region = self.region_at(int(addrs.min()))
             end = region.base + region.size
             if addrs.max() + nbytes <= end:  # inside one region: one run
-                return (np.full(addrs.shape, end),
-                        [(0, addrs.size, op, nbytes, region.is_non_cacheable)])
+                return np.full(addrs.shape, end), [(0, addrs.size, region.is_non_cacheable)]
         ops, sizes = np.asarray(op), np.asarray(nbytes)
         for name, values in (("op", ops), ("nbytes", sizes)):
             if values.ndim and values.shape != addrs.shape:
                 raise RegionError(f"{name} has {values.size} values for "
                                   f"{addrs.size} requests")
-        writes = ops == "W"
-        invalid = ops[~(writes | (ops == "R"))]
+        invalid = ops[(ops != "R") & (ops != "W")]
         # a numeric array's least size stands for all; any other is passed whole
         least = ((sizes.min() if np.issubdtype(sizes.dtype, np.number) else sizes)
                  if sizes.size else 1)
@@ -458,37 +448,39 @@ class MemorySystem:
             self.region_at(int(addrs[j]))  # raises if the address is unmapped
             size = sizes[j] if sizes.ndim else sizes
             raise RegionError(f"access [{addrs[j]:#x}, +{size}) crosses region end")
-        # each request coded as the integer 4 * size + 2 * write + non-cacheable
-        code = (sizes * 2 + writes) * 2 + np.array(
-            [r.is_non_cacheable for r in self.regions] + [False])[region]
-        starts = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist()]
-        return ends, [(lo, hi, "W" if c & 2 else "R", c >> 2, c & 1)
-                      for lo, hi, c in zip(starts, starts[1:] + [addrs.size],
-                                           code[starts].tolist())]
+        non_cacheable = np.array([r.is_non_cacheable for r in self.regions])[region]
+        starts = [0, *(np.flatnonzero(non_cacheable[1:] != non_cacheable[:-1]) + 1).tolist()]
+        return ends, [(lo, hi, non_cacheable[lo])
+                      for lo, hi in zip(starts, starts[1:] + [addrs.size])]
 
-    def _dram_batch(self, addrs: np.ndarray, ends, op: str, nbytes: int, agent: str):
-        """Non-cacheable requests, each in a region ending at ``ends[j]``: one
-        chunk, split where the rogue prefetcher injects a read."""
-        start = 0
-        for j in self._rogue_positions(addrs, ends, op, nbytes, agent):
-            self._emit(agent, op, addrs[start:j + 1], nbytes)
-            start = j + 1
-            self.access(int(addrs[j]) + nbytes, "R", nbytes, agent="prefetcher")
-        if start < len(addrs):
-            self._emit(agent, op, addrs[start:], nbytes)
+    def _dram_batch(self, addrs: np.ndarray, ends, ops, sizes, agent: str):
+        """Non-cacheable requests, each in a region ending at ``ends[j]``:
+        one store, cut where the rogue prefetcher injects a read."""
+        cuts = [j + 1 for j in self._rogue_positions(addrs, ends, ops, sizes, agent)]
+        for lo, hi in zip([0, *cuts], [*cuts, len(addrs)]):
+            if lo:  # the prefetcher reads the block after request lo - 1
+                self.access(int(addrs[lo - 1] + sizes[lo - 1]), "R", int(sizes[lo - 1]),
+                            agent="prefetcher")
+            i, columns = self.trace.grow(hi - lo)
+            for column, values in zip(columns, (np.arange(self._tick, self._tick + hi - lo),
+                                                addrs[lo:hi], ops[lo:hi], agent,
+                                                sizes[lo:hi])):
+                column[i:i + hi - lo] = values
+            self._tick += hi - lo
 
-    def _rogue_positions(self, addrs, ends, op: str, nbytes: int, agent: str) -> list[int]:
-        """Positions in a batch of requests at ``addrs`` after which the rogue
-        prefetcher reads the next block: every ``rogue_period``-th read of an
-        agent other than the prefetcher itself, when that block fits in the
-        request's region, which ends at ``ends[j]``."""
-        if op != "R" or not self.rogue_prefetcher or agent == "prefetcher":
+    def _rogue_positions(self, addrs, ends, ops, sizes, agent: str) -> list[int]:
+        """Positions in a batch of requests after which the rogue prefetcher
+        reads the next block: every ``rogue_period``-th read of an agent
+        other than the prefetcher itself, counted over the batch's reads,
+        when that block fits in the request's region, which ends at
+        ``ends[j]``."""
+        if not self.rogue_prefetcher or agent == "prefetcher":
             return []
-        seen = self._reads_seen
-        self._reads_seen += len(addrs)
-        period = self.rogue_period
-        return [j for j in range(-(seen + 1) % period, len(addrs), period)
-                if addrs[j] + 2 * nbytes <= ends[j]]
+        reads = np.flatnonzero(np.asarray(ops) == "R")
+        seen, period = self._reads_seen, self.rogue_period
+        self._reads_seen += len(reads)
+        return [j for j in reads[-(seen + 1) % period::period].tolist()
+                if addrs[j] + 2 * sizes[j] <= ends[j]]
 
     # ------------------------------------------------------------------
     # Trace bookkeeping

@@ -50,6 +50,8 @@ class ModelSpec:
             raise ConfigError(f"kv_ratio must be positive, got {kv}")
         if (self.hidden * kv).denominator != 1:
             raise ConfigError("hidden * kv_ratio must be an integer")
+        if self.host_bytes() >= 2 ** 63:
+            raise ConfigError("model weights must fit in 2**63 - 1 bytes")
 
     @property
     def kv_dim(self) -> int:

@@ -30,9 +30,10 @@ MODELS = {
                         kv_ratio=Fraction(1, 4), vocab=128),
 }
 
-# Phone-scale LPDDR5X: 4 channels x 16 banks, 1 KiB rows, 32 B bursts.
+# Phone-scale LPDDR5X: 4 channels x 16 banks, 1 KiB rows, 32 B bursts;
+# 8 GiB, which holds the weight stack of either llama preset.
 PHONE_GEOMETRY = DramGeometry(channels=4, ranks_per_channel=1,
-                              banks_per_rank=16, rows_per_bank=65536,
+                              banks_per_rank=16, rows_per_bank=131072,
                               columns_per_row=32, burst_bytes=32,
                               element_bytes=2)
 

@@ -182,6 +182,11 @@ BAD_CONFIGS = {
         "model": "toy-64", "pim_bytes": 10 ** 9, "compute_pim_bytes": True}),
     "pim_bytes_below_the_weight_bytes": json.dumps({
         "model": "llama3.2-1b", "pim_bytes": 5}),
+    # models whose weight bytes do not fit in an int64
+    "overflowing_kv_ratio": json.dumps({"model": {
+        "hidden": 64, "intermediate": 256, "layers": 1, "kv_ratio": 1e308}}),
+    "overflowing_layers": json.dumps({"model": {
+        "hidden": 64, "intermediate": 256, "layers": 2 ** 63}}),
     # a PIM image of elements that do not divide the 32-byte burst
     **{f"{n}_byte_elements_in_pim_image": json.dumps({
         "model": {"hidden": 64, "intermediate": 256, "layers": 1,

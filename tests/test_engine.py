@@ -2,6 +2,7 @@
 trigger-integrity behavior."""
 
 import gc
+import hashlib
 import json
 import weakref
 from collections import Counter
@@ -18,6 +19,7 @@ from pimsim.errors import ConfigError
 from pimsim.layout import (PimPlacement, WeightMatrix, burst_address_of_tile,
                            convert_to_pim_aware)
 from pimsim.memsys import Attribute, CacheConfig, MemorySystem, RegionKind
+from pimsim.presets import DESK_GEOMETRY
 
 GEO = DramGeometry(channels=1, ranks_per_channel=1, banks_per_rank=16,
                    rows_per_bank=256, columns_per_row=32)
@@ -436,6 +438,41 @@ def test_rogue_prefetcher_desynchronizes():
     report = engine.verify_trigger_integrity(job, result)
     assert report.status == "desynchronized"
     assert report.surplus_reads > 0
+
+
+# sha256 of the trace export and output bits of two jobs run back to back
+# on the desk geometry: weights in a non-cacheable region, the same with a
+# rogue prefetcher that reads every third read's next block, and weights in
+# a cacheable region.  Any change to what a job's mixed staging and weight
+# stream records changes them.
+ENGINE_TRACE_SHA256 = {
+    "plain": "478aef95f803cc400708b961c658b4cd3b8b3ad6a0107e03047d38a187fa6777",
+    "rogue": "a80b18c2b17ff5f8de4590fd86499a53a6bfd592ef1aed2b963e6927ba9ebd73",
+    "cacheable": "ce97aa680c6e851039fe955994503feefdf301fc92d4676637a5a5e7d08c126b",
+}
+
+
+def _pinned_jobs_digest(case: str) -> str:
+    amap = AddressMap(DESK_GEOMETRY)
+    mem = MemorySystem(capacity=DESK_GEOMETRY.total_capacity + (1 << 16),
+                       cache=CacheConfig(capacity=1 << 16),
+                       rogue_prefetcher=case == "rogue", rogue_period=3)
+    rng = np.random.default_rng(21)
+    w = rng.integers(-3, 4, size=(96, 300)).astype(np.float64)
+    image = add_image(mem, 96, 300, w, cacheable=case == "cacheable", amap=amap)
+    engine = PimGemvEngine(mem)
+    digest = hashlib.sha256()
+    for _ in range(2):
+        x = rng.integers(-3, 4, size=300).astype(np.float32)
+        result = engine.execute(GemvJob(image, bf16.encode(x)))
+        digest.update(mem.export_trace_ndjson(result.records).encode())
+        digest.update(result.output_bits.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_TRACE_SHA256))
+def test_engine_trace_and_output_are_pinned(case):
+    assert _pinned_jobs_digest(case) == ENGINE_TRACE_SHA256[case]
 
 
 def test_corrupt_mac_order_hook_breaks_results():

@@ -410,3 +410,41 @@ def test_pim_weight_bytes_bound_every_placed_burst(model, channels, banks,
         end = max(end, int(addrs.max()) + geometry.burst_bytes)
     assert end <= total
     assert total - end < geometry.row_bytes * banks * channels
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), small_models(), address_maps())
+def test_model_placements_fit_the_geometry_or_raise(data, model, amap):
+    """A model's stack either places every burst below the geometry's
+    capacity or raises ``CapacityError``, exactly when its slabs, counted
+    here from the padding rules, need more rows than a bank holds."""
+    geo = replace(amap.geometry, element_bytes=model.element_bytes,
+                  rows_per_bank=data.draw(st.sampled_from([1, 2, 4, 16, 64])))
+    amap = AddressMap(geo, amap.field_order)
+    banks = data.draw(st.integers(1, geo.banks_per_rank), label="active banks")
+    channels = data.draw(st.integers(1, geo.channels), label="channels used")
+    lanes = geo.elements_per_burst
+    rows = sum(-(-(-(-m.out_dim // (lanes * banks * channels))
+                   * -(-m.in_dim // (8 * lanes)) * 8 * lanes) // geo.columns_per_row)
+               for m in model.all_matrices())
+    if rows > geo.rows_per_bank:
+        with pytest.raises(CapacityError):
+            model_placements(model, amap, banks, channels)
+        return
+    for _, p in model_placements(model, amap, banks, channels):
+        addrs = burst_address_of_tile(p, np.arange(p.m_pad // p.row_tile))
+        assert 0 <= addrs.min() and addrs.max() < geo.total_capacity
+
+
+def test_both_llama_presets_fit_the_phone_geometry_and_3b_no_smaller_one():
+    """The 3B stack ends past row 65,535, so it needs the phone preset's
+    131,072 rows per bank; 1B fits in either."""
+    half = AddressMap(replace(PHONE_GEOMETRY, rows_per_bank=65536))
+    for name, fits_half in (("llama3.2-1b", True), ("llama3.2-3b", False)):
+        model = model_preset(name)
+        for amap, fits in ((AddressMap(PHONE_GEOMETRY), True), (half, fits_half)):
+            if fits:
+                model_placements(model, amap, 16, 4)
+            else:
+                with pytest.raises(CapacityError):
+                    model_placements(model, amap, 16, 4)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pimsim.errors import CapacityError, ConfigError, RegionError
 from pimsim.memsys import (Attribute, CacheConfig, HitRecord, MemorySystem,
-                           RegionKind, Source, TraceRecord)
+                           RegionKind, Source)
 
 
 def make_mem(**kwargs):
@@ -215,6 +215,9 @@ def test_stream_of_fractional_addresses_is_rejected(attribute):
         mem.access_many([2.5, 64.7], "R", 8)
     with pytest.raises(RegionError):
         mem.access_many(np.array([True, False]), "R", 8)
+    for addrs in ([True, 64], [64, np.True_], ([0], [False])):  # NumPy casts these to 0 or 1
+        with pytest.raises(RegionError):
+            mem.access_many(addrs, "R", 8)
     assert len(mem.trace) == 0 and mem.hit_log == []
     # an empty stream is float64 to NumPy, and stays valid
     mem.access_many([], "R", 8)
@@ -339,12 +342,10 @@ def test_access_many_equals_a_sequence_of_access(rogue, period, batches):
         mem = make_mem(rogue_prefetcher=rogue, rogue_period=period)
         regions = [mem.allocate_region(RegionKind.GENERAL, attr, BATCH_REGION)
                    for attr in BATCH_ATTRIBUTES]
-        seen = []  # every record, rebuilt from the trace's chunks
+        seen = []  # every record, read from the trace before each clear
 
         def collect():
-            seen.extend(TraceRecord(c.tick + i, c.agent, c.op, a, c.nbytes)
-                        for c in mem.trace.chunks
-                        for i, a in enumerate(c.addrs.tolist()))
+            seen.extend(mem.trace)
         windows = []
         for agent, scalars, requests, then in batches:
             addrs = [regions[region].base + o for region, _, _, o in requests]
@@ -367,7 +368,7 @@ def test_access_many_equals_a_sequence_of_access(rogue, period, batches):
         assert all(list(view) == records for view, records in windows)
         windows = [records for _, records in windows]
         trace = list(mem.trace)
-        # every start position, inside chunks and past the end, as records
+        # every start position, inside the trace and past its end, as records
         # and as columns
         tails = [mem.records_since((k, 0)) for k in range(len(trace) + 2)]
         assert [list(t) for t in tails] == [trace[k:] for k in range(len(trace) + 2)]
@@ -403,7 +404,7 @@ def test_batch_outside_its_region_raises_before_any_record():
         addrs, ops, sizes = zip(*valid, last)
         with pytest.raises(RegionError):
             mem.access_many(addrs, ops, sizes)
-    assert len(mem.trace) == 0 and mem.trace.chunks == [] and mem.hit_log == []
+    assert len(mem.trace) == 0 and list(mem.trace) == [] and mem.hit_log == []
     assert mem.cache.stats.as_dict() == {"hits": 0, "misses": 0,
                                          "evictions": 0, "writebacks": 0}
     # a stream may go on from one region into the next
