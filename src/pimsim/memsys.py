@@ -13,14 +13,20 @@ is iterated.  Records are written only past the end, and the arrays are
 reallocated to grow or to clear, so a ``TraceView`` is a slice of each
 that never changes.  ``access_many`` stores each stretch of consecutive
 non-cacheable requests at once, whatever ops and sizes it mixes, cut only
-where the rogue prefetcher injects a read.  The trace is the only record
-of what reached DRAM: the PIM engine decodes its MAC triggers from the
-records appended to it, by their position in the trace.
+where the rogue prefetcher injects a read.  A single record (a fill, a
+write-back or one non-cacheable ``access``) is queued as a tuple on the
+trace's tail, which is written into the columns before any read of them
+and at the end of the ``access`` that makes it ``TAIL_FLUSH`` long.  The
+trace is the only record of what reached DRAM: the PIM engine decodes its
+MAC triggers from the records appended to it, by their position in the
+trace.
 
-Cache hits are stored as plain ``(tick, agent, line)`` tuples;
-``hit_log`` and ``hits_since`` read them as ``HitRecord``s, built only
-when read.  ``access`` remembers the last region it resolved and searches
-the regions only for an address outside it.
+``access`` serves a cacheable request in one LRU loop, the only code that
+changes the cache's LRU order, dirty bits and counters.  Cache hits are
+stored as plain ``(tick, agent, line)`` tuples; ``hit_log`` and
+``hits_since`` read them as ``HitRecord``s, built only when read.
+``access`` remembers the last region it resolved and searches the regions
+only for an address outside it.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ import numpy as np
 from .errors import CapacityError, ConfigError, RegionError
 
 ALLOC_ALIGN = 64  # default region alignment in bytes
+# queued trace records past which ``access`` writes them into the columns,
+# so that a long run of single accesses leaves no long tail to a later read
+TAIL_FLUSH = 256
 
 
 class Attribute(enum.Enum):
@@ -53,6 +62,11 @@ class RegionKind(enum.Enum):
 class Source(enum.Enum):
     CACHE = "cache"
     DRAM = "dram"
+
+
+# a lookup of an enum member costs about 0.1 µs on Python 3.11, as much as
+# a hit's LRU update, so ``access`` reads its results from module globals
+_CACHE, _DRAM = Source.CACHE, Source.DRAM
 
 
 @dataclass(frozen=True)
@@ -113,9 +127,14 @@ def _new_columns(n: int) -> tuple[np.ndarray, ...]:
 
 class CommandTrace:
     """The DRAM command trace, as five columns: tick, address, op, agent
-    and size.  The memory system writes its records into them."""
+    and size.  The memory system writes batches of records into them, and
+    queues single records as ``(tick, addr, op, agent, size)`` tuples on a
+    tail list, which is written into the columns before any read of them."""
 
     def __init__(self):
+        # records queued after those in the columns; cleared only in place,
+        # because ``MemorySystem.access`` holds this list and appends to it
+        self._tail: list[tuple] = []
         self.clear()
 
     def clear(self):
@@ -123,23 +142,30 @@ class CommandTrace:
         engine finds the job's records by their position in the trace."""
         self._columns = _new_columns(16)
         self._len = 0
+        self._tail.clear()
 
     def grow(self, n: int) -> tuple[int, tuple[np.ndarray, ...]]:
-        """Take ``n`` more records; returns the position of the first and
-        the columns to write them into, new ones if the old were full."""
-        columns, used = self._columns, self._len
-        if used + n > len(columns[0]):
-            self._columns = _new_columns(max(2 * len(columns[0]), used + n))
+        """Write the queued records, then take ``n`` more; returns the
+        position of the first and the columns to write them into, new ones
+        if the old were full."""
+        columns, used, tail = self._columns, self._len, self._tail
+        start = used + len(tail)
+        if start + n > len(columns[0]):
+            self._columns = _new_columns(max(2 * len(columns[0]), start + n))
             for new, old in zip(self._columns, columns):
                 new[:used] = old[:used]
-        self._len = used + n
-        return used, self._columns
+        for column, values in zip(self._columns, zip(*tail)):
+            column[used:start] = values
+        tail.clear()
+        self._len = start + n
+        return start, self._columns
 
     def __len__(self) -> int:
-        return self._len
+        return self._len + len(self._tail)
 
     def view(self, start: int = 0) -> TraceView:
         """Records from position ``start`` to the current end."""
+        self.grow(0)
         return TraceView(self._columns, start, self._len)
 
     def __iter__(self):
@@ -226,37 +252,13 @@ class CacheStats:
                 "evictions": self.evictions, "writebacks": self.writebacks}
 
 
-class _Cache:
-    """Set-associative LRU cache, write-back / write-allocate.  Its one
-    call, ``access``, owns the LRU order, dirty bits and ``stats``."""
-
-    def __init__(self, config: CacheConfig):
-        self.config = config
-        self.sets = defaultdict(OrderedDict)  # index -> {line: dirty}, LRU first
-        self.stats = CacheStats()
-        self._line_bytes, self._n_sets = config.line_bytes, config.sets
-        self._ways = config.ways
-
-    def access(self, line: int, write: bool) -> tuple[bool, int | None]:
-        """Touch the line at address ``line``; returns whether it hit, and
-        the address of the dirty line that its fill evicted, if any."""
-        s, stats = self.sets[line // self._line_bytes % self._n_sets], self.stats
-        if line in s:
-            stats.hits += 1
-            s.move_to_end(line)
-            if write:
-                s[line] = True
-            return True, None
-        stats.misses += 1
-        victim = None
-        if len(s) >= self._ways:
-            evicted, dirty = s.popitem(last=False)
-            stats.evictions += 1
-            if dirty:
-                stats.writebacks += 1
-                victim = evicted
-        s[line] = write
-        return False, victim
+class _Cache(NamedTuple):
+    """Set-associative LRU cache, write-back / write-allocate:
+    ``MemorySystem.access`` alone changes its LRU order, dirty bits and
+    ``stats``."""
+    config: CacheConfig
+    sets: defaultdict  # index -> {line: dirty}, LRU first
+    stats: CacheStats
 
 
 def _check_request(op: str, nbytes: int):
@@ -270,12 +272,12 @@ class MemorySystem:
     """Single-address-space memory system shared by all logical agents.
 
     Accesses are serialized into one total order; determinism for a fixed
-    access sequence is guaranteed.  A cacheable request is served line by
-    line by ``_Cache.access``; this class logs the hits and emits the
-    fills and write-backs.  An optional "rogue prefetcher" mode injects one
-    extra sequential read every ``rogue_period`` reads, of the next block
-    when it lies in the same region, to model a prefetcher that disrupts
-    PIM command synchronization.
+    access sequence is guaranteed.  ``access`` serves a cacheable request
+    line by line in one LRU loop, which logs the hits and queues the fills
+    and write-backs on the trace.  An optional "rogue prefetcher" mode
+    injects one extra sequential read every ``rogue_period`` reads, of the
+    next block when it lies in the same region, to model a prefetcher that
+    disrupts PIM command synchronization.
     """
 
     def __init__(self, capacity: int, cache: CacheConfig | None = None,
@@ -284,7 +286,8 @@ class MemorySystem:
         _check_positive_int("capacity", capacity)
         _check_positive_int("rogue_period", rogue_period)
         self.capacity = capacity
-        self.cache = _Cache(cache or CacheConfig())
+        config = cache or CacheConfig()
+        self.cache = _Cache(config, defaultdict(OrderedDict), CacheStats())
         self.contiguous_pool_cap = contiguous_pool_cap
         self.rogue_prefetcher = rogue_prefetcher
         self.rogue_period = rogue_period
@@ -293,6 +296,9 @@ class MemorySystem:
         self.trace = CommandTrace()
         self._hits: list[tuple[int, str, int]] = []  # (tick, agent, line) per hit
         self.hit_log = HitLog(self._hits)
+        # what the LRU loop of ``access`` reads, in one tuple
+        self._lru = (self.cache.sets, self.cache.stats, self._hits, self.trace._tail,
+                     config.line_bytes, config.sets, config.ways)
         # (base, end, non-cacheable) of the region that ``access`` resolved
         # last; regions are only appended, so it never goes stale
         self._last_region = (0, 0, False)
@@ -342,11 +348,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
-    def _emit(self, agent: str, op: str, addr: int, nbytes: int):
-        i, (ticks, addrs, ops, agents, sizes) = self.trace.grow(1)
-        ticks[i], addrs[i], ops[i], agents[i], sizes[i] = self._tick, addr, op, agent, nbytes
-        self._tick += 1
-
     def access(self, addr: int, op: str, nbytes: int, agent: str = "host") -> Source:
         """Issue one request; returns which level serviced it.
 
@@ -355,9 +356,13 @@ class MemorySystem:
         line-granularity DRAM read, after a write-back when evicting a
         dirty victim); a hit produces no DRAM traffic.
         """
-        _check_request(op, nbytes)
-        if type(addr) is not int and not _is_int(addr):
-            raise RegionError(f"addresses must be integers, got {addr!r}")
+        if op not in ("R", "W") or type(nbytes) is not int or nbytes < 1:
+            _check_request(op, nbytes)
+            nbytes = int(nbytes)  # a NumPy size would cast the address to its dtype
+        if type(addr) is not int:
+            if not _is_int(addr):
+                raise RegionError(f"addresses must be integers, got {addr!r}")
+            addr = int(addr)  # a hit logs its line as a Python int, as the trace does
         base, end, non_cacheable = self._last_region
         if not base <= addr < end:
             region = self.region_at(addr)
@@ -366,24 +371,40 @@ class MemorySystem:
             self._last_region = base, end, non_cacheable
         if addr + nbytes > end:
             raise RegionError(f"access [{addr:#x}, +{nbytes}) crosses region end")
+        sets, stats, hits, tail, line_bytes, n_sets, ways = self._lru
+        tick = self._tick
         if non_cacheable:
-            self._emit(agent, op, addr, nbytes)
-            source = Source.DRAM
+            tail.append((tick, addr, op, agent, nbytes))
+            tick += 1
+            source = _DRAM
         else:
-            cache, hits, line_bytes = self.cache, self._hits, self.cache._line_bytes
-            write, source = op == "W", Source.CACHE
+            write, source = op == "W", _CACHE
             line, stop = addr - addr % line_bytes, addr + nbytes
             while line < stop:
-                hit, victim = cache.access(line, write)
-                if hit:
-                    hits.append((self._tick, agent, line))
-                    self._tick += 1
+                s = sets[line // line_bytes % n_sets]
+                if line in s:
+                    stats.hits += 1
+                    s.move_to_end(line)
+                    if write:
+                        s[line] = True
+                    hits.append((tick, agent, line))
                 else:
-                    if victim is not None:
-                        self._emit(agent, "W", victim, line_bytes)
-                    self._emit(agent, "R", line, line_bytes)
-                    source = Source.DRAM
+                    stats.misses += 1
+                    if len(s) >= ways:
+                        evicted, dirty = s.popitem(last=False)
+                        stats.evictions += 1
+                        if dirty:
+                            stats.writebacks += 1
+                            tail.append((tick, evicted, "W", agent, line_bytes))
+                            tick += 1
+                    s[line] = write
+                    tail.append((tick, line, "R", agent, line_bytes))
+                    source = _DRAM
+                tick += 1
                 line += line_bytes
+        self._tick = tick
+        if len(tail) >= TAIL_FLUSH:
+            self.trace.grow(0)
         if self.rogue_prefetcher and self._rogue_positions(
                 (addr,), (end,), (op,), (nbytes,), agent):
             self.access(addr + nbytes, "R", nbytes, agent="prefetcher")

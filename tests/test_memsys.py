@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimsim.errors import CapacityError, ConfigError, RegionError
-from pimsim.memsys import (Attribute, CacheConfig, HitRecord, MemorySystem,
-                           RegionKind, Source)
+from pimsim.memsys import (TAIL_FLUSH, Attribute, CacheConfig, HitRecord,
+                           MemorySystem, RegionKind, Source)
 
 
 def make_mem(**kwargs):
@@ -205,6 +205,8 @@ def test_address_that_is_no_integer_is_rejected(attribute, addr):
         mem.access(addr, "R", 8)
     assert len(mem.trace) == 0 and mem.hit_log == []
     assert mem.access(np.int64(64), "R", 8) is Source.DRAM
+    mem.access(np.uint16(64), "R", 8)  # a hit, when cacheable
+    assert [type(h.line_addr) for h in mem.hit_log] == [int] * len(mem.hit_log)
 
 
 @pytest.mark.parametrize("attribute", list(Attribute))
@@ -382,6 +384,87 @@ def test_access_many_equals_a_sequence_of_access(rogue, period, batches):
     assert run(batched=True) == run(batched=False)
 
 
+# a cache of 4 sets of 2 lines: a run of line writes over the cacheable
+# region of BATCH_ATTRIBUTES misses on every line and writes back dirty ones
+FLUSH_CACHE = CacheConfig(capacity=256, line_bytes=32, ways=2)
+
+
+@st.composite
+def _flush_streams(draw):
+    """Steps over the regions of BATCH_ATTRIBUTES: single accesses, the
+    batches of ``_batches`` given to ``access_many``, trace clears, and one
+    sweep of single line writes over the cacheable region, long enough to
+    queue TAIL_FLUSH records or more."""
+    single = st.one_of(st.tuples(st.just("access"), st.sampled_from(REGIONS),
+                                 st.sampled_from("RW"), st.integers(1, 96),
+                                 st.integers(0, BATCH_REGION), st.sampled_from(["host", "copy"])),
+                       st.just(("clear",)))
+    steps = []
+    for agent, scalars, requests, then in draw(_batches()):
+        steps += draw(st.lists(single, max_size=4))
+        steps.append(("many", agent, scalars, requests))
+        steps += [("clear",)] if then else []
+    steps += draw(st.lists(single, max_size=4))
+    lines = BATCH_REGION // FLUSH_CACHE.line_bytes
+    cacheable = BATCH_ATTRIBUTES.index(Attribute.CACHEABLE)
+    sweep = [("access", cacheable, "W", FLUSH_CACHE.line_bytes,
+              i % lines * FLUSH_CACHE.line_bytes, "host")
+             for i in range(draw(st.integers(5, 8)) * lines)]
+    at = draw(st.integers(0, len(steps)))
+    return steps[:at] + sweep + steps[at:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.integers(1, 7), _flush_streams())
+def test_trace_reads_are_the_same_whenever_the_queue_is_flushed(rogue, period, steps):
+    """Single records wait on the trace's tail until it is long or read.
+    One stream run with a read after every request, and once with no read
+    until the end, leaves the same trace, hits and counters; the records
+    read request by request, with the hits, take every tick once."""
+
+    def run(read_each):
+        mem = make_mem(cache=FLUSH_CACHE, rogue_prefetcher=rogue, rogue_period=period)
+        regions = [mem.allocate_region(RegionKind.GENERAL, attr, BATCH_REGION)
+                   for attr in BATCH_ATTRIBUTES]
+        queued, grow = [], mem.trace.grow
+
+        def counting_grow(n):
+            queued.append(len(mem.trace._tail))
+            return grow(n)
+        mem.trace.grow = counting_grow
+        seen = []  # the ticks of every record and hit, read request by request
+        for step in steps:
+            mark = mem.mark()
+            if step[0] == "clear":
+                mem.trace.clear()
+                continue
+            if step[0] == "access":
+                _, region, op, nbytes, offset, agent = step
+                mem.access(regions[region].base + min(offset, BATCH_REGION - nbytes),
+                           op, nbytes, agent)
+            else:
+                _, agent, scalars, requests = step
+                addrs = [regions[region].base + o for region, _, _, o in requests]
+                if scalars:
+                    mem.access_many(addrs, *scalars, agent)
+                else:
+                    mem.access_many(addrs, [r[1] for r in requests],
+                                    [r[2] for r in requests], agent)
+            if read_each:
+                seen += [r.tick for r in mem.records_since(mark)]
+                seen += [h.tick for h in mem.hits_since(mark)]
+        trace = list(mem.trace)
+        assert len(trace) == len(mem.trace)
+        return (trace, mem.export_trace_ndjson(), mem.hit_log,
+                mem.cache.stats.as_dict()), seen, max(queued, default=0)
+
+    eager, seen, _ = run(read_each=True)
+    lazy, _, most_queued = run(read_each=False)
+    assert lazy == eager
+    assert sorted(seen) == list(range(len(seen)))
+    assert most_queued >= TAIL_FLUSH
+
+
 def test_batch_outside_its_region_raises_before_any_record():
     """Each request of a stream must lie inside one region; the stream is
     checked whole, so an invalid last request leaves no record."""
@@ -452,6 +535,7 @@ def test_per_request_sizes_must_be_whole_bytes(sizes):
     assert len(mem.trace) == 0 and mem.hit_log == []
     mem.access_many([region.base], "R", np.array([8], dtype=np.uint8))
     assert mem.access(region.base, "R", np.int64(8)) is Source.CACHE
+    assert region.base + 8 > 255 and mem.access(region.base + 8, "R", np.uint8(8)) is Source.CACHE
 
 
 @pytest.mark.parametrize("ops, sizes", [("R", []), (["R", "W", "R"], 8),
