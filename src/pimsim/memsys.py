@@ -262,7 +262,7 @@ class _Cache(NamedTuple):
 
 
 def _check_request(op: str, nbytes: int):
-    if op not in ("R", "W"):
+    if not isinstance(op, str) or op not in ("R", "W"):
         raise RegionError(f"op must be 'R' or 'W', got {op!r}")
     if not _is_int(nbytes) or nbytes < 1:
         raise RegionError(f"request sizes must be whole bytes >= 1, got {nbytes!r}")
@@ -356,9 +356,12 @@ class MemorySystem:
         line-granularity DRAM read, after a write-back when evicting a
         dirty victim); a hit produces no DRAM traffic.
         """
-        if op not in ("R", "W") or type(nbytes) is not int or nbytes < 1:
+        try:
+            if op not in {"R", "W"} or type(nbytes) is not int or nbytes < 1:
+                _check_request(op, nbytes)
+                nbytes = int(nbytes)  # a NumPy size would cast the address to its dtype
+        except TypeError:  # an unhashable op, such as an array, is no str
             _check_request(op, nbytes)
-            nbytes = int(nbytes)  # a NumPy size would cast the address to its dtype
         if type(addr) is not int:
             if not _is_int(addr):
                 raise RegionError(f"addresses must be integers, got {addr!r}")

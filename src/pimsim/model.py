@@ -50,25 +50,28 @@ class ModelSpec:
             raise ConfigError(f"kv_ratio must be positive, got {kv}")
         if (self.hidden * kv).denominator != 1:
             raise ConfigError("hidden * kv_ratio must be an integer")
+        # derived once per model; no field, so equality and hashing ignore them
+        kv_dim, h, i = int(self.hidden * kv), self.hidden, self.intermediate
+        object.__setattr__(self, "_kv_dim", kv_dim)
+        object.__setattr__(self, "_layer_matrices", (
+            MatrixShape("q", h, h),
+            MatrixShape("k", kv_dim, h),
+            MatrixShape("v", kv_dim, h),
+            MatrixShape("o", h, h),
+            MatrixShape("ff0", i, h),
+            MatrixShape("ff1", i, h),
+            MatrixShape("ff2", h, i),
+        ))
         if self.host_bytes() >= 2 ** 63:
             raise ConfigError("model weights must fit in 2**63 - 1 bytes")
 
     @property
     def kv_dim(self) -> int:
-        return int(self.hidden * self.kv_ratio)
+        return self._kv_dim
 
-    def layer_matrices(self) -> list[MatrixShape]:
+    def layer_matrices(self) -> tuple[MatrixShape, ...]:
         """Projection matrices of one decoder layer, in execution order."""
-        h, i = self.hidden, self.intermediate
-        return [
-            MatrixShape("q", h, h),
-            MatrixShape("k", self.kv_dim, h),
-            MatrixShape("v", self.kv_dim, h),
-            MatrixShape("o", h, h),
-            MatrixShape("ff0", i, h),
-            MatrixShape("ff1", i, h),
-            MatrixShape("ff2", h, i),
-        ]
+        return self._layer_matrices
 
     def head_matrix(self) -> MatrixShape | None:
         if self.vocab <= 0:

@@ -14,8 +14,10 @@ memory copies out of the non-cacheable region.
   reads the other (``layer_plan`` pairs them), starting no earlier than
   that GEMM and never during attention.  The first layer's projections
   are preloaded, the agents synchronize once per layer, and the head is
-  pipelined against its copy at buffer-half granularity.  The schedule is
-  always built: its end is the TTFT.
+  pipelined against its copy at buffer-half granularity.  ``_ddb_steps``
+  holds this arithmetic once: the TTFT and copy time read its floats, and
+  ``build_ddb_schedule`` makes the timeline from the same pass on the
+  first read of ``PrefillResult.timeline``.
 * NC stream: each GEMM streams its matrix from the non-cacheable copy
   once per input token; there is no timeline.
 """
@@ -154,54 +156,63 @@ def layer_plan(model: ModelSpec, hw: HardwareSpec,
 # DDB schedule
 # ----------------------------------------------------------------------
 
-def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec,
-                       plan: list[_PlanSegment], head_seconds: float,
-                       head_bytes: int) -> Timeline:
-    """Double-buffered prefill timeline for the whole decoder stack, from
+def _ddb_steps(model: ModelSpec, hw: HardwareSpec,
+               plan: list[_PlanSegment], head_seconds: float,
+               head_bytes: int):
+    """Double-buffered prefill schedule of the whole decoder stack, from
     one layer's ``plan`` and the output head's compute seconds and weight
-    bytes (0 for a model without a head)."""
-    tl = Timeline()
+    bytes (0 for a model without a head).
 
+    Yields one ``(agent, layer, tag, start, end, buffer)`` tuple per
+    segment, in schedule order; ``layer`` is the decoder layer a segment
+    belongs to, or None for the preload and the head.
+    """
     def copy_seconds(nbytes: float) -> float:
         return smc_time(nbytes, Scenario.S_DDB.record.copy_agents, hw)
 
-    copies = [copy_seconds(seg.copy_bytes) for seg in plan]
+    # per matrix: its copy's layer, relative to the GEMM's (None for no
+    # copy; 1 for the next layer's projections), and seconds
+    steps = [(seg.tag, seg.compute_seconds, seg.buffer, seg.copy_tag,
+              1 if seg.copy_tag == "qkvo" else 0 if seg.copy_bytes > 0 else None,
+              copy_seconds(seg.copy_bytes)) for seg in plan]
     comp_t = copy_t = 0.0
     if model.layers:
-        preload = copies[-1]  # ff2's copy: layer 0's projections
-        tl.segments.append(Segment("copy", "preload", 0.0, preload, buffer=0))
+        preload = steps[-1][-1]  # ff2's copy: layer 0's projections
+        yield "copy", None, "preload", 0.0, preload, 0
         comp_t = copy_t = preload
+    last = model.layers - 1
     for layer in range(model.layers):
-        prefix = f"layer{layer}."
-        for seg, copy in zip(plan, copies):
+        for tag, seconds, buffer, copy_tag, ahead, copy in steps:
             start = comp_t
-            comp_t += seg.compute_seconds
-            tl.segments.append(Segment("compute", prefix + seg.tag,
-                                       start, comp_t, buffer=seg.buffer))
-            if seg.copy_tag == "qkvo":
-                if layer == model.layers - 1:
-                    continue  # no next layer to preload
-                copy_tag = f"layer{layer + 1}.qkvo"
-            elif seg.copy_bytes > 0:
-                copy_tag = prefix + seg.copy_tag
-            else:
-                continue
-            c_start = max(copy_t, start)
+            comp_t += seconds
+            yield "compute", layer, tag, start, comp_t, buffer
+            if ahead is None or ahead and layer == last:
+                continue  # no copy, or no next layer to preload
+            # max(copy_t, start), as an expression rather than a call
+            c_start = start if start > copy_t else copy_t
             copy_t = c_start + copy
-            tl.segments.append(Segment("copy", copy_tag,
-                                       c_start, copy_t, buffer=1 - seg.buffer))
+            yield "copy", layer + ahead, copy_tag, c_start, copy_t, 1 - buffer
         # one synchronization barrier per layer
-        comp_t = copy_t = max(comp_t, copy_t)
+        comp_t = copy_t = copy_t if copy_t > comp_t else comp_t
     if head_bytes > 0:
         copy_total = copy_seconds(head_bytes)
         tile = min(model.ff_bytes, head_bytes)
         start = comp_t
         # pipelined at buffer-half granularity: first tile copy exposed
         end = start + max(head_seconds, copy_total) + copy_seconds(tile)
-        tl.segments.append(Segment("compute", "lm_head",
-                                   start, end, buffer=None))
-        tl.segments.append(Segment("copy", "lm_head",
-                                   start, start + copy_total, buffer=None))
+        yield "compute", None, "lm_head", start, end, None
+        yield "copy", None, "lm_head", start, start + copy_total, None
+
+
+def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec,
+                       plan: list[_PlanSegment], head_seconds: float,
+                       head_bytes: int) -> Timeline:
+    """The segments of ``_ddb_steps``, tagged ``layer{n}.{tag}`` within a
+    layer, as a validated timeline."""
+    tl = Timeline([Segment(agent, tag if layer is None else f"layer{layer}.{tag}",
+                           start, end, buffer)
+                   for agent, layer, tag, start, end, buffer
+                   in _ddb_steps(model, hw, plan, head_seconds, head_bytes)])
     tl.validate()
     return tl
 
@@ -231,11 +242,19 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
                        + [head_seconds])
     record = scenario.record
     if record.schedule is Schedule.DOUBLE_BUFFERED:
-        tl = build_ddb_schedule(model, hw, plan, head_seconds, head_bytes)
-        copy_busy = _fsum(s.duration for s in tl.agent_segments("copy"))
-        return PrefillResult(scenario, sl, tl.end,
+        # the schedule's end and copy time, without building its segments
+        ttft, copy_spans = 0.0, []
+        for agent, _, _, start, end, _ in _ddb_steps(model, hw, plan,
+                                                      head_seconds, head_bytes):
+            if end > ttft:
+                ttft = end
+            if agent == "copy":
+                copy_spans.append(end - start)
+        return PrefillResult(scenario, sl, ttft,
                              {"gemm_seconds": gemm_total,
-                              "smc_seconds": copy_busy}, lambda: tl)
+                              "smc_seconds": _fsum(copy_spans)},
+                             lambda: build_ddb_schedule(model, hw, plan,
+                                                        head_seconds, head_bytes))
     if record.schedule is Schedule.NC_STREAM:
         # each GEMM streams its weights; the "attn" segment adds attention
         nc_bw = hw.nc_stream_bw_gbps * 1e9

@@ -394,14 +394,16 @@ def test_each_prefill_and_decode_is_evaluated_once(tmp_path, monkeypatch,
         "in_lens": [1, 16, 64, 128, 192], "out_lens": [0, 1, 32, 256]}))
     assert run_cli("sweep", "--config", str(cfg)) == 0
     # the host token time: one baseline, plus C_GEMM's own four decodes;
-    # S_DDB's schedule sets its TTFT, and no serial timeline is built
+    # no timeline is built, S_DDB's included: its TTFT needs no segments
     assert calls == {"run_prefill": 6 * 5, "run_decode": 6 * 4,
-                     "layer_plan": 6 * 5, "build_ddb_schedule": 5,
+                     "layer_plan": 6 * 5,
                      ("decode_token_time", False): 1 + 4,
                      ("decode_token_time", True): 5 * 4}
     reports = {}
     for scenario, extra, token_times, schedules in (
-            ("s_ddb", {}, {True: 1, False: 1}, {"build_ddb_schedule": 1}),
+            ("s_ddb", {}, {True: 1, False: 1}, {}),
+            ("s_ddb", {"timeline": True}, {True: 1, False: 1},
+             {"build_ddb_schedule": 1}),
             ("c_gemm", {}, {False: 2}, {}),
             ("wd", {}, {True: 1, False: 1}, {}),
             ("wd", {"timeline": True}, {True: 1, False: 1},

@@ -210,6 +210,25 @@ def test_address_that_is_no_integer_is_rejected(attribute, addr):
 
 
 @pytest.mark.parametrize("attribute", list(Attribute))
+@pytest.mark.parametrize("op", [np.array(["R", "W"]), np.array(["R"]),
+                                np.array("W"), ["R"], b"R", None, "r"],
+                         ids=["array", "one-item-array", "0-d-array", "list",
+                              "bytes", "none", "lower-case"])
+def test_op_that_is_no_r_or_w_string_is_rejected(attribute, op):
+    """Any op but the string "R" or "W" raises before any record; an array,
+    whose comparison with "R" has no single truth value, included."""
+    mem = make_mem()
+    mem.allocate_region(RegionKind.GENERAL, attribute, 256)
+    with pytest.raises(RegionError, match="op must be"):
+        mem.access(0, op, 8)
+    assert len(mem.trace) == 0 and mem.hit_log == []
+    assert mem.cache.stats.as_dict() == {"hits": 0, "misses": 0,
+                                         "evictions": 0, "writebacks": 0}
+    assert mem.access(0, np.str_("W"), 8) is Source.DRAM
+    assert [r.op for r in mem.trace][-1] in ("R", "W")
+
+
+@pytest.mark.parametrize("attribute", list(Attribute))
 def test_stream_of_fractional_addresses_is_rejected(attribute):
     mem = make_mem()
     mem.allocate_region(RegionKind.GENERAL, attribute, 256)

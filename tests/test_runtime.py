@@ -134,6 +134,21 @@ def test_ddb_copies_every_weight_exactly_once(point):
 
 @settings(max_examples=60, deadline=None)
 @given(drawn_points())
+def test_ddb_ttft_and_copy_time_need_no_timeline(point):
+    """S_DDB's TTFT and copy time come without its segments, and equal the
+    end and copy durations of the timeline built on its first read."""
+    model, hw, sl = point
+    ddb = run_prefill(Scenario.S_DDB, model, hw, sl)
+    assert "timeline" not in vars(ddb)
+    tl = ddb.timeline
+    assert ddb.ttft == tl.end
+    assert ddb.breakdown["smc_seconds"] == math.fsum(
+        s.duration for s in tl.agent_segments("copy"))
+    tl.validate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_points())
 def test_every_calibrated_prefill_reads_one_plan(point):
     """The plan holds each layer matrix's bytes once, NC_GEMM equals an
     independent per-matrix sum, S_OWR adds its copies to the compute-only
