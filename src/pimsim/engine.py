@@ -30,8 +30,7 @@ import numpy as np
 
 from . import bf16
 from .errors import ConfigError
-from .layout import (RF_ENTRIES, PimImage, burst_address_of_tile,
-                     burst_of_address)
+from .layout import RF_ENTRIES, PimImage, burst_of_address
 from .memsys import Attribute, MemorySystem, RegionKind, TraceView
 
 PIPELINE_DRAIN_READS = 5
@@ -133,39 +132,39 @@ class PimGemvEngine:
         snapshots, in trace order, the triggered reads, and how many of
         those the prefetcher issued."""
         p = job.placement
-        addrs, ops, agents = records.columns()
+        addrs, ops, codes = records.columns()
         writes = ops == "W"
         staging = writes & (addrs == self.in_buf_addr)
         bounds = np.flatnonzero(staging | (writes & (addrs == self.out_buf_addr)))
         bursts = np.where(writes, -1, burst_of_address(p, addrs))
         triggers = np.flatnonzero(bursts >= 0)
-        # triggers per window between boundaries; the RF pointer restarts at
-        # each boundary and saturates past its last element
+        reads = bursts[triggers]
+        # the triggers of each window between boundaries, from the first
+        # trigger past its opening boundary; the RF pointer restarts at each
+        # boundary and saturates past its last element
         n_in, rf = x_tiles.shape
-        window = np.searchsorted(bounds, triggers)
-        first = np.searchsorted(window, np.arange(len(bounds) + 2))
-        used = np.arange(len(triggers)) - first[window] < rf
+        starts = [0, *np.searchsorted(triggers, bounds).tolist()]
         slab = job.image.data.reshape(-1, p.active_banks, p.row_tile)
         acc_dtype = np.float64 if job.arithmetic == "exact" else np.float32
         tiles = bf16.decode(x_tiles).astype(acc_dtype)
         acc = np.zeros((p.active_banks, p.row_tile), dtype=acc_dtype)
         x = np.zeros(rf, dtype=acc_dtype)
-        reads, lo, stagings, snapshots = bursts[triggers[used]], 0, 0, []
-        for n, boundary in zip(np.minimum(np.diff(first), rf).tolist(),
-                               [*staging[bounds].tolist(), None]):
+        reverse, stagings, snapshots = self.corrupt_mac_order, 0, []
+        for lo, hi, boundary in zip(starts, [*starts[1:], len(triggers)],
+                                    [*staging[bounds].tolist(), None]):
+            n = min(hi - lo, rf)
             if n:
-                # (n, active banks, lanes): each read's burst in every active bank
+                # (n, active banks, lanes): each read's burst in every active
+                # bank, as float32, which einsum takes to float64 in exact mode
                 w = bf16.decode(slab.take(reads[lo:lo + n], axis=0))
-                xn = x[:n][::-1] if self.corrupt_mac_order else x[:n]
-                acc += np.einsum("nab,n->ab", w.astype(acc_dtype), xn)
-                lo += n
+                acc += np.einsum("nab,n->ab", w, x[:n][::-1] if reverse else x[:n])
             if boundary:  # a staging write
                 x = tiles[stagings % n_in]
                 stagings += 1
             elif boundary is not None:  # an output write
                 snapshots.append(acc.copy())
                 acc[:] = 0
-        prefetched = int((agents[triggers] == "prefetcher").sum())
+        prefetched = int(np.count_nonzero(codes[triggers] == records.agent_code("prefetcher")))
         return snapshots, len(triggers), prefetched
 
     def state_dump(self) -> str:
@@ -203,8 +202,7 @@ class PimGemvEngine:
                           dtype=np.int64)
         body = stream[:, :n_in * (1 + tile)].reshape(p.slots, n_in, 1 + tile)
         body[:, :, 0] = self.in_buf_addr
-        body[:, :, 1:] = burst_address_of_tile(
-            p, np.arange(p.slots) * p.active_banks).reshape(p.slots, n_in, tile)
+        body[:, :, 1:] = p.slot_bursts.reshape(p.slots, n_in, tile)
         stream[:, -1 - PIPELINE_DRAIN_READS:-1] = self.dummy_addr
         stream[:, -1] = self.out_buf_addr
         stream = stream.ravel()

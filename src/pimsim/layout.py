@@ -23,12 +23,15 @@ active bank form one contiguous row, so the engine gathers a window's
 weights as a row take.  Physical addresses are computed only at the DRAM
 boundary: the requests (:func:`burst_address_of_tile`), the trigger decode
 (:func:`burst_of_address`) and the ``pimsim convert`` export
-(:func:`address_order`).
+(:func:`address_order`).  A :class:`PimPlacement` is frozen, so it computes
+its geometry and its slot burst table once; conversion and the engine's
+request stream read the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,48 +86,61 @@ class PimPlacement:
         if not 1 <= self.channels_used <= geo.channels:
             raise GeometryError("channels_used out of range")
 
-    @property
+    # The geometry below and the slot burst table are computed once per
+    # placement: it is frozen, so they never change.
+    @cached_property
     def geometry(self):
         return self.address_map.geometry
 
-    @property
+    @cached_property
     def row_tile(self) -> int:
         """Output rows per tile: one burst lane per row."""
         return self.geometry.elements_per_burst
 
-    @property
+    @cached_property
     def input_tile_elements(self) -> int:
         return RF_ENTRIES * self.geometry.elements_per_burst
 
-    @property
+    @cached_property
     def active_banks(self) -> int:
         return self.banks_per_channel * self.channels_used
 
-    @property
+    @cached_property
     def m_pad(self) -> int:
         group = self.row_tile * self.active_banks
         return -(-self.out_dim // group) * group
 
-    @property
+    @cached_property
     def k_pad(self) -> int:
         t = self.input_tile_elements
         return -(-self.in_dim // t) * t
 
-    @property
+    @cached_property
     def slots(self) -> int:
         """Tiles stacked per bank."""
         return self.m_pad // (self.row_tile * self.active_banks)
 
-    @property
+    @cached_property
     def rows_needed(self) -> int:
         """DRAM rows occupied per bank, padded to a row boundary."""
         bursts = self.slots * self.k_pad
         return -(-bursts // self.geometry.columns_per_row)
 
-    @property
+    @cached_property
     def padded_bytes(self) -> int:
         """Total DRAM bytes claimed across all active banks."""
         return (self.rows_needed * self.geometry.row_bytes * self.active_banks)
+
+    @cached_property
+    def slot_bursts(self) -> np.ndarray:
+        """Read-only ``(slots, k_pad)`` table: the address of every burst of
+        each slot in the first active bank, by :func:`burst_address_of_tile`
+        (a ``CapacityError`` past a bank's rows).  Every other active bank
+        holds the same (row, column) bursts at its own bank and channel
+        bits."""
+        table = burst_address_of_tile(self, np.arange(self.slots) * self.active_banks)
+        table.flags.writeable = False
+        return table
 
     def bank_assignment(self, tile: int) -> tuple[int, int]:
         """tile index -> (channel, bank), round-robin banks then channels."""
@@ -220,7 +236,7 @@ def convert_to_pim_aware(w: WeightMatrix, p: PimPlacement) -> PimImage:
     slot_rows[full:full + 1, :rest, :p.in_dim] = w.data[full * rows:]
     # Each active bank holds the same (row, column) bursts at disjoint bank and
     # channel bits: the first bank has the lowest address, the last the highest.
-    first = burst_address_of_tile(p, np.arange(p.slots) * p.active_banks)
+    first = p.slot_bursts
     last_bank = pack_fields(p.address_map, {
         "channel": p.channels_used - 1, "rank": 0,
         "bank": p.banks_per_channel - 1, "row": 0, "column": 0})
@@ -300,7 +316,8 @@ def model_placements(model: ModelSpec, amap: AddressMap,
                      banks_per_channel: int,
                      channels_used: int) -> list[tuple[str, PimPlacement]]:
     """Stack every matrix of the model along DRAM rows from row 0, slab
-    after slab; a ``CapacityError`` if the stack ends past a bank's rows."""
+    after slab; a ``CapacityError`` at the first matrix whose slab ends past
+    a bank's rows, before any later matrix is made."""
     placements = []
     row = 0
     for mat in model.all_matrices():

@@ -7,16 +7,20 @@ write-backs.  Cache hits never appear in the trace, which is precisely
 what makes cacheable placement of PIM weights hazardous: reads absorbed
 by the cache cannot trigger PIM execution.
 
-The trace is columnar: five arrays hold the tick, address, op, agent and
-size of every record, and ``TraceRecord``s are built only when the trace
-is iterated.  Records are written only past the end, and the arrays are
-reallocated to grow or to clear, so a ``TraceView`` is a slice of each
-that never changes.  ``access_many`` stores each stretch of consecutive
-non-cacheable requests at once, whatever ops and sizes it mixes, cut only
-where the rogue prefetcher injects a read.  A single record (a fill, a
-write-back or one non-cacheable ``access``) is queued as a tuple on the
-trace's tail, which is written into the columns before any read of them
-and at the end of the ``access`` that makes it ``TAIL_FLUSH`` long.  The
+The trace is columnar: five arrays hold the tick, address, op, agent code
+and size of every record, and ``TraceRecord``s, which name the agent, are
+built only when the trace is iterated.  The codes index the trace's name
+table, which only grows, also across a clear.  Records are written only
+past the end, and the arrays are reallocated to grow or to clear, so a
+``TraceView`` is a slice of each that never changes.  ``access_many``
+stores each stretch of consecutive non-cacheable requests at once,
+whatever ops and sizes it mixes, cut only where the rogue prefetcher
+injects a read; it splits a stream over several regions by the region
+ends and attributes that ``allocate_region`` keeps as arrays.  A single
+record (a fill, a write-back or one non-cacheable ``access``) is queued as
+a tuple on the trace's tail, which is written into the columns before any
+read of them and at the end of the ``access`` that makes it
+``TAIL_FLUSH`` long; a tail of one agent maps to its code in one step.  The
 trace is the only record of what reached DRAM: the PIM engine decodes its
 MAC triggers from the records appended to it, by their position in the
 trace.
@@ -47,6 +51,7 @@ ALLOC_ALIGN = 64  # default region alignment in bytes
 # queued trace records past which ``access`` writes them into the columns,
 # so that a long run of single accesses leaves no long tail to a later read
 TAIL_FLUSH = 256
+_NO_END = np.iinfo(np.int64).min  # the end of no region, below every address
 
 
 class Attribute(enum.Enum):
@@ -96,21 +101,31 @@ class TraceRecord(NamedTuple):
 class TraceView:
     """Records ``start`` up to ``stop`` of a trace's columns, built as they
     are iterated.  A trace writes only past its end and reallocates its
-    columns to grow or to clear, so a view's records never change."""
+    columns to grow or to clear, and its agent name table only grows, so a
+    view's records never change."""
 
-    def __init__(self, columns: tuple[np.ndarray, ...], start: int, stop: int):
+    def __init__(self, columns: tuple[np.ndarray, ...], start: int, stop: int,
+                 agents: list[str]):
         self._columns = tuple(c[start:stop] for c in columns)
+        self.agents = agents  # the trace's name table: agents[code] names an agent
 
     def __len__(self) -> int:
         return len(self._columns[0])
 
     def __iter__(self):
-        ticks, addrs, ops, agents, sizes = (c.tolist() for c in self._columns)
-        return map(TraceRecord, ticks, agents, ops, addrs, sizes)
+        ticks, addrs, ops, codes, sizes = (c.tolist() for c in self._columns)
+        return map(TraceRecord, ticks, map(self.agents.__getitem__, codes), ops, addrs,
+                   sizes)
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The records as three arrays: address, op and agent."""
+        """The records as three arrays: address, op and agent code, which
+        ``agents`` maps to the agent's name."""
         return self._columns[1:4]
+
+    def agent_code(self, agent: str) -> int:
+        """``agent``'s code in :meth:`columns`, or -1 if no record of the
+        trace has named it."""
+        return self.agents.index(agent) if agent in self.agents else -1
 
     def __eq__(self, other):
         if isinstance(other, (TraceView, list, tuple)):
@@ -119,23 +134,34 @@ class TraceView:
 
 
 def _new_columns(n: int) -> tuple[np.ndarray, ...]:
-    """Room for ``n`` records: tick, address, op, agent and size.  Agents
-    are objects, so no agent name is cut to a fixed width."""
+    """Room for ``n`` records: tick, address, op, agent code and size."""
     return (np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, "U1"),
-            np.empty(n, object), np.empty(n, np.int64))
+            np.empty(n, np.int32), np.empty(n, np.int64))
 
 
 class CommandTrace:
     """The DRAM command trace, as five columns: tick, address, op, agent
-    and size.  The memory system writes batches of records into them, and
-    queues single records as ``(tick, addr, op, agent, size)`` tuples on a
-    tail list, which is written into the columns before any read of them."""
+    code and size.  The memory system writes batches of records into them,
+    and queues single records as ``(tick, addr, op, agent, size)`` tuples on
+    a tail list, which is written into the columns before any read of them.
+    ``agents[code]`` names the agent of a code; names are only appended,
+    also across ``clear()``, so a code never changes its name."""
 
     def __init__(self):
         # records queued after those in the columns; cleared only in place,
         # because ``MemorySystem.access`` holds this list and appends to it
         self._tail: list[tuple] = []
+        self.agents: list[str] = []
+        self._codes: dict[str, int] = {}
         self.clear()
+
+    def code(self, agent: str) -> int:
+        """The code of ``agent``, added to the name table if it is new."""
+        code = self._codes.get(agent)
+        if code is None:
+            code = self._codes[agent] = len(self.agents)
+            self.agents.append(agent)
+        return code
 
     def clear(self):
         """Drop every record.  Not to be called inside a GEMV job: the
@@ -154,8 +180,17 @@ class CommandTrace:
             self._columns = _new_columns(max(2 * len(columns[0]), start + n))
             for new, old in zip(self._columns, columns):
                 new[:used] = old[:used]
-        for column, values in zip(self._columns, zip(*tail)):
-            column[used:start] = values
+        if tail:
+            ticks, addrs, ops, agents, sizes = zip(*tail)
+            # a tail of one agent, such as a prefill's fills, maps in one step
+            if agents.count(agents[0]) == len(agents):
+                codes = self.code(agents[0])
+            else:
+                for agent in set(agents):
+                    self.code(agent)
+                codes = list(map(self._codes.__getitem__, agents))
+            for column, values in zip(self._columns, (ticks, addrs, ops, codes, sizes)):
+                column[used:start] = values
         tail.clear()
         self._len = start + n
         return start, self._columns
@@ -166,7 +201,7 @@ class CommandTrace:
     def view(self, start: int = 0) -> TraceView:
         """Records from position ``start`` to the current end."""
         self.grow(0)
-        return TraceView(self._columns, start, self._len)
+        return TraceView(self._columns, start, self._len, self.agents)
 
     def __iter__(self):
         return iter(self.view())
@@ -293,6 +328,10 @@ class MemorySystem:
         self.rogue_period = rogue_period
         self.regions: list[MemoryRegion] = []
         self._bases: list[int] = []  # region bases, ascending
+        # each region's end and attribute, for ``_runs``, and after them those
+        # of index -1, below every region: an end below every address
+        self._ends = np.array([_NO_END])
+        self._non_cacheable = np.array([False])
         self.trace = CommandTrace()
         self._hits: list[tuple[int, str, int]] = []  # (tick, agent, line) per hit
         self.hit_log = HitLog(self._hits)
@@ -334,6 +373,8 @@ class MemorySystem:
                               base, size, attribute, kind)
         self.regions.append(region)
         self._bases.append(base)
+        self._ends = np.array([*(r.base + r.size for r in self.regions), _NO_END])
+        self._non_cacheable = np.array([*(r.is_non_cacheable for r in self.regions), False])
         self._next_base = base + size
         if kind is RegionKind.CONTIGUOUS_POOL:
             self._pool_used += size
@@ -428,7 +469,8 @@ class MemorySystem:
                               f"{bad[0] if bad else values.dtype}")
         addrs = values.astype(np.int64).reshape(-1)
         ends, runs = self._runs(addrs, op, nbytes)
-        ops, sizes = np.broadcast_to(op, addrs.shape), np.broadcast_to(nbytes, addrs.shape)
+        ops, sizes = (np.broadcast_to(v, addrs.shape) if np.ndim(v) == 0 else np.asarray(v)
+                      for v in (op, nbytes))
         for lo, hi, non_cacheable in runs:
             if non_cacheable:
                 self._dram_batch(addrs[lo:hi], ends[lo:hi], ops[lo:hi], sizes[lo:hi], agent)
@@ -461,18 +503,16 @@ class MemorySystem:
         _check_request(invalid.item(0) if invalid.size else "R", least)
         if not addrs.size:
             return addrs, []
-        # each request's region; index -1, below every region, has an end
-        # below every address and is no region
+        # each request's region: index -1 is below every region
         region = np.searchsorted(self._bases, addrs, side="right") - 1
-        ends = np.array([r.base + r.size for r in self.regions]
-                        + [np.iinfo(np.int64).min])[region]
+        ends = self._ends[region]
         outside = addrs + sizes > ends
         if outside.any():
             j = int(outside.argmax())
             self.region_at(int(addrs[j]))  # raises if the address is unmapped
             size = sizes[j] if sizes.ndim else sizes
             raise RegionError(f"access [{addrs[j]:#x}, +{size}) crosses region end")
-        non_cacheable = np.array([r.is_non_cacheable for r in self.regions])[region]
+        non_cacheable = self._non_cacheable[region]
         starts = [0, *(np.flatnonzero(non_cacheable[1:] != non_cacheable[:-1]) + 1).tolist()]
         return ends, [(lo, hi, non_cacheable[lo])
                       for lo, hi in zip(starts, starts[1:] + [addrs.size])]
@@ -481,13 +521,14 @@ class MemorySystem:
         """Non-cacheable requests, each in a region ending at ``ends[j]``:
         one store, cut where the rogue prefetcher injects a read."""
         cuts = [j + 1 for j in self._rogue_positions(addrs, ends, ops, sizes, agent)]
+        code = self.trace.code(agent)
         for lo, hi in zip([0, *cuts], [*cuts, len(addrs)]):
             if lo:  # the prefetcher reads the block after request lo - 1
                 self.access(int(addrs[lo - 1] + sizes[lo - 1]), "R", int(sizes[lo - 1]),
                             agent="prefetcher")
             i, columns = self.trace.grow(hi - lo)
             for column, values in zip(columns, (np.arange(self._tick, self._tick + hi - lo),
-                                                addrs[lo:hi], ops[lo:hi], agent,
+                                                addrs[lo:hi], ops[lo:hi], code,
                                                 sizes[lo:hi])):
                 column[i:i + hi - lo] = values
             self._tick += hi - lo

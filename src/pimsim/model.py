@@ -9,6 +9,7 @@ not counted separately.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,16 +79,15 @@ class ModelSpec:
             return None
         return MatrixShape("lm_head", self.vocab, self.hidden)
 
-    def all_matrices(self) -> list[MatrixShape]:
-        """Every distinct weight matrix, layer-by-layer plus the head."""
-        mats = []
+    def all_matrices(self) -> Iterator[MatrixShape]:
+        """Every distinct weight matrix, layer-by-layer plus the head, made
+        one at a time as they are read."""
         for layer in range(self.layers):
-            for m in self.layer_matrices():
-                mats.append(MatrixShape(f"layer{layer}.{m.name}", m.out_dim, m.in_dim))
+            for m in self._layer_matrices:
+                yield MatrixShape(f"layer{layer}.{m.name}", m.out_dim, m.in_dim)
         head = self.head_matrix()
         if head is not None:
-            mats.append(head)
-        return mats
+            yield head
 
     def layer_params(self) -> int:
         return sum(m.params() for m in self.layer_matrices())

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -239,6 +240,23 @@ def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, command,
     assert run_cli(command, "--config", str(cfg)) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_placement_stops_at_the_first_matrix_past_a_bank(tmp_path, capsys):
+    """A model of 10**8 layers is rejected at layer 4,681 without its later
+    matrices being made; listing every layer first took 33 s at 2,000,000
+    layers."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": {"hidden": 64, "intermediate": 128,
+                                         "layers": 10 ** 8},
+                               "compute_pim_bytes": True}))
+    start = time.perf_counter()
+    assert run_cli("run", "--config", str(cfg)) == 1
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.err == ("error: layer4681.k ends at row 131076, past the "
+                            "131072 rows of a bank\n")
     assert captured.out == ""
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pimsim import bf16
+from pimsim import bf16, layout
 from pimsim.dram import FIELD_NAMES, AddressMap, DramGeometry
 from pimsim.engine import PIPELINE_DRAIN_READS, GemvJob, PimGemvEngine
 from pimsim.errors import ConfigError
@@ -293,6 +293,37 @@ def test_a_job_decodes_its_macs_once():
         job, result = run_exact(engine, image, np.ones(300))
         assert len(decodes) == n
         assert engine.verify_trigger_integrity(job, result).ok
+
+
+def test_a_job_builds_no_burst_table(monkeypatch):
+    """Conversion computes the placement's slot burst table once, and every
+    ``execute`` on the image reads that table: no job packs an address."""
+    n = 16 * ACTIVE_BANKS * 3
+    mem = MemorySystem(capacity=GEO.total_capacity + (1 << 16))
+    built = []
+    for name in ("burst_address_of_tile", "pack_fields"):
+        real = getattr(layout, name)
+        monkeypatch.setattr(layout, name,
+                            lambda *args, real=real, name=name:
+                            built.append(name) or real(*args))
+    image = add_image(mem, n, 300, np.ones((n, 300)))
+    assert built.count("burst_address_of_tile") == 1
+    table, built[:] = image.placement.slot_bursts, []
+    engine = PimGemvEngine(mem)
+    for _ in range(2):
+        job, result = run_exact(engine, image, np.ones(300))
+        assert engine.verify_trigger_integrity(job, result).ok
+    assert built == [] and image.placement.slot_bursts is table
+
+
+def test_bf16_decode_is_the_high_half_of_every_pattern():
+    bits = np.arange(1 << 16, dtype=np.uint16)
+    decoded = bf16.decode(bits)
+    assert decoded.dtype == np.float32 and decoded.shape == bits.shape
+    # bit for bit, NaN payloads included
+    assert np.array_equal(decoded.view(np.uint32), bits.astype(np.uint32) << 16)
+    # a scalar pattern gives a scalar
+    assert type(bf16.decode(0x3F80)) is np.float32 and bf16.decode(0x3F80) == 1.0
 
 
 def replay_mac_rule(result, engine, w_int, x_int, p, corrupt):

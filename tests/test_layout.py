@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimsim.dram import (FIELD_NAMES, AddressMap, DramGeometry,
-                         decode_address, encode_coord)
+                         decode_address, encode_coord, slice_fields)
 from pimsim.errors import AttributeViolation, CapacityError, GeometryError
 from pimsim.layout import (PimPlacement, WeightMatrix, address_order,
                            burst_address_of_tile, burst_of_address,
@@ -170,6 +170,25 @@ def test_burst_decode_inverts_the_placement(p, seed):
                             np.subtract(list(table), 2**40), sample])
     expected = [table.get(a, -1) for a in addrs.tolist()]
     assert burst_of_address(p, addrs).tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(placements())
+def test_slot_burst_table_is_each_slots_first_tile(p):
+    """The placement's read-only slot burst table holds, row by row, the
+    bursts of each slot's first tile as ``burst_address_of_tile`` gives them
+    tile by tile; the tiles of the other active banks read the same (row,
+    column) bursts.  It is computed once per placement."""
+    table = p.slot_bursts
+    assert table.shape == (p.slots, p.k_pad) and not table.flags.writeable
+    for tile in range(p.m_pad // p.row_tile):
+        addrs = burst_address_of_tile(p, tile)
+        first = table[p.tile_slot(tile)]
+        if tile % p.active_banks == 0:
+            assert np.array_equal(addrs, first)
+        ours, theirs = (slice_fields(p.address_map, a) for a in (addrs, first))
+        assert all(np.array_equal(ours[f], theirs[f]) for f in ("row", "column"))
+    assert p.slot_bursts is table
 
 
 def test_span_covers_bursts_outside_the_first_and_last_slots():

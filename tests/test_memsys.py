@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pimsim.errors import CapacityError, ConfigError, RegionError
 from pimsim.memsys import (TAIL_FLUSH, Attribute, CacheConfig, HitRecord,
-                           MemorySystem, RegionKind, Source)
+                           MemorySystem, RegionKind, Source, TraceRecord)
 
 
 def make_mem(**kwargs):
@@ -390,10 +390,11 @@ def test_access_many_equals_a_sequence_of_access(rogue, period, batches):
         windows = [records for _, records in windows]
         trace = list(mem.trace)
         # every start position, inside the trace and past its end, as records
-        # and as columns
+        # and as columns, whose agent codes name the records' agents
         tails = [mem.records_since((k, 0)) for k in range(len(trace) + 2)]
         assert [list(t) for t in tails] == [trace[k:] for k in range(len(trace) + 2)]
-        assert [[c.tolist() for c in t.columns()] for t in tails] == [
+        assert [[a.tolist(), o.tolist(), [t.agents[c] for c in codes.tolist()]]
+                for t in tails for a, o, codes in [t.columns()]] == [
             [[getattr(r, f) for r in trace[k:]] for f in ("addr", "op", "agent")]
             for k in range(len(trace) + 2)]
         collect()
@@ -612,6 +613,41 @@ def test_snapshots_do_not_change_after_more_accesses_or_a_clear():
     mem.trace.clear()
     mem.hit_log.clear()
     assert list(view) == records and len(view) == 3 and hits == hit_records
+
+
+def test_agent_names_survive_their_codes():
+    """The trace stores agent codes; its records, columns and NDJSON export
+    name the agents, also for a view taken before a clear and for an agent
+    first seen after it."""
+    mem = make_mem(cache=CacheConfig(capacity=2 * 64, line_bytes=64, ways=2))  # one set
+    pool = mem.allocate_region(RegionKind.GENERAL, Attribute.NON_CACHEABLE, 4096)
+    data = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, 4096)
+    mem.access(pool.base, "R", 8)  # a tail of one agent
+    mem.access_many([pool.base + 8, pool.base + 16], "W", 8, "copy")
+    mem.access(pool.base, "W", 8, "copy")  # a tail of several agents
+    mem.access(data.base, "R", 64, "probe")
+    before = mem.records_since((0, 0))
+    names = ["host", "copy", "copy", "copy", "probe"]
+    assert [r.agent for r in before] == names
+    export = mem.export_trace_ndjson(before)
+    mem.trace.clear()
+    mem.access(pool.base + 24, "R", 8, "late")  # first seen after the clear
+    mem.access_many(np.array([pool.base + 32]), "R", 8)
+    after = mem.records_since((0, 0))
+    assert [r.agent for r in before] == names
+    assert mem.export_trace_ndjson(before) == export == "".join(
+        json.dumps({"tick": r.tick, "agent": agent, "op": r.op, "addr": r.addr,
+                    "bytes": r.nbytes}, sort_keys=True) + "\n"
+        for r, agent in zip(before, names))
+    assert list(after) == [TraceRecord(5, "late", "R", pool.base + 24, 8),
+                           TraceRecord(6, "host", "R", pool.base + 32, 8)]
+    assert [json.loads(line)["agent"] for line in
+            mem.export_trace_ndjson().splitlines()] == ["late", "host"]
+    for view, agents in ((before, names), (after, ["late", "host"])):
+        codes = view.columns()[2]
+        assert [view.agents[c] for c in codes.tolist()] == agents
+        assert [view.agent_code(a) for a in agents] == codes.tolist()
+    assert after.agent_code("prefetcher") == -1
 
 
 @st.composite
