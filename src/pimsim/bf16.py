@@ -11,11 +11,16 @@ import numpy as np
 
 
 def encode(values) -> np.ndarray:
-    """float -> bf16 bit pattern (uint16), round to nearest even."""
+    """float -> bf16 bit pattern (uint16), round to nearest even.  A NaN,
+    which rounding could carry into the sign, keeps its sign, made quiet."""
     f32 = np.asarray(values, dtype=np.float32)
     bits = f32.view(np.uint32)
     rounding = 0x7FFF + ((bits >> 16) & 1)
-    return ((bits + rounding) >> 16).astype(np.uint16)
+    encoded = ((bits + rounding) >> 16).astype(np.uint16)
+    nan = np.isnan(f32)
+    if nan.any():
+        encoded = np.where(nan, ((bits >> 16) | 0x0040).astype(np.uint16), encoded)[()]
+    return encoded
 
 
 def decode(bits) -> np.ndarray:

@@ -13,13 +13,12 @@ built only when the trace is iterated.  The codes index the trace's name
 table, which only grows, also across a clear.  Records are written only
 past the end, and the arrays are reallocated to grow or to clear, so a
 ``TraceView`` is a slice of each that never changes.  ``access_many``
-stores each stretch of consecutive non-cacheable requests at once,
-whatever ops and sizes it mixes, cut only where the rogue prefetcher
-injects a read; it splits a stream over several regions by the region
-ends and attributes that ``allocate_region`` keeps as arrays.  A single
-record (a fill, a write-back or one non-cacheable ``access``) is queued as
-a tuple on the trace's tail, which is written into the columns before any
-read of them and at the end of the ``access`` that makes it
+validates a stream once, splits it where the region attribute changes,
+and stores each stretch of non-cacheable requests at once, whatever ops
+and sizes it mixes, cut only where the rogue prefetcher injects a read.
+A single record (a fill, a write-back or one non-cacheable ``access``) is
+queued as a tuple on the trace's tail, which is written into the columns
+before any read of them and at the end of the ``access`` that makes it
 ``TAIL_FLUSH`` long; a tail of one agent maps to its code in one step.  The
 trace is the only record of what reached DRAM: the PIM engine decodes its
 MAC triggers from the records appended to it, by their position in the
@@ -328,8 +327,8 @@ class MemorySystem:
         self.rogue_period = rogue_period
         self.regions: list[MemoryRegion] = []
         self._bases: list[int] = []  # region bases, ascending
-        # each region's end and attribute, for ``_runs``, and after them those
-        # of index -1, below every region: an end below every address
+        # each region's end and attribute, for ``access_many``, and after them
+        # those of index -1, below every region: an end below every address
         self._ends = np.array([_NO_END])
         self._non_cacheable = np.array([False])
         self.trace = CommandTrace()
@@ -458,8 +457,8 @@ class MemorySystem:
         """Issue ``access(a, o, n, agent)`` for each request ``(a, o, n)`` in
         order, with the same trace, ticks and cache state.  ``op`` and
         ``nbytes`` give one value per request, or one for all.  The whole
-        stream is validated before any request is issued; each stretch of
-        consecutive non-cacheable requests reaches DRAM in one store."""
+        stream is validated before any request is issued and split where the
+        region attribute changes; a non-cacheable stretch is one store."""
         values = np.asarray(addrs)
         # NumPy casts a bool among integers to 0 or 1, so a list is read item by item
         items = () if isinstance(addrs, np.ndarray) else np.asarray(addrs, dtype=object).flat
@@ -468,29 +467,6 @@ class MemorySystem:
             raise RegionError("addresses must be integers, got "
                               f"{bad[0] if bad else values.dtype}")
         addrs = values.astype(np.int64).reshape(-1)
-        ends, runs = self._runs(addrs, op, nbytes)
-        ops, sizes = (np.broadcast_to(v, addrs.shape) if np.ndim(v) == 0 else np.asarray(v)
-                      for v in (op, nbytes))
-        for lo, hi, non_cacheable in runs:
-            if non_cacheable:
-                self._dram_batch(addrs[lo:hi], ends[lo:hi], ops[lo:hi], sizes[lo:hi], agent)
-            else:
-                for request in zip(addrs[lo:hi].tolist(), ops[lo:hi].tolist(),
-                                   sizes[lo:hi].tolist()):
-                    self.access(*request, agent)
-
-    def _runs(self, addrs: np.ndarray, op, nbytes):
-        """Validate a stream of requests and split it where the region
-        attribute changes.  Returns the end of each request's region and
-        the runs, as ``(lo, hi, non-cacheable)``."""
-        if np.ndim(op) == np.ndim(nbytes) == 0:
-            _check_request(op, nbytes)
-            if not addrs.size:
-                return addrs, []
-            region = self.region_at(int(addrs.min()))
-            end = region.base + region.size
-            if addrs.max() + nbytes <= end:  # inside one region: one run
-                return np.full(addrs.shape, end), [(0, addrs.size, region.is_non_cacheable)]
         ops, sizes = np.asarray(op), np.asarray(nbytes)
         for name, values in (("op", ops), ("nbytes", sizes)):
             if values.ndim and values.shape != addrs.shape:
@@ -502,7 +478,8 @@ class MemorySystem:
                  if sizes.size else 1)
         _check_request(invalid.item(0) if invalid.size else "R", least)
         if not addrs.size:
-            return addrs, []
+            return
+        ops, sizes = (np.full(addrs.shape, v, v.dtype) for v in (ops, sizes))
         # each request's region: index -1 is below every region
         region = np.searchsorted(self._bases, addrs, side="right") - 1
         ends = self._ends[region]
@@ -510,12 +487,16 @@ class MemorySystem:
         if outside.any():
             j = int(outside.argmax())
             self.region_at(int(addrs[j]))  # raises if the address is unmapped
-            size = sizes[j] if sizes.ndim else sizes
-            raise RegionError(f"access [{addrs[j]:#x}, +{size}) crosses region end")
+            raise RegionError(f"access [{addrs[j]:#x}, +{sizes[j]}) crosses region end")
         non_cacheable = self._non_cacheable[region]
         starts = [0, *(np.flatnonzero(non_cacheable[1:] != non_cacheable[:-1]) + 1).tolist()]
-        return ends, [(lo, hi, non_cacheable[lo])
-                      for lo, hi in zip(starts, starts[1:] + [addrs.size])]
+        for lo, hi in zip(starts, starts[1:] + [addrs.size]):
+            if non_cacheable[lo]:
+                self._dram_batch(addrs[lo:hi], ends[lo:hi], ops[lo:hi], sizes[lo:hi], agent)
+            else:
+                for request in zip(addrs[lo:hi].tolist(), ops[lo:hi].tolist(),
+                                   sizes[lo:hi].tolist()):
+                    self.access(*request, agent)
 
     def _dram_batch(self, addrs: np.ndarray, ends, ops, sizes, agent: str):
         """Non-cacheable requests, each in a region ending at ``ends[j]``:

@@ -6,20 +6,21 @@ once, and takes the branch of its scenario's ``Schedule``.  A timeline has
 a compute agent running the GEMMs and a copy agent running swizzled
 memory copies out of the non-cacheable region.
 
-* Serial: the GEMMs run back to back.  With copy agents, each layer and
-  the head are copied in full just before their GEMMs, so the TTFT is the
-  compute-only one plus the total copy time, exactly.  The timeline is
-  built on the first read of ``PrefillResult.timeline``.
+* Serial (``_serial_steps``): the GEMMs run back to back.  With copy
+  agents, each layer and the head are copied in full just before their
+  GEMMs, so the TTFT is the compute-only one plus the total copy time,
+  exactly.
 * Double-buffered: each copy into one buffer runs beside the GEMM that
   reads the other (``layer_plan`` pairs them), starting no earlier than
   that GEMM and never during attention.  The first layer's projections
   are preloaded, the agents synchronize once per layer, and the head is
   pipelined against its copy at buffer-half granularity.  ``_ddb_steps``
-  holds this arithmetic once: the TTFT and copy time read its floats, and
-  ``build_ddb_schedule`` makes the timeline from the same pass on the
-  first read of ``PrefillResult.timeline``.
+  holds this arithmetic once: the TTFT and copy time read its floats.
 * NC stream: each GEMM streams its matrix from the non-cacheable copy
   once per input token; there is no timeline.
+
+Both step generators yield one format, from which ``_timeline`` builds a
+timeline on the first read of ``PrefillResult.timeline``.
 """
 
 from __future__ import annotations
@@ -204,17 +205,41 @@ def _ddb_steps(model: ModelSpec, hw: HardwareSpec,
         yield "copy", None, "lm_head", start, start + copy_total, None
 
 
+def _serial_steps(model: ModelSpec, plan: list[_PlanSegment],
+                  head_seconds: float, copies: tuple[float, float] | None = None):
+    """Serial prefill schedule in the tuples of ``_ddb_steps``: ``plan`` per
+    layer, then the head, back to back, each after a serial copy of
+    ``copies[0]`` (a layer) or ``copies[1]`` (the head) seconds if given."""
+    t = 0.0
+    for layer in range(model.layers):
+        if copies is not None:
+            yield "copy", layer, "smc", t, t + copies[0], None
+            t += copies[0]
+        for seg in plan:
+            yield "compute", layer, seg.tag, t, t + seg.compute_seconds, None
+            t += seg.compute_seconds
+    if model.head_matrix() is not None:
+        if copies is not None:
+            yield "copy", None, "lm_head.smc", t, t + copies[1], None
+            t += copies[1]
+        yield "compute", None, "lm_head", t, t + head_seconds, None
+
+
+def _timeline(steps) -> Timeline:
+    """The segments of ``(agent, layer, tag, start, end, buffer)`` steps,
+    tagged ``layer{n}.{tag}`` within a layer, as a validated timeline."""
+    tl = Timeline([Segment(agent, tag if layer is None else f"layer{layer}.{tag}",
+                           start, end, buffer)
+                   for agent, layer, tag, start, end, buffer in steps])
+    tl.validate()
+    return tl
+
+
 def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec,
                        plan: list[_PlanSegment], head_seconds: float,
                        head_bytes: int) -> Timeline:
-    """The segments of ``_ddb_steps``, tagged ``layer{n}.{tag}`` within a
-    layer, as a validated timeline."""
-    tl = Timeline([Segment(agent, tag if layer is None else f"layer{layer}.{tag}",
-                           start, end, buffer)
-                   for agent, layer, tag, start, end, buffer
-                   in _ddb_steps(model, hw, plan, head_seconds, head_bytes)])
-    tl.validate()
-    return tl
+    """The double-buffered prefill's timeline, from ``_ddb_steps``."""
+    return _timeline(_ddb_steps(model, hw, plan, head_seconds, head_bytes))
 
 
 # ----------------------------------------------------------------------
@@ -272,32 +297,8 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
         smc_total = _fsum([copies[0]] * model.layers + [copies[1]])
     return PrefillResult(scenario, sl, gemm_total + smc_total,
                          {"gemm_seconds": gemm_total, "smc_seconds": smc_total},
-                         lambda: _serial_timeline(model, plan, head_seconds,
-                                                  copies))
-
-
-def _serial_timeline(model: ModelSpec, plan: list[_PlanSegment],
-                     head_seconds: float,
-                     copies: tuple[float, float] | None = None) -> Timeline:
-    """Compute-only schedule of ``plan`` repeated per layer plus the head,
-    optionally with ``copies``, the seconds of a serial copy before each
-    layer and before the head."""
-    steps = []  # (agent, tag, seconds), run back to back
-    for layer in range(model.layers):
-        if copies is not None:
-            steps.append(("copy", f"layer{layer}.smc", copies[0]))
-        steps += [("compute", f"layer{layer}.{seg.tag}", seg.compute_seconds)
-                  for seg in plan]
-    if model.head_matrix() is not None:
-        if copies is not None:
-            steps.append(("copy", "lm_head.smc", copies[1]))
-        steps.append(("compute", "lm_head", head_seconds))
-    tl, t = Timeline(), 0.0
-    for agent, tag, seconds in steps:
-        tl.segments.append(Segment(agent, tag, t, t + seconds))
-        t += seconds
-    tl.validate()
-    return tl
+                         lambda: _timeline(_serial_steps(model, plan, head_seconds,
+                                                         copies)))
 
 
 def run_decode(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,

@@ -393,7 +393,7 @@ def test_each_prefill_and_decode_is_evaluated_once(tmp_path, monkeypatch,
         return counted
 
     for name in ("run_prefill", "run_decode", "layer_plan",
-                 "build_ddb_schedule", "_serial_timeline"):
+                 "build_ddb_schedule", "_serial_steps"):
         counted = count(name)
         for module in (runtime, cli):
             if hasattr(module, name):
@@ -425,7 +425,7 @@ def test_each_prefill_and_decode_is_evaluated_once(tmp_path, monkeypatch,
             ("c_gemm", {}, {False: 2}, {}),
             ("wd", {}, {True: 1, False: 1}, {}),
             ("wd", {"timeline": True}, {True: 1, False: 1},
-             {"_serial_timeline": 1})):
+             {"_serial_steps": 1})):
         calls.clear()
         cfg.write_text(json.dumps({"model": "llama3.2-1b",
                                    "scenario": scenario, "in_len": 64,

@@ -326,6 +326,29 @@ def test_bf16_decode_is_the_high_half_of_every_pattern():
     assert type(bf16.decode(0x3F80)) is np.float32 and bf16.decode(0x3F80) == 1.0
 
 
+def test_bf16_encode_rounds_to_nearest_even_and_keeps_nans():
+    """A float32 pattern's bf16 encoding depends only on its high half and
+    on whether its low half is below, at or above 0x8000; every high half
+    with low halves on both sides of each boundary covers every case.  A
+    non-NaN pattern rounds to nearest even by the carry formula, computed
+    here without wrapping; a NaN stays a NaN of its sign, made quiet."""
+    highs = np.arange(1 << 16, dtype=np.uint64)
+    lows = np.array([0, 1, 0x3FFF, 0x7FFF, 0x8000, 0x8001, 0xC000, 0xFFFF], np.uint64)
+    bits = (highs[:, None] << 16 | lows).reshape(-1)
+    encoded = bf16.encode(bits.astype(np.uint32).view(np.float32))
+    assert encoded.dtype == np.uint16 and encoded.shape == bits.shape
+    nan = (bits & 0x7FFFFFFF) > 0x7F800000
+    rounded = (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16
+    assert np.array_equal(encoded[~nan], rounded[~nan])
+    assert np.array_equal(encoded[nan], (bits[nan] >> 16) | 0x0040)
+    assert np.isnan(bf16.decode(encoded[nan])).all()
+    for pattern, want in ((0x7FFF8000, 0x7FFF), (0x7FFFFFFF, 0x7FFF),
+                          (0xFFFFFFFF, 0xFFFF), (0x7F800001, 0x7FC0),
+                          (0x7F7FFFFF, 0x7F80)):  # the largest finite rounds to +inf
+        assert bf16.encode(np.uint32(pattern).view(np.float32)) == want
+    assert type(bf16.encode(1.0)) is np.uint16 and bf16.encode(1.0) == 0x3F80
+
+
 def replay_mac_rule(result, engine, w_int, x_int, p, corrupt):
     """Independent, record-by-record model of the MAC rule over a job's
     trace: a staging write resets the RF pointer to the next input tile,

@@ -333,21 +333,22 @@ def _offsets(nbytes):
 @st.composite
 def _batches(draw):
     """Batches of requests ``(region, op, size, offset)`` into the regions
-    of BATCH_ATTRIBUTES.  A uniform batch shares one region, op and size,
-    given to ``access_many`` as scalars.  A mixed one is a few segments of
-    one op and size each, given per request, whose requests draw their
-    regions: so its runs change op and size, and cross from region to
-    region."""
+    of BATCH_ATTRIBUTES.  A uniform batch shares one op and size, given to
+    ``access_many`` as scalars, and one region or a region drawn per
+    request.  A mixed one is a few segments of one op and size each, given
+    per request, whose requests draw their regions: so its runs change op
+    and size, and cross from region to region."""
     batches = []
     for _ in range(draw(st.integers(0, 12))):
         agent = draw(st.sampled_from(["host", "copy"]))
         uniform = draw(st.booleans())
+        spread = not uniform or draw(st.booleans())  # a region per request
         requests = []
         for _ in range(1 if uniform else draw(st.integers(1, 4))):
             op, nbytes = draw(st.sampled_from("RW")), draw(st.sampled_from(BATCH_SIZES))
             region = draw(st.sampled_from(REGIONS))
             for _ in range(draw(st.integers(0, 12 if uniform else 6))):
-                if not uniform:
+                if spread:
                     region = draw(st.sampled_from(REGIONS))
                 requests.append((region, op, nbytes, draw(_offsets(nbytes))))
         scalars = (op, nbytes) if uniform else None
