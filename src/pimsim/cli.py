@@ -213,30 +213,28 @@ def cmd_convert(args) -> int:
                           f"needs {expected}")
     manifest = {"model": args.model, "geometry": args.geometry,
                 "element_bytes": model.element_bytes, "matrices": []}
-    offset = 0
-    image_offset = 0
-    images = []
-    for (name, p), mat in zip(placements, model.all_matrices()):
-        n = mat.params()
-        data = blob[offset:offset + n].reshape(mat.in_dim, mat.out_dim).T
-        offset += n
-        w = WeightMatrix(mat.out_dim, mat.in_dim, np.ascontiguousarray(data))
-        img = convert_to_pim_aware(w, p)
-        images.append(address_order(img))
-        manifest["matrices"].append({
-            "name": name, "out_dim": mat.out_dim, "in_dim": mat.in_dim,
-            "m_pad": p.m_pad, "k_pad": p.k_pad, "base_row": p.base_row,
-            "base_addr": img.base_addr, "span_bytes": img.span_bytes,
-            "blob_offset_elements": image_offset,
-        })
-        image_offset += images[-1].size
+    offset = image_offset = 0
+    # each matrix is written as it is converted, so one image is held at a time
     with open(args.output, "wb") as fh:
-        for img in images:
-            img.astype("<u2").tofile(fh)
+        for name, p in placements:
+            n = p.out_dim * p.in_dim
+            data = blob[offset:offset + n].reshape(p.in_dim, p.out_dim).T
+            offset += n
+            w = WeightMatrix(p.out_dim, p.in_dim, np.ascontiguousarray(data))
+            img = convert_to_pim_aware(w, p)
+            image = address_order(img)
+            image.astype("<u2").tofile(fh)
+            manifest["matrices"].append({
+                "name": name, "out_dim": p.out_dim, "in_dim": p.in_dim,
+                "m_pad": p.m_pad, "k_pad": p.k_pad, "base_row": p.base_row,
+                "base_addr": img.base_addr, "span_bytes": img.span_bytes,
+                "blob_offset_elements": image_offset,
+            })
+            image_offset += image.size
     with open(args.manifest, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    print(f"converted {len(images)} matrices -> {args.output}")
+    print(f"converted {len(placements)} matrices -> {args.output}")
     return 0
 
 
@@ -304,6 +302,9 @@ def cmd_sweep(args) -> int:
 # gemv-check
 # ----------------------------------------------------------------------
 
+ROGUE_PERIOD = 64  # reads per read of the prefetcher that --rogue-prefetcher adds
+
+
 def _random_gemv_trial(rng: np.random.Generator, cacheable: bool, rogue: bool,
                        corrupt_mac_order: bool) -> dict:
     geometry = geometry_preset("desk")
@@ -318,7 +319,7 @@ def _random_gemv_trial(rng: np.random.Generator, cacheable: bool, rogue: bool,
     img = convert_to_pim_aware(w, p)
     mem = MemorySystem(capacity=geometry.total_capacity + (1 << 20),
                        cache=CacheConfig(capacity=1 << 21),
-                       rogue_prefetcher=rogue)
+                       rogue_period=ROGUE_PERIOD if rogue else None)
     attr = Attribute.CACHEABLE if cacheable else Attribute.NON_CACHEABLE
     mem.allocate_region(RegionKind.CONTIGUOUS_POOL, attr,
                         max(img.base_addr + img.span_bytes, 1), name="weights",

@@ -50,6 +50,7 @@ ALLOC_ALIGN = 64  # default region alignment in bytes
 # queued trace records past which ``access`` writes them into the columns,
 # so that a long run of single accesses leaves no long tail to a later read
 TAIL_FLUSH = 256
+_INT64_MAX = np.iinfo(np.int64).max
 _NO_END = np.iinfo(np.int64).min  # the end of no region, below every address
 
 
@@ -59,6 +60,7 @@ class Attribute(enum.Enum):
 
 
 class RegionKind(enum.Enum):
+    """A label on a region, as its name is: no allocation rule reads it."""
     GENERAL = "general"
     CONTIGUOUS_POOL = "contiguous_pool"
 
@@ -125,11 +127,6 @@ class TraceView:
         """``agent``'s code in :meth:`columns`, or -1 if no record of the
         trace has named it."""
         return self.agents.index(agent) if agent in self.agents else -1
-
-    def __eq__(self, other):
-        if isinstance(other, (TraceView, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
 
 
 def _new_columns(n: int) -> tuple[np.ndarray, ...]:
@@ -308,25 +305,23 @@ class MemorySystem:
     Accesses are serialized into one total order; determinism for a fixed
     access sequence is guaranteed.  ``access`` serves a cacheable request
     line by line in one LRU loop, which logs the hits and queues the fills
-    and write-backs on the trace.  An optional "rogue prefetcher" mode
-    injects one extra sequential read every ``rogue_period`` reads, of the
-    next block when it lies in the same region, to model a prefetcher that
-    disrupts PIM command synchronization.
+    and write-backs on the trace.  A ``rogue_period`` (None: none) adds a
+    "rogue prefetcher": one extra sequential read every ``rogue_period``
+    reads, of the next block when it lies in the same region, to model a
+    prefetcher that disrupts PIM command synchronization.
     """
 
     def __init__(self, capacity: int, cache: CacheConfig | None = None,
-                 contiguous_pool_cap: int | None = None,
-                 rogue_prefetcher: bool = False, rogue_period: int = 64):
+                 rogue_period: int | None = None):
         _check_positive_int("capacity", capacity)
-        _check_positive_int("rogue_period", rogue_period)
+        if rogue_period is not None:
+            _check_positive_int("rogue_period", rogue_period)
         self.capacity = capacity
         config = cache or CacheConfig()
         self.cache = _Cache(config, defaultdict(OrderedDict), CacheStats())
-        self.contiguous_pool_cap = contiguous_pool_cap
-        self.rogue_prefetcher = rogue_prefetcher
         self.rogue_period = rogue_period
         self.regions: list[MemoryRegion] = []
-        self._bases: list[int] = []  # region bases, ascending
+        self._bases = np.array([], np.int64)  # region bases, ascending
         # each region's end and attribute, for ``access_many``, and after them
         # those of index -1, below every region: an end below every address
         self._ends = np.array([_NO_END])
@@ -341,7 +336,6 @@ class MemorySystem:
         # last; regions are only appended, so it never goes stale
         self._last_region = (0, 0, False)
         self._next_base = 0
-        self._pool_used = 0
         self._tick = 0
         self._reads_seen = 0
 
@@ -363,20 +357,13 @@ class MemorySystem:
             raise CapacityError(
                 f"region of {size} bytes does not fit "
                 f"(base {base:#x}, capacity {self.capacity:#x})")
-        if kind is RegionKind.CONTIGUOUS_POOL and self.contiguous_pool_cap is not None:
-            if self._pool_used + size > self.contiguous_pool_cap:
-                raise CapacityError(
-                    f"contiguous pool exhausted: requested {size} bytes, "
-                    f"{self.contiguous_pool_cap - self._pool_used} remaining")
         region = MemoryRegion(name or f"region{len(self.regions)}",
                               base, size, attribute, kind)
         self.regions.append(region)
-        self._bases.append(base)
+        self._bases = np.array([r.base for r in self.regions], np.int64)
         self._ends = np.array([*(r.base + r.size for r in self.regions), _NO_END])
         self._non_cacheable = np.array([*(r.is_non_cacheable for r in self.regions), False])
         self._next_base = base + size
-        if kind is RegionKind.CONTIGUOUS_POOL:
-            self._pool_used += size
         return region
 
     def region_at(self, addr: int) -> MemoryRegion:
@@ -448,7 +435,7 @@ class MemorySystem:
         self._tick = tick
         if len(tail) >= TAIL_FLUSH:
             self.trace.grow(0)
-        if self.rogue_prefetcher and self._rogue_positions(
+        if self.rogue_period is not None and self._rogue_positions(
                 (addr,), (end,), (op,), (nbytes,), agent):
             self.access(addr + nbytes, "R", nbytes, agent="prefetcher")
         return source
@@ -473,6 +460,10 @@ class MemorySystem:
                 raise RegionError(f"{name} has {values.size} values for "
                                   f"{addrs.size} requests")
         invalid = ops[(ops != "R") & (ops != "W")]
+        # NumPy holds an int past int64 as an object, which no int64 column takes
+        if (sizes.dtype == object and all(map(_is_int, sizes.flat))
+                and max(sizes.flat) > _INT64_MAX):
+            raise RegionError(f"request sizes must fit in an int64, got {max(sizes.flat)}")
         # a numeric array's least size stands for all; any other is passed whole
         least = ((sizes.min() if np.issubdtype(sizes.dtype, np.number) else sizes)
                  if sizes.size else 1)
@@ -520,7 +511,7 @@ class MemorySystem:
         other than the prefetcher itself, counted over the batch's reads,
         when that block fits in the request's region, which ends at
         ``ends[j]``."""
-        if not self.rogue_prefetcher or agent == "prefetcher":
+        if self.rogue_period is None or agent == "prefetcher":
             return []
         reads = np.flatnonzero(np.asarray(ops) == "R")
         seen, period = self._reads_seen, self.rogue_period

@@ -51,9 +51,8 @@ class ModelSpec:
             raise ConfigError(f"kv_ratio must be positive, got {kv}")
         if (self.hidden * kv).denominator != 1:
             raise ConfigError("hidden * kv_ratio must be an integer")
-        # derived once per model; no field, so equality and hashing ignore them
+        # derived once per model; no field, so equality and hashing ignore it
         kv_dim, h, i = int(self.hidden * kv), self.hidden, self.intermediate
-        object.__setattr__(self, "_kv_dim", kv_dim)
         object.__setattr__(self, "_layer_matrices", (
             MatrixShape("q", h, h),
             MatrixShape("k", kv_dim, h),
@@ -65,10 +64,6 @@ class ModelSpec:
         ))
         if self.host_bytes() >= 2 ** 63:
             raise ConfigError("model weights must fit in 2**63 - 1 bytes")
-
-    @property
-    def kv_dim(self) -> int:
-        return self._kv_dim
 
     def layer_matrices(self) -> tuple[MatrixShape, ...]:
         """Projection matrices of one decoder layer, in execution order."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Callable
 
 from .cost import HardwareSpec, decode_token_time, gemm_time, smc_time
@@ -109,6 +110,12 @@ def _fsum(values) -> float:
         return math.fsum(values)
     except OverflowError:
         return math.inf
+
+
+def _stack_sum(per_layer, layers: int, head: float) -> float:
+    """``_fsum`` of the sequence ``per_layer`` once per layer, plus ``head``,
+    with no list that grows with the layer count."""
+    return _fsum(chain(chain.from_iterable(repeat(per_layer, layers)), (head,)))
 
 
 # ----------------------------------------------------------------------
@@ -262,30 +269,34 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
     head_params = head.params() if head else 0
     head_bytes = head_params * model.element_bytes
     head_seconds = gemm_time(head_bytes, head_params, sl, hw)
-    # fsum is correctly rounded, so the order of the terms does not matter
-    gemm_total = _fsum([s.compute_seconds for s in plan] * model.layers
-                       + [head_seconds])
+    gemm_total = _stack_sum([s.compute_seconds for s in plan], model.layers,
+                            head_seconds)
     record = scenario.record
     if record.schedule is Schedule.DOUBLE_BUFFERED:
-        # the schedule's end and copy time, without building its segments
-        ttft, copy_spans = 0.0, []
-        for agent, _, _, start, end, _ in _ddb_steps(model, hw, plan,
-                                                      head_seconds, head_bytes):
-            if end > ttft:
-                ttft = end
-            if agent == "copy":
-                copy_spans.append(end - start)
+        # the schedule's end and copy time in one pass, without its segments
+        ttft = 0.0
+
+        def copy_spans():
+            nonlocal ttft
+            for agent, _, _, start, end, _ in _ddb_steps(model, hw, plan,
+                                                          head_seconds, head_bytes):
+                if end > ttft:
+                    ttft = end
+                if agent == "copy":
+                    yield end - start
+
+        smc_seconds = _fsum(copy_spans())  # sets ttft as it runs
         return PrefillResult(scenario, sl, ttft,
                              {"gemm_seconds": gemm_total,
-                              "smc_seconds": _fsum(copy_spans)},
+                              "smc_seconds": smc_seconds},
                              lambda: build_ddb_schedule(model, hw, plan,
                                                         head_seconds, head_bytes))
     if record.schedule is Schedule.NC_STREAM:
         # each GEMM streams its weights; the "attn" segment adds attention
         nc_bw = hw.nc_stream_bw_gbps * 1e9
-        total = _fsum([max(sl * s.nbytes / nc_bw, s.compute_seconds)
-                       for s in plan] * model.layers
-                      + [max(sl * head_bytes / nc_bw, head_seconds)])
+        total = _stack_sum([max(sl * s.nbytes / nc_bw, s.compute_seconds)
+                            for s in plan], model.layers,
+                           max(sl * head_bytes / nc_bw, head_seconds))
         return PrefillResult(scenario, sl, total,
                              {"gemm_seconds": gemm_total,
                               "nc_stream_seconds": total}, lambda: None)
@@ -294,7 +305,7 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
     if record.copy_agents:
         copies = (smc_time(sum(s.nbytes for s in plan), record.copy_agents, hw),
                   smc_time(head_bytes, record.copy_agents, hw))
-        smc_total = _fsum([copies[0]] * model.layers + [copies[1]])
+        smc_total = _stack_sum(copies[:1], model.layers, copies[1])
     return PrefillResult(scenario, sl, gemm_total + smc_total,
                          {"gemm_seconds": gemm_total, "smc_seconds": smc_total},
                          lambda: _timeline(_serial_steps(model, plan, head_seconds,

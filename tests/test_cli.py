@@ -83,6 +83,8 @@ def test_convert_rejects_truncated_blob(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert str(model.total_params()) in err
+    # the blob is checked before the image file is opened
+    assert not (tmp_path / "o.bin").exists()
 
 
 def test_run_report_is_deterministic(tmp_path, capsys):
@@ -129,6 +131,13 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
 
 BAD_CONFIGS = {
     "top_level_list": "[1, 2]",
+    "invalid_json": '{"model": "toy-64",',
+    "unknown_mode": json.dumps({"model": "toy-64", "mode": "fast"}),
+    "number_model": json.dumps({"model": 5}),
+    "list_hardware": json.dumps({"model": "toy-64", "hardware": [1]}),
+    "unknown_model_preset": json.dumps({"model": "llama9-1t"}),
+    "unknown_hardware_preset": json.dumps({"model": "toy-64",
+                                           "hardware": "pixel99"}),
     "unknown_model_key": json.dumps({"model": {
         "hidden": 64, "intermediate": 256, "layers": 1, "bogus": 1}}),
     "unknown_hardware_key": json.dumps({"model": "toy-64",
@@ -240,6 +249,14 @@ def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, command,
     assert run_cli(command, "--config", str(cfg)) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_missing_config_file_is_an_error_not_a_traceback(tmp_path, capsys, command):
+    assert run_cli(command, "--config", str(tmp_path / "absent.json")) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read config")
     assert captured.out == ""
 
 

@@ -27,11 +27,11 @@ AMAP = AddressMap(GEO)
 ACTIVE_BANKS = 4
 
 
-def build(out_dim, in_dim, w_int, cacheable=False, rogue=False, amap=AMAP,
+def build(out_dim, in_dim, w_int, cacheable=False, rogue_period=None, amap=AMAP,
           banks=ACTIVE_BANKS, **engine_kw):
     mem = MemorySystem(capacity=amap.geometry.total_capacity + (1 << 16),
                        cache=CacheConfig(capacity=1 << 18),
-                       rogue_prefetcher=rogue)
+                       rogue_period=rogue_period)
     image = add_image(mem, out_dim, in_dim, w_int, cacheable, amap,
                       banks=banks)
     engine = PimGemvEngine(mem, **engine_kw)
@@ -246,7 +246,7 @@ def test_rf_pointer_saturates_but_every_trigger_counts():
     x = rng.integers(-3, 4, size=256).astype(np.float64)
     mem = MemorySystem(capacity=GEO.total_capacity + (1 << 16),
                        cache=CacheConfig(capacity=1 << 18),
-                       rogue_prefetcher=True, rogue_period=2)
+                       rogue_period=2)
     image = add_image(mem, 32, 256, w, banks=2)
     job, result = run_exact(PimGemvEngine(mem), image, x)
     assert result.triggered_mac_reads == 2 * 192
@@ -433,8 +433,7 @@ def test_trace_replay_oracle_matches_the_engine(geo_banks, columns,
     x = rng.integers(-4, 5, size=in_dim).astype(np.float64)
     mem = MemorySystem(capacity=geo.total_capacity + (1 << 16),
                        cache=CacheConfig(capacity=1 << 14),
-                       rogue_prefetcher=rogue_period is not None,
-                       rogue_period=rogue_period or 64)
+                       rogue_period=rogue_period)
     image = add_image(mem, out_dim, in_dim, w, cacheable, amap, banks=banks)
     engine = PimGemvEngine(mem, corrupt_mac_order=corrupt)
     job = GemvJob(image, bf16.encode(x.astype(np.float32)), arithmetic)
@@ -487,7 +486,7 @@ def test_attribute_removal_never_increases_dram_reads():
 def test_rogue_prefetcher_desynchronizes():
     rng = np.random.default_rng(8)
     w = rng.integers(-2, 3, size=(64, 256)).astype(np.float64)
-    engine, image = build(64, 256, w, rogue=True)
+    engine, image = build(64, 256, w, rogue_period=64)
     job, result = run_exact(engine, image, np.ones(256))
     report = engine.verify_trigger_integrity(job, result)
     assert report.status == "desynchronized"
@@ -510,7 +509,7 @@ def _pinned_jobs_digest(case: str) -> str:
     amap = AddressMap(DESK_GEOMETRY)
     mem = MemorySystem(capacity=DESK_GEOMETRY.total_capacity + (1 << 16),
                        cache=CacheConfig(capacity=1 << 16),
-                       rogue_prefetcher=case == "rogue", rogue_period=3)
+                       rogue_period=3 if case == "rogue" else None)
     rng = np.random.default_rng(21)
     w = rng.integers(-3, 4, size=(96, 300)).astype(np.float64)
     image = add_image(mem, 96, 300, w, cacheable=case == "cacheable", amap=amap)
@@ -578,6 +577,13 @@ def test_job_validates_input_length():
     engine, image = build(64, 128, np.zeros((64, 128)))
     with pytest.raises(ConfigError):
         GemvJob(image, np.zeros(64, dtype=np.uint16))
+
+
+@pytest.mark.parametrize("arithmetic", ["fp32", "Exact", None])
+def test_job_rejects_an_unknown_arithmetic(arithmetic):
+    engine, image = build(64, 128, np.zeros((64, 128)))
+    with pytest.raises(ConfigError, match="unknown arithmetic"):
+        GemvJob(image, np.zeros(128, dtype=np.uint16), arithmetic=arithmetic)
 
 
 @pytest.mark.parametrize("x", [

@@ -321,6 +321,20 @@ def test_smc_copy_inside_the_non_cacheable_half_runs():
     assert {r.agent for r in mem.trace} == {"copy"}
 
 
+def test_smc_copy_of_an_empty_range_copies_nothing_and_issues_no_request():
+    p = make_placement(16, 128, banks=1, channels=1)
+    image = convert_to_pim_aware(
+        WeightMatrix(16, 128, np.ones((16, 128), dtype=np.uint16)), p)
+    mem = MemorySystem(capacity=DESK.total_capacity)
+    mem.allocate_region(RegionKind.GENERAL, Attribute.NON_CACHEABLE,
+                        image.base_addr + image.span_bytes, align=1)
+    dst = np.zeros(16 * 128, dtype=np.uint16)
+    for rows, cols in ((range(0), range(128)), (range(16), range(5, 5)),
+                       (range(3, 3), range(7, 7))):
+        assert smc_copy(image, rows, cols, dst, mem=mem) == 0
+    assert len(mem.trace) == 0 and mem.hit_log == [] and not dst.any()
+
+
 def test_smc_destination_overflow():
     p = make_placement(16, 128, banks=1, channels=1)
     w = WeightMatrix(16, 128, np.zeros((16, 128), dtype=np.uint16))
@@ -349,6 +363,34 @@ def test_conversion_rejects_shape_mismatch():
     with pytest.raises(GeometryError):
         convert_to_pim_aware(
             WeightMatrix(32, 128, np.zeros((32, 128), dtype=np.uint16)), p)
+
+
+@pytest.mark.parametrize("banks, channels", [(0, 1), (DESK.banks_per_rank + 1, 1),
+                                             (1, 0), (1, DESK.channels + 1)],
+                         ids=["no-banks", "banks-past-a-rank", "no-channels",
+                              "channels-past-the-device"])
+def test_placement_rejects_banks_or_channels_out_of_range(banks, channels):
+    with pytest.raises(GeometryError, match="out of range"):
+        make_placement(16, 128, banks=banks, channels=channels)
+
+
+@pytest.mark.parametrize("m, k", [(-1, 0), (0, -1), (16, 0), (0, 128)],
+                         ids=["negative-row", "negative-column", "row-past-m-pad",
+                              "column-past-k-pad"])
+def test_element_coordinate_outside_the_padded_matrix_is_rejected(m, k):
+    p = make_placement(16, 128, banks=1, channels=1)
+    assert (p.m_pad, p.k_pad) == (16, 128)
+    pim_coord_of_element(p, p.m_pad - 1, p.k_pad - 1)  # the last padded element
+    with pytest.raises(GeometryError, match="outside padded bounds"):
+        pim_coord_of_element(p, m, k)
+
+
+@pytest.mark.parametrize("data", [np.zeros(16 * 128 - 1), np.zeros(16 * 128 + 1),
+                                  np.zeros((128, 17))],
+                         ids=["short", "long", "wrong-shape-and-length"])
+def test_weight_matrix_data_must_match_its_dimensions(data):
+    with pytest.raises(GeometryError, match="data length"):
+        WeightMatrix(16, 128, data)
 
 
 def test_placement_rejects_overflow_of_rows():

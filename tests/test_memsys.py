@@ -84,8 +84,7 @@ ORACLE_LINES = 40  # lines in the region of the oracle property
        st.one_of(st.none(), st.integers(1, 5)), st.data())
 def test_cacheable_trace_matches_replay_oracle(line_bytes, ways, sets, rogue_period, data):
     config = CacheConfig(capacity=line_bytes * ways * sets, line_bytes=line_bytes, ways=ways)
-    mem = make_mem(cache=config, rogue_prefetcher=rogue_period is not None,
-                   rogue_period=rogue_period or 64)
+    mem = make_mem(cache=config, rogue_period=rogue_period)
     size = ORACLE_LINES * line_bytes
     region = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, size,
                                  name="data")
@@ -152,19 +151,19 @@ def test_line_straddling_access_touches_both_lines():
 
 
 def test_region_allocation_and_bounds():
-    mem = make_mem(contiguous_pool_cap=8192)
+    mem = make_mem()
     a = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, 100)
     b = mem.allocate_region(RegionKind.CONTIGUOUS_POOL,
                             Attribute.NON_CACHEABLE, 4096)
-    assert b.base >= a.base + a.size
+    assert b.base >= a.base + a.size and b.kind is RegionKind.CONTIGUOUS_POOL
     assert mem.region_at(b.base + 10) is b
     with pytest.raises(RegionError):
         mem.region_at(mem.capacity - 1)
     with pytest.raises(RegionError):
         mem.access(a.base + 96, "R", 8)  # crosses region end
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError):  # past the capacity, whatever the kind
         mem.allocate_region(RegionKind.CONTIGUOUS_POOL,
-                            Attribute.NON_CACHEABLE, 8192)
+                            Attribute.NON_CACHEABLE, mem.capacity - b.base)
 
 
 @pytest.mark.parametrize("kind, attribute, size, align", [
@@ -179,8 +178,8 @@ def test_region_allocation_and_bounds():
 def test_malformed_region_is_rejected(kind, attribute, size, align):
     """A region the memory system cannot serve as asked is rejected before
     any allocation: a string attribute would be cached, and a string kind
-    would skip the contiguous-pool cap."""
-    mem = make_mem(contiguous_pool_cap=32)
+    would label the region with no ``RegionKind``."""
+    mem = make_mem()
     with pytest.raises(RegionError):
         mem.allocate_region(kind, attribute, size, align=align)
     assert mem.regions == []
@@ -254,7 +253,7 @@ def test_capacity_exhaustion():
 
 
 def test_rogue_prefetcher_injects_next_line_reads():
-    mem = make_mem(rogue_prefetcher=True, rogue_period=4)
+    mem = make_mem(rogue_period=4)
     region = mem.allocate_region(RegionKind.GENERAL,
                                  Attribute.NON_CACHEABLE, 4096)
     for i in range(8):
@@ -267,7 +266,7 @@ def test_rogue_prefetcher_injects_next_line_reads():
 
 @pytest.mark.parametrize("attribute", list(Attribute))
 def test_rogue_prefetcher_reads_the_next_block_only_when_it_fits(attribute):
-    mem = make_mem(rogue_prefetcher=True, rogue_period=1)
+    mem = make_mem(rogue_period=1)
     region = mem.allocate_region(RegionKind.GENERAL, attribute, 256)
     end = region.base + region.size
     for start in (end - 16, end - 15, end - 8):  # the next block fits only at end - 16
@@ -296,7 +295,7 @@ FIXED_SEQUENCE_SHA256 = "62b0c68e671c15cbb11ff1e4dadffb09e77c43e4450491d03c9203f
 
 def test_fixed_sequence_is_deterministic():
     def run():
-        mem = make_mem(rogue_prefetcher=True, rogue_period=3)
+        mem = make_mem(rogue_period=3)
         region = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE,
                                      8192)
         rng = np.random.default_rng(5)
@@ -357,11 +356,11 @@ def _batches(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.booleans(), st.integers(1, 7), _batches())
-def test_access_many_equals_a_sequence_of_access(rogue, period, batches):
+@given(st.none() | st.integers(1, 7), _batches())
+def test_access_many_equals_a_sequence_of_access(rogue_period, batches):
 
     def run(batched):
-        mem = make_mem(rogue_prefetcher=rogue, rogue_period=period)
+        mem = make_mem(rogue_period=rogue_period)
         regions = [mem.allocate_region(RegionKind.GENERAL, attr, BATCH_REGION)
                    for attr in BATCH_ATTRIBUTES]
         seen = []  # every record, read from the trace before each clear
@@ -436,15 +435,15 @@ def _flush_streams(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.booleans(), st.integers(1, 7), _flush_streams())
-def test_trace_reads_are_the_same_whenever_the_queue_is_flushed(rogue, period, steps):
+@given(st.none() | st.integers(1, 7), _flush_streams())
+def test_trace_reads_are_the_same_whenever_the_queue_is_flushed(rogue_period, steps):
     """Single records wait on the trace's tail until it is long or read.
     One stream run with a read after every request, and once with no read
     until the end, leaves the same trace, hits and counters; the records
     read request by request, with the hits, take every tick once."""
 
     def run(read_each):
-        mem = make_mem(cache=FLUSH_CACHE, rogue_prefetcher=rogue, rogue_period=period)
+        mem = make_mem(cache=FLUSH_CACHE, rogue_period=rogue_period)
         regions = [mem.allocate_region(RegionKind.GENERAL, attr, BATCH_REGION)
                    for attr in BATCH_ATTRIBUTES]
         queued, grow = [], mem.trace.grow
@@ -501,6 +500,10 @@ def test_batch_outside_its_region_raises_before_any_record():
             mem.access_many(addrs, "R", 8)
     with pytest.raises(RegionError):
         mem.access_many([a.base], "X", 8)
+    # a whole size past int64 fits no region, and is told so, as one or per request
+    for sizes in (2 ** 70, [8, 2 ** 70]):
+        with pytest.raises(RegionError, match=f"must fit in an int64, got {2 ** 70}$"):
+            mem.access_many([a.base, c.base], "R", sizes)
     # mixed streams over all three regions whose last request is invalid
     valid = [(a.base, "W", 8), (c.base, "R", 64), (b.base, "R", 16), (c.base + 64, "W", 8)]
     for last in [(b.base + 252, "R", 8), (c.base + 200, "W", 64),
@@ -708,11 +711,13 @@ def test_region_memo_matches_the_replay_oracle(layout):
     assert list(mem.trace) == oracle.dram and mem.hit_log == oracle.hits
 
 
-@pytest.mark.parametrize("rogue", [False, True])
-@pytest.mark.parametrize("period", [0, -3, 2.5])
-def test_rogue_period_below_one_is_rejected(rogue, period):
+@pytest.mark.parametrize("period", [0, -3, 2.5, True, "4", np.int64(0)],
+                         ids=["zero", "negative", "fractional", "bool", "string",
+                              "numpy-zero"])
+def test_rogue_period_below_one_is_rejected(period):
+    """A period that is no integer >= 1 is rejected; None means no prefetcher."""
     with pytest.raises(ConfigError):
-        make_mem(rogue_prefetcher=rogue, rogue_period=period)
+        make_mem(rogue_period=period)
 
 
 @pytest.mark.parametrize("kwargs", [

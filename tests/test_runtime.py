@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,9 +22,9 @@ from pimsim.memsys import Attribute, MemorySystem, RegionKind
 from pimsim.model import ModelSpec
 from pimsim.presets import (DESK_GEOMETRY, hardware_preset, model_preset,
                             pim_weight_bytes)
-from pimsim.runtime import (ddb_hiding_crossover, end_to_end_grid,
-                            end_to_end_row, layer_plan, run_decode,
-                            run_prefill)
+from pimsim.runtime import (Segment, Timeline, ddb_hiding_crossover,
+                            end_to_end_grid, end_to_end_row, layer_plan,
+                            run_decode, run_prefill)
 from pimsim.scenario import Scenario
 
 HW = hardware_preset("s24plus")
@@ -43,6 +44,17 @@ def test_timeline_agents_never_overlap():
     tl.validate()  # raises on overlap
     for agent in ("compute", "copy"):
         assert tl.agent_segments(agent)
+
+
+def test_overlapping_segments_of_one_agent_are_rejected():
+    """Two segments of one agent that overlap are an error; the same spans
+    on two agents, or back to back on one, are not."""
+    spans = [("layer0.q", 0.0, 2.0), ("layer0.k", 1.0, 3.0)]
+    with pytest.raises(ConfigError, match="overlapping segments for copy"):
+        Timeline([Segment("copy", *span) for span in spans]).validate()
+    Timeline([Segment(agent, *span)
+              for agent, span in zip(("copy", "compute"), spans)]).validate()
+    Timeline([Segment("copy", "a", 0.0, 1.0), Segment("copy", "b", 1.0, 2.0)]).validate()
 
 
 def test_layer_plan_copy_pairing():
@@ -350,6 +362,21 @@ def test_invalid_arguments():
                  ([Scenario.WD], [64], [])):
         with pytest.raises(ConfigError):
             end_to_end_grid(M1B, HW, *axes)
+
+
+def test_prefill_memory_does_not_grow_with_the_layer_count():
+    """Every scenario's sums run over the layers without a list of them: at
+    20,000 layers, a per-layer list of floats alone would take over 1 MB."""
+    model = ModelSpec(hidden=64, intermediate=128, layers=20_000)
+    run_prefill(Scenario.S_DDB, model, HW, 8)  # warm any first-call caches
+    for scenario in Scenario:
+        tracemalloc.start()
+        try:
+            run_prefill(scenario, model, HW, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000, (scenario, peak)
 
 
 def test_run_prefill_rejects_a_scenario_name():
