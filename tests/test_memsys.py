@@ -711,11 +711,21 @@ def test_region_memo_matches_the_replay_oracle(layout):
     assert list(mem.trace) == oracle.dram and mem.hit_log == oracle.hits
 
 
-@pytest.mark.parametrize("period", [0, -3, 2.5, True, "4", np.int64(0)],
-                         ids=["zero", "negative", "fractional", "bool", "string",
-                              "numpy-zero"])
-def test_rogue_period_below_one_is_rejected(period):
-    """A period that is no integer >= 1 is rejected; None means no prefetcher."""
+@pytest.mark.parametrize("default_cache", [False, True])
+@pytest.mark.parametrize("period", [0, -3, 2.5])
+def test_rogue_period_below_one_is_rejected(default_cache, period):
+    """A period below one or not whole is rejected, whatever the cache;
+    None means no prefetcher."""
+    with pytest.raises(ConfigError):
+        if default_cache:
+            make_mem(cache=None, rogue_period=period)
+        else:
+            make_mem(rogue_period=period)
+
+
+@pytest.mark.parametrize("period", [True, "4", np.int64(0)],
+                         ids=["bool", "string", "numpy-zero"])
+def test_rogue_period_that_is_no_integer_is_rejected(period):
     with pytest.raises(ConfigError):
         make_mem(rogue_period=period)
 
