@@ -50,8 +50,8 @@ ALLOC_ALIGN = 64  # default region alignment in bytes
 # queued trace records past which ``access`` writes them into the columns,
 # so that a long run of single accesses leaves no long tail to a later read
 TAIL_FLUSH = 256
-_INT64_MAX = np.iinfo(np.int64).max
-_NO_END = np.iinfo(np.int64).min  # the end of no region, below every address
+_INT64 = np.iinfo(np.int64)  # the range of every address and request size
+_NO_END = _INT64.min  # the end of no region, below every address
 
 
 class Attribute(enum.Enum):
@@ -292,11 +292,39 @@ class _Cache(NamedTuple):
     stats: CacheStats
 
 
-def _check_request(op: str, nbytes: int):
-    if not isinstance(op, str) or op not in ("R", "W"):
-        raise RegionError(f"op must be 'R' or 'W', got {op!r}")
-    if not _is_int(nbytes) or nbytes < 1:
-        raise RegionError(f"request sizes must be whole bytes >= 1, got {nbytes!r}")
+def _requests(addrs, op, nbytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The requests ``(addrs[j], op[j], nbytes[j])`` as 1-D arrays of int64
+    addresses, ops and int64 sizes, ``op`` and ``nbytes`` one for all or one
+    per address; ``RegionError`` unless each address and size is an int64
+    integer (NumPy's count, no bool), each size >= 1, each op "R" or "W"."""
+    columns = []
+    for name, values in (("addrs", addrs), ("op", op), ("nbytes", nbytes)):
+        many = isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim
+        # a list is read one level deep: NumPy would cast a bool among integers to 0 or 1
+        values = (values.reshape(-1) if isinstance(values, np.ndarray) and many else np.fromiter(
+            (v.item() if isinstance(v, np.generic) else v for v in (values if many else [values])),
+            object))
+        if columns and many and values.size != columns[0].size:
+            raise RegionError(f"{name} has {values.size} values for {columns[0].size} requests")
+        columns.append(values)
+    ops = columns[1]
+    for o in [] if ops.dtype.kind == "U" and ((ops == "R") | (ops == "W")).all() else ops.tolist():
+        if not isinstance(o, str) or o not in ("R", "W"):
+            raise RegionError(f"op must be 'R' or 'W', got {o!r}")
+    columns[1] = ops.astype("U1", copy=False)  # as the trace stores them: a list made objects
+    for i, name, rule, least in ((0, "addresses", "integers", _INT64.min),
+                                 (2, "request sizes", "whole bytes >= 1", 1)):
+        values = columns[i]  # an integer array is checked whole
+        whole = values.dtype.kind in "iu" and (not values.size or (
+            np.can_cast(values.dtype, np.int64) or values.max() <= _INT64.max)
+            and (least == _INT64.min or values.min() >= least))
+        for v in [] if whole else values.tolist():
+            if not _is_int(v) or _INT64.min <= v < least:
+                raise RegionError(f"{name} must be {rule}, got {v!r}")
+            if not _INT64.min <= v <= _INT64.max:
+                raise RegionError(f"{name} must fit in an int64, got {v!r}")
+        columns[i] = values.astype(np.int64, copy=False)
+    return tuple(c if c.size == columns[0].size else c.repeat(columns[0].size) for c in columns)
 
 
 class MemorySystem:
@@ -383,24 +411,20 @@ class MemorySystem:
         line-granularity DRAM read, after a write-back when evicting a
         dirty victim); a hit produces no DRAM traffic.
         """
-        try:
-            if op not in {"R", "W"} or type(nbytes) is not int or nbytes < 1:
-                _check_request(op, nbytes)
-                nbytes = int(nbytes)  # a NumPy size would cast the address to its dtype
-        except TypeError:  # an unhashable op, such as an array, is no str
-            _check_request(op, nbytes)
-        if type(addr) is not int:
-            if not _is_int(addr):
-                raise RegionError(f"addresses must be integers, got {addr!r}")
-            addr = int(addr)  # a hit logs its line as a Python int, as the trace does
+        try:  # ``_requests`` checks any other request, and converts it: a hit logs Python ints
+            if op not in {"R", "W"} or type(nbytes) is not int or nbytes < 1 or type(addr) is not int:
+                (addr,), (op,), (nbytes,) = (c.tolist() for c in _requests([addr], [op], [nbytes]))
+        except TypeError:  # an unhashable op, such as an array, is no str: this raises
+            _requests([addr], [op], [nbytes])
         base, end, non_cacheable = self._last_region
-        if not base <= addr < end:
-            region = self.region_at(addr)
-            base, end = region.base, region.base + region.size
-            non_cacheable = region.is_non_cacheable
-            self._last_region = base, end, non_cacheable
-        if addr + nbytes > end:
-            raise RegionError(f"access [{addr:#x}, +{nbytes}) crosses region end")
+        if not base <= addr < end or addr + nbytes > end:
+            i = bisect_right(self._bases, addr) - 1
+            if i < 0 or addr + nbytes > self._ends[i]:
+                _requests([addr], [op], [nbytes])  # the test above lets an int past int64 by
+                self.region_at(addr)  # raises if the address is unmapped
+                raise RegionError(f"access [{addr:#x}, +{nbytes}) crosses region end")
+            r = self.regions[i]
+            base, end, non_cacheable = self._last_region = r.base, r.base + r.size, r.is_non_cacheable
         sets, stats, hits, tail, line_bytes, n_sets, ways = self._lru
         tick = self._tick
         if non_cacheable:
@@ -446,39 +470,15 @@ class MemorySystem:
         ``nbytes`` give one value per request, or one for all.  The whole
         stream is validated before any request is issued and split where the
         region attribute changes; a non-cacheable stretch is one store."""
-        values = np.asarray(addrs)
-        # NumPy casts a bool among integers to 0 or 1, so a list is read item by item
-        items = () if isinstance(addrs, np.ndarray) else np.asarray(addrs, dtype=object).flat
-        bad = [a for a in items if not _is_int(a)]
-        if bad or values.size and values.dtype.kind not in "iu":
-            raise RegionError("addresses must be integers, got "
-                              f"{bad[0] if bad else values.dtype}")
-        addrs = values.astype(np.int64).reshape(-1)
-        ops, sizes = np.asarray(op), np.asarray(nbytes)
-        for name, values in (("op", ops), ("nbytes", sizes)):
-            if values.ndim and values.shape != addrs.shape:
-                raise RegionError(f"{name} has {values.size} values for "
-                                  f"{addrs.size} requests")
-        invalid = ops[(ops != "R") & (ops != "W")]
-        # NumPy holds an int past int64 as an object, which no int64 column takes
-        if (sizes.dtype == object and all(map(_is_int, sizes.flat))
-                and max(sizes.flat) > _INT64_MAX):
-            raise RegionError(f"request sizes must fit in an int64, got {max(sizes.flat)}")
-        # a numeric array's least size stands for all; any other is passed whole
-        least = ((sizes.min() if np.issubdtype(sizes.dtype, np.number) else sizes)
-                 if sizes.size else 1)
-        _check_request(invalid.item(0) if invalid.size else "R", least)
+        addrs, ops, sizes = _requests(addrs, op, nbytes)
         if not addrs.size:
             return
-        ops, sizes = (np.full(addrs.shape, v, v.dtype) for v in (ops, sizes))
         # each request's region: index -1 is below every region
         region = np.searchsorted(self._bases, addrs, side="right") - 1
         ends = self._ends[region]
-        outside = addrs + sizes > ends
-        if outside.any():
-            j = int(outside.argmax())
-            self.region_at(int(addrs[j]))  # raises if the address is unmapped
-            raise RegionError(f"access [{addrs[j]:#x}, +{sizes[j]}) crosses region end")
+        outside = (addrs >= ends) | (sizes > ends - addrs)  # addrs + sizes may pass int64
+        if outside.any():  # ``access`` raises for the first request that no region holds
+            self.access(*(column[outside.argmax()] for column in (addrs, ops, sizes)))
         non_cacheable = self._non_cacheable[region]
         starts = [0, *(np.flatnonzero(non_cacheable[1:] != non_cacheable[:-1]) + 1).tolist()]
         for lo, hi in zip(starts, starts[1:] + [addrs.size]):

@@ -97,5 +97,7 @@ class ModelSpec:
 
     @property
     def ff_bytes(self) -> int:
-        """Bytes of one feed-forward matrix, the largest layer weight."""
+        """Bytes of one feed-forward matrix, ``hidden * intermediate``
+        elements.  It is the largest layer weight only when ``intermediate
+        >= hidden``, and S-DDB's ``qkvo`` copy group can be larger."""
         return self.hidden * self.intermediate * self.element_bytes

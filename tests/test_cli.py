@@ -494,14 +494,17 @@ def test_gemv_check_rejects_fewer_than_one_trial(capsys, trials):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["run"], ["bogus"], ["gemv-check", "--trials", "x"],
-], ids=["run-without-config", "unknown-command", "non-integer-trials"])
-def test_usage_error_exits_1_with_an_error_line(capsys, argv):
-    """Exit code 2 is kept for a failed check."""
+@pytest.mark.parametrize("argv, named", [
+    (["run"], "--config"), (["bogus"], "'bogus'"), (["gemv-check", "--trials", "x"], "'x'"),
+    (["convert", "--model", "toy-64", "--geometry", "nope", "--input", "w.bin",
+      "--output", "o.bin", "--manifest", "m.json"], "unknown geometry preset 'nope'"),
+], ids=["run-without-config", "unknown-command", "non-integer-trials", "unknown-geometry"])
+def test_usage_error_exits_1_with_an_error_line(capsys, argv, named):
+    """Exit code 2 is kept for a failed check; the error line names what
+    is wrong."""
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith("error:") and named in captured.err.splitlines()[0]
     assert captured.out == ""
 
 

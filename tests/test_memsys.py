@@ -562,6 +562,63 @@ def test_per_request_sizes_must_be_whole_bytes(sizes):
     assert region.base + 8 > 255 and mem.access(region.base + 8, "R", np.uint8(8)) is Source.CACHE
 
 
+# invalid single requests into a non-cacheable region [0, 256) followed by a
+# cacheable one [256, 512): each breaks one rule of the address, op or size
+INVALID_REQUESTS = {
+    "address-past-int64": (2 ** 70, "R", 8),
+    "address-below-int64": (-2 ** 70, "R", 8),
+    "uint64-address-past-int64": (np.uint64(2 ** 63), "R", 8),
+    "negative-address": (-8, "R", 8),
+    "bool-address": (True, "R", 8),
+    "float-address": (2.5, "R", 8),
+    "numpy-float-address": (np.float64(64.0), "R", 8),
+    "string-address": ("0", "R", 8),
+    "unmapped-address": ((1 << 20) - 8, "R", 8),
+    "op-x": (0, "X", 8),
+    "bytes-op": (0, b"R", 8),
+    "numpy-bytes-op": (0, np.bytes_(b"R"), 8),
+    "none-op": (0, None, 8),
+    "size-past-int64": (0, "R", 2 ** 70),
+    "uint64-size-past-int64": (0, "R", np.uint64(2 ** 63)),
+    "zero-size": (0, "R", 0),
+    "negative-size": (0, "R", -8),
+    "float-size": (0, "R", 8.0),
+    "bool-size": (0, "R", True),
+    "numpy-bool-size": (0, "R", np.True_),
+    "crossing": (252, "R", 8),
+    "cacheable-crossing": (506, "W", 8),
+    "crossing-past-int64": (128, "R", 2 ** 63 - 64),
+}
+
+
+@pytest.mark.parametrize("addr, op, nbytes", INVALID_REQUESTS.values(),
+                         ids=INVALID_REQUESTS.keys())
+def test_access_and_access_many_reject_a_request_alike(addr, op, nbytes):
+    """``access(a, o, n)`` and ``access_many([a], o, n)`` check a request by
+    the same rules: an invalid one gets the same ``RegionError`` from both,
+    and changes no record, hit or counter."""
+    messages = []
+    for issue in (lambda mem: mem.access(addr, op, nbytes),
+                  lambda mem: mem.access_many([addr], op, nbytes)):
+        mem = make_mem()
+        for attribute in (Attribute.NON_CACHEABLE, Attribute.CACHEABLE):
+            mem.allocate_region(RegionKind.GENERAL, attribute, 256)
+        mem.access_many([0, 256, 256], "R", 64)  # a record, a fill and a hit
+        before = (list(mem.trace), list(mem.hit_log), mem.cache.stats.as_dict())
+        with pytest.raises(RegionError) as raised:
+            issue(mem)
+        messages.append(str(raised.value))
+        assert (list(mem.trace), list(mem.hit_log), mem.cache.stats.as_dict()) == before
+    assert messages[0] == messages[1]
+    assert "np." not in messages[0]  # a NumPy value is named as Python holds it
+    if isinstance(addr, np.uint64):  # an unsigned address never wraps to a negative one
+        assert "-" not in messages[0]
+        mem = make_mem()
+        mem.allocate_region(RegionKind.GENERAL, Attribute.NON_CACHEABLE, 256)
+        with pytest.raises(RegionError, match=f"got {int(addr)}$"):
+            mem.access_many(np.array([0, addr], np.uint64), "R", 8)
+
+
 @pytest.mark.parametrize("ops, sizes", [("R", []), (["R", "W", "R"], 8),
                                         (["R"], [8, 8])])
 def test_per_request_values_must_match_the_addresses(ops, sizes):
@@ -590,6 +647,7 @@ def test_hit_log_reads_like_a_list_of_hit_records():
     assert list(mem.hit_log) == expected
     assert mem.hit_log == expected and mem.hit_log == tuple(expected)
     assert mem.hit_log != expected[:2] and len(mem.hit_log) == 3
+    assert mem.hit_log != 5 and repr(mem.hit_log) == f"HitLog({expected!r})"
     assert mem.hit_log[1] == expected[1] and type(mem.hit_log[-1]) is HitRecord
     assert mem.hit_log[1:] == expected[1:] and mem.hit_log[::2] == expected[::2]
     assert mem.hits_since(mark) == list(mem.hit_log)[mark[1]:] == expected[2:]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pimsim import bf16
+from pimsim import bf16, runtime
 from pimsim.cost import (analytical_prefill, decode_token_time, gemm_time,
                          smc_time)
 from pimsim.dram import AddressMap
@@ -211,6 +211,127 @@ def test_every_calibrated_prefill_reads_one_plan(point):
         == pytest.approx(owr.breakdown["smc_seconds"], rel=1e-9, abs=1e-12)
 
 
+def earliest_starts(tasks) -> list[tuple]:
+    """One pass over ``tasks``, each ``(agent, layer, tag, seconds, after,
+    beside, buffer)`` with ``after`` and ``beside`` indices of earlier
+    tasks: a task starts at the latest of its agent's free time, the end of
+    each task in ``after`` and the start of each task in ``beside``, and
+    ends ``seconds`` later.  Returns ``(agent, layer, tag, start, end,
+    buffer)`` per task."""
+    free, out = {}, []
+    for agent, layer, tag, seconds, after, beside, buffer in tasks:
+        start = max([free.get(agent, 0.0)] + [out[i][4] for i in after]
+                    + [out[i][3] for i in beside])
+        free[agent] = start + seconds
+        out.append((agent, layer, tag, start, start + seconds, buffer))
+    return out
+
+
+def oracle_steps(scenario, model, hw, sl) -> list[tuple]:
+    """The prefill schedule of ``scenario`` as ``earliest_starts`` of its
+    tasks and edges, built from ``layer_plan``, ``smc_time`` and
+    ``gemm_time``.  Double-buffered: the preload before layer 0's first
+    GEMM, each copy beside its paired GEMM, a layer's last copy before the
+    next layer's first GEMM (and the head), the head's GEMM as two chained
+    pieces (the longer of its GEMM and its copy, then one tile's copy) and
+    its copy beside the first.  Serial: each layer's copy, when the
+    scenario has copy agents, after the GEMMs before it and before its own;
+    the head likewise."""
+    plan, head_bytes, head_seconds = prefill_inputs(model, hw, sl)
+    agents = scenario.record.copy_agents
+    tasks = []
+
+    def task(agent, layer, tag, seconds, after=(), beside=(), buffer=None):
+        tasks.append((agent, layer, tag, seconds, after, beside, buffer))
+        return len(tasks) - 1
+
+    if scenario is not Scenario.S_DDB:
+        prev = ()
+        for layer in range(model.layers):
+            if agents:
+                prev = (task("copy", layer, "smc", smc_time(
+                    sum(s.nbytes for s in plan), agents, hw), prev),)
+            for s in plan:
+                prev = (task("compute", layer, s.tag, s.compute_seconds, prev),)
+        if model.head_matrix() is not None:
+            if agents:
+                prev = (task("copy", None, "lm_head.smc",
+                             smc_time(head_bytes, agents, hw), prev),)
+            task("compute", None, "lm_head", head_seconds, prev)
+        return earliest_starts(tasks)
+    barrier = ()  # what the next layer's first GEMM, or the head, waits for
+    if model.layers:
+        qkvo = sum(s.nbytes for s in plan if s.tag in ("q", "k", "v", "o"))
+        barrier = (task("copy", None, "preload", smc_time(qkvo, agents, hw), buffer=0),)
+    for layer in range(model.layers):
+        for n, s in enumerate(plan):
+            gemm = task("compute", layer, s.tag, s.compute_seconds,
+                        barrier if n == 0 else (), buffer=s.buffer)
+            ahead = s.copy_tag == "qkvo"
+            if s.copy_bytes > 0 and not (ahead and layer == model.layers - 1):
+                last = task("copy", layer + ahead, s.copy_tag,
+                            smc_time(s.copy_bytes, agents, hw), beside=(gemm,),
+                            buffer=1 - s.buffer)
+        barrier = (last,)
+    if head_bytes > 0:
+        copy_total = smc_time(head_bytes, agents, hw)
+        piece = task("compute", None, "lm_head", max(head_seconds, copy_total), barrier)
+        task("compute", None, "lm_head", smc_time(min(model.ff_bytes, head_bytes),
+                                                  agents, hw), (piece,))
+        task("copy", None, "lm_head", copy_total, beside=(piece,))
+    steps = earliest_starts(tasks)
+    if head_bytes > 0:  # the two pieces are the head's one GEMM
+        first, second, head_copy = steps[-3:]
+        steps[-3:] = [first[:4] + (second[4], None), head_copy]
+    return steps
+
+
+def prefill_inputs(model, hw, sl) -> tuple:
+    """One layer's plan, and the head's bytes and GEMM seconds, as
+    ``run_prefill`` computes them."""
+    head = model.head_matrix()
+    head_bytes = head.params() * model.element_bytes if head else 0
+    return (layer_plan(model, hw, sl), head_bytes,
+            gemm_time(head_bytes, head.params() if head else 0, sl, hw))
+
+
+def schedule_steps(scenario, model, hw, sl) -> list[tuple]:
+    """The steps that ``run_prefill`` builds its timeline from."""
+    plan, head_bytes, head_seconds = prefill_inputs(model, hw, sl)
+    agents = scenario.record.copy_agents
+    if scenario is Scenario.S_DDB:
+        return list(runtime._ddb_steps(model, hw, plan, head_seconds, head_bytes))
+    copies = ((smc_time(sum(s.nbytes for s in plan), agents, hw),
+               smc_time(head_bytes, agents, hw)) if agents else None)
+    return list(runtime._serial_steps(model, plan, head_seconds, copies))
+
+
+ORACLE_SCENARIOS = (Scenario.S_DDB, Scenario.WD, Scenario.S_OWR)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_points())
+def test_prefill_schedules_equal_the_earliest_start_oracle(point):
+    """Each timed prefill schedule is, bit for bit, the earliest-start
+    schedule of its tasks and edges: no segment waits when none of its
+    edges makes it, and the double-buffered TTFT is its last end."""
+    model, hw, sl = point
+    for scenario in ORACLE_SCENARIOS:
+        assert schedule_steps(scenario, model, hw, sl) \
+            == oracle_steps(scenario, model, hw, sl)
+    ends = [step[4] for step in oracle_steps(Scenario.S_DDB, model, hw, sl)]
+    assert run_prefill(Scenario.S_DDB, model, hw, sl).ttft == max(ends, default=0.0)
+
+
+@pytest.mark.parametrize("name", ["toy-64", "llama3.2-1b", "llama3.2-3b"])
+def test_preset_prefill_schedules_equal_the_oracle_at_every_short_input(name):
+    model = model_preset(name)
+    for sl in range(1, 300):
+        for scenario in ORACLE_SCENARIOS:
+            assert schedule_steps(scenario, model, HW, sl) \
+                == oracle_steps(scenario, model, HW, sl), (scenario, sl)
+
+
 def test_buffers_alternate_between_compute_and_copy():
     tl = ddb_timeline(64)
     comp = {s.tag: s.buffer for s in tl.agent_segments("compute")}
@@ -274,6 +395,8 @@ def test_analytical_mode_matches_table():
     assert ttft == Fraction(7)
     assert breakdown["overhead_sum_pct"] == pytest.approx(175.0)
     assert analytical_prefill(Scenario.S_DDB, 16, HW)[0] == Fraction(4)
+    with pytest.raises(ConfigError, match="sl must be >= 1"):
+        analytical_prefill(Scenario.S_DDB, 0, HW)
 
 
 def test_nc_gemm_scales_linearly_and_dominates():
@@ -294,6 +417,9 @@ def test_crossover_is_in_the_expected_band():
                smc_time(s.copy_bytes, Scenario.S_DDB.record.copy_agents, HW)
                > s.compute_seconds
                for s in segs)
+    # a copy rate that no input length hides is an error, not a length
+    with pytest.raises(ConfigError, match="no crossover at or below sl=1024"):
+        ddb_hiding_crossover(model_preset("toy-64"), replace(HW, smc_bw_override_gbps=0.01))
 
 
 def test_decode_identical_across_pim_scenarios():
