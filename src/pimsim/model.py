@@ -51,7 +51,7 @@ class ModelSpec:
             raise ConfigError(f"kv_ratio must be positive, got {kv}")
         if (self.hidden * kv).denominator != 1:
             raise ConfigError("hidden * kv_ratio must be an integer")
-        # derived once per model; no field, so equality and hashing ignore it
+        # derived once per model; no fields, so equality and hashing ignore them
         kv_dim, h, i = int(self.hidden * kv), self.hidden, self.intermediate
         object.__setattr__(self, "_layer_matrices", (
             MatrixShape("q", h, h),
@@ -62,6 +62,9 @@ class ModelSpec:
             MatrixShape("ff1", i, h),
             MatrixShape("ff2", h, i),
         ))
+        head = self.head_matrix()
+        object.__setattr__(self, "_total_params", self.layers * self.layer_params()
+                           + (head.params() if head else 0))
         if self.host_bytes() >= 2 ** 63:
             raise ConfigError("model weights must fit in 2**63 - 1 bytes")
 
@@ -88,8 +91,7 @@ class ModelSpec:
         return sum(m.params() for m in self.layer_matrices())
 
     def total_params(self) -> int:
-        head = self.head_matrix()
-        return self.layers * self.layer_params() + (head.params() if head else 0)
+        return self._total_params
 
     def host_bytes(self) -> int:
         """Host-friendly (unpadded) weight footprint in bytes."""

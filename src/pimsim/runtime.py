@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cost import HardwareSpec, decode_token_time, gemm_time, smc_time
 from .errors import ConfigError
@@ -122,8 +122,7 @@ def _stack_sum(per_layer, layers: int, head: float) -> float:
 # Per-layer schedule structure
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _PlanSegment:
+class _PlanSegment(NamedTuple):
     tag: str               # the matrix: "attn" or "q" ... "ff2"
     compute_seconds: float
     nbytes: int            # the matrix's weight bytes (0 for "attn")

@@ -2,6 +2,7 @@
 GEMV check battery with its negative controls."""
 
 import csv
+import enum
 import hashlib
 import json
 import math
@@ -10,10 +11,13 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pimsim import cli, runtime
 from pimsim.cli import main
@@ -299,6 +303,47 @@ def test_a_model_without_weights_decodes_at_an_infinite_rate(tmp_path,
     report = json.loads(capsys.readouterr().out)
     assert report["decode_tps"] == math.inf
     assert report["ttft_seconds"] == report["total_seconds"] == 0.0
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2 ** 70
+
+
+# keys with non-ASCII, quote, backslash and control characters
+_JSON_KEYS = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028') | st.characters())
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64)
+                 | st.integers(max_value=-2 ** 64) | st.floats() | st.builds(np.float64, st.floats())
+                 | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+                 | st.sampled_from(list(_Level)) | _JSON_KEYS)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS, lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                                 | st.dictionaries(_JSON_KEYS, kids)), max_leaves=20)
+
+
+def _indent_2(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+@example({"a": {}, "b": [], "c": (), "d": [{"e": [[]]}], "\u00e9\"\\": {"": None}})
+def test_json_text_is_the_bytes_of_indented_sorted_json(value):
+    assert cli._json_text(value) == _indent_2(value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_JSON_VALUES, st.sampled_from([set(), {1}, frozenset(), Fraction(1, 3)]),
+       st.sampled_from(["list", "dict", "alone"]))
+def test_json_text_raises_what_json_raises_for_no_json_value(value, bad, where):
+    """A value that is no JSON, at any depth, raises ``json``'s TypeError."""
+    value = {"list": [value, bad], "dict": {"k": value, "z": bad}, "alone": bad}[where]
+    messages = []
+    for write in (cli._json_text, _indent_2):
+        with pytest.raises(TypeError) as raised:
+            write(value)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
 
 
 # sha256 of the concatenated stdout of each variant's configs, in order

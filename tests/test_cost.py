@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pimsim.cost import (ONLINE_T, HardwareSpec, analytical_gemm_t,
                          capacity_report, decode_token_time, gemm_time,
@@ -176,6 +178,27 @@ def test_model_spec_parameter_counts():
     assert model.total_params() == (model.layers * per_layer
                                     + model.vocab * h)
     assert model.host_bytes() == 2 * model.total_params()
+
+
+@st.composite
+def _model_specs(draw):
+    kv_ratio = draw(st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(1, 4), Fraction(2, 3)]))
+    return ModelSpec(hidden=draw(st.integers(1, 4096)) * kv_ratio.denominator,
+                     intermediate=draw(st.integers(1, 16384)), layers=draw(st.integers(0, 40)),
+                     kv_ratio=kv_ratio, vocab=draw(st.integers(0, 200_000)),
+                     element_bytes=draw(st.integers(1, 8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_model_specs())
+@example(ModelSpec(hidden=64, intermediate=128, layers=0))
+@example(ModelSpec(hidden=64, intermediate=128, layers=3, vocab=0))
+@example(ModelSpec(hidden=64, intermediate=128, layers=0, vocab=1000))
+def test_model_totals_equal_the_sum_over_its_matrices(model):
+    """The totals that ``ModelSpec`` keeps from its construction are the
+    sums a reader would take over every matrix."""
+    assert model.total_params() == sum(m.params() for m in model.all_matrices())
+    assert model.host_bytes() == model.total_params() * model.element_bytes
 
 
 def test_kv_ratio_must_divide_hidden():

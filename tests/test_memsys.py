@@ -619,6 +619,45 @@ def test_access_and_access_many_reject_a_request_alike(addr, op, nbytes):
             mem.access_many(np.array([0, addr], np.uint64), "R", 8)
 
 
+@pytest.mark.parametrize("rogue_period", [None, 3])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+def test_numpy_integer_requests_equal_int_requests(rogue_period, dtype):
+    """A NumPy integer address or size is the int it holds: the same
+    sources, trace, hit log and counters as the same requests in ints."""
+    requests = [(0, "R", 8), (256, "W", 96), (256, "R", 8), (320, "R", 64),
+                (64, "W", 32), (448, "W", 8), (384, "R", 128), (260, "R", 4)]
+    runs = []
+    for as_numpy in (False, True):
+        mem = make_mem(rogue_period=rogue_period)
+        for attribute in (Attribute.NON_CACHEABLE, Attribute.CACHEABLE):
+            mem.allocate_region(RegionKind.GENERAL, attribute, 256)
+        sources = [mem.access(dtype(a) if as_numpy else a, op, dtype(n) if as_numpy else n)
+                   for a, op, n in requests]
+        runs.append((sources, list(mem.trace), list(mem.hit_log), mem.cache.stats.as_dict()))
+    assert runs[0] == runs[1]
+    assert [type(h.line_addr) for h in runs[1][2]] == [int] * len(runs[1][2]) != []
+    assert [type(r.addr) for r in runs[1][1]] == [int] * len(runs[1][1])
+
+
+@pytest.mark.parametrize("addr, nbytes, message", [
+    (np.uint64(2 ** 63), 8, "addresses must fit in an int64, got 9223372036854775808"),
+    (0, np.uint64(2 ** 63), "request sizes must fit in an int64, got 9223372036854775808"),
+    (np.True_, 8, "addresses must be integers, got True"),
+    (0, np.False_, "request sizes must be whole bytes >= 1, got False"),
+], ids=["uint64-address", "uint64-size", "bool-address", "bool-size"])
+def test_numpy_request_that_no_int64_holds_is_rejected(addr, nbytes, message):
+    """A uint64 past int64 and a NumPy bool are rejected with the messages
+    of ``_requests``; no record, hit or counter changes."""
+    mem = make_mem()
+    mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, 256)
+    with pytest.raises(RegionError) as raised:
+        mem.access(addr, "R", nbytes)
+    assert str(raised.value) == message
+    assert len(mem.trace) == 0 and mem.hit_log == []
+    assert mem.cache.stats.as_dict() == {"hits": 0, "misses": 0,
+                                         "evictions": 0, "writebacks": 0}
+
+
 @pytest.mark.parametrize("ops, sizes", [("R", []), (["R", "W", "R"], 8),
                                         (["R"], [8, 8])])
 def test_per_request_values_must_match_the_addresses(ops, sizes):
