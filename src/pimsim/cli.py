@@ -30,8 +30,9 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -42,7 +43,7 @@ from .cost import (HardwareSpec, analytical_prefill, capacity_report,
                    decode_token_time)
 from .dram import AddressMap
 from .engine import GemvJob, PimGemvEngine
-from .errors import ConfigError, SimulatorError
+from .errors import ConfigError, SimulatorError, check_int
 from .layout import (PimPlacement, WeightMatrix, address_order,
                      convert_to_pim_aware, model_placements)
 from .memsys import Attribute, CacheConfig, MemorySystem, RegionKind
@@ -127,12 +128,6 @@ def _resolve_scenario(name: str) -> Scenario:
                           f"{[s.value for s in Scenario]}") from None
 
 
-def _int_value(key: str, value) -> int:
-    if type(value) is not int:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _bool_field(cfg: dict, key: str) -> bool:
     value = cfg.get(key, False)
     if type(value) is not bool:
@@ -162,16 +157,14 @@ def _resolve(cfg: dict):
     model = _resolve_model(cfg.get("model", "llama3.2-1b"))
     hw = _resolve_hardware(cfg.get("hardware"))
     axes = ([_resolve_scenario(s) for s in _axis(cfg, "scenario", "s_ddb")],
-            [_int_value("in_len", n) for n in _axis(cfg, "in_len", 32)],
-            [_int_value("out_len", n) for n in _axis(cfg, "out_len", 0)])
+            [check_int("in_len", n) for n in _axis(cfg, "in_len", 32)],
+            [check_int("out_len", n, 0) for n in _axis(cfg, "out_len", 0)])
     mode = cfg.get("mode", "calibrated")
     if mode not in ("calibrated", "analytical"):
         raise ConfigError(f"unknown mode {mode!r}; use calibrated or analytical")
     compute_pim_bytes = _bool_field(cfg, "compute_pim_bytes")
     pim_bytes = cfg.get("pim_bytes")
-    if pim_bytes is not None and (type(pim_bytes) is not int or pim_bytes <= 0):
-        raise ConfigError(f"pim_bytes must be a positive integer, "
-                          f"got {pim_bytes!r}")
+    pim_bytes = pim_bytes if pim_bytes is None else check_int("pim_bytes", pim_bytes)
     timeline = _bool_field(cfg, "timeline")
     unused = sorted(CALIBRATED_ONLY_KEYS & cfg.keys())
     if mode == "analytical" and unused:
@@ -192,9 +185,8 @@ def _resolve(cfg: dict):
 def _resolved_config(cfg: dict, model: ModelSpec, hw: HardwareSpec) -> dict:
     """Fully resolved, JSON-serializable copy of the effective configuration."""
     out = dict(cfg)
-    out["model"] = {"hidden": model.hidden, "intermediate": model.intermediate,
-                    "layers": model.layers, "kv_ratio": str(model.kv_ratio),
-                    "vocab": model.vocab, "element_bytes": model.element_bytes}
+    out["model"] = {f.name: getattr(model, f.name) for f in fields(model)}
+    out["model"]["kv_ratio"] = str(model.kv_ratio)
     out["hardware"] = {k: v for k, v in vars(hw).items()}
     out.setdefault("mode", "calibrated")
     return out
@@ -272,10 +264,12 @@ def cmd_convert(args) -> int:
                                   banks_per_channel=geometry.banks_per_rank,
                                   channels_used=geometry.channels)
     expected = model.total_params()
+    # checked in bytes: reading whole elements would drop a trailing odd byte
+    size = os.path.getsize(args.input)
+    if size != 2 * expected:
+        raise ConfigError(f"weight blob holds {size} bytes, model needs "
+                          f"{2 * expected} ({expected} elements)")
     blob = np.fromfile(args.input, dtype="<u2")
-    if blob.size != expected:
-        raise ConfigError(f"weight blob holds {blob.size} elements, model "
-                          f"needs {expected}")
     manifest = {"model": args.model, "geometry": args.geometry,
                 "element_bytes": model.element_bytes, "matrices": []}
     offset = image_offset = 0
@@ -403,8 +397,7 @@ def _random_gemv_trial(rng: np.random.Generator, cacheable: bool, rogue: bool,
 
 
 def cmd_gemv_check(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    check_int("--trials", args.trials)
     rng = np.random.default_rng(args.seed)
     failures = 0
     for trial in range(args.trials):

@@ -25,7 +25,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .model import ModelSpec
 from .scenario import Scenario, Schedule
 
@@ -162,8 +162,7 @@ def analytical_prefill(scenario: Scenario, sl: int,
                        hw: HardwareSpec) -> tuple[Fraction, dict]:
     """Time to first token of one scenario in exact t-units, and the online
     rearrangement's overhead over GEMM, serial (SUM) and overlapped (MAX)."""
-    if sl < 1:
-        raise ConfigError("sl must be >= 1")
+    sl = check_int("sl", sl)
     gemm = analytical_gemm_t(sl)
     serial, overlapped = gemm + ONLINE_T, max(gemm, ONLINE_T)
     # NC stream: one non-cacheable weight stream per input token, at a penalty

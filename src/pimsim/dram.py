@@ -10,15 +10,11 @@ exact inverses over the full capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .errors import CapacityError, GeometryError
+from .errors import CapacityError, GeometryError, check_int
 
 FIELD_NAMES = ("channel", "rank", "bank", "row", "column")
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -38,13 +34,11 @@ class DramGeometry:
     element_bytes: int = 2
 
     def __post_init__(self):
-        for name in ("channels", "ranks_per_channel", "banks_per_rank",
-                     "rows_per_bank", "columns_per_row"):
-            value = getattr(self, name)
-            if not _is_pow2(value):
-                raise GeometryError(f"{name} must be a power of two >= 1, got {value}")
-        if not _is_pow2(self.burst_bytes) or not _is_pow2(self.element_bytes):
-            raise GeometryError("burst_bytes and element_bytes must be powers of two")
+        for name in (f.name for f in fields(self)):  # every field is a count
+            value = check_int(name, getattr(self, name), error=GeometryError)
+            object.__setattr__(self, name, value)
+            if value & (value - 1):
+                raise GeometryError(f"{name} must be a power of two, got {value}")
         if self.burst_bytes % self.element_bytes != 0:
             raise GeometryError("burst_bytes must be a multiple of element_bytes")
 

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .dram import AddressMap, DramCoord, pack_fields, slice_fields
-from .errors import AttributeViolation, CapacityError, GeometryError
+from .errors import AttributeViolation, CapacityError, GeometryError, check_int
 from .model import ModelSpec
 
 RF_ENTRIES = 8  # entries of each PIM block's input and output register file
@@ -76,11 +76,10 @@ class PimPlacement:
 
     def __post_init__(self):
         geo = self.address_map.geometry
-        if self.out_dim < 1 or self.in_dim < 1:
-            raise GeometryError(f"matrix {self.out_dim}x{self.in_dim} has no "
-                                "elements")
-        if self.base_row < 0:
-            raise GeometryError(f"base_row must be >= 0, got {self.base_row}")
+        # 0 banks or channels is out of range, as too many are
+        for name, least in (("out_dim", 1), ("in_dim", 1), ("banks_per_channel", 0),
+                            ("channels_used", 0), ("base_row", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), least, GeometryError))
         if not 1 <= self.banks_per_channel <= geo.banks_per_rank:
             raise GeometryError("banks_per_channel out of range")
         if not 1 <= self.channels_used <= geo.channels:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import enum
 import json
-import numbers
 from bisect import bisect_right
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
@@ -44,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, RegionError
+from .errors import CapacityError, ConfigError, RegionError, check_int, is_int
 
 ALLOC_ALIGN = 64  # default region alignment in bytes
 # queued trace records past which ``access`` writes them into the columns,
@@ -241,17 +240,6 @@ class HitLog:
         self._hits.clear()
 
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is an integer, a NumPy one included, but no bool."""
-    return type(value) is int or (isinstance(value, numbers.Integral)
-                                  and not isinstance(value, bool))
-
-
-def _check_positive_int(name: str, value) -> None:
-    if not _is_int(value) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass
 class CacheConfig:
     capacity: int = 8 * 1024 * 1024
@@ -260,7 +248,7 @@ class CacheConfig:
 
     def __post_init__(self):
         for name in ("capacity", "line_bytes", "ways"):
-            _check_positive_int(f"cache {name}", getattr(self, name))
+            setattr(self, name, check_int(f"cache {name}", getattr(self, name)))
         if self.sets < 1:
             raise ConfigError(
                 f"cache capacity {self.capacity} is below one set of "
@@ -319,7 +307,7 @@ def _requests(addrs, op, nbytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.can_cast(values.dtype, np.int64) or values.max() <= _INT64.max)
             and (least == _INT64.min or values.min() >= least))
         for v in [] if whole else values.tolist():
-            if not _is_int(v) or _INT64.min <= v < least:
+            if not is_int(v) or _INT64.min <= v < least:
                 raise RegionError(f"{name} must be {rule}, got {v!r}")
             if not _INT64.min <= v <= _INT64.max:
                 raise RegionError(f"{name} must fit in an int64, got {v!r}")
@@ -341,13 +329,11 @@ class MemorySystem:
 
     def __init__(self, capacity: int, cache: CacheConfig | None = None,
                  rogue_period: int | None = None):
-        _check_positive_int("capacity", capacity)
-        if rogue_period is not None:
-            _check_positive_int("rogue_period", rogue_period)
-        self.capacity = capacity
+        self.capacity = check_int("capacity", capacity)
+        self.rogue_period = (None if rogue_period is None
+                             else check_int("rogue_period", rogue_period))
         config = cache or CacheConfig()
         self.cache = _Cache(config, defaultdict(OrderedDict), CacheStats())
-        self.rogue_period = rogue_period
         self.regions: list[MemoryRegion] = []
         self._bases = np.array([], np.int64)  # region bases, ascending
         # each region's end and attribute, for ``access_many``, and after them
@@ -376,10 +362,9 @@ class MemorySystem:
         if not isinstance(kind, RegionKind) or not isinstance(attribute, Attribute):
             raise RegionError(f"region kind {kind!r} and attribute {attribute!r} "
                               "must be a RegionKind and an Attribute")
-        align = ALLOC_ALIGN if align is None else align
-        for what, value in (("size", size), ("align", align)):
-            if not _is_int(value) or value < 1:
-                raise RegionError(f"region {what} must be an integer >= 1, got {value!r}")
+        size = check_int("region size", size, error=RegionError)
+        align = check_int("region align", ALLOC_ALIGN if align is None else align,
+                          error=RegionError)
         base = -(-self._next_base // align) * align
         if base + size > self.capacity:
             raise CapacityError(

@@ -8,12 +8,11 @@ not counted separately.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 
 @dataclass(frozen=True)
@@ -38,13 +37,9 @@ class ModelSpec:
     element_bytes: int = 2
 
     def __post_init__(self):
-        for name in ("hidden", "intermediate", "layers", "vocab", "element_bytes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"model {name} must be an integer, got {value!r}")
-        if (self.hidden < 1 or self.intermediate < 1 or self.layers < 0
-                or self.vocab < 0 or self.element_bytes < 1):
-            raise ConfigError("model dimensions must be positive")
+        for name, least in (("hidden", 1), ("intermediate", 1), ("layers", 0), ("vocab", 0),
+                            ("element_bytes", 1)):
+            object.__setattr__(self, name, check_int(f"model {name}", getattr(self, name), least))
         kv = Fraction(self.kv_ratio)
         object.__setattr__(self, "kv_ratio", kv)
         if kv <= 0:

@@ -32,7 +32,7 @@ from itertools import chain, repeat
 from typing import Callable, NamedTuple
 
 from .cost import HardwareSpec, decode_token_time, gemm_time, smc_time
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .model import ModelSpec
 from .scenario import Scenario, Schedule
 
@@ -261,8 +261,7 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
     """
     if not isinstance(scenario, Scenario):
         raise ConfigError(f"unknown scenario {scenario}")
-    if sl < 1:
-        raise ConfigError("sl must be >= 1")
+    sl = check_int("sl", sl)
     plan = layer_plan(model, hw, sl)
     head = model.head_matrix()
     head_params = head.params() if head else 0
@@ -314,8 +313,7 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
 def run_decode(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
                out_len: int, pim_bytes: int | None = None) -> DecodeResult:
     """Per-token decode latency; every PIM scenario shares one PIM-aware copy."""
-    if out_len < 0:
-        raise ConfigError("out_len must be >= 0")
+    out_len = check_int("out_len", out_len, 0)
     token = decode_token_time(model, hw, scenario.record.pim_copy,
                               pim_bytes=pim_bytes)
     tps = 1.0 / token if token > 0 else float("inf")

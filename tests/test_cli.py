@@ -91,6 +91,20 @@ def test_convert_rejects_truncated_blob(tmp_path, capsys):
     assert not (tmp_path / "o.bin").exists()
 
 
+def test_convert_rejects_a_blob_with_a_trailing_partial_element(tmp_path, capsys):
+    model = model_preset("toy-64")
+    blob = tmp_path / "weights.bin"
+    blob.write_bytes(bytes(2 * model.total_params() + 1))
+    code = run_cli("convert", "--model", "toy-64", "--geometry", "desk",
+                   "--input", str(blob), "--output",
+                   str(tmp_path / "o.bin"), "--manifest",
+                   str(tmp_path / "m.json"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: weight blob holds {2 * model.total_params() + 1} bytes")
+    assert not (tmp_path / "o.bin").exists()
+
+
 def test_run_report_is_deterministic(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"model": "toy-64", "scenario": "s_ddb",
@@ -150,6 +164,9 @@ BAD_CONFIGS = {
     "zero_denominator_kv_ratio": json.dumps({"model": {
         "hidden": 64, "intermediate": 256, "layers": 1, "kv_ratio": "1/0"}}),
     "overflowing_in_len": '{"model": "toy-64", "in_len": 1e400}',
+    # JSON integers that no int64 holds
+    **{f"{key}_past_int64": json.dumps({"model": "toy-64", key: 10 ** 400})
+       for key in ("in_len", "out_len", "pim_bytes")},
     "non_string_hardware_preset": json.dumps({"model": "toy-64",
                                               "hardware": {"preset": ["x"]}}),
     "string_pim_bytes": json.dumps({"model": "toy-64", "pim_bytes": "12"}),
@@ -221,6 +238,7 @@ BAD_RUN_CONFIGS = {
 BAD_SWEEP_CONFIGS = {
     "scalar_in_lens": json.dumps({"model": "toy-64", "in_lens": 5}),
     "fractional_in_lens": json.dumps({"model": "toy-64", "in_lens": [1.5, 2]}),
+    "in_lens_past_int64": json.dumps({"model": "toy-64", "in_lens": [10 ** 400]}),
     "analytical_mode": json.dumps({"model": "toy-64", "mode": "analytical"}),
     "timeline_on_sweep": json.dumps({"model": "toy-64", "timeline": True}),
     "in_len_with_in_lens": json.dumps({"model": "toy-64", "in_len": 64,

@@ -395,7 +395,7 @@ def test_analytical_mode_matches_table():
     assert ttft == Fraction(7)
     assert breakdown["overhead_sum_pct"] == pytest.approx(175.0)
     assert analytical_prefill(Scenario.S_DDB, 16, HW)[0] == Fraction(4)
-    with pytest.raises(ConfigError, match="sl must be >= 1"):
+    with pytest.raises(ConfigError, match="sl must be an integer >= 1"):
         analytical_prefill(Scenario.S_DDB, 0, HW)
 
 
