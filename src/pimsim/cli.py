@@ -163,21 +163,15 @@ def _resolve(cfg: dict):
     if mode not in ("calibrated", "analytical"):
         raise ConfigError(f"unknown mode {mode!r}; use calibrated or analytical")
     compute_pim_bytes = _bool_field(cfg, "compute_pim_bytes")
-    pim_bytes = cfg.get("pim_bytes")
-    pim_bytes = pim_bytes if pim_bytes is None else check_int("pim_bytes", pim_bytes)
+    pim_bytes = cfg.get("pim_bytes")  # checked where the decode and capacity models read it
     timeline = _bool_field(cfg, "timeline")
     unused = sorted(CALIBRATED_ONLY_KEYS & cfg.keys())
     if mode == "analytical" and unused:
         raise ConfigError(f"mode 'analytical' reports t-units only and takes "
                           f"no {unused}")
-    if pim_bytes is not None:
-        if compute_pim_bytes:
-            raise ConfigError("give pim_bytes or compute_pim_bytes, not both")
-        if pim_bytes < model.host_bytes():
-            raise ConfigError(f"pim_bytes {pim_bytes} is below the model's "
-                              f"{model.host_bytes()} weight bytes; a PIM "
-                              "image holds every weight")
-    elif compute_pim_bytes:
+    if pim_bytes is not None and compute_pim_bytes:
+        raise ConfigError("give pim_bytes or compute_pim_bytes, not both")
+    if compute_pim_bytes:
         pim_bytes = pim_weight_bytes(model)
     return model, hw, mode, pim_bytes, timeline, axes
 

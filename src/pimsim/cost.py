@@ -176,11 +176,24 @@ def analytical_prefill(scenario: Scenario, sl: int,
                   "overhead_max_pct": float(100 * overlapped / gemm)}
 
 
+def _pim_image_bytes(pim_bytes, host: int) -> int:
+    """``pim_bytes`` as an ``int``; ``ConfigError`` unless it passes the
+    integer rule and is at least the ``host`` weight bytes it holds."""
+    pim_bytes = check_int("pim_bytes", pim_bytes, 0)
+    if pim_bytes < host:
+        raise ConfigError(f"pim_bytes {pim_bytes} is below the model's {host} weight "
+                          "bytes; a PIM image holds every weight")
+    return pim_bytes
+
+
 def capacity_report(model: ModelSpec, scenario: Scenario, pim_bytes: int,
                     host_bytes: int | None = None) -> dict:
     """DRAM capacity of one scenario's weight copies and cacheable buffers,
-    and its savings versus weight duplication (both copies, no buffer)."""
+    and its savings versus weight duplication (both copies, no buffer);
+    ``ConfigError`` unless the PIM image holds the ``host_bytes`` (by
+    default the model's) weight bytes."""
     host = model.host_bytes() if host_bytes is None else host_bytes
+    pim_bytes = _pim_image_bytes(pim_bytes, host)
     padding = pim_bytes - host
     record = scenario.record
     weights = host * record.host_copy + pim_bytes * record.pim_copy
@@ -200,7 +213,10 @@ def capacity_report(model: ModelSpec, scenario: Scenario, pim_bytes: int,
 def decode_token_time(model: ModelSpec, hw: HardwareSpec, use_pim: bool,
                       pim_bytes: int | None = None) -> float:
     """Seconds per generated token: the decode GEMVs stream every linear
-    weight once per token, at PIM-boosted bandwidth when enabled."""
+    weight once per token, at PIM-boosted bandwidth when enabled.  A given
+    ``pim_bytes`` must hold every weight byte, whatever ``use_pim``."""
+    if pim_bytes is not None:
+        pim_bytes = _pim_image_bytes(pim_bytes, model.host_bytes())
     if use_pim:
         bytes_ = model.host_bytes() if pim_bytes is None else pim_bytes
         bw = hw.dram_bw_gbps * GB * hw.pim_bw_multiplier

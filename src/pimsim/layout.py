@@ -52,6 +52,8 @@ class WeightMatrix:
     data: np.ndarray
 
     def __post_init__(self):
+        for name in ("out_dim", "in_dim"):
+            setattr(self, name, check_int(name, getattr(self, name), error=GeometryError))
         self.data = np.ascontiguousarray(self.data, dtype=np.uint16)
         if self.data.size != self.out_dim * self.in_dim:
             raise GeometryError(

@@ -17,17 +17,20 @@ validates a stream once, splits it where the region attribute changes,
 and stores each stretch of non-cacheable requests at once, whatever ops
 and sizes it mixes, cut only where the rogue prefetcher injects a read.
 A single record (a fill, a write-back or one non-cacheable ``access``) is
-queued as a tuple on the trace's tail, which is written into the columns
-before any read of them and at the end of the ``access`` that makes it
-``TAIL_FLUSH`` long; a tail of one agent maps to its code in one step.  The
-trace is the only record of what reached DRAM: the PIM engine decodes its
-MAC triggers from the records appended to it, by their position in the
-trace.
+queued as five entries on the trace's flat tail list, which is written into
+the columns before any read of them and at the end of the ``access`` that
+makes it ``TAIL_FLUSH`` records long; a tail of one agent maps to its code
+in one step.  The trace is the only record of what reached DRAM: the PIM
+engine decodes its MAC triggers from the records appended to it, by their
+position in the trace.
 
 ``access`` serves a cacheable request in one LRU loop, the only code that
-changes the cache's LRU order, dirty bits and counters.  Cache hits are
-stored as plain ``(tick, agent, line)`` tuples; ``hit_log`` and
-``hits_since`` read them as ``HitRecord``s, built only when read.
+changes the cache's LRU order, dirty bits and counters.  Each cache set is a
+plain ``{line: dirty}`` dict whose insertion order is the LRU order: a hit
+pops its line and inserts it again, a miss evicts the dict's first line.
+Cache hits are stored as three entries each, tick, agent and line, on one
+flat list; ``hit_log`` and ``hits_since`` read it by stride as
+``HitRecord``s, built only when read.  The loop makes no container per line.
 ``access`` remembers the last region it resolved and searches the regions
 only for an address outside it.
 """
@@ -37,7 +40,7 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_right
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,6 +52,7 @@ ALLOC_ALIGN = 64  # default region alignment in bytes
 # queued trace records past which ``access`` writes them into the columns,
 # so that a long run of single accesses leaves no long tail to a later read
 TAIL_FLUSH = 256
+_FIELDS = 5  # tail entries per queued record: tick, address, op, agent, size
 _INT64 = np.iinfo(np.int64)  # the range of every address and request size
 _NO_END = _INT64.min  # the end of no region, below every address
 
@@ -137,15 +141,16 @@ def _new_columns(n: int) -> tuple[np.ndarray, ...]:
 class CommandTrace:
     """The DRAM command trace, as five columns: tick, address, op, agent
     code and size.  The memory system writes batches of records into them,
-    and queues single records as ``(tick, addr, op, agent, size)`` tuples on
-    a tail list, which is written into the columns before any read of them.
+    and queues each single record as five entries, tick, address, op, agent
+    and size, on a flat tail list, which is written into the columns before
+    any read of them.
     ``agents[code]`` names the agent of a code; names are only appended,
     also across ``clear()``, so a code never changes its name."""
 
     def __init__(self):
-        # records queued after those in the columns; cleared only in place,
-        # because ``MemorySystem.access`` holds this list and appends to it
-        self._tail: list[tuple] = []
+        # records queued after those in the columns, ``_FIELDS`` entries each;
+        # cleared only in place, because ``MemorySystem.access`` extends it
+        self._tail: list = []
         self.agents: list[str] = []
         self._codes: dict[str, int] = {}
         self.clear()
@@ -170,13 +175,13 @@ class CommandTrace:
         position of the first and the columns to write them into, new ones
         if the old were full."""
         columns, used, tail = self._columns, self._len, self._tail
-        start = used + len(tail)
+        start = used + len(tail) // _FIELDS
         if start + n > len(columns[0]):
             self._columns = _new_columns(max(2 * len(columns[0]), start + n))
             for new, old in zip(self._columns, columns):
                 new[:used] = old[:used]
         if tail:
-            ticks, addrs, ops, agents, sizes = zip(*tail)
+            agents = tail[3::_FIELDS]
             # a tail of one agent, such as a prefill's fills, maps in one step
             if agents.count(agents[0]) == len(agents):
                 codes = self.code(agents[0])
@@ -184,14 +189,14 @@ class CommandTrace:
                 for agent in set(agents):
                     self.code(agent)
                 codes = list(map(self._codes.__getitem__, agents))
-            for column, values in zip(self._columns, (ticks, addrs, ops, codes, sizes)):
-                column[used:start] = values
+            for j, column in enumerate(self._columns):
+                column[used:start] = codes if j == 3 else tail[j::_FIELDS]
         tail.clear()
         self._len = start + n
         return start, self._columns
 
     def __len__(self) -> int:
-        return self._len + len(self._tail)
+        return self._len + len(self._tail) // _FIELDS
 
     def view(self, start: int = 0) -> TraceView:
         """Records from position ``start`` to the current end."""
@@ -208,24 +213,30 @@ class HitRecord(NamedTuple):
     line_addr: int
 
 
-class HitLog:
-    """The cache hits, read as ``HitRecord``s like a list of them.  Each hit
-    is stored as a plain ``(tick, agent, line)`` tuple in the list the
-    memory system appends to; a ``HitRecord`` is built only when read."""
+def _hit_records(hits: list):
+    """The ``HitRecord``s of a flat hit list: tick, agent, line per hit."""
+    return map(HitRecord, hits[0::3], hits[1::3], hits[2::3])
 
-    def __init__(self, hits: list[tuple[int, str, int]]):
+
+class HitLog:
+    """The cache hits, read as ``HitRecord``s like a list of them.  The
+    memory system extends one flat list with three entries per hit, tick,
+    agent and line; a ``HitRecord`` is built only when read."""
+
+    def __init__(self, hits: list):
         self._hits = hits
 
     def __len__(self) -> int:
-        return len(self._hits)
+        return len(self._hits) // 3
 
     def __iter__(self):
-        return map(HitRecord._make, self._hits)
+        return _hit_records(self._hits)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return list(map(HitRecord._make, self._hits[i]))
-        return HitRecord._make(self._hits[i])
+            return list(map(HitRecord, *(self._hits[j::3][i] for j in range(3))))
+        j = 3 * range(len(self))[i]  # a negative or out-of-range index as a list's
+        return HitRecord(*self._hits[j:j + 3])
 
     def __eq__(self, other):
         if isinstance(other, (HitLog, list, tuple)):
@@ -276,7 +287,7 @@ class _Cache(NamedTuple):
     ``MemorySystem.access`` alone changes its LRU order, dirty bits and
     ``stats``."""
     config: CacheConfig
-    sets: defaultdict  # index -> {line: dirty}, LRU first
+    sets: defaultdict  # index -> {line: dirty} dict, LRU first
     stats: CacheStats
 
 
@@ -333,7 +344,7 @@ class MemorySystem:
         self.rogue_period = (None if rogue_period is None
                              else check_int("rogue_period", rogue_period))
         config = cache or CacheConfig()
-        self.cache = _Cache(config, defaultdict(OrderedDict), CacheStats())
+        self.cache = _Cache(config, defaultdict(dict), CacheStats())
         self.regions: list[MemoryRegion] = []
         self._bases = np.array([], np.int64)  # region bases, ascending
         # each region's end and attribute, for ``access_many``, and after them
@@ -341,7 +352,7 @@ class MemorySystem:
         self._ends = np.array([_NO_END])
         self._non_cacheable = np.array([False])
         self.trace = CommandTrace()
-        self._hits: list[tuple[int, str, int]] = []  # (tick, agent, line) per hit
+        self._hits: list = []  # tick, agent, line: three entries per hit
         self.hit_log = HitLog(self._hits)
         # what the LRU loop of ``access`` reads, in one tuple
         self._lru = (self.cache.sets, self.cache.stats, self._hits, self.trace._tail,
@@ -413,7 +424,7 @@ class MemorySystem:
         sets, stats, hits, tail, line_bytes, n_sets, ways = self._lru
         tick = self._tick
         if non_cacheable:
-            tail.append((tick, addr, op, agent, nbytes))
+            tail += tick, addr, op, agent, nbytes
             tick += 1
             source = _DRAM
         else:
@@ -421,28 +432,26 @@ class MemorySystem:
             line, stop = addr - addr % line_bytes, addr + nbytes
             while line < stop:
                 s = sets[line // line_bytes % n_sets]
-                if line in s:
-                    stats.hits += 1
-                    s.move_to_end(line)
-                    if write:
-                        s[line] = True
-                    hits.append((tick, agent, line))
-                else:
+                dirty = s.pop(line, None)  # a hit's line goes back in last
+                if dirty is None:
                     stats.misses += 1
                     if len(s) >= ways:
-                        evicted, dirty = s.popitem(last=False)
+                        evicted = next(iter(s))
                         stats.evictions += 1
-                        if dirty:
+                        if s.pop(evicted):
                             stats.writebacks += 1
-                            tail.append((tick, evicted, "W", agent, line_bytes))
+                            tail += tick, evicted, "W", agent, line_bytes
                             tick += 1
-                    s[line] = write
-                    tail.append((tick, line, "R", agent, line_bytes))
+                    tail += tick, line, "R", agent, line_bytes
                     source = _DRAM
+                else:
+                    stats.hits += 1
+                    hits += tick, agent, line
+                s[line] = dirty or write
                 tick += 1
                 line += line_bytes
         self._tick = tick
-        if len(tail) >= TAIL_FLUSH:
+        if source is _DRAM and len(tail) >= _FIELDS * TAIL_FLUSH:
             self.trace.grow(0)
         if self.rogue_period is not None and self._rogue_positions(
                 (addr,), (end,), (op,), (nbytes,), agent):
@@ -514,7 +523,7 @@ class MemorySystem:
         return self.trace.view(mark[0])
 
     def hits_since(self, mark: tuple[int, int]) -> list[HitRecord]:
-        return self.hit_log[mark[1]:]
+        return list(_hit_records(self._hits[3 * mark[1]:]))
 
     def export_trace_ndjson(self, records=None) -> str:
         """Line-delimited JSON export of trace records."""

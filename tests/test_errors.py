@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pimsim.cost import analytical_prefill
+from pimsim.cost import analytical_prefill, capacity_report, decode_token_time
 from pimsim.dram import AddressMap, DramGeometry
-from pimsim.errors import SimulatorError, check_int
-from pimsim.layout import PimPlacement
+from pimsim.errors import ConfigError, SimulatorError, check_int
+from pimsim.layout import PimPlacement, WeightMatrix
 from pimsim.memsys import Attribute, CacheConfig, MemorySystem, RegionKind
 from pimsim.model import ModelSpec
 from pimsim.presets import hardware_preset, model_preset
@@ -25,6 +25,7 @@ from pimsim.scenario import Scenario
 
 HW = hardware_preset("s24plus")
 TOY = model_preset("toy-64")
+EMPTY = ModelSpec(hidden=64, intermediate=128, layers=0)  # no weight bytes
 AMAP = AddressMap(DramGeometry(channels=8))
 
 
@@ -78,6 +79,11 @@ CALLS = {
                     "columns_per_row", "burst_bytes", "element_bytes")},
     **{f"PimPlacement.{name}": _stored(partial(PimPlacement, AMAP, out_dim=16, in_dim=128), name)
        for name in ("out_dim", "in_dim", "banks_per_channel", "channels_used", "base_row")},
+    **{f"WeightMatrix.{name}": _stored(partial(WeightMatrix, out_dim=8, in_dim=8,
+                                               data=np.zeros(64, np.uint16)), name)
+       for name in ("out_dim", "in_dim")},
+    # a model without weights takes any PIM image size
+    "capacity_report.pim_bytes": lambda v: capacity_report(EMPTY, Scenario.WD, v)["padding_bytes"],
     "run_prefill.sl": lambda v: run_prefill(Scenario.WD, TOY, HW, v).sl,
     "run_decode.out_len": lambda v: run_decode(Scenario.WD, TOY, HW, v).out_len,
     # an NC stream's TTFT is sl t-units at a read penalty of 1
@@ -148,6 +154,7 @@ HOLES = {
     "bool-prefill-sl": lambda: run_prefill(Scenario.WD, TOY, HW, True),
     "fractional-decode-out-len": lambda: run_decode(Scenario.WD, TOY, HW, 2.5),
     "fractional-analytical-sl": lambda: analytical_prefill(Scenario.S_DDB, 1.5, HW),
+    "float-weight-out-dim": lambda: WeightMatrix(2.0, 8, np.zeros(16, np.uint16)),
 }
 
 
@@ -161,3 +168,24 @@ def test_numpy_geometry_counts_give_the_exact_capacity():
     counts = {"channels": 2 ** 20, "rows_per_bank": 2 ** 30, "columns_per_row": 2 ** 20}
     geo = DramGeometry(**{k: np.int64(v) for k, v in counts.items()})
     assert geo.total_capacity == DramGeometry(**counts).total_capacity == 2 ** 70 * 16 * 32
+
+
+# Each call that reads a PIM image size, by how it reads it
+PIM_BYTES_CALLS = {
+    "run_decode": lambda v: run_decode(Scenario.S_DDB, TOY, HW, 3, pim_bytes=v),
+    "decode_token_time-pim": lambda v: decode_token_time(TOY, HW, True, pim_bytes=v),
+    "decode_token_time-host": lambda v: decode_token_time(TOY, HW, False, pim_bytes=v),
+    "capacity_report": lambda v: capacity_report(TOY, Scenario.S_DDB, v),
+}
+
+
+@pytest.mark.parametrize("call", PIM_BYTES_CALLS.values(), ids=PIM_BYTES_CALLS.keys())
+@pytest.mark.parametrize("pim_bytes", [-5, 2.5, True, TOY.host_bytes() - 1],
+                         ids=["negative", "fractional", "bool", "below-the-weights"])
+def test_a_pim_image_that_cannot_hold_the_weights_is_rejected(call, pim_bytes):
+    """A PIM image size passes the integer rule and holds every weight
+    byte, wherever it is read; unchecked, -5 gives a negative token time
+    and True a negative padding."""
+    with pytest.raises(ConfigError, match="^pim_bytes "):
+        call(pim_bytes)
+    call(TOY.host_bytes())

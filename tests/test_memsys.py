@@ -448,8 +448,8 @@ def test_trace_reads_are_the_same_whenever_the_queue_is_flushed(rogue_period, st
                    for attr in BATCH_ATTRIBUTES]
         queued, grow = [], mem.trace.grow
 
-        def counting_grow(n):
-            queued.append(len(mem.trace._tail))
+        def counting_grow(n):  # the records queued, past those in the columns
+            queued.append(len(mem.trace) - mem.trace._len)
             return grow(n)
         mem.trace.grow = counting_grow
         seen = []  # the ticks of every record and hit, read request by request
@@ -689,10 +689,50 @@ def test_hit_log_reads_like_a_list_of_hit_records():
     assert mem.hit_log != 5 and repr(mem.hit_log) == f"HitLog({expected!r})"
     assert mem.hit_log[1] == expected[1] and type(mem.hit_log[-1]) is HitRecord
     assert mem.hit_log[1:] == expected[1:] and mem.hit_log[::2] == expected[::2]
+    for i in range(-3, 3):
+        assert mem.hit_log[i] == expected[i] and type(mem.hit_log[i]) is HitRecord
+    assert mem.hit_log[np.int64(-2)] == expected[-2]
+    for cut in (slice(None, None, -1), slice(-1, None, -2), slice(-2, None), slice(1, -1),
+                slice(None, None, 3), slice(5, 9), slice(2, 0), slice(-9, 9, 2)):
+        assert mem.hit_log[cut] == expected[cut]
+        assert [type(h) for h in mem.hit_log[cut]] == [HitRecord] * len(expected[cut])
+    for i in (3, -4, 10 ** 20):
+        with pytest.raises(IndexError):
+            mem.hit_log[i]
     assert mem.hits_since(mark) == list(mem.hit_log)[mark[1]:] == expected[2:]
     mem.hit_log.clear()
     assert len(mem.hit_log) == 0 and mem.hit_log == [] and list(mem.hit_log) == []
     assert mem.mark() == (2, 0)
+    # positions in the log count from the clear, as a list's would
+    assert mem.hits_since(mark) == [] and mem.hits_since((0, 0)) == []
+    mem.access(region.base, "R", 128, agent="d")  # hits at ticks 5 and 6
+    mem.access(region.base, "R", 64, agent="e")  # hit at tick 7
+    after = [HitRecord(5, "d", region.base), HitRecord(6, "d", region.base + 64),
+             HitRecord(7, "e", region.base)]
+    assert mem.hit_log == after and mem.hits_since(mark) == after[mark[1]:] == after[2:]
+    assert mem.hits_since((0, 0)) == after and mem.hits_since((0, 3)) == []
+
+
+def test_one_set_matches_the_replay_oracle_over_a_long_stream():
+    """One 16-way set under 20,000 mixed requests over 24 lines: each hit
+    takes its line out of the set's dict and puts it back last, so the set
+    is rebuilt many times.  Its order, with the dirty bits, and every
+    source, record, hit and counter stay those of the replay oracle."""
+    config = CacheConfig(capacity=16 * 64, line_bytes=64, ways=16)  # one set
+    mem = make_mem(cache=config)
+    region = mem.allocate_region(RegionKind.GENERAL, Attribute.CACHEABLE, 24 * 64)
+    oracle = ReplayCache(config, region_end=None)
+    rng = np.random.default_rng(30)
+    lines, ops, sizes, agents = (rng.integers(0, 24, 20_000), rng.choice(["R", "W"], 20_000),
+                                 rng.integers(1, 129, 20_000), rng.choice(["a", "b"], 20_000))
+    for line, op, nbytes, agent in zip(lines.tolist(), ops.tolist(), sizes.tolist(),
+                                       agents.tolist()):
+        addr = region.base + min(line * 64 + nbytes % 64, region.size - nbytes)
+        assert mem.access(addr, op, nbytes, agent) is oracle.access(addr, op, nbytes, agent)
+    assert mem.cache.stats.as_dict() == oracle.stats
+    assert oracle.stats["hits"] > 10_000 and oracle.stats["writebacks"] > 1_000
+    assert list(mem.cache.sets[0].items()) == oracle.sets[0]
+    assert list(mem.trace) == oracle.dram and mem.hit_log == oracle.hits
 
 
 def test_snapshots_do_not_change_after_more_accesses_or_a_clear():
