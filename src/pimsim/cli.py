@@ -207,7 +207,7 @@ _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
 def _json_text(value) -> str:
     """The text of ``json.dumps(value, sort_keys=True, indent=2)``.
 
-    With an ``indent``, ``json`` before CPython 3.14 (gh-95382) takes its
+    With an ``indent``, ``json`` before CPython 3.13 (gh-95382) takes its
     pure-Python encoder, which yields every token from a generator.  This
     joins each container once and looks up a scalar's text by its exact
     type; any other value takes ``json``'s isinstance order and its
@@ -423,7 +423,11 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once and shared by every ``main`` call."""
+    """The argument parser, built once and shared by every ``main`` call.
+
+    ``commands`` maps each subcommand's name to its parser: argparse's own
+    ``choices`` table of the subparsers action.
+    """
     parser = _Parser(
         prog="pimsim",
         description="PIM-enabled LPDDR inference simulator")
@@ -455,12 +459,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="place weights in a cacheable region (expected FAIL)")
     g.add_argument("--rogue-prefetcher", action="store_true")
     g.set_defaults(func=cmd_gemv_check)
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line.  One that starts with a subcommand's name is
+    parsed once, by that subcommand's parser; anything else (no arguments,
+    ``-h``, an unknown command, an option first) goes to the top-level
+    parser, which prints the usage, help and errors."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            # what the top-level parse_args would do with the arguments
+            # the subparser leaves: the error names "pimsim", not "pimsim run"
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error("unrecognized arguments: " + " ".join(extras))
         return args.func(args)
     except (SimulatorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,12 @@
 """CLI surface: convert round trip, deterministic reports, sweeps, and the
 GEMV check battery with its negative controls."""
 
+import argparse
+import contextlib
 import csv
 import enum
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,6 +16,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 from pimsim import cli, runtime
 from pimsim.cli import main
 from pimsim.dram import AddressMap
+from pimsim.errors import ConfigError
 from pimsim.layout import (WeightMatrix, address_order, convert_to_pim_aware,
                            model_placements)
 from pimsim.presets import DESK_GEOMETRY, model_preset
@@ -583,7 +588,9 @@ def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
     calls = [["run"],
              ["run", "--config", str(tmp_path / "a.json"), "--output", str(f)],
              ["run", "--config", str(tmp_path / "b.json")],
-             ["gemv-check", "--seed", "0", "--trials", "1"]]
+             ["gemv-check", "--seed", "0", "--trials", "1"],
+             ["run", "--config", str(tmp_path / "a.json"), "extra"],
+             ["nope"]]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1])]
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
@@ -615,3 +622,100 @@ def test_help_exits_0(capsys, argv):
         run_cli(*argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: pimsim")
+
+
+def _recording_parser():
+    """A parser of its own whose subcommands return their namespace instead
+    of running, so that ``main`` returns what it parsed."""
+    parser = cli.build_parser.__wrapped__()
+    for command in parser.commands.values():
+        command.set_defaults(func=lambda args: args)
+    return parser
+
+
+def _outcome(call, argv):
+    """The namespace but its ``command``, 1 for a usage error or the
+    ``SystemExit`` code, with what the call printed; a ``ConfigError``
+    prints the error line that ``main`` prints for it."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result = call(argv)
+    except ConfigError as exc:
+        result = 1
+        err.write(f"error: {exc}\n")
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    if isinstance(result, argparse.Namespace):
+        result = {k: v for k, v in vars(result).items() if k != "command"}
+    return result, out.getvalue(), err.getvalue()
+
+
+_RECORDING = _recording_parser()
+_COMMANDS = sorted(_RECORDING.commands)
+_OPTIONS = sorted({option for command in _RECORDING.commands.values()
+                   for option in command._option_string_actions})
+_OPTION = st.sampled_from(_OPTIONS)
+_VALUE = (st.integers(-99, 99).map(str)
+          | st.sampled_from(["", "a.json", "out/r.json", "-", "toy-64"]))
+_TOKEN = (st.sampled_from(_COMMANDS + ["nope", "-h", "--", "extra", "-x"])
+          | _OPTION
+          | _OPTION.flatmap(lambda o: st.sampled_from(
+              [o[:n] for n in range(1, len(o))]))  # abbreviations, "-" and "--"
+          | st.builds(lambda o, v: f"{o}={v}", _OPTION, _VALUE)
+          | _VALUE)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.builds(lambda first, rest: [first] + rest,
+                 st.sampled_from(_COMMANDS) | _TOKEN, st.lists(_TOKEN, max_size=6))
+       | st.lists(_TOKEN, max_size=3))
+@example(["run", "--config=a.json"])
+@example(["run", "--conf", "a.json"])
+@example(["run", "--", "--config", "a.json"])
+@example(["run", "--config", "a.json", "--config", "b.json"])
+@example(["run", "--config"])
+@example(["run", "--config", "a.json", "extra", "-1"])
+@example(["gemv-check", "-x"])
+@example(["nope", "--config", "a.json"])
+@example([])
+@example(["-h"])
+@example(["run", "-h"])
+@example(["gemv-check", "--seed=1", "--cache"])
+@example(["gemv-check", "--seed", "-1", "--trials", "-2"])
+@example(["--", "run", "--config", "a.json"])
+def test_main_parses_as_the_two_level_parser_does(argv):
+    """``main`` parses a command line once, with its subcommand's parser,
+    and gives the namespace, error or exit the top-level parser gives."""
+    with mock.patch.object(cli, "build_parser", lambda: _RECORDING):
+        got = _outcome(main, argv)
+    # the reference: the top-level parser matches the subcommand and hands
+    # the rest to that subcommand's parser
+    assert got == _outcome(_RECORDING.parse_args, argv)
+
+
+def test_a_subcommand_line_is_parsed_once(tmp_path, monkeypatch, capsys):
+    """A command line that starts with a subcommand's name never goes
+    through the top-level parser's ``parse_known_args``, extras included."""
+    write_blob(tmp_path / "w.bin", model_preset("toy-64"), np.random.default_rng(0))
+    (tmp_path / "a.json").write_text(json.dumps({"model": "toy-64"}))
+    top = cli.build_parser()
+    parse_known_args = cli._Parser.parse_known_args
+
+    def guarded(self, *args, **kwargs):
+        assert self is not top, "the top-level parser parsed a subcommand's line"
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", guarded)
+    cfg = str(tmp_path / "a.json")
+    for code, argv in [
+            (0, ["run", "--config", cfg]), (0, ["sweep", "--config", cfg]),
+            (0, ["convert", "--model", "toy-64", "--input", str(tmp_path / "w.bin"),
+                 "--output", str(tmp_path / "o.bin"),
+                 "--manifest", str(tmp_path / "m.json")]),
+            (0, ["gemv-check", "--trials", "1"]),
+            (1, ["run", "--config", cfg, "extra"]), (1, ["sweep"])]:
+        assert run_cli(*argv) == code
+    assert capsys.readouterr().err.splitlines() == [
+        "error: pimsim: unrecognized arguments: extra",
+        "error: pimsim sweep: the following arguments are required: --config"]

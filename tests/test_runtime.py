@@ -12,16 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimsim import bf16, runtime
-from pimsim.cost import (analytical_prefill, decode_token_time, gemm_time,
-                         smc_time)
+from pimsim.cost import (analytical_prefill, capacity_report,
+                         decode_token_time, gemm_time, smc_time)
 from pimsim.dram import AddressMap
 from pimsim.errors import ConfigError
 from pimsim.layout import (PimPlacement, WeightMatrix, convert_to_pim_aware,
                            model_placements, unswizzle)
 from pimsim.memsys import Attribute, MemorySystem, RegionKind
 from pimsim.model import ModelSpec
-from pimsim.presets import (DESK_GEOMETRY, hardware_preset, model_preset,
-                            pim_weight_bytes)
+from pimsim.presets import (DESK_GEOMETRY, HARDWARE, MODELS, hardware_preset,
+                            model_preset, pim_weight_bytes)
 from pimsim.runtime import (Segment, Timeline, ddb_hiding_crossover,
                             end_to_end_grid, end_to_end_row, layer_plan,
                             run_decode, run_prefill)
@@ -508,6 +508,95 @@ def test_prefill_memory_does_not_grow_with_the_layer_count():
 def test_run_prefill_rejects_a_scenario_name():
     with pytest.raises(ConfigError, match="unknown scenario"):
         run_prefill("wd", M1B, HW, 16)
+
+
+# ----------------------------------------------------------------------
+# The paper's qualitative claims, over drawn points and the presets
+# ----------------------------------------------------------------------
+
+# the rates a faster device raises; gemm_effective_gflops may not pass
+# peak_gflops
+RATES = ("smc_bw_2agents_gbps", "smc_bw_4agents_gbps", "nc_stream_bw_gbps",
+         "dram_bw_gbps", "gemm_effective_gflops")
+SAVINGS_ORDER = (Scenario.FACIL_O, Scenario.S_OWR, Scenario.S_DDB)
+
+
+def ttfts(model, hw, sl):
+    return {s: run_prefill(s, model, hw, sl).ttft for s in Scenario}
+
+
+def assert_no_ttft_below_facil_o_and_nc_gemm_not_below_c_gemm(ttft):
+    assert min(ttft.values()) == ttft[Scenario.FACIL_O], ttft
+    assert ttft[Scenario.NC_GEMM] >= ttft[Scenario.C_GEMM], ttft
+
+
+def savings(model):
+    """Each of FACIL-O's, S-OWR's and S-DDB's capacity saving against WD,
+    with the PIM image that ``pimsim convert`` writes."""
+    pim_bytes = pim_weight_bytes(model)
+    return [capacity_report(model, s, pim_bytes)["savings_vs_wd_pct"]
+            for s in SAVINGS_ORDER]
+
+
+def test_the_paper_orderings_hold_on_the_presets_at_sl_1_to_600():
+    """Every preset model on every preset hardware, at sl 1-600: each
+    scenario's TTFT is non-decreasing in sl, none is below FACIL-O's (the
+    compute-only theoretical maximum), NC-GEMM's is at least C-GEMM's, and
+    the capacity savings order FACIL-O >= S-OWR >= S-DDB."""
+    for name, model in MODELS.items():
+        saved = savings(model)
+        assert saved == sorted(saved, reverse=True), (name, saved)
+        for hw_name, hw in HARDWARE.items():
+            shorter = None
+            for sl in range(1, 601):
+                ttft = ttfts(model, hw, sl)
+                assert_no_ttft_below_facil_o_and_nc_gemm_not_below_c_gemm(ttft)
+                if shorter is not None:
+                    assert all(ttft[s] >= shorter[s] for s in Scenario), \
+                        (name, hw_name, sl)
+                shorter = ttft
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_points(), st.integers(1, 512))
+def test_no_ttft_falls_as_the_prompt_grows(point, more):
+    """A longer prompt never takes less time to its first token, in any
+    scenario."""
+    model, hw, sl = point
+    shorter, longer = ttfts(model, hw, sl), ttfts(model, hw, sl + more)
+    assert all(longer[s] >= shorter[s] for s in Scenario), (shorter, longer)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_points())
+def test_facil_o_is_the_fastest_and_nc_gemm_never_beats_c_gemm(point):
+    """FACIL-O's TTFT is the theoretical maximum that no scenario passes;
+    NC-GEMM, which streams weights from the non-cacheable copy, is never
+    faster than C-GEMM on the cacheable one."""
+    assert_no_ttft_below_facil_o_and_nc_gemm_not_below_c_gemm(ttfts(*point))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_points(), st.sampled_from(RATES), st.data())
+def test_a_faster_rate_never_raises_a_ttft(point, rate, data):
+    """Raising any one copy, stream, DRAM or GEMM rate of valid hardware
+    never makes any scenario's first token later."""
+    model, hw, sl = point
+    slow = getattr(hw, rate)
+    top = hw.peak_gflops if rate == "gemm_effective_gflops" else 100 * slow
+    fast_hw = replace(hw, **{rate: data.draw(st.floats(slow, top), label=rate)})
+    before, after = ttfts(model, hw, sl), ttfts(model, fast_hw, sl)
+    assert all(after[s] <= before[s] for s in Scenario), (before, after)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_points())
+def test_capacity_savings_order_facil_o_s_owr_s_ddb(point):
+    """The paper's capacity claim in order: FACIL-O keeps only the PIM copy,
+    S-OWR adds one cacheable buffer and S-DDB two, so their savings against
+    WD order FACIL-O >= S-OWR >= S-DDB."""
+    saved = savings(point[0])
+    assert saved == sorted(saved, reverse=True), saved
 
 
 # ----------------------------------------------------------------------
