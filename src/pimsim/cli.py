@@ -473,6 +473,9 @@ def main(argv=None) -> int:
     try:
         command = parser.commands.get(argv[0]) if argv else None
         if command is None:
+            if argv[:1] == ["--"] and argv[1:]:  # 3.11's answer; newer argparse runs what follows
+                parser.error("argument command: invalid choice: '--' (choose from "
+                             f"{', '.join(map(repr, parser.commands))})")
             args = parser.parse_args(argv)
         else:
             # what the top-level parse_args would do with the arguments

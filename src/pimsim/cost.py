@@ -166,7 +166,7 @@ def analytical_prefill(scenario: Scenario, sl: int,
     gemm = analytical_gemm_t(sl)
     serial, overlapped = gemm + ONLINE_T, max(gemm, ONLINE_T)
     # NC stream: one non-cacheable weight stream per input token, at a penalty
-    nc = sl * Fraction(hw.nc_read_penalty).limit_denominator(1000)
+    nc = sl * Fraction(str(hw.nc_read_penalty))  # the penalty as written
     record = scenario.record
     ttft = {Schedule.SERIAL: serial if record.copy_agents else gemm,
             Schedule.DOUBLE_BUFFERED: overlapped,

@@ -219,7 +219,7 @@ def _hit_records(hits: list):
 
 
 class HitLog:
-    """The cache hits, read as ``HitRecord``s like a list of them.  The
+    """The cache hits: their count, and ``HitRecord``s by iteration.  The
     memory system extends one flat list with three entries per hit, tick,
     agent and line; a ``HitRecord`` is built only when read."""
 
@@ -231,20 +231,6 @@ class HitLog:
 
     def __iter__(self):
         return _hit_records(self._hits)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(map(HitRecord, *(self._hits[j::3][i] for j in range(3))))
-        j = 3 * range(len(self))[i]  # a negative or out-of-range index as a list's
-        return HitRecord(*self._hits[j:j + 3])
-
-    def __eq__(self, other):
-        if isinstance(other, (HitLog, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"HitLog({list(self)!r})"
 
     def clear(self):
         """Drop every hit."""

@@ -15,7 +15,8 @@ memory copies out of the non-cacheable region.
   that GEMM and never during attention.  The first layer's projections
   are preloaded, the agents synchronize once per layer, and the head is
   pipelined against its copy at buffer-half granularity.  ``_ddb_steps``
-  holds this arithmetic once: the TTFT and copy time read its floats.
+  holds this arithmetic once: the TTFT, the copy time and the hiding
+  crossover read its floats.
 * NC stream: each GEMM streams its matrix from the non-cacheable copy
   once per input token; there is no timeline.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, pairwise, repeat
 from typing import Callable, NamedTuple
 
 from .cost import HardwareSpec, decode_token_time, gemm_time, smc_time
@@ -48,18 +49,10 @@ class Segment:
     end: float
     buffer: int | None = None
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass
 class Timeline:
     segments: list = field(default_factory=list)
-
-    @property
-    def end(self) -> float:
-        return max((s.end for s in self.segments), default=0.0)
 
     def agent_segments(self, agent: str) -> list[Segment]:
         return [s for s in self.segments if s.agent == agent]
@@ -374,12 +367,13 @@ def end_to_end_grid(model: ModelSpec, hw: HardwareSpec, scenarios, in_lens,
 
 
 def ddb_hiding_crossover(model: ModelSpec, hw: HardwareSpec) -> int:
-    """Smallest input length at which every DDB copy chunk fits inside its
-    paired compute segment (full latency hiding, preload aside)."""
+    """Smallest input length at which no copy of a decoder layer's weights
+    in ``_ddb_steps`` ends after the GEMM it runs beside (full latency
+    hiding; the preload and the head aside)."""
     for sl in range(1, CROSSOVER_MAX_SL + 1):
-        if all(smc_time(seg.copy_bytes, Scenario.S_DDB.record.copy_agents, hw)
-               <= seg.compute_seconds for seg in layer_plan(model, hw, sl)
-               if seg.copy_bytes > 0
-               and (seg.copy_tag != "qkvo" or model.layers > 1)):
+        # (agent, layer, tag, start, end, buffer): a layer's copy follows its GEMM
+        steps = _ddb_steps(model, hw, layer_plan(model, hw, sl), 0.0, 0)
+        if all(copy[4] <= gemm[4] for gemm, copy in pairwise(steps)
+               if copy[0] == "copy" and copy[1] is not None):
             return sl
     raise ConfigError(f"no crossover at or below sl={CROSSOVER_MAX_SL}")

@@ -690,8 +690,25 @@ def test_main_parses_as_the_two_level_parser_does(argv):
     with mock.patch.object(cli, "build_parser", lambda: _RECORDING):
         got = _outcome(main, argv)
     # the reference: the top-level parser matches the subcommand and hands
-    # the rest to that subcommand's parser
-    assert got == _outcome(_RECORDING.parse_args, argv)
+    # the rest to that subcommand's parser; a leading "--" before more gets
+    # 3.11's answer, which newer argparse releases no longer give
+    want = ((1, "", LEADING_DASHES) if argv[:1] == ["--"] and argv[1:]
+            else _outcome(_RECORDING.parse_args, argv))
+    assert got == want
+
+
+LEADING_DASHES = ("error: pimsim: argument command: invalid choice: '--' "
+                  "(choose from 'convert', 'run', 'sweep', 'gemv-check')\n")
+
+
+def test_a_leading_double_dash_is_an_invalid_command(capsys):
+    """A line that starts with "--" and goes on names "--" as its command on
+    every Python, whatever its argparse does with it; "--" alone names none."""
+    assert run_cli("--", "run", "--config", "toy.json") == 1
+    assert capsys.readouterr() == ("", LEADING_DASHES)
+    assert run_cli("--") == 1
+    assert capsys.readouterr() == (
+        "", "error: pimsim: the following arguments are required: command\n")
 
 
 def test_a_subcommand_line_is_parsed_once(tmp_path, monkeypatch, capsys):

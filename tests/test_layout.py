@@ -306,7 +306,7 @@ def test_smc_source_straddling_a_cacheable_region_raises_before_any_record():
     dst = np.zeros(64 * 256, dtype=np.uint16)
     with pytest.raises(AttributeViolation):
         smc_copy(image, range(64), range(256), dst, mem=mem)
-    assert len(mem.trace) == 0 and mem.hit_log == [] and not dst.any()
+    assert len(mem.trace) == 0 and list(mem.hit_log) == [] and not dst.any()
     assert mem.cache.stats.as_dict() == {"hits": 0, "misses": 0,
                                          "evictions": 0, "writebacks": 0}
 
@@ -317,7 +317,7 @@ def test_smc_copy_inside_the_non_cacheable_half_runs():
     dst = np.zeros(64 * 128, dtype=np.uint16)
     smc_copy(image, range(64), range(128), dst, mem=mem)
     assert np.array_equal(dst.reshape(128, 64).T, w.data[:, :128])
-    assert len(mem.trace) == 4 * 128 and mem.hit_log == []
+    assert len(mem.trace) == 4 * 128 and list(mem.hit_log) == []
     assert {r.agent for r in mem.trace} == {"copy"}
 
 
@@ -332,7 +332,7 @@ def test_smc_copy_of_an_empty_range_copies_nothing_and_issues_no_request():
     for rows, cols in ((range(0), range(128)), (range(16), range(5, 5)),
                        (range(3, 3), range(7, 7))):
         assert smc_copy(image, rows, cols, dst, mem=mem) == 0
-    assert len(mem.trace) == 0 and mem.hit_log == [] and not dst.any()
+    assert len(mem.trace) == 0 and list(mem.hit_log) == [] and not dst.any()
 
 
 def test_smc_destination_overflow():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimsim import bf16, runtime
@@ -96,7 +96,7 @@ def test_copy_conservation_per_layer():
     copies = {}
     for seg in tl.agent_segments("copy"):
         copies.setdefault(seg.tag.split(".")[0], 0.0)
-        copies[seg.tag.split(".")[0]] += seg.duration
+        copies[seg.tag.split(".")[0]] += seg.end - seg.start
     bw = HW.smc_bw_2agents_gbps * 1e9
     assert copies["preload"] * bw == pytest.approx(qkvo)
     for layer in range(1, M1B.layers):
@@ -106,10 +106,11 @@ def test_copy_conservation_per_layer():
 
 def test_copy_agent_moves_exactly_the_model_once():
     tl = ddb_timeline(32)
-    busy = math.fsum(s.duration for s in tl.agent_segments("copy"))
+    busy = math.fsum(s.end - s.start for s in tl.agent_segments("copy"))
     assert busy * HW.smc_bw_2agents_gbps * 1e9 \
         == pytest.approx(M1B.host_bytes())
-    assert tl.end >= busy  # hiding law: TTFT bounded below by total copy
+    # hiding law: TTFT bounded below by total copy
+    assert max(s.end for s in tl.segments) >= busy
 
 
 @st.composite
@@ -153,9 +154,9 @@ def test_ddb_ttft_and_copy_time_need_no_timeline(point):
     ddb = run_prefill(Scenario.S_DDB, model, hw, sl)
     assert "timeline" not in vars(ddb)
     tl = ddb.timeline
-    assert ddb.ttft == tl.end
+    assert ddb.ttft == max((s.end for s in tl.segments), default=0.0)
     assert ddb.breakdown["smc_seconds"] == math.fsum(
-        s.duration for s in tl.agent_segments("copy"))
+        s.end - s.start for s in tl.agent_segments("copy"))
     tl.validate()
 
 
@@ -395,8 +396,20 @@ def test_analytical_mode_matches_table():
     assert ttft == Fraction(7)
     assert breakdown["overhead_sum_pct"] == pytest.approx(175.0)
     assert analytical_prefill(Scenario.S_DDB, 16, HW)[0] == Fraction(4)
+    nc = replace(HW, nc_read_penalty=2.0005)
+    assert analytical_prefill(Scenario.NC_GEMM, 32, nc)[0] == Fraction(8002, 125)
     with pytest.raises(ConfigError, match="sl must be an integer >= 1"):
         analytical_prefill(Scenario.S_DDB, 0, HW)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, exclude_min=True, allow_infinity=False), st.integers(1, 4096))
+@example(1e-300, 32)
+def test_analytical_nc_stream_reads_the_penalty_as_written(penalty, sl):
+    """The NC stream's TTFT is ``sl`` times the penalty's decimal value,
+    never rounded to a coarser fraction, so a positive penalty never gives 0."""
+    ttft, _ = analytical_prefill(Scenario.NC_GEMM, sl, replace(HW, nc_read_penalty=penalty))
+    assert ttft == sl * Fraction(str(penalty)) and ttft > 0
 
 
 def test_nc_gemm_scales_linearly_and_dominates():
@@ -406,6 +419,33 @@ def test_nc_gemm_scales_linearly_and_dominates():
     c = run_prefill(Scenario.C_GEMM, M1B, HW, 192).ttft
     nc = run_prefill(Scenario.NC_GEMM, M1B, HW, 192).ttft
     assert nc / c >= 10
+
+
+def _crossover_oracle(model, hw):
+    """The smallest input length at which every paired copy of ``layer_plan``
+    takes no longer than its GEMM; the last layer pairs no ``qkvo`` copy.
+    None if there is none up to ``CROSSOVER_MAX_SL``."""
+    agents = Scenario.S_DDB.record.copy_agents
+    for sl in range(1, runtime.CROSSOVER_MAX_SL + 1):
+        if all(smc_time(s.copy_bytes, agents, hw) <= s.compute_seconds
+               for s in layer_plan(model, hw, sl)
+               if s.copy_bytes > 0 and (s.copy_tag != "qkvo" or model.layers > 1)):
+            return sl
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_points())
+@example((replace(M1B, layers=0), HW, 1))
+def test_crossover_is_where_every_paired_copy_fits_its_gemm(point):
+    """A stack of layers hides its copies from the oracle's input length on;
+    a model without a decoder layer has no layer copy to hide, so from 1."""
+    model, hw, _ = point
+    try:
+        got = ddb_hiding_crossover(model, hw)
+    except ConfigError:
+        got = None
+    assert got == (_crossover_oracle(model, hw) if model.layers else 1)
 
 
 def test_crossover_is_in_the_expected_band():
