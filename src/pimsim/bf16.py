@@ -9,6 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
+
+def check_bits(values) -> np.ndarray:
+    """``values`` as contiguous uint16 bit patterns; ``ConfigError`` unless
+    they are integers in [0, 0xFFFF].  A uint16 array takes no value pass."""
+    bits = np.asarray(values)
+    if bits.dtype != np.uint16 and (bits.dtype.kind not in "iu" or (
+            bits.size and not 0 <= bits.min() <= bits.max() <= 0xFFFF)):
+        raise ConfigError("element bit patterns must be integers in [0, 0xFFFF]")
+    return np.ascontiguousarray(bits, dtype=np.uint16)
+
 
 def encode(values) -> np.ndarray:
     """float -> bf16 bit pattern (uint16), round to nearest even.  A NaN,

@@ -23,7 +23,6 @@ in lockstep.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +44,9 @@ class GemvJob:
     arithmetic: str = "bf16"  # "bf16" or "exact"
 
     def __post_init__(self):
-        bits = np.asarray(self.input_bits)
-        if (bits.ndim != 1 or bits.dtype.kind not in "iu"
-                or (bits.size and not 0 <= bits.min() <= bits.max() <= 0xFFFF)):
-            raise ConfigError("input must be a 1-D integer array of bit "
-                              "patterns in [0, 0xFFFF]")
-        self.input_bits = np.ascontiguousarray(bits, dtype=np.uint16)
+        self.input_bits = bf16.check_bits(self.input_bits)
+        if self.input_bits.ndim != 1:
+            raise ConfigError("input must be a 1-D array of bit patterns")
         p = self.image.placement
         if self.input_bits.size != p.in_dim:
             raise ConfigError(f"input length {self.input_bits.size} != K {p.in_dim}")
@@ -120,7 +116,6 @@ class PimGemvEngine:
         self.in_buf_addr = staging.base
         self.out_buf_addr = staging.base + 256
         self.dummy_addr = staging.base + 512
-        self._last = None  # (input RF bits, accumulators, their bits)
 
     # ------------------------------------------------------------------
     # DRAM-side trigger path
@@ -167,22 +162,6 @@ class PimGemvEngine:
         prefetched = int(np.count_nonzero(codes[triggers] == records.agent_code("prefetcher")))
         return snapshots, len(triggers), prefetched
 
-    def state_dump(self) -> str:
-        """JSON dump of every active bank's input RF (the last input tile),
-        output RF and accumulators (the last readback) after the last job,
-        for debugging."""
-        blocks = []
-        if self._last is not None:
-            tile_bits, accs, acc_bits = self._last
-            input_rf = tile_bits.reshape(RF_ENTRIES, -1).tolist()
-            for bank_acc, bank_bits in zip(accs, acc_bits):
-                output_rf = np.zeros((RF_ENTRIES, bank_bits.size), dtype=np.uint16)
-                output_rf[0] = bank_bits
-                blocks.append({"input_rf": input_rf,
-                               "output_rf": output_rf.tolist(),
-                               "acc": bank_acc.tolist()})
-        return json.dumps({"blocks": blocks}, sort_keys=True)
-
     # ------------------------------------------------------------------
     # Job execution
     # ------------------------------------------------------------------
@@ -215,9 +194,6 @@ class PimGemvEngine:
         snapshots, triggers, prefetched = self._on_dram(job, records, x_tiles)
         snapshots = np.array(snapshots).reshape(p.slots, -1)
         bits = bf16.encode(snapshots.astype(np.float32))
-        shape = (p.active_banks, p.row_tile)
-        self._last = (x_tiles[-1], snapshots[-1].astype(np.float64).reshape(shape),
-                      bits[-1].reshape(shape))
         return GemvResult(
             output=snapshots.reshape(-1)[:p.out_dim].astype(np.float64),
             output_bits=bits.reshape(-1),

@@ -35,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import bf16
 from .dram import AddressMap, DramCoord, pack_fields, slice_fields
 from .errors import AttributeViolation, CapacityError, GeometryError, check_int
 from .model import ModelSpec
@@ -54,7 +55,7 @@ class WeightMatrix:
     def __post_init__(self):
         for name in ("out_dim", "in_dim"):
             setattr(self, name, check_int(name, getattr(self, name), error=GeometryError))
-        self.data = np.ascontiguousarray(self.data, dtype=np.uint16)
+        self.data = bf16.check_bits(self.data)
         if self.data.size != self.out_dim * self.in_dim:
             raise GeometryError(
                 f"data length {self.data.size} != {self.out_dim}x{self.in_dim}")
@@ -261,8 +262,8 @@ def smc_copy(image: PimImage, rows: range, cols: range,
              dst: np.ndarray, mem=None) -> int:
     """Swizzled memory copy: PIM-aware image tile -> host-friendly buffer.
 
-    ``rows`` and ``cols`` are contiguous unit-step ranges.  ``dst``
-    receives the selected (rows x cols) tile in column-major
+    ``rows`` and ``cols`` are contiguous unit-step ranges.  ``dst``, a 1-D
+    uint16 array, receives the selected (rows x cols) tile in column-major
     (host-friendly) order and must be large enough.  The ``"copy"`` agent
     issues one DRAM read per source burst through ``mem`` when given; every
     copied burst must then lie in one non-cacheable region, or the copy
@@ -281,6 +282,8 @@ def smc_copy(image: PimImage, rows: range, cols: range,
     if (rows.start < 0 or cols.start < 0 or rows[-1] >= p.out_dim
             or cols[-1] >= p.in_dim):
         raise GeometryError("row/col range outside matrix bounds")
+    if not (isinstance(dst, np.ndarray) and dst.ndim == 1 and dst.dtype == np.uint16):
+        raise GeometryError("destination must be a 1-D uint16 array")
     if dst.size < nr * nc:
         raise CapacityError(f"destination holds {dst.size} elements, "
                             f"tile needs {nr * nc}")

@@ -14,6 +14,9 @@ from fractions import Fraction
 
 from .errors import ConfigError, check_int
 
+# every run visits each layer, so the bound bounds its time (an S-DDB timeline is the slowest)
+MAX_LAYERS = 2 ** 15
+
 
 @dataclass(frozen=True)
 class MatrixShape:
@@ -40,6 +43,8 @@ class ModelSpec:
         for name, least in (("hidden", 1), ("intermediate", 1), ("layers", 0), ("vocab", 0),
                             ("element_bytes", 1)):
             object.__setattr__(self, name, check_int(f"model {name}", getattr(self, name), least))
+        if self.layers > MAX_LAYERS:
+            raise ConfigError(f"model layers must be at most {MAX_LAYERS}, got {self.layers}")
         kv = Fraction(self.kv_ratio)
         object.__setattr__(self, "kv_ratio", kv)
         if kv <= 0:

@@ -12,7 +12,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -23,18 +22,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pimsim import cli, runtime
+from pimsim import cli, layout, runtime
 from pimsim.cli import main
 from pimsim.dram import AddressMap
 from pimsim.errors import ConfigError
 from pimsim.layout import (WeightMatrix, address_order, convert_to_pim_aware,
                            model_placements)
+from pimsim.model import MAX_LAYERS
 from pimsim.presets import DESK_GEOMETRY, model_preset
 from pimsim.scenario import Scenario
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def fresh_cli_env():
+    """The environment of a fresh ``python -m pimsim.cli`` that imports
+    this package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
 
 
 def write_blob(path, model, rng):
@@ -223,6 +231,9 @@ BAD_CONFIGS = {
         "hidden": 64, "intermediate": 256, "layers": 1, "kv_ratio": 1e308}}),
     "overflowing_layers": json.dumps({"model": {
         "hidden": 64, "intermediate": 256, "layers": 2 ** 63}}),
+    # every run visits each layer, so the count is bounded
+    "layers_past_the_bound": json.dumps({"model": {
+        "hidden": 64, "intermediate": 256, "layers": 2 ** 15 + 1}}),
     # a PIM image of elements that do not divide the 32-byte burst
     **{f"{n}_byte_elements_in_pim_image": json.dumps({
         "model": {"hidden": 64, "intermediate": 256, "layers": 1,
@@ -288,20 +299,35 @@ def test_missing_config_file_is_an_error_not_a_traceback(tmp_path, capsys, comma
 
 
 def test_placement_stops_at_the_first_matrix_past_a_bank(tmp_path, capsys):
-    """A model of 10**8 layers is rejected at layer 4,681 without its later
-    matrices being made; listing every layer first took 33 s at 2,000,000
-    layers."""
+    """A model of 30,000 layers is rejected at layer 4,681 without its later
+    matrices being placed: the 32,767 matrices of layers 0-4,680 and that
+    layer's q and k, of 210,000; listing every layer first took 33 s at
+    2,000,000 layers."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"model": {"hidden": 64, "intermediate": 128,
-                                         "layers": 10 ** 8},
+                                         "layers": 30_000},
                                "compute_pim_bytes": True}))
-    start = time.perf_counter()
-    assert run_cli("run", "--config", str(cfg)) == 1
-    assert time.perf_counter() - start < 2.0
+    with mock.patch.object(layout, "PimPlacement", wraps=layout.PimPlacement) as made:
+        assert run_cli("run", "--config", str(cfg)) == 1
+    assert made.call_count == 4681 * 7 + 2
     captured = capsys.readouterr()
     assert captured.err == ("error: layer4681.k ends at row 131076, past the "
                             "131072 rows of a bank\n")
     assert captured.out == ""
+
+
+def test_a_model_past_the_layer_bound_fails_at_once(tmp_path):
+    """10**12 layers pass the int64 rule on weight bytes, but every run
+    visits each layer: unbounded, such a run did not end in 10 s."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": {"hidden": 64, "intermediate": 128,
+                                         "layers": 10 ** 12},
+                               "scenario": "s_ddb"}))
+    done = subprocess.run([sys.executable, "-m", "pimsim.cli", "run", "--config", str(cfg)],
+                          capture_output=True, text=True, env=fresh_cli_env(), timeout=2)
+    assert done.returncode == 1
+    assert done.stderr == f"error: model layers must be at most {MAX_LAYERS}, got {10 ** 12}\n"
+    assert done.stdout == ""
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -591,9 +617,7 @@ def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
              ["gemv-check", "--seed", "0", "--trials", "1"],
              ["run", "--config", str(tmp_path / "a.json"), "extra"],
              ["nope"]]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).parents[1])]
-        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    env = fresh_cli_env()
 
     def written():
         return f.read_text() if f.exists() else None

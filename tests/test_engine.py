@@ -3,7 +3,6 @@ trigger-integrity behavior."""
 
 import gc
 import hashlib
-import json
 import weakref
 from collections import Counter
 
@@ -94,6 +93,9 @@ def test_exact_mode_matches_oracle_bit_exactly(otiles, itiles, geo_banks,
                        columns_per_row=32)
     engine, image = build(out_dim, in_dim, w, amap=AddressMap(geo, order),
                           banks=banks)
+    # weights of 1 in the padded columns: the output shows any padded input
+    # lane that is not staged as zero
+    image.data[:, in_dim:] = bf16.encode(np.float32(1.0))
     job, result = run_exact(engine, image, x)
     assert np.array_equal(result.output, w @ x)
 
@@ -184,6 +186,37 @@ def test_back_to_back_non_cacheable_runs_are_ok():
             assert report.ok
             assert result.triggered_mac_reads == job.expected_mac_reads
             assert np.array_equal(result.output, w @ x)
+
+
+def test_a_job_runs_as_on_a_fresh_engine_after_a_different_job():
+    """The engine keeps no state between jobs: job B after a different job
+    A gives what B gives on a fresh engine.  A stages one input tile, so a
+    staging count carried over would swap B's two tiles."""
+    rng = np.random.default_rng(12)
+    w_a = rng.integers(-3, 4, size=(48, 100)).astype(np.float64)
+    w_b = rng.integers(-3, 4, size=(64, 200)).astype(np.float64)
+    x_a = bf16.encode(rng.standard_normal(100).astype(np.float32))
+    x_b = bf16.encode(rng.integers(-3, 4, size=200).astype(np.float32))
+    mem = MemorySystem(capacity=GEO.total_capacity + (1 << 16))
+    image_a = add_image(mem, 48, 100, w_a)
+    row_b = image_a.placement.rows_needed
+    image_b = add_image(mem, 64, 200, w_b, base_row=row_b)
+    engine = PimGemvEngine(mem)
+    engine.execute(GemvJob(image_a, x_a))
+    fresh_mem = MemorySystem(capacity=GEO.total_capacity + (1 << 16))
+    fresh = PimGemvEngine(fresh_mem)
+    fresh_image = add_image(fresh_mem, 64, 200, w_b, base_row=row_b)
+    results = []
+    for eng, image in ((engine, image_b), (fresh, fresh_image)):
+        job = GemvJob(image, x_b, arithmetic="exact")
+        result = eng.execute(job)
+        results.append((result, eng.verify_trigger_integrity(job, result)))
+    (after_a, report), (on_fresh, fresh_report) = results
+    assert np.array_equal(after_a.output, w_b @ bf16.decode(x_b))
+    assert np.array_equal(after_a.output, on_fresh.output)
+    assert np.array_equal(after_a.output_bits, on_fresh.output_bits)
+    assert after_a.triggered_mac_reads == on_fresh.triggered_mac_reads
+    assert report == fresh_report and report.ok
 
 
 def test_cacheable_weights_block_second_run():
@@ -537,42 +570,6 @@ def test_corrupt_mac_order_hook_breaks_results():
     assert not np.array_equal(result.output, w @ x)
 
 
-def test_input_rf_staging_round_trip():
-    """The dump is empty before any job; after one, its input RF holds the
-    last input tile, here the whole input."""
-    engine, image = build(16 * ACTIVE_BANKS, 100,
-                          np.zeros((16 * ACTIVE_BANKS, 100)))
-    assert json.loads(engine.state_dump()) == {"blocks": []}
-    bits = np.arange(100, dtype=np.uint16)
-    engine.execute(GemvJob(image, bits, arithmetic="exact"))
-    blocks = json.loads(engine.state_dump())["blocks"]
-    assert len(blocks) == ACTIVE_BANKS
-    staged = np.asarray(blocks[0]["input_rf"], dtype=np.uint16).reshape(-1)
-    assert np.array_equal(staged[:100], bits)
-
-
-def test_partial_tile_zero_fills_unused_lanes():
-    engine, image = build(16 * ACTIVE_BANKS, 100,
-                          np.zeros((16 * ACTIVE_BANKS, 100)))
-    engine.execute(GemvJob(image, np.full(100, 0xAAAA, dtype=np.uint16),
-                           arithmetic="exact"))
-    state = json.loads(engine.state_dump())
-    staged = np.asarray(state["blocks"][0]["input_rf"]).reshape(-1)
-    assert staged.size == 128
-    assert (staged[:100] == 0xAAAA).all() and (staged[100:] == 0).all()
-
-
-def test_output_readback_matches_state_dump():
-    rng = np.random.default_rng(11)
-    w = rng.integers(-3, 4, size=(64, 128)).astype(np.float64)
-    engine, image = build(64, 128, w)
-    job, result = run_exact(engine, image, np.ones(128))
-    state = json.loads(engine.state_dump())
-    accs = np.concatenate([b["acc"] for b in state["blocks"]])
-    # the final out-tile readback snapshot equals the accumulator dump
-    assert np.array_equal(result.output[-64:], accs[:64])
-
-
 def test_job_validates_input_length():
     engine, image = build(64, 128, np.zeros((64, 128)))
     with pytest.raises(ConfigError):
@@ -592,11 +589,17 @@ def test_job_rejects_an_unknown_arithmetic(arithmetic):
     np.full(128, 70000),                # would wrap to 4464
     np.zeros((2, 64), dtype=np.uint16),  # right size, wrong shape
     np.ones(128, dtype=bool),
-], ids=["float", "negative", "above-16-bit", "2-d", "bool"])
+    [1.5] * 128,
+], ids=["float", "negative", "above-16-bit", "2-d", "bool", "float-list"])
 def test_job_rejects_input_it_would_reinterpret(x):
+    """And a weight matrix rejects each value case with the same error."""
     engine, image = build(64, 128, np.zeros((64, 128)))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as job_error:
         GemvJob(image, x)
+    if np.ndim(x) == 1:
+        with pytest.raises(ConfigError) as weight_error:
+            WeightMatrix(1, 128, x)
+        assert str(weight_error.value) == str(job_error.value)
 
 
 def test_job_accepts_uint16_and_in_range_integer_input():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from pimsim.dram import (FIELD_NAMES, AddressMap, DramGeometry,
                          decode_address, encode_coord, slice_fields)
-from pimsim.errors import AttributeViolation, CapacityError, GeometryError
+from pimsim.errors import (AttributeViolation, CapacityError, GeometryError,
+                           SimulatorError)
 from pimsim.layout import (PimPlacement, WeightMatrix, address_order,
                            burst_address_of_tile, burst_of_address,
                            convert_to_pim_aware, model_placements,
@@ -155,7 +156,7 @@ def test_burst_decode_inverts_the_placement(p, seed):
     element addresses of the image span."""
     out_dim, in_dim, amap = p.out_dim, p.in_dim, p.address_map
     image = convert_to_pim_aware(
-        WeightMatrix(out_dim, in_dim, np.zeros((out_dim, in_dim))), p)
+        WeightMatrix(out_dim, in_dim, np.zeros((out_dim, in_dim), np.uint16)), p)
     table = {}
     for tile in range(p.m_pad // p.row_tile):
         for j, addr in enumerate(burst_address_of_tile(p, tile).tolist()):
@@ -311,6 +312,19 @@ def test_smc_source_straddling_a_cacheable_region_raises_before_any_record():
                                          "evictions": 0, "writebacks": 0}
 
 
+@pytest.mark.parametrize("dst", [
+    np.zeros(64 * 128, dtype=np.int8),      # 511 of 512 elements got wrong bits
+    np.zeros(64 * 128, dtype=np.float32),   # bit patterns stored as numbers
+    np.zeros((128, 128), dtype=np.uint16),  # failed after the requests
+    [0] * (64 * 128),
+], ids=["int8", "float32", "2-d", "list"])
+def test_smc_rejects_a_destination_that_is_no_1d_uint16_array(dst):
+    _, image, mem = split_desk_copy()
+    with pytest.raises(SimulatorError, match="^destination must be a 1-D uint16 array$"):
+        smc_copy(image, range(64), range(128), dst, mem=mem)
+    assert len(mem.trace) == 0 and not np.any(dst)
+
+
 def test_smc_copy_inside_the_non_cacheable_half_runs():
     # input columns 0-127 are DRAM rows 0-3, below the cacheable half
     w, image, mem = split_desk_copy()
@@ -385,8 +399,9 @@ def test_element_coordinate_outside_the_padded_matrix_is_rejected(m, k):
         pim_coord_of_element(p, m, k)
 
 
-@pytest.mark.parametrize("data", [np.zeros(16 * 128 - 1), np.zeros(16 * 128 + 1),
-                                  np.zeros((128, 17))],
+@pytest.mark.parametrize("data", [np.zeros(16 * 128 - 1, np.uint16),
+                                  np.zeros(16 * 128 + 1, np.uint16),
+                                  np.zeros((128, 17), np.uint16)],
                          ids=["short", "long", "wrong-shape-and-length"])
 def test_weight_matrix_data_must_match_its_dimensions(data):
     with pytest.raises(GeometryError, match="data length"):
