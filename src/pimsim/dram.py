@@ -11,6 +11,7 @@ exact inverses over the full capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 
 from .errors import CapacityError, GeometryError, check_int
 
@@ -73,14 +74,15 @@ class AddressMap:
 
     ``field_order`` names each of the five fields once, least significant
     first.  Each field's width is log2 of its geometry count, derived here
-    as ``widths``; an unknown, duplicate or missing name raises
-    :class:`GeometryError`.
+    as ``widths``, and its lowest bit is ``shifts``; an unknown, duplicate
+    or missing name raises :class:`GeometryError`.
     """
 
     geometry: DramGeometry
     # channel and bank in the low bits (interleaving-friendly), row on top
     field_order: tuple = ("channel", "bank", "column", "rank", "row")
     widths: tuple = field(init=False, repr=False, compare=False)
+    shifts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         order = tuple(self.field_order)
@@ -96,9 +98,11 @@ class AddressMap:
         counts = {"channel": geo.channels, "rank": geo.ranks_per_channel,
                   "bank": geo.banks_per_rank, "row": geo.rows_per_bank,
                   "column": geo.columns_per_row}
+        widths = tuple(counts[name].bit_length() - 1 for name in order)
         object.__setattr__(self, "field_order", order)
-        object.__setattr__(self, "widths", tuple(
-            counts[name].bit_length() - 1 for name in order))
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "shifts", tuple(
+            accumulate(widths[:-1], initial=self.offset_bits)))
 
     @property
     def offset_bits(self) -> int:
@@ -112,10 +116,8 @@ def slice_fields(amap: AddressMap, addr) -> dict:
     nothing is range-checked.
     """
     values = {"burst_offset": addr & (amap.geometry.burst_bytes - 1)}
-    shift = amap.offset_bits
-    for name, width in zip(amap.field_order, amap.widths):
+    for name, shift, width in zip(amap.field_order, amap.shifts, amap.widths):
         values[name] = (addr >> shift) & ((1 << width) - 1)
-        shift += width
     return values
 
 
@@ -123,10 +125,8 @@ def pack_fields(amap: AddressMap, values: dict):
     """Inverse of :func:`slice_fields`; values may be ints or numpy integer
     arrays that broadcast together, and a missing ``burst_offset`` is 0."""
     addr = values.get("burst_offset", 0)
-    shift = amap.offset_bits
-    for name, width in zip(amap.field_order, amap.widths):
+    for name, shift in zip(amap.field_order, amap.shifts):
         addr = addr | (values[name] << shift)
-        shift += width
     return addr
 
 

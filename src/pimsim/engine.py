@@ -19,6 +19,13 @@ RF size.  The fetched burst supplies one weight per lane (one column of an
 output tile, 16 rows for 32-byte bursts of 2-byte elements), and in
 multi-bank mode every active bank applies the same (row, column) command
 in lockstep.
+
+The MACs of consecutive windows, of one output tile or of several, are
+flushed together: one take of their bursts, one decode and one einsum
+give each window's partial sum, and a replay in trace order then adds
+each to the accumulators and takes each output write's snapshot, as one
+einsum per window would.  A flush holds at most ``FLUSH_BYTES`` of decoded
+weights, and at least one window.
 """
 
 from __future__ import annotations
@@ -33,6 +40,46 @@ from .layout import RF_ENTRIES, PimImage, burst_of_address
 from .memsys import Attribute, MemorySystem, RegionKind, TraceView
 
 PIPELINE_DRAIN_READS = 5
+# Decoded weight bytes of one MAC flush, at least one window: 8 windows on 4
+# banks of 16 lanes, one window on 64 banks, so a flush stays in L2.
+FLUSH_BYTES = 256 * 1024
+
+
+def _flush(acc: np.ndarray, snapshots: list, slab: np.ndarray, reads: np.ndarray,
+           tiles: np.ndarray, events: list, reverse: bool):
+    """Replay ``events`` in trace order, then empty it: a window, (first
+    trigger, MACs, input tile), adds its MACs to ``acc``, and an output
+    write, ``None``, appends a copy of ``acc`` to ``snapshots`` and clears
+    it.  The windows' partial sums come from one take, one decode and one
+    einsum; a window of fewer MACs than the RF holds is padded with zero
+    weights and zero inputs."""
+    windows = [e for e in events if e is not None]
+    if windows:
+        k, rf, n_in = len(windows), tiles.shape[1], len(tiles) - 1
+        lo, _, t = windows[0]
+        ts = [(t + i) % n_in for i in range(k)]
+        if windows == [(lo + i * rf, rf, ts[i]) for i in range(k)]:
+            # back to back, as the protocol issues them: a slice of the reads
+            bits = slab.take(reads[lo:lo + k * rf], axis=0).reshape(k, rf, *slab.shape[1:])
+            x = tiles[t:t + k] if t + k <= n_in else tiles[ts]
+            if reverse:
+                x = x[:, ::-1]
+        else:
+            bits = np.zeros((k, rf, *slab.shape[1:]), dtype=np.uint16)
+            x = np.zeros((k, rf), dtype=tiles.dtype)
+            for i, (lo, n, t) in enumerate(windows):
+                bits[i, :n] = slab.take(reads[lo:lo + n], axis=0)
+                x[i, :n] = tiles[t, :n][::-1] if reverse else tiles[t, :n]
+        # (windows, MACs, active banks, lanes) as float32, which einsum takes
+        # to float64 in exact mode
+        parts = iter(np.einsum("wnab,wn->wab", bf16.decode(bits), x))
+    for event in events:
+        if event is None:
+            snapshots.append(acc.copy())
+            acc[:] = 0
+        else:
+            acc += next(parts)
+    events.clear()
 
 
 @dataclass
@@ -141,24 +188,30 @@ class PimGemvEngine:
         starts = [0, *np.searchsorted(triggers, bounds).tolist()]
         slab = job.image.data.reshape(-1, p.active_banks, p.row_tile)
         acc_dtype = np.float64 if job.arithmetic == "exact" else np.float32
-        tiles = bf16.decode(x_tiles).astype(acc_dtype)
+        # input tile n_in, the RF before the first staging write, is zeros
+        tiles = np.zeros((n_in + 1, rf), dtype=acc_dtype)
+        tiles[:n_in] = bf16.decode(x_tiles)
         acc = np.zeros((p.active_banks, p.row_tile), dtype=acc_dtype)
-        x = np.zeros(rf, dtype=acc_dtype)
-        reverse, stagings, snapshots = self.corrupt_mac_order, 0, []
+        # windows per flush: FLUSH_BYTES of float32 weights, at least one
+        batch = max(1, FLUSH_BYTES // (4 * rf * slab[0].size))
+        # since the last flush: each window, (first trigger, MACs, tile), and
+        # each output write, None, in trace order
+        tile, stagings, events, windows, snapshots = n_in, 0, [], 0, []
         for lo, hi, boundary in zip(starts, [*starts[1:], len(triggers)],
                                     [*staging[bounds].tolist(), None]):
-            n = min(hi - lo, rf)
-            if n:
-                # (n, active banks, lanes): each read's burst in every active
-                # bank, as float32, which einsum takes to float64 in exact mode
-                w = bf16.decode(slab.take(reads[lo:lo + n], axis=0))
-                acc += np.einsum("nab,n->ab", w, x[:n][::-1] if reverse else x[:n])
+            if hi > lo:
+                events.append((lo, min(hi - lo, rf), tile))
+                windows += 1
+                if windows == batch:
+                    _flush(acc, snapshots, slab, reads, tiles, events,
+                           self.corrupt_mac_order)
+                    windows = 0
             if boundary:  # a staging write
-                x = tiles[stagings % n_in]
+                tile = stagings % n_in
                 stagings += 1
             elif boundary is not None:  # an output write
-                snapshots.append(acc.copy())
-                acc[:] = 0
+                events.append(None)
+        _flush(acc, snapshots, slab, reads, tiles, events, self.corrupt_mac_order)
         prefetched = int(np.count_nonzero(codes[triggers] == records.agent_code("prefetcher")))
         return snapshots, len(triggers), prefetched
 

@@ -23,9 +23,9 @@ active bank form one contiguous row, so the engine gathers a window's
 weights as a row take.  Physical addresses are computed only at the DRAM
 boundary: the requests (:func:`burst_address_of_tile`), the trigger decode
 (:func:`burst_of_address`) and the ``pimsim convert`` export
-(:func:`address_order`).  A :class:`PimPlacement` is frozen, so it computes
-its geometry and its slot burst table once; conversion and the engine's
-request stream read the same table.
+(:func:`address_order`).  A :class:`PimPlacement` is frozen, so it sets its
+geometry once, when it is made, and computes its slot burst table once, on
+first use; conversion and the engine's request stream read the same table.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bf16
-from .dram import AddressMap, DramCoord, pack_fields, slice_fields
+from .dram import AddressMap, DramCoord, pack_fields
 from .errors import AttributeViolation, CapacityError, GeometryError, check_int
 from .model import ModelSpec
 
@@ -67,7 +67,11 @@ class PimPlacement:
     """Placement function for one matrix over the active banks.
 
     ``base_row`` is the first DRAM row of the matrix's per-bank slab; the
-    slab occupies the same row range in every active bank.
+    slab occupies the same row range in every active bank.  Construction
+    sets the geometry: ``row_tile`` output rows per tile, ``slots`` tiles
+    stacked per bank, ``m_pad`` and ``k_pad`` the padded dimensions,
+    ``rows_needed`` DRAM rows per bank and ``padded_bytes`` across all
+    ``active_banks``.
     """
 
     address_map: AddressMap
@@ -87,51 +91,21 @@ class PimPlacement:
             raise GeometryError("banks_per_channel out of range")
         if not 1 <= self.channels_used <= geo.channels:
             raise GeometryError("channels_used out of range")
-
-    # The geometry below and the slot burst table are computed once per
-    # placement: it is frozen, so they never change.
-    @cached_property
-    def geometry(self):
-        return self.address_map.geometry
-
-    @cached_property
-    def row_tile(self) -> int:
-        """Output rows per tile: one burst lane per row."""
-        return self.geometry.elements_per_burst
-
-    @cached_property
-    def input_tile_elements(self) -> int:
-        return RF_ENTRIES * self.geometry.elements_per_burst
-
-    @cached_property
-    def active_banks(self) -> int:
-        return self.banks_per_channel * self.channels_used
-
-    @cached_property
-    def m_pad(self) -> int:
-        group = self.row_tile * self.active_banks
-        return -(-self.out_dim // group) * group
-
-    @cached_property
-    def k_pad(self) -> int:
-        t = self.input_tile_elements
-        return -(-self.in_dim // t) * t
-
-    @cached_property
-    def slots(self) -> int:
-        """Tiles stacked per bank."""
-        return self.m_pad // (self.row_tile * self.active_banks)
-
-    @cached_property
-    def rows_needed(self) -> int:
-        """DRAM rows occupied per bank, padded to a row boundary."""
-        bursts = self.slots * self.k_pad
-        return -(-bursts // self.geometry.columns_per_row)
-
-    @cached_property
-    def padded_bytes(self) -> int:
-        """Total DRAM bytes claimed across all active banks."""
-        return (self.rows_needed * self.geometry.row_bytes * self.active_banks)
+        # a tile has one output row per burst lane, a slot one tile in each
+        # active bank; each bank's slab is padded to a DRAM-row boundary
+        row_tile = geo.elements_per_burst
+        tile_elements = RF_ENTRIES * row_tile
+        banks = self.banks_per_channel * self.channels_used
+        slots = -(-self.out_dim // (row_tile * banks))
+        k_pad = -(-self.in_dim // tile_elements) * tile_elements
+        rows_needed = -(-slots * k_pad // geo.columns_per_row)
+        for name, value in (("geometry", geo), ("row_tile", row_tile),
+                            ("input_tile_elements", tile_elements),
+                            ("active_banks", banks), ("m_pad", slots * row_tile * banks),
+                            ("k_pad", k_pad), ("slots", slots),
+                            ("rows_needed", rows_needed),
+                            ("padded_bytes", rows_needed * geo.row_bytes * banks)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def slot_bursts(self) -> np.ndarray:
@@ -179,31 +153,36 @@ def burst_address_of_tile(p: PimPlacement, tile) -> np.ndarray:
     geo = p.geometry
     tile = np.asarray(tile, dtype=np.int64)
     burst = p.tile_slot(tile)[..., None] * p.k_pad + np.arange(p.k_pad)
-    rows = p.base_row + burst // geo.columns_per_row
+    # columns_per_row is a power of two
+    rows = p.base_row + (burst >> geo.columns_per_row.bit_length() - 1)
     if rows.size and rows.max() >= geo.rows_per_bank:
         raise CapacityError(f"placement exceeds rows_per_bank "
                             f"({rows.max()} >= {geo.rows_per_bank})")
     channel, bank = p.bank_assignment(tile)
     return pack_fields(p.address_map, {
         "channel": channel[..., None], "rank": 0, "bank": bank[..., None],
-        "row": rows, "column": burst % geo.columns_per_row})
+        "row": rows, "column": burst & geo.columns_per_row - 1})
 
 
 def burst_of_address(p: PimPlacement, addrs: np.ndarray) -> np.ndarray:
     """Inverse of the placement by bit slicing: the burst index
     ``slot * k_pad + column`` each address reads, or -1 for an address that
-    is no burst of the placement.  An address outside the device is none,
-    though slicing drops its bits above the top field.  Every active bank
-    shares the index of the same (row, column), as lockstep execution
-    requires."""
-    geo = p.geometry
-    f = slice_fields(p.address_map, addrs)
-    burst = (f["row"] - p.base_row) * geo.columns_per_row + f["column"]
-    ours = ((addrs >= 0) & (addrs < geo.total_capacity)
-            & (f["burst_offset"] == 0) & (f["rank"] == 0)
-            & (f["channel"] < p.channels_used)
-            & (f["bank"] < p.banks_per_channel)
-            & (burst >= 0) & (burst < p.slots * p.k_pad))
+    is no burst of the placement.  One mask test rejects an address with a
+    bit set outside its channel, bank, row and column fields: a burst
+    offset, a rank, a bit above the top field (an address outside the
+    device) or the sign.  Every active bank shares the index of the same
+    (row, column), as lockstep execution requires."""
+    amap = p.address_map
+    at = {name: (shift, (1 << width) - 1)
+          for name, shift, width in zip(amap.field_order, amap.shifts, amap.widths)}
+    (cs, cm), (bs, bm), (rs, rm), (ks, km) = (at[f] for f in ("channel", "bank", "row", "column"))
+    burst = ((((addrs >> rs) & rm) - p.base_row) << km.bit_length()) | ((addrs >> ks) & km)
+    # a field's bound compares the field in place, unshifted; a negative
+    # burst is past any bound as unsigned
+    ours = (((addrs & ~(cm << cs | bm << bs | rm << rs | km << ks)) == 0)
+            & ((addrs & cm << cs) < p.channels_used << cs)
+            & ((addrs & bm << bs) < p.banks_per_channel << bs)
+            & (burst.view(np.uint64) < p.slots * p.k_pad))
     return np.where(ours, burst, -1)
 
 

@@ -480,6 +480,82 @@ def test_trace_replay_oracle_matches_the_engine(geo_banks, columns,
         assert result.prefetcher_triggers == prefetched
 
 
+def one_einsum_per_window(result, engine, job, corrupt):
+    """The MAC rule with one ``einsum("nab,n->ab")`` per window: the window's
+    bursts, decoded in trace order, against the first inputs of its tile,
+    each added to the accumulators before the next.  Returns the readback
+    bits and values of every output write."""
+    p, banks, lanes = job.placement, job.placement.active_banks, job.placement.row_tile
+    dtype = np.float64 if job.arithmetic == "exact" else np.float32
+    x_pad = np.zeros(p.k_pad, dtype=np.uint16)
+    x_pad[:p.in_dim] = job.input_bits
+    x_tiles = bf16.decode(x_pad.reshape(-1, p.input_tile_elements)).astype(dtype)
+    slab = {}  # burst address in any active bank -> its bits in every active bank
+    for tile in range(p.slots * banks):
+        for col, addr in enumerate(burst_address_of_tile(p, tile).tolist()):
+            slab[addr] = job.image.data[tile // banks, col]
+    x_cur = np.zeros(p.input_tile_elements, dtype=dtype)
+    acc, window, stagings, out = np.zeros((banks, lanes), dtype=dtype), [], 0, []
+    for r in result.records:
+        boundary = r.op == "W" and r.addr in (engine.in_buf_addr, engine.out_buf_addr)
+        if boundary and window:
+            xs = x_cur[:len(window)]
+            acc += np.einsum("nab,n->ab", bf16.decode(np.array(window)),
+                             xs[::-1] if corrupt else xs)
+            window = []
+        if boundary and r.addr == engine.in_buf_addr:
+            x_cur = x_tiles[stagings % len(x_tiles)]
+            stagings += 1
+        elif boundary:
+            out.append(acc.reshape(-1).copy())
+            acc[:] = 0
+        elif r.op == "R" and r.addr in slab and len(window) < len(x_cur):
+            window.append(slab[r.addr])
+    values = np.concatenate(out)
+    return bf16.encode(values.astype(np.float32)), values
+
+
+# Seed 4 draws a 558x604 job: on 16 banks of 16 lanes a flush holds two
+# windows, so a tile's five windows span three flushes, which add windows to
+# accumulators that are not zero, and a flush holds windows of two tiles.
+@example(16, 32, 32, list(FIELD_NAMES), Drawn(16), "bf16", False, False, None, 4)
+@example(16, 32, 32, list(FIELD_NAMES), Drawn(16), "exact", True, True, 7, 4)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 8, 16]), st.sampled_from([32, 64]),
+       st.sampled_from([32, 64]), st.permutations(FIELD_NAMES), st.data(),
+       st.sampled_from(["exact", "bf16"]), st.booleans(), st.booleans(),
+       st.none() | st.integers(2, 300), st.integers(0, 2**32 - 1))
+def test_batched_flush_keeps_the_bits_of_one_einsum_per_window(
+        geo_banks, columns, burst_bytes, order, data, arithmetic, cacheable,
+        corrupt, rogue_period, seed):
+    """On standard-normal operands, whose sums round, the engine's output
+    bits are those of one einsum per window added in trace order, whatever
+    the windows: full ones flushed together, short ones on a warm cache,
+    saturated ones under the prefetcher, reversed inputs, and flushes of
+    ``FLUSH_BYTES`` that end inside a tile or span output writes."""
+    geo = DramGeometry(channels=1, ranks_per_channel=1,
+                       banks_per_rank=geo_banks, rows_per_bank=256,
+                       columns_per_row=columns, burst_bytes=burst_bytes)
+    banks = data.draw(st.integers(1, geo_banks), label="active banks")
+    rng = np.random.default_rng(seed)
+    out_dim = int(rng.integers(1, 3 * geo.elements_per_burst * banks + 1))
+    in_dim = int(rng.integers(1, 5 * 8 * geo.elements_per_burst + 1))
+    w = rng.standard_normal((out_dim, in_dim))
+    x = rng.standard_normal(in_dim)
+    mem = MemorySystem(capacity=geo.total_capacity + (1 << 16),
+                       cache=CacheConfig(capacity=1 << 14),
+                       rogue_period=rogue_period)
+    image = add_image(mem, out_dim, in_dim, w, cacheable, AddressMap(geo, order),
+                      banks=banks)
+    engine = PimGemvEngine(mem, corrupt_mac_order=corrupt)
+    job = GemvJob(image, bf16.encode(x.astype(np.float32)), arithmetic)
+    for _ in range(2):  # the second run meets a warm cache
+        result = engine.execute(job)
+        bits, values = one_einsum_per_window(result, engine, job, corrupt)
+        assert np.array_equal(result.output_bits, bits)
+        assert result.output.tobytes() == values[:out_dim].astype(np.float64).tobytes()
+
+
 def test_staging_beyond_the_device_triggers_no_mac():
     """A weight region that fills the device puts the engine's staging
     buffers above it.  Their addresses differ from the slab's bursts only in
