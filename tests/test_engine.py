@@ -382,31 +382,36 @@ def test_bf16_encode_rounds_to_nearest_even_and_keeps_nans():
     assert type(bf16.encode(1.0)) is np.uint16 and bf16.encode(1.0) == 0x3F80
 
 
-def replay_mac_rule(result, engine, w_int, x_int, p, corrupt):
+def replay_mac_rule(result, engine, w, x, p, arithmetic, corrupt):
     """Independent, record-by-record model of the MAC rule over a job's
     trace: a staging write resets the RF pointer to the next input tile,
     the j-th read of a slab burst after it MACs input j if j is inside the
     tile, and an output write snapshots (then clears) the accumulators.
-    Returns the readback bits, values, triggers and prefetcher triggers."""
+    The MACs of each window, the reads between two boundaries, are one
+    ``einsum("nab,n->ab")`` of the bf16-rounded operands, added to the
+    accumulators before the next window.  Returns the readback bits,
+    values, triggers and prefetcher triggers."""
     lanes, banks = p.row_tile, p.active_banks
-    w_pad = np.zeros((p.m_pad, p.k_pad))
-    w_pad[:p.out_dim, :p.in_dim] = w_int
-    x_pad = np.zeros(p.k_pad)
-    x_pad[:p.in_dim] = x_int
+    dtype = np.float64 if arithmetic == "exact" else np.float32
+    w_pad = np.zeros((p.m_pad, p.k_pad), dtype=np.float32)
+    w_pad[:p.out_dim, :p.in_dim] = bf16.decode(bf16.encode(w.astype(np.float32)))
+    x_pad = np.zeros(p.k_pad, dtype=dtype)
+    x_pad[:p.in_dim] = bf16.decode(bf16.encode(x.astype(np.float32)))
     x_tiles = x_pad.reshape(-1, p.input_tile_elements)
     slab = {}  # burst address in any active bank -> (slot, column)
     for tile in range(p.slots * banks):
         for col, addr in enumerate(burst_address_of_tile(p, tile).tolist()):
             slab[addr] = (tile // banks, col)
-    x_cur = np.zeros(p.input_tile_elements)
-    acc, pending, stagings = np.zeros((banks, lanes)), [], 0
+    x_cur = np.zeros(p.input_tile_elements, dtype=dtype)
+    acc, pending, stagings = np.zeros((banks, lanes), dtype=dtype), [], 0
     out, triggers, prefetched = [], 0, 0
 
     def apply():
-        xs = x_cur[:len(pending)]
-        for (slot, col), xj in zip(pending, xs[::-1] if corrupt else xs):
-            rows = slot * banks * lanes + np.arange(banks * lanes)
-            acc[:] += w_pad[rows, col].reshape(banks, lanes) * xj
+        if pending:
+            ws = np.array([w_pad[slot * banks * lanes:(slot + 1) * banks * lanes, col]
+                           for slot, col in pending]).reshape(-1, banks, lanes)
+            xs = x_cur[:len(pending)]
+            acc[:] += np.einsum("nab,n->ab", ws, xs[::-1] if corrupt else xs)
         pending.clear()
 
     for r in result.records:
@@ -438,22 +443,33 @@ class Drawn:
         return self.value
 
 
-# Seed 44303 draws a 64x256 job; on 4 banks with a read prefetched after
+# Seed 44303 draws a 64x427 job; on 4 banks with a read prefetched after
 # every second one, each input tile's window holds more slab reads than
 # the RF, so the RF pointer saturates while every read still triggers.
-@example(4, 32, 32, list(FIELD_NAMES), Drawn(4), "exact", False, False, 2, 44303)
-@example(4, 32, 32, list(FIELD_NAMES), Drawn(4), "bf16", False, True, 2, 44303)
+# Seed 4 draws a 558x604 job: on 16 banks of 16 lanes a flush holds two
+# windows, so a tile's five windows span three flushes, which add windows to
+# accumulators that are not zero, and a flush holds windows of two tiles.
+@example(4, 32, 32, list(FIELD_NAMES), Drawn(4), "exact", False, False, 2, 44303, False)
+@example(4, 32, 32, list(FIELD_NAMES), Drawn(4), "bf16", False, True, 2, 44303, False)
+@example(16, 32, 32, list(FIELD_NAMES), Drawn(16), "bf16", False, False, None, 4, True)
+@example(16, 32, 32, list(FIELD_NAMES), Drawn(16), "exact", True, True, 7, 4, True)
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 4, 8, 16]), st.sampled_from([32, 64]),
        st.sampled_from([32, 64]), st.permutations(FIELD_NAMES), st.data(),
        st.sampled_from(["exact", "bf16"]), st.booleans(), st.booleans(),
-       st.none() | st.integers(2, 300), st.integers(0, 2**32 - 1))
+       st.none() | st.integers(2, 300), st.integers(0, 2**32 - 1), st.booleans())
 def test_trace_replay_oracle_matches_the_engine(geo_banks, columns,
                                                 burst_bytes, order, data,
                                                 arithmetic, cacheable,
-                                                corrupt, rogue_period, seed):
+                                                corrupt, rogue_period, seed,
+                                                normal):
     """Integer-valued operands keep every partial sum exact, so the oracle's
-    summation order cannot matter, in either arithmetic."""
+    summation order cannot matter, in either arithmetic.  Standard-normal
+    operands round, so with them the engine's output bits are those of one
+    einsum per window added in trace order, whatever the windows: full ones
+    flushed together, short ones on a warm cache, saturated ones under the
+    prefetcher, reversed inputs, and flushes of ``FLUSH_BYTES`` that end
+    inside a tile or span output writes."""
     geo = DramGeometry(channels=1, ranks_per_channel=1,
                        banks_per_rank=geo_banks, rows_per_bank=256,
                        columns_per_row=columns, burst_bytes=burst_bytes)
@@ -461,9 +477,13 @@ def test_trace_replay_oracle_matches_the_engine(geo_banks, columns,
     banks = data.draw(st.integers(1, geo_banks), label="active banks")
     rng = np.random.default_rng(seed)
     out_dim = int(rng.integers(1, 3 * geo.elements_per_burst * banks + 1))
-    in_dim = int(rng.integers(1, 3 * 8 * geo.elements_per_burst + 1))
-    w = rng.integers(-4, 5, size=(out_dim, in_dim)).astype(np.float64)
-    x = rng.integers(-4, 5, size=in_dim).astype(np.float64)
+    in_dim = int(rng.integers(1, 5 * 8 * geo.elements_per_burst + 1))
+    if normal:
+        w = rng.standard_normal((out_dim, in_dim))
+        x = rng.standard_normal(in_dim)
+    else:
+        w = rng.integers(-4, 5, size=(out_dim, in_dim)).astype(np.float64)
+        x = rng.integers(-4, 5, size=in_dim).astype(np.float64)
     mem = MemorySystem(capacity=geo.total_capacity + (1 << 16),
                        cache=CacheConfig(capacity=1 << 14),
                        rogue_period=rogue_period)
@@ -473,87 +493,11 @@ def test_trace_replay_oracle_matches_the_engine(geo_banks, columns,
     for _ in range(2):  # the second run meets a warm cache
         result = engine.execute(job)
         bits, values, triggers, prefetched = replay_mac_rule(
-            result, engine, w, x, image.placement, corrupt)
-        assert np.array_equal(result.output_bits, bits)
-        assert np.array_equal(result.output, values[:out_dim])
-        assert result.triggered_mac_reads == triggers
-        assert result.prefetcher_triggers == prefetched
-
-
-def one_einsum_per_window(result, engine, job, corrupt):
-    """The MAC rule with one ``einsum("nab,n->ab")`` per window: the window's
-    bursts, decoded in trace order, against the first inputs of its tile,
-    each added to the accumulators before the next.  Returns the readback
-    bits and values of every output write."""
-    p, banks, lanes = job.placement, job.placement.active_banks, job.placement.row_tile
-    dtype = np.float64 if job.arithmetic == "exact" else np.float32
-    x_pad = np.zeros(p.k_pad, dtype=np.uint16)
-    x_pad[:p.in_dim] = job.input_bits
-    x_tiles = bf16.decode(x_pad.reshape(-1, p.input_tile_elements)).astype(dtype)
-    slab = {}  # burst address in any active bank -> its bits in every active bank
-    for tile in range(p.slots * banks):
-        for col, addr in enumerate(burst_address_of_tile(p, tile).tolist()):
-            slab[addr] = job.image.data[tile // banks, col]
-    x_cur = np.zeros(p.input_tile_elements, dtype=dtype)
-    acc, window, stagings, out = np.zeros((banks, lanes), dtype=dtype), [], 0, []
-    for r in result.records:
-        boundary = r.op == "W" and r.addr in (engine.in_buf_addr, engine.out_buf_addr)
-        if boundary and window:
-            xs = x_cur[:len(window)]
-            acc += np.einsum("nab,n->ab", bf16.decode(np.array(window)),
-                             xs[::-1] if corrupt else xs)
-            window = []
-        if boundary and r.addr == engine.in_buf_addr:
-            x_cur = x_tiles[stagings % len(x_tiles)]
-            stagings += 1
-        elif boundary:
-            out.append(acc.reshape(-1).copy())
-            acc[:] = 0
-        elif r.op == "R" and r.addr in slab and len(window) < len(x_cur):
-            window.append(slab[r.addr])
-    values = np.concatenate(out)
-    return bf16.encode(values.astype(np.float32)), values
-
-
-# Seed 4 draws a 558x604 job: on 16 banks of 16 lanes a flush holds two
-# windows, so a tile's five windows span three flushes, which add windows to
-# accumulators that are not zero, and a flush holds windows of two tiles.
-@example(16, 32, 32, list(FIELD_NAMES), Drawn(16), "bf16", False, False, None, 4)
-@example(16, 32, 32, list(FIELD_NAMES), Drawn(16), "exact", True, True, 7, 4)
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([2, 4, 8, 16]), st.sampled_from([32, 64]),
-       st.sampled_from([32, 64]), st.permutations(FIELD_NAMES), st.data(),
-       st.sampled_from(["exact", "bf16"]), st.booleans(), st.booleans(),
-       st.none() | st.integers(2, 300), st.integers(0, 2**32 - 1))
-def test_batched_flush_keeps_the_bits_of_one_einsum_per_window(
-        geo_banks, columns, burst_bytes, order, data, arithmetic, cacheable,
-        corrupt, rogue_period, seed):
-    """On standard-normal operands, whose sums round, the engine's output
-    bits are those of one einsum per window added in trace order, whatever
-    the windows: full ones flushed together, short ones on a warm cache,
-    saturated ones under the prefetcher, reversed inputs, and flushes of
-    ``FLUSH_BYTES`` that end inside a tile or span output writes."""
-    geo = DramGeometry(channels=1, ranks_per_channel=1,
-                       banks_per_rank=geo_banks, rows_per_bank=256,
-                       columns_per_row=columns, burst_bytes=burst_bytes)
-    banks = data.draw(st.integers(1, geo_banks), label="active banks")
-    rng = np.random.default_rng(seed)
-    out_dim = int(rng.integers(1, 3 * geo.elements_per_burst * banks + 1))
-    in_dim = int(rng.integers(1, 5 * 8 * geo.elements_per_burst + 1))
-    w = rng.standard_normal((out_dim, in_dim))
-    x = rng.standard_normal(in_dim)
-    mem = MemorySystem(capacity=geo.total_capacity + (1 << 16),
-                       cache=CacheConfig(capacity=1 << 14),
-                       rogue_period=rogue_period)
-    image = add_image(mem, out_dim, in_dim, w, cacheable, AddressMap(geo, order),
-                      banks=banks)
-    engine = PimGemvEngine(mem, corrupt_mac_order=corrupt)
-    job = GemvJob(image, bf16.encode(x.astype(np.float32)), arithmetic)
-    for _ in range(2):  # the second run meets a warm cache
-        result = engine.execute(job)
-        bits, values = one_einsum_per_window(result, engine, job, corrupt)
+            result, engine, w, x, image.placement, arithmetic, corrupt)
         assert np.array_equal(result.output_bits, bits)
         assert result.output.tobytes() == values[:out_dim].astype(np.float64).tobytes()
+        assert result.triggered_mac_reads == triggers
+        assert result.prefetcher_triggers == prefetched
 
 
 def test_staging_beyond_the_device_triggers_no_mac():
