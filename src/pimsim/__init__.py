@@ -21,9 +21,8 @@ from .layout import (PimImage, PimPlacement, WeightMatrix, convert_to_pim_aware,
 from .memsys import (Attribute, CacheConfig, MemoryRegion, MemorySystem,
                      RegionKind, Source, TraceRecord)
 from .model import MatrixShape, ModelSpec
-from .runtime import (PrefillResult, Segment, Timeline, build_ddb_schedule,
-                      ddb_hiding_crossover, end_to_end_grid, run_decode,
-                      run_prefill)
+from .runtime import (PrefillResult, build_ddb_schedule, ddb_hiding_crossover,
+                      end_to_end_grid, run_decode, run_prefill, timeline_rows)
 from .scenario import Scenario
 
 __version__ = "0.1.0"
@@ -34,11 +33,11 @@ __all__ = [
     "GemvResult", "GeometryError", "HardwareSpec", "IntegrityReport",
     "MatrixShape", "MemoryRegion", "MemorySystem", "ModelSpec",
     "PimGemvEngine", "PimImage", "PimPlacement", "PrefillResult",
-    "RegionError", "RegionKind", "Scenario", "Segment", "SimulatorError",
-    "Source", "Timeline", "TraceRecord", "WeightMatrix",
+    "RegionError", "RegionKind", "Scenario", "SimulatorError", "Source",
+    "TraceRecord", "WeightMatrix",
     "analytical_prefill", "bf16_decode", "bf16_encode", "build_ddb_schedule",
     "capacity_report", "convert_to_pim_aware", "ddb_hiding_crossover",
     "decode_token_time", "end_to_end_grid", "gemm_time", "model_placements",
     "rearrangement_overhead_table", "run_decode", "run_prefill", "smc_copy",
-    "smc_time", "unswizzle",
+    "smc_time", "timeline_rows", "unswizzle",
 ]

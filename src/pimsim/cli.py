@@ -17,9 +17,9 @@ Subcommands
     Seeded battery of functional GEMVs through the command-trace engine,
     checked against a host oracle and the trigger-count formula.
 
-Every indented JSON output, a ``run`` report and a ``convert`` manifest,
-goes through ``_json_text``, which writes the bytes of
-``json.dumps(value, sort_keys=True, indent=2)``.
+Every indented JSON output, a ``run`` report and a ``convert`` manifest, is
+the bytes of ``json.dumps(value, sort_keys=True, indent=2)``: ``_json_text``
+writes them, and ``_report_pieces`` a timeline report's rows one at a time.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 a check failed.
 """
@@ -32,6 +32,7 @@ import functools
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import fields, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -294,7 +295,8 @@ def cmd_convert(args) -> int:
 # run / sweep
 # ----------------------------------------------------------------------
 
-def _point_report(cfg: dict) -> dict:
+def _point_report(cfg: dict):
+    """A run's report, and its timeline's validated rows or None."""
     model, hw, mode, pim_bytes, timeline, axes = _resolve(cfg)
     [scenario], [in_len], [out_len] = axes
     report = {"resolved_config": _resolved_config(cfg, model, hw),
@@ -304,7 +306,7 @@ def _point_report(cfg: dict) -> dict:
         report["ttft_t_units"] = str(ttft)
         report["breakdown"] = {k: (str(v) if isinstance(v, Fraction) else v)
                                for k, v in breakdown.items()}
-        return report
+        return report, None
     prefill = run_prefill(scenario, model, hw, in_len)
     decode = run_decode(scenario, model, hw, out_len, pim_bytes=pim_bytes)
     report.update(end_to_end_row(prefill, decode,
@@ -313,19 +315,32 @@ def _point_report(cfg: dict) -> dict:
     if pim_bytes is not None:
         report["capacity"] = capacity_report(model, scenario, pim_bytes)
     report["decode_tps"] = decode.tps
-    if timeline and prefill.timeline is not None:
-        report["timeline"] = prefill.timeline.rows()
-    return report
+    rows = prefill.timeline() if timeline else None
+    if rows is not None:
+        report["timeline"] = []
+    return report, rows
+
+
+def _report_pieces(text: str, rows):
+    """``text``, a report's JSON text, with each of ``rows`` written in place
+    of its top-level ``"timeline": []``, one piece per row."""
+    head, key, tail = text.partition('\n  "timeline": []')
+    yield head
+    n = 0
+    for n, row in enumerate(rows, 1):  # key[:-1] opens the list
+        yield ("," if n > 1 else key[:-1]) + "\n    " + _indented(row, "\n    ")
+    yield ("\n  ]" if n else key) + tail
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config, RUN_KEYS)
-    report = _point_report(cfg)
+    report, rows = _point_report(_load_config(args.config, RUN_KEYS))
     text = _json_text(report) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    pieces = (text,) if rows is None else _report_pieces(text, rows)
+    with open(args.output, "w") if args.output else nullcontext() as out:
+        for piece in pieces:
+            if out:
+                out.write(piece)
+            sys.stdout.write(piece)
     return 0
 
 
@@ -338,15 +353,11 @@ def cmd_sweep(args) -> int:
     rows = end_to_end_grid(model, hw, *axes, pim_bytes=pim_bytes)
     fieldnames = ["scenario", "in_len", "out_len", "ttft_seconds",
                   "token_seconds", "total_seconds", "speedup_vs_c_gemm"]
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames,
-                                extrasaction="ignore")
+    with (open(args.output, "w", newline="") if args.output
+          else nullcontext(sys.stdout)) as out:
+        writer = csv.DictWriter(out, fieldnames=fieldnames, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 

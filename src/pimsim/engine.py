@@ -20,12 +20,17 @@ output tile, 16 rows for 32-byte bursts of 2-byte elements), and in
 multi-bank mode every active bank applies the same (row, column) command
 in lockstep.
 
-The MACs of consecutive windows, of one output tile or of several, are
-flushed together: one take of their bursts, one decode and one einsum
-give each window's partial sum, and a replay in trace order then adds
-each to the accumulators and takes each output write's snapshot, as one
-einsum per window would.  A flush holds at most ``FLUSH_BYTES`` of decoded
-weights, and at least one window.
+The arithmetic is per window, the MACs between two such writes: a partial
+sum starts at zero and adds ``w[j] * x[j]`` in RF order, in the
+accumulators' precision (float32 for bf16, float64 for exact), and the
+accumulators then add it.  The paper does not say whether the device adds
+each product straight into the accumulators instead, which rounds
+differently once a tile spans several windows; pimsim keeps this rule.
+Consecutive windows, of one output tile or of several, are flushed
+together: one take, one decode and one einsum give their partial sums
+(tests hold them to the rule's bits), and a replay in trace order adds
+each to the accumulators and takes each output write's snapshot.  A flush
+holds at most ``FLUSH_BYTES`` of decoded weights, and at least one window.
 """
 
 from __future__ import annotations

@@ -20,17 +20,19 @@ memory copies out of the non-cacheable region.
 * NC stream: each GEMM streams its matrix from the non-cacheable copy
   once per input token; there is no timeline.
 
-Both step generators yield one format, from which ``_timeline`` builds a
-timeline on the first read of ``PrefillResult.timeline``.
+Both step generators yield one ``(agent, layer, tag, start, end, buffer)``
+tuple per segment: the timeline, which ``timeline_rows`` validates and streams.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, pairwise, repeat
-from typing import Callable, NamedTuple
+from functools import partial
+from heapq import merge
+from itertools import chain, pairwise, repeat, tee
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple
 
 from .cost import HardwareSpec, decode_token_time, gemm_time, smc_time
 from .errors import ConfigError, check_int
@@ -41,51 +43,14 @@ FF0_COPY_QUARTERS = 4
 CROSSOVER_MAX_SL = 1024  # longest input ddb_hiding_crossover searches
 
 
-@dataclass(frozen=True)
-class Segment:
-    agent: str  # "copy" or "compute"
-    tag: str   # e.g. "layer3.ff1"
-    start: float
-    end: float
-    buffer: int | None = None
-
-
-@dataclass
-class Timeline:
-    segments: list = field(default_factory=list)
-
-    def agent_segments(self, agent: str) -> list[Segment]:
-        return [s for s in self.segments if s.agent == agent]
-
-    def validate(self):
-        """Segments of one agent must never overlap."""
-        for agent in {s.agent for s in self.segments}:
-            segs = sorted(self.agent_segments(agent), key=lambda s: s.start)
-            for a, b in zip(segs, segs[1:]):
-                if b.start < a.end - 1e-12:
-                    raise ConfigError(f"overlapping segments for {agent}: "
-                                      f"{a.tag} and {b.tag}")
-
-    def rows(self) -> list[dict]:
-        """One JSON-ready dict per segment, in (start, agent) order."""
-        # "role" repeats the agent; it stays so timeline reports keep their keys
-        return [{"agent": s.agent, "role": s.agent, "layer": s.tag,
-                 "start": s.start, "end": s.end, "buffer": s.buffer}
-                for s in sorted(self.segments, key=lambda s: (s.start, s.agent))]
-
-
 @dataclass
 class PrefillResult:
     scenario: Scenario
     sl: int
     ttft: float
     breakdown: dict
-    schedule: Callable[[], Timeline | None] = field(repr=False, compare=False)
-
-    @cached_property
-    def timeline(self) -> Timeline | None:
-        """``schedule()`` on first read: None for an NC stream, which has none."""
-        return self.schedule()
+    # per call, new ``timeline_rows``; None for an NC stream, which has none
+    timeline: Callable[[], Iterator | None] = field(repr=False, compare=False)
 
 
 @dataclass
@@ -224,21 +189,40 @@ def _serial_steps(model: ModelSpec, plan: list[_PlanSegment],
         yield "compute", None, "lm_head", t, t + head_seconds, None
 
 
-def _timeline(steps) -> Timeline:
-    """The segments of ``(agent, layer, tag, start, end, buffer)`` steps,
-    tagged ``layer{n}.{tag}`` within a layer, as a validated timeline."""
-    tl = Timeline([Segment(agent, tag if layer is None else f"layer{layer}.{tag}",
-                           start, end, buffer)
-                   for agent, layer, tag, start, end, buffer in steps])
-    tl.validate()
-    return tl
+def _row(step: tuple) -> dict:
+    """A step's report row, tagged ``layer{n}.{tag}`` within a decoder layer."""
+    agent, layer, tag, start, end, buffer = step
+    # "role" repeats the agent; it stays so timeline reports keep their keys
+    return {"agent": agent, "role": agent,
+            "layer": tag if layer is None else f"layer{layer}.{tag}",
+            "start": start, "end": end, "buffer": buffer}
+
+
+def timeline_rows(steps: Callable[[], Iterator[tuple]]) -> Iterator[dict]:
+    """Report rows, in ``(start, agent)`` order, of the ``(agent, layer, tag,
+    start, end, buffer)`` steps of ``steps()``, a new iterator per call: a
+    first pass raises ``ConfigError`` if a step starts before the end (less
+    1e-12 s) or the start of its agent's previous step, and a second merges
+    the agents' steps, which stay about a layer apart, one row at a time."""
+    last = {}  # each agent's last step
+    for step in steps():
+        prev = last.get(step[0])
+        if prev is not None and (step[3] < prev[3] or step[3] < prev[4] - 1e-12):
+            what = "out-of-order" if step[3] < prev[3] else "overlapping"
+            raise ConfigError(f"{what} segments for {step[0]}: "
+                              f"{_row(prev)['layer']} and {_row(step)['layer']}")
+        last[step[0]] = step
+    streams = [filter(lambda step, agent=agent: step[0] == agent, stream)
+               for agent, stream in zip(sorted(last), tee(steps(), len(last)))]
+    return map(_row, merge(*streams, key=itemgetter(3, 0)))
 
 
 def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec,
                        plan: list[_PlanSegment], head_seconds: float,
-                       head_bytes: int) -> Timeline:
-    """The double-buffered prefill's timeline, from ``_ddb_steps``."""
-    return _timeline(_ddb_steps(model, hw, plan, head_seconds, head_bytes))
+                       head_bytes: int) -> Iterator[dict]:
+    """The double-buffered prefill's ``timeline_rows``, from ``_ddb_steps``."""
+    return timeline_rows(partial(_ddb_steps, model, hw, plan, head_seconds,
+                                 head_bytes))
 
 
 # ----------------------------------------------------------------------
@@ -299,8 +283,8 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
         smc_total = _stack_sum(copies[:1], model.layers, copies[1])
     return PrefillResult(scenario, sl, gemm_total + smc_total,
                          {"gemm_seconds": gemm_total, "smc_seconds": smc_total},
-                         lambda: _timeline(_serial_steps(model, plan, head_seconds,
-                                                         copies)))
+                         lambda: timeline_rows(partial(_serial_steps, model, plan,
+                                                       head_seconds, copies)))
 
 
 def run_decode(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,

@@ -395,6 +395,47 @@ def test_json_text_raises_what_json_raises_for_no_json_value(value, bad, where):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("config, count", [
+    ({"model": {"hidden": 64, "intermediate": 128, "layers": 0, "vocab": 0}}, 0),
+    ({"model": {"hidden": 64, "intermediate": 128, "layers": 0, "vocab": 96},
+      "scenario": "wd"}, 1),
+    ({"model": "toy-64", "scenario": "s_ddb", "in_len": 8, "out_len": 2}, 16),
+], ids=["no-rows", "one-row", "many-rows"])
+def test_streamed_timeline_report_is_the_bytes_of_indented_sorted_json(
+        tmp_path, capsys, config, count):
+    """The pieces of a timeline report, joined, are the text of the whole
+    report, rows included, and ``--output`` gets the bytes of stdout."""
+    config = dict(config, timeline=True)
+    report, rows = cli._point_report(config)
+    placeholder = cli._json_text(report) + "\n"
+    rows = list(rows)
+    assert report.pop("timeline") == [] and len(rows) == count
+    assert report["resolved_config"]["timeline"] is True
+    want = _indent_2(dict(report, timeline=rows)) + "\n"
+    assert "".join(cli._report_pieces(placeholder, iter(rows))) == want
+    cfg, out = tmp_path / "run.json", tmp_path / "out.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(cfg), "--output", str(out)) == 0
+    assert capsys.readouterr().out == out.read_text() == want
+
+
+def test_a_timeline_that_fails_its_check_writes_no_byte(tmp_path, capsys,
+                                                       monkeypatch):
+    """The steps are checked before the report is written: overlapping steps
+    give an error line, exit 1, no stdout and no ``--output`` file."""
+    def overlapping(*args):
+        yield "compute", 0, "q", 0.0, 2.0, 0
+        yield "compute", 0, "k", 1.0, 3.0, 0
+    monkeypatch.setattr(runtime, "_ddb_steps", overlapping)
+    cfg, out = tmp_path / "run.json", tmp_path / "out.json"
+    cfg.write_text(json.dumps({"model": "toy-64", "timeline": True}))
+    assert run_cli("run", "--config", str(cfg), "--output", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: overlapping segments for compute: "
+                            "layer0.q and layer0.k\n")
+    assert captured.out == "" and not out.exists()
+
+
 # sha256 of the concatenated stdout of each variant's configs, in order
 REPORT_DIGESTS = {
     "plain": "3e819a5482ab45c79f0344cd5258df6dc0a74d58a08dd6ffd7389669dda9a586",
@@ -535,8 +576,9 @@ def test_each_prefill_and_decode_is_evaluated_once(tmp_path, monkeypatch,
              {"build_ddb_schedule": 1}),
             ("c_gemm", {}, {False: 2}, {}),
             ("wd", {}, {True: 1, False: 1}, {}),
+            # one pass validates the steps, a second streams them as rows
             ("wd", {"timeline": True}, {True: 1, False: 1},
-             {"_serial_steps": 1})):
+             {"_serial_steps": 2})):
         calls.clear()
         cfg.write_text(json.dumps({"model": "llama3.2-1b",
                                    "scenario": scenario, "in_len": 64,

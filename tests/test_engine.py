@@ -382,15 +382,25 @@ def test_bf16_encode_rounds_to_nearest_even_and_keeps_nans():
     assert type(bf16.encode(1.0)) is np.uint16 and bf16.encode(1.0) == 0x3F80
 
 
+def rf_partial(ws, xs, dtype):
+    """One window's partial sum by pimsim's MAC rule, with no NumPy
+    reduction: from zero, add ``ws[j] * xs[j]`` (each a bank x lane array
+    and an input) in RF order, in the accumulators' precision ``dtype``."""
+    part = np.zeros(ws.shape[1:], dtype=dtype)
+    for wj, xj in zip(ws, xs):
+        part += wj.astype(dtype) * dtype(xj)
+    return part
+
+
 def replay_mac_rule(result, engine, w, x, p, arithmetic, corrupt):
     """Independent, record-by-record model of the MAC rule over a job's
     trace: a staging write resets the RF pointer to the next input tile,
     the j-th read of a slab burst after it MACs input j if j is inside the
     tile, and an output write snapshots (then clears) the accumulators.
-    The MACs of each window, the reads between two boundaries, are one
-    ``einsum("nab,n->ab")`` of the bf16-rounded operands, added to the
-    accumulators before the next window.  Returns the readback bits,
-    values, triggers and prefetcher triggers."""
+    The MACs of each window, the reads between two boundaries, are the
+    ``rf_partial`` of the bf16-rounded operands, added to the accumulators
+    before the next window.  Returns the readback bits, values, triggers
+    and prefetcher triggers."""
     lanes, banks = p.row_tile, p.active_banks
     dtype = np.float64 if arithmetic == "exact" else np.float32
     w_pad = np.zeros((p.m_pad, p.k_pad), dtype=np.float32)
@@ -411,7 +421,7 @@ def replay_mac_rule(result, engine, w, x, p, arithmetic, corrupt):
             ws = np.array([w_pad[slot * banks * lanes:(slot + 1) * banks * lanes, col]
                            for slot, col in pending]).reshape(-1, banks, lanes)
             xs = x_cur[:len(pending)]
-            acc[:] += np.einsum("nab,n->ab", ws, xs[::-1] if corrupt else xs)
+            acc[:] += rf_partial(ws, xs[::-1] if corrupt else xs, dtype)
         pending.clear()
 
     for r in result.records:
@@ -465,8 +475,8 @@ def test_trace_replay_oracle_matches_the_engine(geo_banks, columns,
                                                 normal):
     """Integer-valued operands keep every partial sum exact, so the oracle's
     summation order cannot matter, in either arithmetic.  Standard-normal
-    operands round, so with them the engine's output bits are those of one
-    einsum per window added in trace order, whatever the windows: full ones
+    operands round, so with them the engine's output bits are those of each
+    window's ``rf_partial`` added in trace order, whatever the windows: full ones
     flushed together, short ones on a warm cache, saturated ones under the
     prefetcher, reversed inputs, and flushes of ``FLUSH_BYTES`` that end
     inside a tile or span output writes."""
@@ -498,6 +508,35 @@ def test_trace_replay_oracle_matches_the_engine(geo_banks, columns,
         assert result.output.tobytes() == values[:out_dim].astype(np.float64).tobytes()
         assert result.triggered_mac_reads == triggers
         assert result.prefetcher_triggers == prefetched
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 16), st.sampled_from([16, 32]),
+       st.sampled_from(["exact", "bf16"]), st.integers(0, 2**32 - 1))
+def test_the_batched_einsum_is_the_sequential_mac_rule(windows, banks, lanes,
+                                                       arithmetic, seed):
+    """The engine's flush takes every window's partial sum from one
+    ``einsum("wnab,wn->wab")``.  On standard-normal bf16 operands, windows of
+    1 to one input tile's ``RF_ENTRIES * lanes`` MACs, zero-padded as the
+    flush pads them, must give the bits of ``rf_partial``, the rule itself,
+    and not whatever order a NumPy version sums in."""
+    rng = np.random.default_rng(seed)
+    dtype = np.float64 if arithmetic == "exact" else np.float32
+    rf = layout.RF_ENTRIES * lanes
+    w = bf16.decode(bf16.encode(
+        rng.standard_normal((windows, rf, banks, lanes)).astype(np.float32)))
+    x = bf16.decode(bf16.encode(
+        rng.standard_normal((windows, rf)).astype(np.float32))).astype(dtype)
+    macs = rng.integers(1, rf + 1, size=windows)
+    for i, n in enumerate(macs):
+        w[i, n:] = 0
+        x[i, n:] = 0
+    got = np.einsum("wnab,wn->wab", w, x)
+    want = np.stack([rf_partial(w[i, :n], x[i, :n], dtype)
+                     for i, n in enumerate(macs)])
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes(), \
+        f"einsum sums a window in another order than the MAC rule on NumPy {np.__version__}"
 
 
 def test_staging_beyond_the_device_triggers_no_mac():

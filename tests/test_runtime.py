@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,17 +23,21 @@ from pimsim.memsys import Attribute, MemorySystem, RegionKind
 from pimsim.model import ModelSpec
 from pimsim.presets import (DESK_GEOMETRY, HARDWARE, MODELS, hardware_preset,
                             model_preset, pim_weight_bytes)
-from pimsim.runtime import (Segment, Timeline, ddb_hiding_crossover,
-                            end_to_end_grid, end_to_end_row, layer_plan,
-                            run_decode, run_prefill)
+from pimsim.runtime import (ddb_hiding_crossover, end_to_end_grid,
+                            end_to_end_row, layer_plan, run_decode,
+                            run_prefill, timeline_rows)
 from pimsim.scenario import Scenario
 
 HW = hardware_preset("s24plus")
 M1B = model_preset("llama3.2-1b")
 
 
-def ddb_timeline(sl, model=M1B, hw=HW):
-    return run_prefill(Scenario.S_DDB, model, hw, sl).timeline
+def ddb_rows(sl, model=M1B, hw=HW):
+    return list(run_prefill(Scenario.S_DDB, model, hw, sl).timeline())
+
+
+def agent_rows(rows, agent):
+    return [r for r in rows if r["agent"] == agent]
 
 
 # ----------------------------------------------------------------------
@@ -40,21 +45,32 @@ def ddb_timeline(sl, model=M1B, hw=HW):
 # ----------------------------------------------------------------------
 
 def test_timeline_agents_never_overlap():
-    tl = ddb_timeline(64)
-    tl.validate()  # raises on overlap
+    rows = ddb_rows(64)
     for agent in ("compute", "copy"):
-        assert tl.agent_segments(agent)
+        mine = agent_rows(rows, agent)
+        assert mine
+        assert all(b["start"] >= a["end"] for a, b in zip(mine, mine[1:]))
 
 
 def test_overlapping_segments_of_one_agent_are_rejected():
-    """Two segments of one agent that overlap are an error; the same spans
-    on two agents, or back to back on one, are not."""
-    spans = [("layer0.q", 0.0, 2.0), ("layer0.k", 1.0, 3.0)]
-    with pytest.raises(ConfigError, match="overlapping segments for copy"):
-        Timeline([Segment("copy", *span) for span in spans]).validate()
-    Timeline([Segment(agent, *span)
-              for agent, span in zip(("copy", "compute"), spans)]).validate()
-    Timeline([Segment("copy", "a", 0.0, 1.0), Segment("copy", "b", 1.0, 2.0)]).validate()
+    """Two steps of one agent that overlap, or that come out of start order,
+    are an error before any row; the same spans on two agents, or back to
+    back on one, are not."""
+    spans = [(0, "q", 0.0, 2.0), (0, "k", 1.0, 3.0)]
+    with pytest.raises(ConfigError,
+                       match="^overlapping segments for copy: layer0.q and layer0.k$"):
+        timeline_rows(lambda: (("copy", *span, None) for span in spans))
+    assert [r["layer"] for r in timeline_rows(
+        lambda: ((agent, *span, None)
+                 for agent, span in zip(("copy", "compute"), spans)))] \
+        == ["layer0.q", "layer0.k"]
+    assert len(list(timeline_rows(lambda: iter(
+        [("copy", None, "a", 0.0, 1.0, None),
+         ("copy", None, "b", 1.0, 2.0, None)])))) == 2
+    # b ends before a starts: no overlap, but the merge needs start order
+    with pytest.raises(ConfigError, match="^out-of-order segments for copy: a and b$"):
+        timeline_rows(lambda: iter([("copy", None, "a", 1.0, 2.0, None),
+                                    ("copy", None, "b", 0.0, 0.5, None)]))
 
 
 def test_layer_plan_copy_pairing():
@@ -79,8 +95,8 @@ def test_layer_plan_copy_pairing():
 
 
 def test_last_layer_has_no_next_preload():
-    tl = ddb_timeline(32)
-    qkvo = [s.tag for s in tl.agent_segments("copy") if s.tag.endswith(".qkvo")]
+    qkvo = [r["layer"] for r in agent_rows(ddb_rows(32), "copy")
+            if r["layer"].endswith(".qkvo")]
     # the preload stands for layer 0's projections; the last layer has no
     # next layer to preload
     assert qkvo == [f"layer{layer}.qkvo" for layer in range(1, M1B.layers)]
@@ -89,14 +105,14 @@ def test_last_layer_has_no_next_preload():
 def test_copy_conservation_per_layer():
     """Bytes copied while layer l computes equal the weights consumed by the
     segments they feed (FF0..FF2 of layer l plus the next layer's QKVO)."""
-    tl = ddb_timeline(96)
+    rows = ddb_rows(96)
     eb = M1B.element_bytes
     nbytes = {m.name: m.params() * eb for m in M1B.layer_matrices()}
     qkvo = sum(nbytes[n] for n in ("q", "k", "v", "o"))
     copies = {}
-    for seg in tl.agent_segments("copy"):
-        copies.setdefault(seg.tag.split(".")[0], 0.0)
-        copies[seg.tag.split(".")[0]] += seg.end - seg.start
+    for row in agent_rows(rows, "copy"):
+        copies.setdefault(row["layer"].split(".")[0], 0.0)
+        copies[row["layer"].split(".")[0]] += row["end"] - row["start"]
     bw = HW.smc_bw_2agents_gbps * 1e9
     assert copies["preload"] * bw == pytest.approx(qkvo)
     for layer in range(1, M1B.layers):
@@ -105,12 +121,12 @@ def test_copy_conservation_per_layer():
 
 
 def test_copy_agent_moves_exactly_the_model_once():
-    tl = ddb_timeline(32)
-    busy = math.fsum(s.end - s.start for s in tl.agent_segments("copy"))
+    rows = ddb_rows(32)
+    busy = math.fsum(r["end"] - r["start"] for r in agent_rows(rows, "copy"))
     assert busy * HW.smc_bw_2agents_gbps * 1e9 \
         == pytest.approx(M1B.host_bytes())
     # hiding law: TTFT bounded below by total copy
-    assert max(s.end for s in tl.segments) >= busy
+    assert max(r["end"] for r in rows) >= busy
 
 
 @st.composite
@@ -148,16 +164,16 @@ def test_ddb_copies_every_weight_exactly_once(point):
 @settings(max_examples=60, deadline=None)
 @given(drawn_points())
 def test_ddb_ttft_and_copy_time_need_no_timeline(point):
-    """S_DDB's TTFT and copy time come without its segments, and equal the
-    end and copy durations of the timeline built on its first read."""
+    """S_DDB's TTFT and copy time come without its timeline, and equal the
+    end and copy durations of the rows that a call of ``timeline`` gives."""
     model, hw, sl = point
-    ddb = run_prefill(Scenario.S_DDB, model, hw, sl)
-    assert "timeline" not in vars(ddb)
-    tl = ddb.timeline
-    assert ddb.ttft == max((s.end for s in tl.segments), default=0.0)
+    with mock.patch.object(runtime, "build_ddb_schedule") as built:
+        ddb = run_prefill(Scenario.S_DDB, model, hw, sl)
+    assert not built.called
+    rows = list(ddb.timeline())
+    assert ddb.ttft == max((r["end"] for r in rows), default=0.0)
     assert ddb.breakdown["smc_seconds"] == math.fsum(
-        s.end - s.start for s in tl.agent_segments("copy"))
-    tl.validate()
+        r["end"] - r["start"] for r in agent_rows(rows, "copy"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,28 +196,29 @@ def test_every_calibrated_prefill_reads_one_plan(point):
              gemm_time(m.params() * eb, m.params(), sl, hw))
          for m in model.all_matrices()]
         + [hw.host_attn_seconds_per_layer] * model.layers)
-    assert nc.timeline is None
-    wd, facil, c_gemm, owr = (
-        run_prefill(s, model, hw, sl) for s in
-        (Scenario.WD, Scenario.FACIL_O, Scenario.C_GEMM, Scenario.S_OWR))
-    # the serial timelines are built on their first read, not before
-    assert not any("timeline" in vars(r) for r in (wd, facil, c_gemm, owr))
+    assert nc.timeline() is None
+    # the serial timelines are built when called, not before
+    with mock.patch.object(runtime, "_serial_steps") as steps:
+        wd, facil, c_gemm, owr = (
+            run_prefill(s, model, hw, sl) for s in
+            (Scenario.WD, Scenario.FACIL_O, Scenario.C_GEMM, Scenario.S_OWR))
+    assert not steps.called
     for other in (facil, c_gemm):
-        assert (other.ttft, other.breakdown, other.timeline.rows()) \
-            == (wd.ttft, wd.breakdown, wd.timeline.rows())
+        assert (other.ttft, other.breakdown, list(other.timeline())) \
+            == (wd.ttft, wd.breakdown, list(wd.timeline()))
     assert owr.ttft == wd.ttft + owr.breakdown["smc_seconds"]
     agents = Scenario.S_OWR.record.copy_agents
     assert owr.breakdown["smc_seconds"] * hw.smc_bw_gbps(agents) * 1e9 \
         == pytest.approx(model.host_bytes(), rel=1e-9, abs=1e-6)
     # S_OWR runs WD's GEMMs in order, with one copy right before each
     # layer's first GEMM and one before the head's
-    rows = owr.timeline.rows()
+    rows = list(owr.timeline())
     groups = [f"layer{n}" for n in range(model.layers)] + (["lm_head"]
                                                            if head else [])
     assert [r["layer"] for r in rows if r["agent"] == "copy"] \
         == [f"{g}.smc" for g in groups]
     assert [r["layer"] for r in rows if r["agent"] == "compute"] \
-        == [r["layer"] for r in wd.timeline.rows()]
+        == [r["layer"] for r in wd.timeline()]
     firsts = [n for n, r in enumerate(rows)
               if n == 0 or r["layer"].split(".")[0]
               != rows[n - 1]["layer"].split(".")[0]]
@@ -334,9 +351,9 @@ def test_preset_prefill_schedules_equal_the_oracle_at_every_short_input(name):
 
 
 def test_buffers_alternate_between_compute_and_copy():
-    tl = ddb_timeline(64)
-    comp = {s.tag: s.buffer for s in tl.agent_segments("compute")}
-    copy = {s.tag: s.buffer for s in tl.agent_segments("copy")}
+    rows = ddb_rows(64)
+    comp = {r["layer"]: r["buffer"] for r in agent_rows(rows, "compute")}
+    copy = {r["layer"]: r["buffer"] for r in agent_rows(rows, "copy")}
     # projections of layer 0 compute from the preloaded buffer 0 while FF0
     # streams into buffer 1
     assert comp["layer0.q"] == copy["preload"] == 0
@@ -352,13 +369,67 @@ def test_buffers_alternate_between_compute_and_copy():
 
 
 def test_timeline_json_export():
-    tl = ddb_timeline(32)
-    rows = tl.rows()
+    rows = ddb_rows(32)
     assert json.loads(json.dumps(rows)) == rows
-    assert len(rows) == len(tl.segments)
+    assert len(rows) == len(schedule_steps(Scenario.S_DDB, M1B, HW, 32))
     assert {"agent", "role", "layer", "start", "end", "buffer"} \
         <= set(rows[0])
     assert rows == sorted(rows, key=lambda r: (r["start"], r["agent"]))
+
+
+TIMED_SCENARIOS = tuple(s for s in Scenario if s is not Scenario.NC_GEMM)
+
+
+def sorted_rows(steps) -> list[dict]:
+    """The rows by the rule before they were streamed: each step tagged
+    ``layer{n}.{tag}`` within a layer, then all ``sorted`` by ``(start,
+    agent)``."""
+    rows = [{"agent": agent, "role": agent,
+             "layer": tag if layer is None else f"layer{layer}.{tag}",
+             "start": start, "end": end, "buffer": buffer}
+            for agent, layer, tag, start, end, buffer in steps]
+    return sorted(rows, key=lambda r: (r["start"], r["agent"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_points())
+def test_streamed_rows_are_the_sorted_steps(point):
+    """The rows that ``timeline_rows`` merges from the agents' streams are
+    the tagged steps ``sorted`` by ``(start, agent)`` for every timed
+    scenario, and a prefill's ``timeline`` gives the same rows."""
+    model, hw, sl = point
+    for scenario in TIMED_SCENARIOS:
+        steps = schedule_steps(scenario, model, hw, sl)
+        want = sorted_rows(steps)
+        assert list(timeline_rows(lambda: iter(steps))) == want, scenario
+        assert list(run_prefill(scenario, model, hw, sl).timeline()) == want, scenario
+
+
+def test_rows_break_start_ties_as_sorted_does():
+    """At one start, "compute" comes before "copy", and one agent's steps keep
+    their order, whatever order the agents' steps come in."""
+    steps = [("copy", None, "c", 0.0, 0.0, None), ("copy", 0, "d", 0.0, 1.0, 1),
+             ("compute", None, "g", 0.0, 1.0, None), ("copy", 1, "e", 1.0, 1.0, 0),
+             ("compute", 1, "h", 1.0, 2.0, 0)]
+    rows = list(timeline_rows(lambda: iter(steps)))
+    assert [r["layer"] for r in rows] == ["g", "c", "layer0.d", "layer1.h", "layer1.e"]
+    assert rows == sorted_rows(steps)
+
+
+@pytest.mark.parametrize("scenario", [Scenario.S_DDB, Scenario.S_OWR, Scenario.WD])
+def test_timeline_rows_hold_no_list_of_the_layers(scenario):
+    """A timeline is validated and read row by row: at 4,000 layers, a list of
+    its 30,000-60,000 steps alone would take several MB."""
+    prefill = run_prefill(scenario, ModelSpec(hidden=64, intermediate=128,
+                                              layers=4_000), HW, 8)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in prefill.timeline())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count >= 4_000 * 7
+    assert peak < 500_000, peak
 
 
 # ----------------------------------------------------------------------
