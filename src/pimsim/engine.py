@@ -180,8 +180,7 @@ class PimGemvEngine:
         snapshots, in trace order, the triggered reads, and how many of
         those the prefetcher issued."""
         p = job.placement
-        addrs, ops, codes = records.columns()
-        writes = ops == "W"
+        addrs, writes, codes = records.columns()
         staging = writes & (addrs == self.in_buf_addr)
         bounds = np.flatnonzero(staging | (writes & (addrs == self.out_buf_addr)))
         bursts = np.where(writes, -1, burst_of_address(p, addrs))
@@ -246,9 +245,8 @@ class PimGemvEngine:
         stream = stream.ravel()
         writes = (stream == self.in_buf_addr) | (stream == self.out_buf_addr)
         # a staging write and an output write each move one RF of 8 bursts
-        self.mem.access_many(stream, np.where(writes, "W", "R"),
-                             np.where(writes, RF_ENTRIES * geo.burst_bytes,
-                                      geo.burst_bytes))
+        self.mem.access_many(stream, writes, np.where(writes, RF_ENTRIES * geo.burst_bytes,
+                                                      geo.burst_bytes))
         records = self.mem.records_since(mark)
         snapshots, triggers, prefetched = self._on_dram(job, records, x_tiles)
         snapshots = np.array(snapshots).reshape(p.slots, -1)

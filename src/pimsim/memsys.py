@@ -7,12 +7,13 @@ write-backs.  Cache hits never appear in the trace, which is precisely
 what makes cacheable placement of PIM weights hazardous: reads absorbed
 by the cache cannot trigger PIM execution.
 
-The trace is columnar: five arrays hold the tick, address, op, agent code
-and size of every record, and ``TraceRecord``s, which name the agent, are
-built only when the trace is iterated.  The codes index the trace's name
-table, which only grows, also across a clear.  Records are written only
-past the end, and the arrays are reallocated to grow or to clear, so a
-``TraceView`` is a slice of each that never changes.  ``access_many``
+The trace is columnar: five arrays hold the tick, address, write flag,
+agent code and size of every record, and ``TraceRecord``s, which name the
+agent and the op, "R" or "W", are built only when the trace is iterated.
+The codes index the trace's name table, which only grows, also across a
+clear.  Records are written only past the end, and the arrays are
+reallocated to grow or to clear, so a ``TraceView`` is a slice of each that
+never changes.  ``access_many`` takes "R"/"W" ops or a bool write mask,
 validates a stream once, splits it where the region attribute changes,
 and stores each stretch of non-cacheable requests at once, whatever ops
 and sizes it mixes, cut only where the rogue prefetcher injects a read.
@@ -52,7 +53,7 @@ ALLOC_ALIGN = 64  # default region alignment in bytes
 # queued trace records past which ``access`` writes them into the columns,
 # so that a long run of single accesses leaves no long tail to a later read
 TAIL_FLUSH = 256
-_FIELDS = 5  # tail entries per queued record: tick, address, op, agent, size
+_FIELDS = 5  # tail entries per queued record: tick, address, write flag, agent, size
 _INT64 = np.iinfo(np.int64)  # the range of every address and request size
 _NO_END = _INT64.min  # the end of no region, below every address
 
@@ -76,6 +77,7 @@ class Source(enum.Enum):
 # a lookup of an enum member costs about 0.1 µs on Python 3.11, as much as
 # a hit's LRU update, so ``access`` reads its results from module globals
 _CACHE, _DRAM = Source.CACHE, Source.DRAM
+_WRITES, _OPS = {"R": False, "W": True}, "RW"  # an op's write flag, and a flag's op
 
 
 @dataclass(frozen=True)
@@ -117,13 +119,13 @@ class TraceView:
         return len(self._columns[0])
 
     def __iter__(self):
-        ticks, addrs, ops, codes, sizes = (c.tolist() for c in self._columns)
-        return map(TraceRecord, ticks, map(self.agents.__getitem__, codes), ops, addrs,
-                   sizes)
+        ticks, addrs, writes, codes, sizes = (c.tolist() for c in self._columns)
+        return map(TraceRecord, ticks, map(self.agents.__getitem__, codes),
+                   map(_OPS.__getitem__, writes), addrs, sizes)
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The records as three arrays: address, op and agent code, which
-        ``agents`` maps to the agent's name."""
+        """The records as three arrays: address, write flag (bool, True for
+        "W") and agent code, which ``agents`` maps to the agent's name."""
         return self._columns[1:4]
 
     def agent_code(self, agent: str) -> int:
@@ -133,17 +135,17 @@ class TraceView:
 
 
 def _new_columns(n: int) -> tuple[np.ndarray, ...]:
-    """Room for ``n`` records: tick, address, op, agent code and size."""
-    return (np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, "U1"),
+    """Room for ``n`` records: tick, address, write flag, agent code and size."""
+    return (np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, bool),
             np.empty(n, np.int32), np.empty(n, np.int64))
 
 
 class CommandTrace:
-    """The DRAM command trace, as five columns: tick, address, op, agent
-    code and size.  The memory system writes batches of records into them,
-    and queues each single record as five entries, tick, address, op, agent
-    and size, on a flat tail list, which is written into the columns before
-    any read of them.
+    """The DRAM command trace, as five columns: tick, address, write flag,
+    agent code and size.  The memory system writes batches of records into
+    them, and queues each single record as five entries, the same fields
+    with the agent's name, on a flat tail list, which is written into the
+    columns before any read of them.
     ``agents[code]`` names the agent of a code; names are only appended,
     also across ``clear()``, so a code never changes its name."""
 
@@ -279,8 +281,9 @@ class _Cache(NamedTuple):
 
 def _requests(addrs, op, nbytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The requests ``(addrs[j], op[j], nbytes[j])`` as 1-D arrays of int64
-    addresses, ops and int64 sizes, ``op`` and ``nbytes`` one for all or one
-    per address; ``RegionError`` unless each address and size is an int64
+    addresses, bool write flags and int64 sizes, ``op`` (or a bool array of
+    the flags, 1-D or more) and ``nbytes`` one for all or one per
+    address; ``RegionError`` unless each address and size is an int64
     integer (NumPy's count, no bool), each size >= 1, each op "R" or "W"."""
     columns = []
     for name, values in (("addrs", addrs), ("op", op), ("nbytes", nbytes)):
@@ -292,11 +295,11 @@ def _requests(addrs, op, nbytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if columns and many and values.size != columns[0].size:
             raise RegionError(f"{name} has {values.size} values for {columns[0].size} requests")
         columns.append(values)
-    ops = columns[1]
-    for o in [] if ops.dtype.kind == "U" and ((ops == "R") | (ops == "W")).all() else ops.tolist():
+    ops = columns[1]  # a bool array holds the write flags; a bool read as an object is no op
+    for o in [] if ops.dtype == bool else ops.tolist():
         if not isinstance(o, str) or o not in ("R", "W"):
             raise RegionError(f"op must be 'R' or 'W', got {o!r}")
-    columns[1] = ops.astype("U1", copy=False)  # as the trace stores them: a list made objects
+    columns[1] = ops if ops.dtype == bool else ops == "W"
     for i, name, rule, least in ((0, "addresses", "integers", _INT64.min),
                                  (2, "request sizes", "whole bytes >= 1", 1)):
         values = columns[i]  # an integer array is checked whole
@@ -394,8 +397,9 @@ class MemorySystem:
         dirty victim); a hit produces no DRAM traffic.
         """
         try:  # ``_requests`` checks any other request, and converts it: a hit logs Python ints
-            if op not in {"R", "W"} or type(nbytes) is not int or nbytes < 1 or type(addr) is not int:
-                (addr,), (op,), (nbytes,) = (c.tolist() for c in _requests([addr], [op], [nbytes]))
+            write = _WRITES.get(op)
+            if write is None or type(nbytes) is not int or nbytes < 1 or type(addr) is not int:
+                (addr,), (write,), (nbytes,) = (c.tolist() for c in _requests([addr], [op], [nbytes]))
         except TypeError:  # an unhashable op, such as an array, is no str: this raises
             _requests([addr], [op], [nbytes])
         base, end, non_cacheable = self._last_region
@@ -410,11 +414,11 @@ class MemorySystem:
         sets, stats, hits, tail, line_bytes, n_sets, ways = self._lru
         tick = self._tick
         if non_cacheable:
-            tail += tick, addr, op, agent, nbytes
+            tail += tick, addr, write, agent, nbytes
             tick += 1
             source = _DRAM
         else:
-            write, source = op == "W", _CACHE
+            source = _CACHE
             line, stop = addr - addr % line_bytes, addr + nbytes
             while line < stop:
                 s = sets[line // line_bytes % n_sets]
@@ -426,9 +430,9 @@ class MemorySystem:
                         stats.evictions += 1
                         if s.pop(evicted):
                             stats.writebacks += 1
-                            tail += tick, evicted, "W", agent, line_bytes
+                            tail += tick, evicted, True, agent, line_bytes
                             tick += 1
-                    tail += tick, line, "R", agent, line_bytes
+                    tail += tick, line, False, agent, line_bytes
                     source = _DRAM
                 else:
                     stats.hits += 1
@@ -440,39 +444,39 @@ class MemorySystem:
         if source is _DRAM and len(tail) >= _FIELDS * TAIL_FLUSH:
             self.trace.grow(0)
         if self.rogue_period is not None and self._rogue_positions(
-                (addr,), (end,), (op,), (nbytes,), agent):
+                (addr,), (end,), (write,), (nbytes,), agent):
             self.access(addr + nbytes, "R", nbytes, agent="prefetcher")
         return source
 
     def access_many(self, addrs, op, nbytes, agent: str = "host"):
         """Issue ``access(a, o, n, agent)`` for each request ``(a, o, n)`` in
-        order, with the same trace, ticks and cache state.  ``op`` and
-        ``nbytes`` give one value per request, or one for all.  The whole
-        stream is validated before any request is issued and split where the
-        region attribute changes; a non-cacheable stretch is one store."""
-        addrs, ops, sizes = _requests(addrs, op, nbytes)
+        order, with the same trace, ticks and cache state.  ``op`` (also a bool
+        write mask) and ``nbytes`` give one value per request, or one for all.
+        The whole stream is validated before any request is issued and split
+        where the region attribute changes; a non-cacheable stretch is one store."""
+        addrs, writes, sizes = _requests(addrs, op, nbytes)
         if not addrs.size:
             return
         # each request's region: index -1 is below every region
         region = np.searchsorted(self._bases, addrs, side="right") - 1
         ends = self._ends[region]
         outside = (addrs >= ends) | (sizes > ends - addrs)  # addrs + sizes may pass int64
-        if outside.any():  # ``access`` raises for the first request that no region holds
-            self.access(*(column[outside.argmax()] for column in (addrs, ops, sizes)))
+        if outside.any():  # ``access`` raises for the first request that no region holds, of any op
+            self.access(addrs[outside.argmax()], "R", sizes[outside.argmax()])
         non_cacheable = self._non_cacheable[region]
         starts = [0, *(np.flatnonzero(non_cacheable[1:] != non_cacheable[:-1]) + 1).tolist()]
         for lo, hi in zip(starts, starts[1:] + [addrs.size]):
             if non_cacheable[lo]:
-                self._dram_batch(addrs[lo:hi], ends[lo:hi], ops[lo:hi], sizes[lo:hi], agent)
+                self._dram_batch(addrs[lo:hi], ends[lo:hi], writes[lo:hi], sizes[lo:hi], agent)
             else:
-                for request in zip(addrs[lo:hi].tolist(), ops[lo:hi].tolist(),
-                                   sizes[lo:hi].tolist()):
+                ops = map(_OPS.__getitem__, writes[lo:hi].tolist())
+                for request in zip(addrs[lo:hi].tolist(), ops, sizes[lo:hi].tolist()):
                     self.access(*request, agent)
 
-    def _dram_batch(self, addrs: np.ndarray, ends, ops, sizes, agent: str):
+    def _dram_batch(self, addrs: np.ndarray, ends, writes, sizes, agent: str):
         """Non-cacheable requests, each in a region ending at ``ends[j]``:
         one store, cut where the rogue prefetcher injects a read."""
-        cuts = [j + 1 for j in self._rogue_positions(addrs, ends, ops, sizes, agent)]
+        cuts = [j + 1 for j in self._rogue_positions(addrs, ends, writes, sizes, agent)]
         code = self.trace.code(agent)
         for lo, hi in zip([0, *cuts], [*cuts, len(addrs)]):
             if lo:  # the prefetcher reads the block after request lo - 1
@@ -480,12 +484,12 @@ class MemorySystem:
                             agent="prefetcher")
             i, columns = self.trace.grow(hi - lo)
             for column, values in zip(columns, (np.arange(self._tick, self._tick + hi - lo),
-                                                addrs[lo:hi], ops[lo:hi], code,
+                                                addrs[lo:hi], writes[lo:hi], code,
                                                 sizes[lo:hi])):
                 column[i:i + hi - lo] = values
             self._tick += hi - lo
 
-    def _rogue_positions(self, addrs, ends, ops, sizes, agent: str) -> list[int]:
+    def _rogue_positions(self, addrs, ends, writes, sizes, agent: str) -> list[int]:
         """Positions in a batch of requests after which the rogue prefetcher
         reads the next block: every ``rogue_period``-th read of an agent
         other than the prefetcher itself, counted over the batch's reads,
@@ -493,7 +497,7 @@ class MemorySystem:
         ``ends[j]``."""
         if self.rogue_period is None or agent == "prefetcher":
             return []
-        reads = np.flatnonzero(np.asarray(ops) == "R")
+        reads = np.flatnonzero(~np.asarray(writes))
         seen, period = self._reads_seen, self.rogue_period
         self._reads_seen += len(reads)
         return [j for j in reads[-(seen + 1) % period::period].tolist()

@@ -41,6 +41,11 @@ from .scenario import Scenario, Schedule
 
 FF0_COPY_QUARTERS = 4
 CROSSOVER_MAX_SL = 1024  # longest input ddb_hiding_crossover searches
+# A grid's bounds: its prefill work, scenarios x in_lens x layers, and its
+# rows, all held at once.  At both, a sweep is no slower than the slowest
+# accepted run and peaks under 64 MB RSS (README, ``pimsim sweep``).
+MAX_GRID_LAYERS = 2 ** 20
+MAX_GRID_ROWS = 2 ** 15
 
 
 @dataclass
@@ -334,10 +339,19 @@ def end_to_end_grid(model: ModelSpec, hw: HardwareSpec, scenarios, in_lens,
     """Report rows of a calibrated grid in (scenario, in_len, out_len) order.
 
     Each prefill is evaluated once per (scenario, in_len), each decode once
-    per (scenario, out_len) and the host token time once per grid.
+    per (scenario, out_len) and the host token time once per grid.  A grid
+    above ``MAX_GRID_LAYERS`` prefill layers or ``MAX_GRID_ROWS`` rows is a
+    ``ConfigError``, raised before any prefill.
     """
     if not (scenarios and in_lens and out_lens):
         raise ConfigError("scenarios, in_lens and out_lens must be non-empty")
+    points = len(scenarios) * len(in_lens)
+    for size, axis, what, bound in (
+            (max(model.layers, 1), "layers", "prefill layers", MAX_GRID_LAYERS),
+            (len(out_lens), "out_lens", "rows", MAX_GRID_ROWS)):
+        if points * size > bound:
+            raise ConfigError(f"grid has scenarios x in_lens x {axis} = {len(scenarios)} x "
+                              f"{len(in_lens)} x {size} = {points * size} {what}, above {bound}")
     host_token = decode_token_time(model, hw, False)
     rows = []
     for scenario in scenarios:

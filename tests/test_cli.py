@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -328,6 +329,49 @@ def test_a_model_past_the_layer_bound_fails_at_once(tmp_path):
     assert done.returncode == 1
     assert done.stderr == f"error: model layers must be at most {MAX_LAYERS}, got {10 ** 12}\n"
     assert done.stdout == ""
+
+
+# a sweep at each bound of its grid, and the one axis that takes it just past:
+# scenarios x in_lens x layers prefill layers, and scenarios x in_lens x
+# out_lens rows
+GRID_BOUNDS = {
+    "prefill-layers": (
+        {"model": {"hidden": 64, "intermediate": 128, "layers": runtime.MAX_GRID_LAYERS // 64},
+         "scenarios": ["c_gemm"], "in_lens": list(range(1, 65))},
+        "model", {"hidden": 64, "intermediate": 128, "layers": runtime.MAX_GRID_LAYERS // 64 + 1},
+        "error: grid has scenarios x in_lens x layers = 1 x 64 x 16385 = 1048640 prefill "
+        "layers, above 1048576\n"),
+    "rows": (
+        {"model": "toy-64", "scenarios": ["wd"], "in_len": 8,
+         "out_lens": list(range(runtime.MAX_GRID_ROWS))},
+        "out_lens", list(range(runtime.MAX_GRID_ROWS + 1)),
+        "error: grid has scenarios x in_lens x out_lens = 1 x 1 x 32769 = 32769 rows, "
+        "above 32768\n"),
+}
+
+
+@pytest.mark.parametrize("at_bound, key, past, message", GRID_BOUNDS.values(),
+                         ids=GRID_BOUNDS.keys())
+def test_a_sweep_past_its_grid_bound_fails_before_any_prefill(tmp_path, capsys, at_bound, key,
+                                                              past, message):
+    """A grid at the bound is swept; one layer or one out_len more is an
+    ``error:`` line and exit 1 in under a second, with no prefill, no
+    stdout and no ``--output`` file."""
+    cfg, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    cfg.write_text(json.dumps(at_bound))
+    assert run_cli("sweep", "--config", str(cfg), "--output", str(out)) == 0
+    points = len(at_bound["scenarios"]) * len(at_bound.get("in_lens", [8]))
+    assert len(out.read_text().splitlines()) == 1 + points * len(at_bound.get("out_lens", [0]))
+    assert capsys.readouterr() == ("", "")
+    out.unlink()
+    cfg.write_text(json.dumps({**at_bound, key: past}))
+    with mock.patch.object(runtime, "run_prefill", wraps=runtime.run_prefill) as prefill:
+        start = time.perf_counter()
+        assert run_cli("sweep", "--config", str(cfg), "--output", str(out)) == 1
+        assert time.perf_counter() - start < 1
+    assert prefill.call_count == 0
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

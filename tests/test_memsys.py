@@ -210,12 +210,13 @@ def test_address_that_is_no_integer_is_rejected(attribute, addr):
 
 @pytest.mark.parametrize("attribute", list(Attribute))
 @pytest.mark.parametrize("op", [np.array(["R", "W"]), np.array(["R"]),
-                                np.array("W"), ["R"], b"R", None, "r"],
+                                np.array("W"), ["R"], b"R", None, "r", [True]],
                          ids=["array", "one-item-array", "0-d-array", "list",
-                              "bytes", "none", "lower-case"])
+                              "bytes", "none", "lower-case", "bool-list"])
 def test_op_that_is_no_r_or_w_string_is_rejected(attribute, op):
     """Any op but the string "R" or "W" raises before any record; an array,
-    whose comparison with "R" has no single truth value, included."""
+    whose comparison with "R" has no single truth value, and a write flag,
+    which only ``access_many`` takes and only as a bool array, included."""
     mem = make_mem()
     mem.allocate_region(RegionKind.GENERAL, attribute, 256)
     with pytest.raises(RegionError, match="op must be"):
@@ -358,8 +359,11 @@ def _batches(draw):
 @settings(max_examples=80, deadline=None)
 @given(st.none() | st.integers(1, 7), _batches())
 def test_access_many_equals_a_sequence_of_access(rogue_period, batches):
+    """Each batch issued request by request through ``access``, and through
+    ``access_many`` with its ops as strings or, for a mixed batch, as a bool
+    write mask, gives the same trace, views, hits and counters."""
 
-    def run(batched):
+    def run(issue):
         mem = make_mem(rogue_period=rogue_period)
         regions = [mem.allocate_region(RegionKind.GENERAL, attr, BATCH_REGION)
                    for attr in BATCH_ATTRIBUTES]
@@ -373,11 +377,13 @@ def test_access_many_equals_a_sequence_of_access(rogue_period, batches):
             ops = [op for _, op, _, _ in requests]
             sizes = [nbytes for _, _, nbytes, _ in requests]
             mark = mem.mark()
-            if not batched:
+            if issue == "access":
                 for addr, op, nbytes in zip(addrs, ops, sizes):
                     mem.access(addr, op, nbytes, agent)
             elif scalars:
                 mem.access_many(addrs, *scalars, agent)
+            elif issue == "mask":
+                mem.access_many(addrs, np.array([op == "W" for op in ops], bool), sizes, agent)
             else:
                 mem.access_many(addrs, ops, sizes, agent)
             view = mem.records_since(mark)
@@ -390,18 +396,20 @@ def test_access_many_equals_a_sequence_of_access(rogue_period, batches):
         windows = [records for _, records in windows]
         trace = list(mem.trace)
         # every start position, inside the trace and past its end, as records
-        # and as columns, whose agent codes name the records' agents
+        # and as columns, whose write flags are the records' "W" ops and whose
+        # agent codes name the records' agents
         tails = [mem.records_since((k, 0)) for k in range(len(trace) + 2)]
         assert [list(t) for t in tails] == [trace[k:] for k in range(len(trace) + 2)]
-        assert [[a.tolist(), o.tolist(), [t.agents[c] for c in codes.tolist()]]
-                for t in tails for a, o, codes in [t.columns()]] == [
-            [[getattr(r, f) for r in trace[k:]] for f in ("addr", "op", "agent")]
-            for k in range(len(trace) + 2)]
+        assert [[a.tolist(), w.tolist(), [t.agents[c] for c in codes.tolist()]]
+                for t in tails for a, w, codes in [t.columns()]] == [
+            [[r.addr for r in trace[k:]], [r.op == "W" for r in trace[k:]],
+             [r.agent for r in trace[k:]]] for k in range(len(trace) + 2)]
+        assert {t.columns()[1].dtype for t in tails} == {np.dtype(bool)}
         collect()
         return (trace, mem.export_trace_ndjson(), seen, windows, list(mem.hit_log),
                 mem.cache.stats.as_dict())
 
-    assert run(batched=True) == run(batched=False)
+    assert run("mask") == run("strings") == run("access")
 
 
 # a cache of 4 sets of 2 lines: a run of line writes over the cacheable
@@ -500,6 +508,9 @@ def test_batch_outside_its_region_raises_before_any_record():
             mem.access_many(addrs, "R", 8)
     with pytest.raises(RegionError):
         mem.access_many([a.base], "X", 8)
+    # a bool array is a write mask; bools in a list are no op
+    with pytest.raises(RegionError, match="^op must be 'R' or 'W', got True$"):
+        mem.access_many([a.base, c.base], [True, False], 8)
     # a whole size past int64 fits no region, and is told so, as one or per request
     for sizes in (2 ** 70, [8, 2 ** 70]):
         with pytest.raises(RegionError, match=f"must fit in an int64, got {2 ** 70}$"):
@@ -578,6 +589,9 @@ INVALID_REQUESTS = {
     "bytes-op": (0, b"R", 8),
     "numpy-bytes-op": (0, np.bytes_(b"R"), 8),
     "none-op": (0, None, 8),
+    "bool-op": (0, True, 8),
+    "numpy-bool-op": (0, np.True_, 8),
+    "0-d-bool-array-op": (0, np.array(True), 8),
     "size-past-int64": (0, "R", 2 ** 70),
     "uint64-size-past-int64": (0, "R", np.uint64(2 ** 63)),
     "zero-size": (0, "R", 0),
@@ -658,15 +672,22 @@ def test_numpy_request_that_no_int64_holds_is_rejected(addr, nbytes, message):
                                          "evictions": 0, "writebacks": 0}
 
 
-@pytest.mark.parametrize("ops, sizes", [("R", []), (["R", "W", "R"], 8),
-                                        (["R"], [8, 8])])
-def test_per_request_values_must_match_the_addresses(ops, sizes):
-    """A per-request op or size list has one entry per address; any other
-    length is rejected before any record, not broadcast."""
+@pytest.mark.parametrize("ops, sizes, message", [
+    pytest.param("R", [], "nbytes has 0 values for 2 requests", id="R-sizes0"),
+    pytest.param(["R", "W", "R"], 8, "op has 3 values for 2 requests", id="ops1-8"),
+    pytest.param(["R"], [8, 8], "op has 1 values for 2 requests", id="ops2-sizes2"),
+    pytest.param(np.array([True, False, True]), 8, "op has 3 values for 2 requests",
+                 id="long-write-mask"),
+    pytest.param(np.array([[True]]), 8, "op has 1 values for 2 requests",
+                 id="short-2-d-write-mask")])
+def test_per_request_values_must_match_the_addresses(ops, sizes, message):
+    """A per-request op or size list, or a write mask, has one entry per
+    address; any other length is rejected before any record, not
+    broadcast."""
     mem = make_mem()
     for attribute in (Attribute.NON_CACHEABLE, Attribute.CACHEABLE):
         region = mem.allocate_region(RegionKind.GENERAL, attribute, 256)
-        with pytest.raises(RegionError):
+        with pytest.raises(RegionError, match=f"^{message}$"):
             mem.access_many([region.base, region.base + 64], ops, sizes)
     assert len(mem.trace) == 0 and list(mem.hit_log) == []
     assert mem.cache.stats.as_dict() == {"hits": 0, "misses": 0,
