@@ -14,9 +14,10 @@ memory copies out of the non-cacheable region.
   reads the other (``layer_plan`` pairs them), starting no earlier than
   that GEMM and never during attention.  The first layer's projections
   are preloaded, the agents synchronize once per layer, and the head is
-  pipelined against its copy at buffer-half granularity.  ``_ddb_steps``
-  holds this arithmetic once: the TTFT, the copy time and the hiding
-  crossover read its floats.
+  pipelined against its copy at buffer-half granularity.  One float pass
+  per layer, ``_ddb_pass``, holds this arithmetic once: the TTFT and the
+  copy time read its floats, and it builds segments only for
+  ``_ddb_steps``, which the timeline and the hiding crossover read.
 * NC stream: each GEMM streams its matrix from the non-cacheable copy
   once per input token; there is no timeline.
 
@@ -43,7 +44,9 @@ FF0_COPY_QUARTERS = 4
 CROSSOVER_MAX_SL = 1024  # longest input ddb_hiding_crossover searches
 # A grid's bounds: its prefill work, scenarios x in_lens x layers, and its
 # rows, all held at once.  At both, a sweep is no slower than the slowest
-# accepted run and peaks under 64 MB RSS (README, ``pimsim sweep``).
+# accepted run and peaks under 64 MB RSS (README, ``pimsim sweep``): an
+# S-DDB prefill layer, the costliest, takes about 1 us (2.3 us when the
+# bound was chosen) and a held row about 0.6 KB (2-core Xeon, CPython 3.11).
 MAX_GRID_LAYERS = 2 ** 20
 MAX_GRID_ROWS = 2 ** 15
 
@@ -126,52 +129,89 @@ def layer_plan(model: ModelSpec, hw: HardwareSpec,
 # DDB schedule
 # ----------------------------------------------------------------------
 
-def _ddb_steps(model: ModelSpec, hw: HardwareSpec,
-               plan: list[_PlanSegment], head_seconds: float,
-               head_bytes: int):
-    """Double-buffered prefill schedule of the whole decoder stack, from
-    one layer's ``plan`` and the output head's compute seconds and weight
-    bytes (0 for a model without a head).
+def _ddb_pass(model: ModelSpec, hw: HardwareSpec, plan: list[_PlanSegment],
+              head_seconds: float, head_bytes: int, out: list | None = None):
+    """Double-buffered prefill schedule of the whole decoder stack in one
+    float pass, from one layer's ``plan`` and the output head's compute
+    seconds and weight bytes (0 for a model without a head): the one copy
+    of its arithmetic.
 
-    Yields one ``(agent, layer, tag, start, end, buffer)`` tuple per
-    segment, in schedule order; ``layer`` is the decoder layer a segment
+    Yields each block's copy spans, in seconds, as a list: the preload,
+    each decoder layer, then the head; returns the schedule's last end.
+    Given a list ``out``, it appends each of a block's segments to it as an
+    ``(agent, layer, tag, start, end, buffer)`` tuple, in schedule order,
+    before yielding the block; ``layer`` is the decoder layer a segment
     belongs to, or None for the preload and the head.
     """
     def copy_seconds(nbytes: float) -> float:
         return smc_time(nbytes, Scenario.S_DDB.record.copy_agents, hw)
 
-    # per matrix: its copy's layer, relative to the GEMM's (None for no
-    # copy; 1 for the next layer's projections), and seconds
-    steps = [(seg.tag, seg.compute_seconds, seg.buffer, seg.copy_tag,
-              1 if seg.copy_tag == "qkvo" else 0 if seg.copy_bytes > 0 else None,
-              copy_seconds(seg.copy_bytes)) for seg in plan]
+    emit = None if out is None else out.append
+    # per matrix: its GEMM's seconds, its copy's seconds (None for no copy)
+    # and the names its segments take: the matrix, the buffer its GEMM
+    # reads, the copy's tag and layer relative to the GEMM's (1 for the
+    # next layer's projections)
+    steps = []
+    for seg in plan:
+        ahead = 1 if seg.copy_tag == "qkvo" else 0
+        copy = copy_seconds(seg.copy_bytes) if ahead or seg.copy_bytes > 0 else None
+        steps.append((seg.compute_seconds, copy,
+                      (seg.tag, seg.buffer, seg.copy_tag, ahead)))
+    # the last layer has no next layer to preload
+    last_steps = [(seconds, None if names[3] else copy, names)
+                  for seconds, copy, names in steps]
     comp_t = copy_t = 0.0
     if model.layers:
-        preload = steps[-1][-1]  # ff2's copy: layer 0's projections
-        yield "copy", None, "preload", 0.0, preload, 0
+        preload = steps[-1][1]  # ff2's copy: layer 0's projections
+        if emit:
+            emit(("copy", None, "preload", 0.0, preload, 0))
+        yield [preload]
         comp_t = copy_t = preload
     last = model.layers - 1
     for layer in range(model.layers):
-        for tag, seconds, buffer, copy_tag, ahead, copy in steps:
+        spans = []
+        for seconds, copy, names in last_steps if layer == last else steps:
             start = comp_t
             comp_t += seconds
-            yield "compute", layer, tag, start, comp_t, buffer
-            if ahead is None or ahead and layer == last:
-                continue  # no copy, or no next layer to preload
-            # max(copy_t, start), as an expression rather than a call
-            c_start = start if start > copy_t else copy_t
-            copy_t = c_start + copy
-            yield "copy", layer + ahead, copy_tag, c_start, copy_t, 1 - buffer
+            if copy is not None:
+                # max(copy_t, start), as an expression rather than a call
+                c_start = start if start > copy_t else copy_t
+                copy_t = c_start + copy
+                spans.append(copy_t - c_start)
+            if emit:
+                tag, buffer, copy_tag, ahead = names
+                emit(("compute", layer, tag, start, comp_t, buffer))
+                if copy is not None:
+                    emit(("copy", layer + ahead, copy_tag, c_start, copy_t,
+                          1 - buffer))
         # one synchronization barrier per layer
         comp_t = copy_t = copy_t if copy_t > comp_t else comp_t
+        yield spans
     if head_bytes > 0:
         copy_total = copy_seconds(head_bytes)
         tile = min(model.ff_bytes, head_bytes)
         start = comp_t
         # pipelined at buffer-half granularity: first tile copy exposed
-        end = start + max(head_seconds, copy_total) + copy_seconds(tile)
-        yield "compute", None, "lm_head", start, end, None
-        yield "copy", None, "lm_head", start, start + copy_total, None
+        comp_t = start + max(head_seconds, copy_total) + copy_seconds(tile)
+        copy_t = start + copy_total
+        if emit:
+            emit(("compute", None, "lm_head", start, comp_t, None))
+            emit(("copy", None, "lm_head", start, copy_t, None))
+        yield [copy_t - start]
+    return comp_t  # the barrier, or the head's GEMM: it ends after its copy
+
+
+def _ddb_steps(model: ModelSpec, hw: HardwareSpec,
+               plan: list[_PlanSegment], head_seconds: float,
+               head_bytes: int):
+    """The double-buffered prefill's segments: the per-layer pass
+    ``_ddb_pass``, the one copy of its arithmetic, expanded into one
+    ``(agent, layer, tag, start, end, buffer)`` tuple per segment, in
+    schedule order, a block's at a time."""
+    out = []
+    for _ in _ddb_pass(model, hw, plan, head_seconds, head_bytes, out):
+        yield from out
+        out.clear()
 
 
 def _serial_steps(model: ModelSpec, plan: list[_PlanSegment],
@@ -253,19 +293,15 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
                             head_seconds)
     record = scenario.record
     if record.schedule is Schedule.DOUBLE_BUFFERED:
-        # the schedule's end and copy time in one pass, without its segments
-        ttft = 0.0
+        # the copy time and the TTFT, the pass's last end, without its
+        # segments; a copy time past the float range leaves the TTFT there too
+        ttft = math.inf
 
         def copy_spans():
             nonlocal ttft
-            for agent, _, _, start, end, _ in _ddb_steps(model, hw, plan,
-                                                          head_seconds, head_bytes):
-                if end > ttft:
-                    ttft = end
-                if agent == "copy":
-                    yield end - start
+            ttft = yield from _ddb_pass(model, hw, plan, head_seconds, head_bytes)
 
-        smc_seconds = _fsum(copy_spans())  # sets ttft as it runs
+        smc_seconds = _fsum(chain.from_iterable(copy_spans()))
         return PrefillResult(scenario, sl, ttft,
                              {"gemm_seconds": gemm_total,
                               "smc_seconds": smc_seconds},

@@ -589,7 +589,7 @@ def test_each_prefill_and_decode_is_evaluated_once(tmp_path, monkeypatch,
         return counted
 
     for name in ("run_prefill", "run_decode", "layer_plan",
-                 "build_ddb_schedule", "_serial_steps"):
+                 "build_ddb_schedule", "_ddb_steps", "_serial_steps"):
         counted = count(name)
         for module in (runtime, cli):
             if hasattr(module, name):
@@ -608,7 +608,8 @@ def test_each_prefill_and_decode_is_evaluated_once(tmp_path, monkeypatch,
         "in_lens": [1, 16, 64, 128, 192], "out_lens": [0, 1, 32, 256]}))
     assert run_cli("sweep", "--config", str(cfg)) == 0
     # the host token time: one baseline, plus C_GEMM's own four decodes;
-    # no timeline is built, S_DDB's included: its TTFT needs no segments
+    # no timeline is built, S_DDB's included: its TTFT and copy time need
+    # no segments, so no step tuple is made
     assert calls == {"run_prefill": 6 * 5, "run_decode": 6 * 4,
                      "layer_plan": 6 * 5,
                      ("decode_token_time", False): 1 + 4,
@@ -616,11 +617,11 @@ def test_each_prefill_and_decode_is_evaluated_once(tmp_path, monkeypatch,
     reports = {}
     for scenario, extra, token_times, schedules in (
             ("s_ddb", {}, {True: 1, False: 1}, {}),
+            # one pass validates the steps, a second streams them as rows
             ("s_ddb", {"timeline": True}, {True: 1, False: 1},
-             {"build_ddb_schedule": 1}),
+             {"build_ddb_schedule": 1, "_ddb_steps": 2}),
             ("c_gemm", {}, {False: 2}, {}),
             ("wd", {}, {True: 1, False: 1}, {}),
-            # one pass validates the steps, a second streams them as rows
             ("wd", {"timeline": True}, {True: 1, False: 1},
              {"_serial_steps": 2})):
         calls.clear()

@@ -350,6 +350,29 @@ def test_preset_prefill_schedules_equal_the_oracle_at_every_short_input(name):
                 == oracle_steps(scenario, model, HW, sl), (scenario, sl)
 
 
+def assert_ddb_totals_are_its_steps(model, hw, sl):
+    """S_DDB's copy time and TTFT are, bit for bit, the ``math.fsum`` of its
+    steps' copy spans and their largest end."""
+    ddb = run_prefill(Scenario.S_DDB, model, hw, sl)
+    steps = schedule_steps(Scenario.S_DDB, model, hw, sl)
+    assert ddb.breakdown["smc_seconds"] == math.fsum(
+        end - start for agent, _, _, start, end, _ in steps if agent == "copy")
+    assert ddb.ttft == max((step[4] for step in steps), default=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_points())
+def test_ddb_totals_are_the_sums_of_its_steps(point):
+    assert_ddb_totals_are_its_steps(*point)
+
+
+@pytest.mark.parametrize("name", ["toy-64", "llama3.2-1b", "llama3.2-3b"])
+def test_preset_ddb_totals_are_the_sums_of_its_steps_at_every_short_input(name):
+    model = model_preset(name)
+    for sl in range(1, 300):
+        assert_ddb_totals_are_its_steps(model, HW, sl)
+
+
 def test_buffers_alternate_between_compute_and_copy():
     rows = ddb_rows(64)
     comp = {r["layer"]: r["buffer"] for r in agent_rows(rows, "compute")}
