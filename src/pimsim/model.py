@@ -67,6 +67,9 @@ class ModelSpec:
                            + (head.params() if head else 0))
         if self.host_bytes() >= 2 ** 63:
             raise ConfigError("model weights must fit in 2**63 - 1 bytes")
+        # every prefill sizes one decoder layer, even of a stack of none
+        if self.layer_params() * self.element_bytes >= 2 ** 63:
+            raise ConfigError("one decoder layer's weights must fit in 2**63 - 1 bytes")
 
     def layer_matrices(self) -> tuple[MatrixShape, ...]:
         """Projection matrices of one decoder layer, in execution order."""

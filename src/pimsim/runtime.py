@@ -17,19 +17,19 @@ memory copies out of the non-cacheable region.
   pipelined against its copy at buffer-half granularity.  One float pass
   per layer, ``_ddb_pass``, holds this arithmetic once: the TTFT and the
   copy time read its floats, and it builds segments only for
-  ``_ddb_steps``, which the timeline and the hiding crossover read.
+  ``build_ddb_schedule``, which expands it into steps.
 * NC stream: each GEMM streams its matrix from the non-cacheable copy
   once per input token; there is no timeline.
 
 Both step generators yield one ``(agent, layer, tag, start, end, buffer)``
-tuple per segment: the timeline, which ``timeline_rows`` validates and streams.
+tuple per segment, and ``PrefillResult.steps`` is their one source: the
+timeline (``timeline_rows``) and the hiding crossover (an S-DDB prefill) read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from heapq import merge
 from itertools import chain, pairwise, repeat, tee
 from operator import itemgetter
@@ -57,8 +57,12 @@ class PrefillResult:
     sl: int
     ttft: float
     breakdown: dict
-    # per call, new ``timeline_rows``; None for an NC stream, which has none
-    timeline: Callable[[], Iterator | None] = field(repr=False, compare=False)
+    # per call, a new iterator of the schedule's steps, from the generator
+    # looked up at that call; None for an NC stream
+    steps: Callable[[], Iterator[tuple]] | None = field(repr=False, compare=False)
+
+    def timeline(self) -> Iterator[dict] | None:
+        return None if self.steps is None else timeline_rows(self.steps)
 
 
 @dataclass
@@ -201,10 +205,10 @@ def _ddb_pass(model: ModelSpec, hw: HardwareSpec, plan: list[_PlanSegment],
     return comp_t  # the barrier, or the head's GEMM: it ends after its copy
 
 
-def _ddb_steps(model: ModelSpec, hw: HardwareSpec,
-               plan: list[_PlanSegment], head_seconds: float,
-               head_bytes: int):
-    """The double-buffered prefill's segments: the per-layer pass
+def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec,
+                       plan: list[_PlanSegment], head_seconds: float,
+                       head_bytes: int) -> Iterator[tuple]:
+    """The double-buffered prefill's steps, not rows: the per-layer pass
     ``_ddb_pass``, the one copy of its arithmetic, expanded into one
     ``(agent, layer, tag, start, end, buffer)`` tuple per segment, in
     schedule order, a block's at a time."""
@@ -216,7 +220,7 @@ def _ddb_steps(model: ModelSpec, hw: HardwareSpec,
 
 def _serial_steps(model: ModelSpec, plan: list[_PlanSegment],
                   head_seconds: float, copies: tuple[float, float] | None = None):
-    """Serial prefill schedule in the tuples of ``_ddb_steps``: ``plan`` per
+    """Serial prefill schedule in the tuples of ``build_ddb_schedule``: ``plan`` per
     layer, then the head, back to back, each after a serial copy of
     ``copies[0]`` (a layer) or ``copies[1]`` (the head) seconds if given."""
     t = 0.0
@@ -260,14 +264,6 @@ def timeline_rows(steps: Callable[[], Iterator[tuple]]) -> Iterator[dict]:
     streams = [filter(lambda step, agent=agent: step[0] == agent, stream)
                for agent, stream in zip(sorted(last), tee(steps(), len(last)))]
     return map(_row, merge(*streams, key=itemgetter(3, 0)))
-
-
-def build_ddb_schedule(model: ModelSpec, hw: HardwareSpec,
-                       plan: list[_PlanSegment], head_seconds: float,
-                       head_bytes: int) -> Iterator[dict]:
-    """The double-buffered prefill's ``timeline_rows``, from ``_ddb_steps``."""
-    return timeline_rows(partial(_ddb_steps, model, hw, plan, head_seconds,
-                                 head_bytes))
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +311,7 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
                            max(sl * head_bytes / nc_bw, head_seconds))
         return PrefillResult(scenario, sl, total,
                              {"gemm_seconds": gemm_total,
-                              "nc_stream_seconds": total}, lambda: None)
+                              "nc_stream_seconds": total}, None)
     # serial: with copy agents, a copy of each layer and the head before it
     copies, smc_total = None, 0.0
     if record.copy_agents:
@@ -324,8 +320,7 @@ def run_prefill(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
         smc_total = _stack_sum(copies[:1], model.layers, copies[1])
     return PrefillResult(scenario, sl, gemm_total + smc_total,
                          {"gemm_seconds": gemm_total, "smc_seconds": smc_total},
-                         lambda: timeline_rows(partial(_serial_steps, model, plan,
-                                                       head_seconds, copies)))
+                         lambda: _serial_steps(model, plan, head_seconds, copies))
 
 
 def run_decode(scenario: Scenario, model: ModelSpec, hw: HardwareSpec,
@@ -402,11 +397,11 @@ def end_to_end_grid(model: ModelSpec, hw: HardwareSpec, scenarios, in_lens,
 
 def ddb_hiding_crossover(model: ModelSpec, hw: HardwareSpec) -> int:
     """Smallest input length at which no copy of a decoder layer's weights
-    in ``_ddb_steps`` ends after the GEMM it runs beside (full latency
-    hiding; the preload and the head aside)."""
+    in an S-DDB prefill's steps ends after the GEMM it runs beside (full
+    latency hiding; the preload and the head aside)."""
     for sl in range(1, CROSSOVER_MAX_SL + 1):
         # (agent, layer, tag, start, end, buffer): a layer's copy follows its GEMM
-        steps = _ddb_steps(model, hw, layer_plan(model, hw, sl), 0.0, 0)
+        steps = run_prefill(Scenario.S_DDB, model, hw, sl).steps()
         if all(copy[4] <= gemm[4] for gemm, copy in pairwise(steps)
                if copy[0] == "copy" and copy[1] is not None):
             return sl

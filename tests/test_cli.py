@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from fractions import Fraction
@@ -24,13 +25,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimsim import cli, layout, runtime
-from pimsim.cli import main
+from pimsim.cli import RUN_KEYS, SWEEP_KEYS, main
+from pimsim.cost import HardwareSpec
 from pimsim.dram import AddressMap
 from pimsim.errors import ConfigError
 from pimsim.layout import (WeightMatrix, address_order, convert_to_pim_aware,
                            model_placements)
-from pimsim.model import MAX_LAYERS
-from pimsim.presets import DESK_GEOMETRY, model_preset
+from pimsim.model import MAX_LAYERS, ModelSpec
+from pimsim.presets import DESK_GEOMETRY, HARDWARE, MODELS, model_preset
 from pimsim.scenario import Scenario
 
 
@@ -232,6 +234,12 @@ BAD_CONFIGS = {
         "hidden": 64, "intermediate": 256, "layers": 1, "kv_ratio": 1e308}}),
     "overflowing_layers": json.dumps({"model": {
         "hidden": 64, "intermediate": 256, "layers": 2 ** 63}}),
+    # a stack of no layers whose one decoder layer, which every prefill
+    # sizes, does not fit in an int64 either
+    **{f"overflowing_{name}_kv_ratio_of_no_layer": json.dumps({"model": {
+        "hidden": hidden, "intermediate": intermediate, "layers": 0, "kv_ratio": kv}})
+       for name, hidden, intermediate, kv in (("string", 32, 4, "1e400"),
+                                              ("float", 3, 8, 1e308))},
     # every run visits each layer, so the count is bounded
     "layers_past_the_bound": json.dumps({"model": {
         "hidden": 64, "intermediate": 256, "layers": 2 ** 15 + 1}}),
@@ -289,6 +297,115 @@ def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+# the values a config's key takes: mostly the kind it reads, sometimes any
+# other; numbers at the edges of the int64 and float ranges, numeric strings,
+# lists and objects
+_EDGE = (st.none() | st.booleans()
+         | st.sampled_from([-1, 0, 2 ** 63 - 1, 2 ** 63, -2 ** 63, 10 ** 400, 1e308,
+                            5e-324, -0.0, 1.5, math.inf, -math.inf, math.nan])
+         | st.sampled_from(["1e400", "3/7", "1/4", "12", "-1", "", "nope"]))
+_ANY = st.recursive(_EDGE, lambda kids: (st.lists(kids, max_size=3)
+                                         | st.dictionaries(st.sampled_from(["preset", "hidden", "x"]),
+                                                           kids, max_size=2)), max_leaves=4)
+
+
+def _or_any(values):
+    """``values``, or a value of any kind when a drawn 0-3 is 0."""
+    return st.integers(0, 3).flatmap(lambda n: values if n else _ANY)
+
+
+# layer counts stay small, or pass MAX_LAYERS, so that no example builds a
+# long timeline
+_LAYERS = st.sampled_from([0, 1, 2, 3, MAX_LAYERS + 1, 2 ** 63])
+_DIM = st.sampled_from([1, 3, 7, 32, 64, 2 ** 31, 2 ** 62])
+_MODEL = _or_any(st.sampled_from(sorted(MODELS)) | st.fixed_dictionaries(
+    {"hidden": _or_any(_DIM), "intermediate": _or_any(_DIM), "layers": _or_any(_LAYERS)},
+    optional={"kv_ratio": _or_any(st.sampled_from(["1/4", "3/7", "1e400", 1, 0.25, 1e308])),
+              "vocab": _or_any(st.sampled_from([0, 96, 128256, 2 ** 62])),
+              "element_bytes": _or_any(st.sampled_from([1, 2, 3, 64, 2 ** 40]))}))
+_HARDWARE = _or_any(st.sampled_from(sorted(HARDWARE)) | st.dictionaries(
+    st.sampled_from(sorted(HardwareSpec.__dataclass_fields__) + ["preset"]),
+    _or_any(st.sampled_from([5e-324, 1e-3, 1.0, 68.264, 321.0, 1e300, 1e308])
+            | st.sampled_from(sorted(HARDWARE))), max_size=3))
+_LEN = st.sampled_from([0, 1, 2, 32, 1024, 2 ** 63 - 1])
+_SCENARIO = st.sampled_from([s.value for s in Scenario] + ["S_DDB"])
+_CONFIG_VALUES = {
+    "model": _MODEL, "hardware": _HARDWARE,
+    "scenario": _or_any(_SCENARIO), "scenarios": _or_any(st.lists(_SCENARIO, max_size=3)),
+    "in_len": _or_any(_LEN), "in_lens": _or_any(st.lists(_LEN, max_size=3)),
+    "out_len": _or_any(_LEN), "out_lens": _or_any(st.lists(_LEN, max_size=3)),
+    "mode": _or_any(st.sampled_from(["calibrated", "analytical"])),
+    "pim_bytes": _or_any(st.sampled_from([5, 10 ** 9, 10 ** 10, 2 ** 63 - 1])),
+    "compute_pim_bytes": _or_any(st.booleans()), "timeline": _or_any(st.booleans()),
+}
+
+
+@st.composite
+def _configs(draw):
+    """A command, ``run`` or ``sweep``, and a config of its keys, in JSON; one
+    in eight also has a key of the other command only."""
+    command = draw(st.sampled_from(["run", "sweep"]))
+    keys = sorted(RUN_KEYS if command == "run" else SWEEP_KEYS)
+    keys = draw(st.lists(st.sampled_from(keys), unique=True, max_size=6))
+    if draw(st.integers(0, 7)) == 0:
+        keys.append(draw(st.sampled_from(sorted(RUN_KEYS ^ SWEEP_KEYS))))
+    return command, json.dumps({key: draw(_CONFIG_VALUES[key]) for key in keys})
+
+
+def _numbers(value):
+    """Each number in a JSON value, with the key it is under (None in a list)."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from ((key, v),) if isinstance(v, (int, float)) else _numbers(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from ((None, v),) if isinstance(v, (int, float)) else _numbers(v)
+
+
+def _seeded_with_bad_configs(test):
+    """``test`` with each of ``BAD_CONFIGS`` as an example, run and sweep."""
+    for text in BAD_CONFIGS.values():
+        for command in ("run", "sweep"):
+            test = example((command, text))(test)
+    return test
+
+
+@settings(max_examples=150, deadline=2000)
+@given(_configs())
+@_seeded_with_bad_configs
+@example(("run", '{"model": {"hidden": 32, "intermediate": 4, "layers": 0, "kv_ratio": "1e400"}}'))
+@example(("sweep", '{"model": {"hidden": 3, "intermediate": 8, "layers": 0, "kv_ratio": 1e308}}'))
+def test_a_config_exits_0_with_finite_numbers_or_1_with_an_error_line(config):
+    """Whatever a config holds, ``main`` exits 0 with finite numbers, but an
+    infinite ``decode_tps`` for a model without weights, or 1 with one
+    ``error:`` line and no output; no exception escapes it."""
+    assert _CONFIG_VALUES.keys() == RUN_KEYS | SWEEP_KEYS  # every key is drawn
+    command, text = config
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as scratch:
+        cfg = Path(scratch) / "cfg.json"
+        cfg.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg)])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert out == ""
+        return
+    assert code == 0 and err == "", (code, err)
+    if command == "sweep":
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(math.isfinite(float(row[key])) for row in rows
+                            for key in row if key != "scenario"), out
+        return
+    report = json.loads(out)
+    weights = report["resolved_config"]["model"]
+    weights = ModelSpec(**dict(weights, kv_ratio=Fraction(weights["kv_ratio"]))).host_bytes()
+    bad = [(key, v) for key, v in _numbers(report) if not math.isfinite(v)]
+    # a model without weights decodes in no time, at an infinite rate
+    assert bad == [] or (not weights and bad == [("decode_tps", math.inf)]), bad
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -470,7 +587,7 @@ def test_a_timeline_that_fails_its_check_writes_no_byte(tmp_path, capsys,
     def overlapping(*args):
         yield "compute", 0, "q", 0.0, 2.0, 0
         yield "compute", 0, "k", 1.0, 3.0, 0
-    monkeypatch.setattr(runtime, "_ddb_steps", overlapping)
+    monkeypatch.setattr(runtime, "build_ddb_schedule", overlapping)
     cfg, out = tmp_path / "run.json", tmp_path / "out.json"
     cfg.write_text(json.dumps({"model": "toy-64", "timeline": True}))
     assert run_cli("run", "--config", str(cfg), "--output", str(out)) == 1
@@ -589,7 +706,7 @@ def test_each_prefill_and_decode_is_evaluated_once(tmp_path, monkeypatch,
         return counted
 
     for name in ("run_prefill", "run_decode", "layer_plan",
-                 "build_ddb_schedule", "_ddb_steps", "_serial_steps"):
+                 "build_ddb_schedule", "_serial_steps"):
         counted = count(name)
         for module in (runtime, cli):
             if hasattr(module, name):
@@ -619,7 +736,7 @@ def test_each_prefill_and_decode_is_evaluated_once(tmp_path, monkeypatch,
             ("s_ddb", {}, {True: 1, False: 1}, {}),
             # one pass validates the steps, a second streams them as rows
             ("s_ddb", {"timeline": True}, {True: 1, False: 1},
-             {"build_ddb_schedule": 1, "_ddb_steps": 2}),
+             {"build_ddb_schedule": 2}),
             ("c_gemm", {}, {False: 2}, {}),
             ("wd", {}, {True: 1, False: 1}, {}),
             ("wd", {"timeline": True}, {True: 1, False: 1},

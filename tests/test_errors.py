@@ -189,3 +189,17 @@ def test_a_pim_image_that_cannot_hold_the_weights_is_rejected(call, pim_bytes):
     with pytest.raises(ConfigError, match="^pim_bytes "):
         call(pim_bytes)
     call(TOY.host_bytes())
+
+
+def test_one_decoder_layer_is_bounded_like_the_stack():
+    """Every prefill sizes one decoder layer, of a stack of none too, so its
+    weight bytes must fit in 2**63 - 1 whatever ``layers`` is: unbounded, a
+    layer past the float range overflowed ``gemm_time`` with a traceback."""
+    widest = (2 ** 63 - 5) // 3  # one layer holds 4 + 3 * intermediate bytes
+    for layers, message in ((0, "one decoder layer's"), (1, "model")):
+        model = ModelSpec(1, widest, layers, kv_ratio=1, element_bytes=1)
+        assert model.layer_params() == 2 ** 63 - 1
+        for scenario in Scenario:
+            assert math.isfinite(run_prefill(scenario, model, HW, 1).ttft)
+        with pytest.raises(ConfigError, match=rf"^{message} weights must fit in 2\*\*63 - 1 bytes$"):
+            ModelSpec(1, widest + 1, layers, kv_ratio=1, element_bytes=1)

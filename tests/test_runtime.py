@@ -315,13 +315,7 @@ def prefill_inputs(model, hw, sl) -> tuple:
 
 def schedule_steps(scenario, model, hw, sl) -> list[tuple]:
     """The steps that ``run_prefill`` builds its timeline from."""
-    plan, head_bytes, head_seconds = prefill_inputs(model, hw, sl)
-    agents = scenario.record.copy_agents
-    if scenario is Scenario.S_DDB:
-        return list(runtime._ddb_steps(model, hw, plan, head_seconds, head_bytes))
-    copies = ((smc_time(sum(s.nbytes for s in plan), agents, hw),
-               smc_time(head_bytes, agents, hw)) if agents else None)
-    return list(runtime._serial_steps(model, plan, head_seconds, copies))
+    return list(run_prefill(scenario, model, hw, sl).steps())
 
 
 ORACLE_SCENARIOS = (Scenario.S_DDB, Scenario.WD, Scenario.S_OWR)
@@ -554,6 +548,22 @@ def test_crossover_is_in_the_expected_band():
     # a copy rate that no input length hides is an error, not a length
     with pytest.raises(ConfigError, match="no crossover at or below sl=1024"):
         ddb_hiding_crossover(model_preset("toy-64"), replace(HW, smc_bw_override_gbps=0.01))
+
+
+@pytest.mark.parametrize("model, want", [
+    (M1B, (150, 150, 7)),
+    (model_preset("llama3.2-3b"), (75, 75, 4)),
+    (model_preset("toy-64"), (150, 150, 7)),
+    (ModelSpec(64, 256, 0, vocab=96), (1, 1, 1)),
+    (ModelSpec(2048, 8192, 3), (150, 150, 7)),
+], ids=["llama3.2-1b", "llama3.2-3b", "toy-64", "no-layer", "no-head"])
+def test_crossover_is_pinned(model, want):
+    """Each model's crossover on s24plus, on s24plus with 1 ms of host
+    attention per layer, and on ideal-bw; a model without a decoder layer
+    has no layer copy to hide."""
+    hardware = (HW, replace(HW, host_attn_seconds_per_layer=1e-3),
+                hardware_preset("ideal-bw"))
+    assert tuple(ddb_hiding_crossover(model, hw) for hw in hardware) == want
 
 
 def test_decode_identical_across_pim_scenarios():
