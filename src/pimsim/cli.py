@@ -177,10 +177,13 @@ def _resolve(cfg: dict):
     return model, hw, mode, pim_bytes, timeline, axes
 
 
+_MODEL_FIELDS = tuple(f.name for f in fields(ModelSpec))
+
+
 def _resolved_config(cfg: dict, model: ModelSpec, hw: HardwareSpec) -> dict:
     """Fully resolved, JSON-serializable copy of the effective configuration."""
     out = dict(cfg)
-    out["model"] = {f.name: getattr(model, f.name) for f in fields(model)}
+    out["model"] = {name: getattr(model, name) for name in _MODEL_FIELDS}
     out["model"]["kv_ratio"] = str(model.kv_ratio)
     out["hardware"] = {k: v for k, v in vars(hw).items()}
     out.setdefault("mode", "calibrated")
@@ -223,27 +226,32 @@ def _indented(value, newline: str) -> str:
     text = _SCALAR_TEXT.get(type(value))
     if text is not None:
         return text(value)
+    # no type is both a dict and a str, int, float, list or tuple, so this
+    # test may come first: a report is mostly dicts
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # a scalar's text is looked up here, which saves a call per scalar;
+        # encode_basestring_ascii raises TypeError for a key that is no str
+        items = [encode_basestring_ascii(k) + ": "
+                 + (text(v) if (text := _SCALAR_TEXT.get(type(v := value[k])))
+                    else _indented(v, inner))
+                 for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
         return _float_text(value)
-    inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        # a scalar's text is looked up here, which saves a call per scalar
+        inner = newline + "  "
         items = [text(v) if (text := _SCALAR_TEXT.get(type(v))) else _indented(v, inner)
                  for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": "
-                 + (text(v) if (text := _SCALAR_TEXT.get(type(v))) else _indented(v, inner))
-                 for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -41,6 +41,10 @@ from .errors import AttributeViolation, CapacityError, GeometryError, check_int
 from .model import ModelSpec
 
 RF_ENTRIES = 8  # entries of each PIM block's input and output register file
+# Conversion writes at most this many lanes (matrix rows) of a slot at once:
+# a phone slot's 1,024 rows, at a power-of-two stride, thrash the cache
+# when written in one go.
+LANE_BLOCK = 64
 
 
 @dataclass
@@ -209,12 +213,17 @@ def convert_to_pim_aware(w: WeightMatrix, p: PimPlacement) -> PimImage:
     if (w.out_dim, w.in_dim) != (p.out_dim, p.in_dim):
         raise GeometryError("placement dims do not match matrix dims")
     data = np.zeros((p.slots, p.k_pad, p.active_banks, p.row_tile), dtype=np.uint16)
-    # the matrix rows of each slot, written once into a (slots, rows, k_pad) view
-    rows = p.active_banks * p.row_tile
-    slot_rows = data.reshape(p.slots, p.k_pad, rows).transpose(0, 2, 1)
-    full, rest = divmod(p.out_dim, rows)
-    slot_rows[:full, :, :p.in_dim] = w.data[:full * rows].reshape(full, rows, p.in_dim)
-    slot_rows[full:full + 1, :rest, :p.in_dim] = w.data[full * rows:]
+    # the matrix rows of each slot, written once into a (slots, lanes, k_pad)
+    # view: the full slots, then the ragged last one, LANE_BLOCK lanes at a time
+    lanes = p.active_banks * p.row_tile
+    slot_rows = data.reshape(p.slots, p.k_pad, lanes).transpose(0, 2, 1)
+    full = p.out_dim // lanes
+    for slots, src in ((slice(0, full), w.data[:full * lanes].reshape(full, lanes, p.in_dim)),
+                       (slice(full, full + 1), w.data[None, full * lanes:])):
+        n = src.shape[1]
+        for lane in range(0, n, LANE_BLOCK):
+            block = slice(lane, min(lane + LANE_BLOCK, n))
+            slot_rows[slots, block, :p.in_dim] = src[:, block]
     # Each active bank holds the same (row, column) bursts at disjoint bank and
     # channel bits: the first bank has the lowest address, the last the highest.
     first = p.slot_bursts

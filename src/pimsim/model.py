@@ -62,7 +62,11 @@ class ModelSpec:
             MatrixShape("ff1", i, h),
             MatrixShape("ff2", h, i),
         ))
-        head = self.head_matrix()
+        eb = self.element_bytes
+        object.__setattr__(self, "_layer_sizes", tuple(
+            (m.name, m.params(), m.params() * eb) for m in self._layer_matrices))
+        head = MatrixShape("lm_head", self.vocab, h) if self.vocab > 0 else None
+        object.__setattr__(self, "_head", head)
         object.__setattr__(self, "_total_params", self.layers * self.layer_params()
                            + (head.params() if head else 0))
         if self.host_bytes() >= 2 ** 63:
@@ -75,10 +79,13 @@ class ModelSpec:
         """Projection matrices of one decoder layer, in execution order."""
         return self._layer_matrices
 
+    def layer_sizes(self) -> tuple[tuple[str, int, int], ...]:
+        """``(name, params, bytes)`` of each matrix of ``layer_matrices()``."""
+        return self._layer_sizes
+
     def head_matrix(self) -> MatrixShape | None:
-        if self.vocab <= 0:
-            return None
-        return MatrixShape("lm_head", self.vocab, self.hidden)
+        """The output head, or None for a model of ``vocab`` 0."""
+        return self._head
 
     def all_matrices(self) -> Iterator[MatrixShape]:
         """Every distinct weight matrix, layer-by-layer plus the head, made
@@ -91,7 +98,7 @@ class ModelSpec:
             yield head
 
     def layer_params(self) -> int:
-        return sum(m.params() for m in self.layer_matrices())
+        return sum(params for _, params, _ in self._layer_sizes)
 
     def total_params(self) -> int:
         return self._total_params

@@ -29,6 +29,7 @@ timeline (``timeline_rows``) and the hiding crossover (an S-DDB prefill) read it
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import merge
 from itertools import chain, pairwise, repeat, tee
@@ -110,19 +111,13 @@ def layer_plan(model: ModelSpec, hw: HardwareSpec,
     and the feed-forward matrices alternate from buffer 1, so each matrix
     has the same buffer in every layer.
     """
-    eb = model.element_bytes
-    params = {m.name: m.params() for m in model.layer_matrices()}
-    nbytes = {name: n * eb for name, n in params.items()}
-
-    def seg(name, copy_bytes, copy_tag, buffer) -> _PlanSegment:
-        return _PlanSegment(name, gemm_time(nbytes[name], params[name], sl, hw),
-                            nbytes[name], copy_bytes, copy_tag, buffer)
-
-    quarter = nbytes["ff0"] / FF0_COPY_QUARTERS
-    qkvo = sum(nbytes[name] for name in ("q", "k", "v", "o"))
-    segs = [seg(name, quarter, "ff0", 0) for name in ("q", "k", "v", "o")]
-    segs += [seg("ff0", nbytes["ff1"], "ff1", 1),
-             seg("ff1", nbytes["ff2"], "ff2", 0), seg("ff2", qkvo, "qkvo", 1)]
+    sizes = model.layer_sizes()
+    q, k, v, o, ff0, ff1, ff2 = (nbytes for _, _, nbytes in sizes)
+    # each matrix's paired copy: (bytes, tag, buffer its GEMM reads)
+    copies = [(ff0 / FF0_COPY_QUARTERS, "ff0", 0)] * 4 + [
+        (ff1, "ff1", 1), (ff2, "ff2", 0), (q + k + v + o, "qkvo", 1)]
+    segs = [_PlanSegment(name, gemm_time(nbytes, params, sl, hw), nbytes, *copy)
+            for (name, params, nbytes), copy in zip(sizes, copies)]
     if hw.host_attn_seconds_per_layer > 0:
         segs.insert(0, _PlanSegment("attn", hw.host_attn_seconds_per_layer,
                                     0, 0.0, "", None))
@@ -398,11 +393,19 @@ def end_to_end_grid(model: ModelSpec, hw: HardwareSpec, scenarios, in_lens,
 def ddb_hiding_crossover(model: ModelSpec, hw: HardwareSpec) -> int:
     """Smallest input length at which no copy of a decoder layer's weights
     in an S-DDB prefill's steps ends after the GEMM it runs beside (full
-    latency hiding; the preload and the head aside)."""
-    for sl in range(1, CROSSOVER_MAX_SL + 1):
+    latency hiding; the preload and the head aside).
+
+    A copy's seconds are fixed in the input length and its GEMM's never
+    fall with it, so once every copy is hidden it stays hidden: a bisection
+    over 1 to ``CROSSOVER_MAX_SL`` finds the length in about 10 prefills.
+    """
+    def hidden(sl: int) -> bool:
         # (agent, layer, tag, start, end, buffer): a layer's copy follows its GEMM
         steps = run_prefill(Scenario.S_DDB, model, hw, sl).steps()
-        if all(copy[4] <= gemm[4] for gemm, copy in pairwise(steps)
-               if copy[0] == "copy" and copy[1] is not None):
-            return sl
-    raise ConfigError(f"no crossover at or below sl={CROSSOVER_MAX_SL}")
+        return all(copy[4] <= gemm[4] for gemm, copy in pairwise(steps)
+                   if copy[0] == "copy" and copy[1] is not None)
+
+    sl = bisect_left(range(1, CROSSOVER_MAX_SL + 1), True, key=hidden) + 1
+    if sl > CROSSOVER_MAX_SL:
+        raise ConfigError(f"no crossover at or below sl={CROSSOVER_MAX_SL}")
+    return sl

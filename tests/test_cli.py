@@ -556,6 +556,15 @@ def test_json_text_raises_what_json_raises_for_no_json_value(value, bad, where):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {"b": [{2: None}]}}, {"a": 1, 3: 1}],
+                         ids=["top", "nested", "mixed"])
+def test_json_text_raises_type_error_for_a_key_that_is_no_str(value):
+    """``json.dumps`` writes an int key as a string, so the parity property
+    cannot see this rule: a report's keys are all strs."""
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
 @pytest.mark.parametrize("config, count", [
     ({"model": {"hidden": 64, "intermediate": 128, "layers": 0, "vocab": 0}}, 0),
     ({"model": {"hidden": 64, "intermediate": 128, "layers": 0, "vocab": 96},

@@ -4,15 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimsim.dram import (FIELD_NAMES, AddressMap, DramGeometry,
                          decode_address, encode_coord, slice_fields)
 from pimsim.errors import (AttributeViolation, CapacityError, GeometryError,
                            SimulatorError)
-from pimsim.layout import (PimPlacement, WeightMatrix, address_order,
-                           burst_address_of_tile, burst_of_address,
+from pimsim.layout import (LANE_BLOCK, PimPlacement, WeightMatrix,
+                           address_order, burst_address_of_tile, burst_of_address,
                            convert_to_pim_aware, model_placements,
                            pim_coord_of_element, smc_copy, unswizzle)
 from pimsim.memsys import Attribute, CacheConfig, MemorySystem, RegionKind
@@ -113,6 +113,9 @@ def placements(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(placements(), st.integers(0, 2**32 - 1))
+# 256 lanes per slot, written LANE_BLOCK lanes at a time: two full slots and
+# a ragged third of one full lane block and a ragged one
+@example(make_placement(2 * 256 + LANE_BLOCK + 24, 30, banks=8, channels=2), 0)
 def test_round_trip_is_identity(p, seed):
     out_dim, in_dim = p.out_dim, p.in_dim
     rng = np.random.default_rng(seed)

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from itertools import pairwise
 from unittest import mock
 
 import numpy as np
@@ -536,6 +537,40 @@ def test_crossover_is_where_every_paired_copy_fits_its_gemm(point):
     assert got == (_crossover_oracle(model, hw) if model.layers else 1)
 
 
+def every_layer_copy_hidden(model, hw, sl) -> bool:
+    """No copy of a decoder layer's weights in an S-DDB prefill's steps
+    ends after the GEMM it runs beside, which the step before it is."""
+    steps = run_prefill(Scenario.S_DDB, model, hw, sl).steps()
+    return all(copy[4] <= gemm[4] for gemm, copy in pairwise(steps)
+               if copy[0] == "copy" and copy[1] is not None)
+
+
+def assert_hiding_is_monotone_in_sl(model, hw):
+    """Once an input length hides every layer copy, every longer one does,
+    and the crossover is the first that does: what its bisection needs."""
+    hidden = [every_layer_copy_hidden(model, hw, sl)
+              for sl in range(1, runtime.CROSSOVER_MAX_SL + 1)]
+    assert hidden == sorted(hidden)
+    if any(hidden):
+        assert ddb_hiding_crossover(model, hw) == hidden.index(True) + 1
+    else:
+        with pytest.raises(ConfigError, match="no crossover"):
+            ddb_hiding_crossover(model, hw)
+
+
+@settings(max_examples=25, deadline=None)
+@given(drawn_points())
+def test_hiding_every_layer_copy_is_monotone_in_sl(point):
+    model, hw, _ = point
+    assert_hiding_is_monotone_in_sl(model, hw)
+
+
+@pytest.mark.parametrize("hw", ["s24plus", "ideal-bw"])
+@pytest.mark.parametrize("name", ["toy-64", "llama3.2-1b", "llama3.2-3b"])
+def test_preset_hiding_is_monotone_in_sl(name, hw):
+    assert_hiding_is_monotone_in_sl(model_preset(name), hardware_preset(hw))
+
+
 def test_crossover_is_in_the_expected_band():
     sl = ddb_hiding_crossover(M1B, HW)
     assert 96 <= sl <= 192
@@ -545,9 +580,12 @@ def test_crossover_is_in_the_expected_band():
                smc_time(s.copy_bytes, Scenario.S_DDB.record.copy_agents, HW)
                > s.compute_seconds
                for s in segs)
-    # a copy rate that no input length hides is an error, not a length
-    with pytest.raises(ConfigError, match="no crossover at or below sl=1024"):
+    # a copy rate that no input length hides is an error, not a length,
+    # found by a bisection of 1,024 lengths, not a scan
+    with mock.patch.object(runtime, "run_prefill", wraps=run_prefill) as prefills, \
+            pytest.raises(ConfigError, match="no crossover at or below sl=1024"):
         ddb_hiding_crossover(model_preset("toy-64"), replace(HW, smc_bw_override_gbps=0.01))
+    assert prefills.call_count <= 11
 
 
 @pytest.mark.parametrize("model, want", [
